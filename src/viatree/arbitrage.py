@@ -29,6 +29,7 @@ from .markets import (
     DensityProcess,
     MarketModel,
     UnitStrategy,
+    WealthKernel,
     price_martingale_residual,
     wealth_from_units,
 )
@@ -303,6 +304,23 @@ def check_nupbr(m: MarketModel) -> NupbrResult:
     )
 
 
+def admissible_unit_strategies(m: MarketModel, rng: np.random.Generator, n: int, x0: float):
+    """n random admissible unit strategies, one block of about
+    ``BLOCK_ENTRIES`` node-asset entries at a time, as (holdings, terminal
+    wealths, scaled flags).  Holdings are standard normal, drawn in the order
+    strategy, internal node (breadth-first), asset; a strategy dipping below
+    0 from zero capital is scaled so its wealth from ``x0`` stays >= 0."""
+    t = m.tree
+    k = WealthKernel(m)
+    for b in k.blocks(n):
+        h = np.zeros((b.stop - b.start, t.n_nodes, m.d))
+        h[:, t.internal] = rng.standard_normal((len(h), t.internal.size, m.d))
+        low = k.units(h, 0.0).min(axis=1)
+        scaled = low < 0.0
+        h[scaled] *= (x0 / -low[scaled])[:, None, None]
+        yield h, k.units(h, x0)[:, t.leaves], scaled
+
+
 def empirical_boundedness_probe(
     m: MarketModel,
     n_strategies: int = 200,
@@ -313,29 +331,23 @@ def empirical_boundedness_probe(
 
     Draws unit strategies with standard normal holdings, scales each so the
     wealth from ``x0`` stays nonnegative at every node, and pools the
-    terminal values (weighted by leaf probability).  The probe is
+    terminal values (weighted by leaf probability).  Holdings draw from
+    ``seed`` in the order strategy, internal node, asset, and are evaluated
+    in blocks (``admissible_unit_strategies``).  The probe is
     diagnostic only: a bounded-looking table is evidence, not a proof of
     NUPBR, which is why the decision procedure is the LP sweep.
     """
+    if n_strategies < 1:
+        raise ValueError(f"n_strategies must be at least 1, got {n_strategies!r}")
     t = m.tree
     rng = np.random.default_rng(seed)
     p_leaf = t.unconditional_probs()[t.leaves]
-    pooled_vals = []
-    pooled_wts = []
-    scaled = 0
-    for _ in range(n_strategies):
-        h = np.zeros_like(m.prices)
-        h[t.internal] = rng.standard_normal((t.internal.size, m.d))
-        gains = wealth_from_units(m, UnitStrategy(holdings=h), 0.0).values
-        worst = float(gains.min())
-        if worst < 0.0:
-            h *= x0 / (-worst)
-            scaled += 1
-        w = wealth_from_units(m, UnitStrategy(holdings=h), x0)
-        pooled_vals.append(w.terminal(t))
-        pooled_wts.append(p_leaf / n_strategies)
-    vals = np.concatenate(pooled_vals)
-    wts = np.concatenate(pooled_wts)
+    vals, scaled = [], 0
+    for _, w_T, flags in admissible_unit_strategies(m, rng, n_strategies, x0):
+        vals.append(w_T.ravel())
+        scaled += int(flags.sum())
+    vals = np.concatenate(vals)
+    wts = np.tile(p_leaf / n_strategies, n_strategies)
     order = np.argsort(vals)
     vals = vals[order]
     cum = np.cumsum(wts[order])

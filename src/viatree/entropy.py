@@ -35,6 +35,7 @@ from .markets import (
     MarketModel,
     UnitStrategy,
     density_from_leaf_values,
+    leaf_gain_matrix,
     price_martingale_residual,
 )
 from .trees import EventTree, StoppingTime, crossed_by, cuts_nested
@@ -116,32 +117,6 @@ def entropy_hellinger(tree: EventTree, Z: DensityProcess) -> EntropyReport:
     )
 
 
-def _leaf_martingale_system(m: MarketModel):
-    """Constraint matrix over leaf masses: node martingale rows + total mass."""
-    t = m.tree
-    leaves = t.leaves
-    n_leaf = leaves.size
-    # leaves_under[v] = column indices of leaves descending from v
-    leaves_under = [[] for _ in range(t.n_nodes)]
-    for j, leaf in enumerate(leaves):
-        v = int(leaf)
-        while v >= 0:
-            leaves_under[v].append(j)
-            v = int(t.parent[v])
-    rows = []
-    for v in t.internal:
-        for i in range(m.d):
-            row = np.zeros(n_leaf)
-            for c in t.children[v]:
-                row[leaves_under[int(c)]] = m.prices[c, i] - m.prices[v, i]
-            rows.append(row)
-    rows.append(np.ones(n_leaf))
-    M = np.array(rows)
-    b = np.zeros(len(rows))
-    b[-1] = 1.0
-    return M, b
-
-
 @dataclass
 class MinEntropyResult:
     density: DensityProcess
@@ -170,7 +145,11 @@ def min_entropy_emm(m: MarketModel, max_iter: int = 200) -> MinEntropyResult:
     t = m.tree
     probs = t.unconditional_probs()
     pl = probs[t.leaves]
-    M, b = _leaf_martingale_system(m)
+    # leaf-mass constraints: a martingale row per (internal node, asset), then
+    # total mass; kept in C order, since BLAS results depend on the layout
+    M = np.ascontiguousarray(np.vstack([leaf_gain_matrix(m).T, np.ones(t.leaves.size)]))
+    b = np.zeros(M.shape[0])
+    b[-1] = 1.0
     q0 = cert.density.z[t.leaves] * pl
 
     # least-squares polish of the particular solution onto {Mq = b}
@@ -250,21 +229,6 @@ class ExpUtilityResult:
     iterations: int
 
 
-def _leaf_feature_matrix(m: MarketModel):
-    """F[leaf, (node, asset)] = price increment picked up by one unit held
-    at that internal node along the leaf's path."""
-    t = m.tree
-    internal = list(t.internal)
-    col = {int(v): k for k, v in enumerate(internal)}
-    F = np.zeros((t.leaves.size, len(internal) * m.d))
-    for j, leaf in enumerate(t.leaves):
-        path = t.path_to(int(leaf))
-        for v, c in zip(path[:-1], path[1:]):
-            k = col[int(v)]
-            F[j, k * m.d : (k + 1) * m.d] = m.prices[c] - m.prices[v]
-    return F, internal
-
-
 def exp_utility(m: MarketModel, max_iter: int = 200) -> ExpUtilityResult:
     """Minimize E[exp(-(theta . S)_T)] over unit strategies.
 
@@ -286,7 +250,7 @@ def exp_utility(m: MarketModel, max_iter: int = 200) -> ExpUtilityResult:
     probs = t.unconditional_probs()
     pl = probs[t.leaves]
     logp = np.log(pl)
-    F, internal = _leaf_feature_matrix(m)
+    F = leaf_gain_matrix(m)
     n_var = F.shape[1]
 
     def eval_at(theta):
@@ -340,8 +304,7 @@ def exp_utility(m: MarketModel, max_iter: int = 200) -> ExpUtilityResult:
         )
 
     holdings = np.zeros_like(m.prices)
-    for k, v in enumerate(internal):
-        holdings[int(v)] = theta[k * m.d : (k + 1) * m.d]
+    holdings[t.internal] = theta.reshape(-1, m.d)
     z_leaf = what / pl
     density = density_from_leaf_values(t, z_leaf)
     link = price_martingale_residual(m, density)

@@ -8,14 +8,14 @@ at a node and applied over its outgoing edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .trees import EventTree, StoppingTime
 
-SELF_FINANCING_TOL = 1e-12
 MARTINGALE_FLAG_TOL = 1e-12
+BLOCK_ENTRIES = 1 << 14  # node-asset entries per strategy block; bounds memory
 
 
 @dataclass
@@ -144,6 +144,76 @@ class DensityProcess:
         return tree.branch_prob[kids] * self.z[kids] / self.z[v]
 
 
+class WealthKernel:
+    """Wealth of many strategies on one market at once.
+
+    Per-edge arrays are computed once, in ``EventTree.edges`` order, where
+    sibling groups and depth levels are contiguous ranges.  Strategies are
+    (S, n_nodes, d) arrays; wealth, an (S, n_nodes) array, is rolled forward
+    one depth level at a time.  Sums run in asset order, not through BLAS.
+    """
+
+    def __init__(self, m: MarketModel):
+        t = m.tree
+        self.market, self.child, self.parent = m, t.edges, t.parent[t.edges]
+        self.dS = m.prices[self.child] - m.prices[self.parent]
+        self.starts = np.flatnonzero(np.diff(self.parent, prepend=-1))
+        self.sizes = np.diff(self.starts, append=self.child.size)
+        self.nodes = t.internal  # the parent of each sibling group
+        off = t.level_offsets - 1
+        self.levels = [slice(lo, hi) for lo, hi in zip(off[1:-1], off[2:])]
+
+    @property
+    def returns(self) -> np.ndarray:
+        """Simple returns per edge; internal prices must be nonzero."""
+        zero = np.any(self.market.prices[self.nodes] == 0.0, axis=1)
+        if np.any(zero):
+            raise ValueError(
+                f"simple returns undefined at node {self.nodes[np.argmax(zero)]}: "
+                "a price component is 0"
+            )
+        return self.dS / self.market.prices[self.parent]
+
+    def blocks(self, n: int) -> list[slice]:
+        """Ranges of n strategies, each about BLOCK_ENTRIES node-asset entries."""
+        step = max(1, BLOCK_ENTRIES // self.market.prices.size)
+        return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+    def edge_dot(self, per_node: np.ndarray, incr: np.ndarray) -> np.ndarray:
+        """(S, n_edges) array of incr[e] . per_node[s, parent[e]]."""
+        out = per_node[:, self.parent, 0] * incr[:, 0]
+        for i in range(1, incr.shape[1]):
+            out += per_node[:, self.parent, i] * incr[:, i]
+        return out
+
+    def roll(self, steps: np.ndarray, start: float, multiplicative: bool = False):
+        """Wealth from its root value and per-edge steps, level by level."""
+        w = np.empty((steps.shape[0], self.market.tree.n_nodes))
+        w[:, 0] = start
+        for lv in self.levels:
+            up = w[:, self.parent[lv]]
+            w[:, self.child[lv]] = up * steps[:, lv] if multiplicative else up + steps[:, lv]
+        return w
+
+    def units(self, holdings: np.ndarray, x0: float) -> np.ndarray:
+        return self.roll(self.edge_dot(holdings, self.dS), x0)
+
+    def growth(self, fractions: np.ndarray) -> np.ndarray:
+        """Cumulative wealth factors; names the first infeasible edge of
+        the first infeasible strategy."""
+        step = 1.0 + self.edge_dot(fractions, self.returns)
+        if np.any(bad := step <= 0.0):
+            s = np.argmax(bad.any(axis=1))
+            g = np.searchsorted(self.starts, np.argmax(bad[s]), side="right") - 1
+            lo = self.starts[g]
+            e = lo + np.argmin(step[s, lo : lo + self.sizes[g]])
+            raise ValueError(
+                f"fraction strategy infeasible: wealth factor {step[s, e]!r} <= 0 "
+                f"on edge {self.parent[e]} -> {self.child[e]}"
+            )
+        return self.roll(step, 1.0, multiplicative=True)
+
+
 def wealth_from_units(m: MarketModel, s: UnitStrategy, x0: float) -> WealthProcess:
     """Self-financing wealth W(child) = W(node) + holdings(node) . dS."""
     h = s.holdings
@@ -151,13 +221,7 @@ def wealth_from_units(m: MarketModel, s: UnitStrategy, x0: float) -> WealthProce
         raise ValueError(
             f"holdings shape {h.shape} does not match prices {m.prices.shape}"
         )
-    t = m.tree
-    w = np.empty(t.n_nodes)
-    w[0] = x0
-    for v in t.internal:
-        kids = t.children[v]
-        w[kids] = w[v] + (m.prices[kids] - m.prices[v]) @ h[v]
-    return WealthProcess(x0=float(x0), values=w)
+    return WealthProcess(x0=float(x0), values=WealthKernel(m).units(h[None], x0)[0])
 
 
 def wealth_from_fractions(m: MarketModel, s: FractionStrategy, x0: float) -> WealthProcess:
@@ -172,32 +236,29 @@ def wealth_from_fractions(m: MarketModel, s: FractionStrategy, x0: float) -> Wea
         raise ValueError(
             f"fractions shape {f.shape} does not match prices {m.prices.shape}"
         )
+    return WealthProcess(x0=float(x0), values=x0 * WealthKernel(m).growth(f[None])[0])
+
+
+def leaf_gain_matrix(m: MarketModel) -> np.ndarray:
+    """G[leaf, (internal node, asset)] = dS on the edge the leaf's path takes
+    out of the node, so G @ theta are the terminal gains of unit holdings."""
     t = m.tree
-    growth = np.empty(t.n_nodes)
-    growth[0] = 1.0
-    for v in t.internal:
-        kids = t.children[v]
-        step = 1.0 + m.simple_returns(v) @ f[v]
-        if np.any(step <= 0.0):
-            j = kids[int(np.argmin(step))]
-            raise ValueError(
-                f"fraction strategy infeasible: wealth factor {step.min()!r} <= 0 "
-                f"on edge {v} -> {j}"
-            )
-        growth[kids] = growth[v] * step
-    return WealthProcess(x0=float(x0), values=x0 * growth)
+    col = np.zeros(t.n_nodes, dtype=np.int64)
+    col[t.internal] = np.arange(t.internal.size)
+    G = np.zeros((t.leaves.size, t.internal.size, m.d))
+    rows, node = np.arange(t.leaves.size), t.leaves
+    for _ in range(t.horizon):
+        up = t.parent[node]
+        G[rows, col[up]] = m.prices[node] - m.prices[up]
+        node = up
+    return G.reshape(t.leaves.size, -1)
 
 
 def self_financing_residual(m: MarketModel, s: UnitStrategy, w: WealthProcess) -> float:
     """sup over edges of |dW - holdings . dS| for a unit-strategy wealth."""
-    t = m.tree
-    worst = 0.0
-    for v in t.internal:
-        kids = t.children[v]
-        gains = (m.prices[kids] - m.prices[v]) @ s.holdings[v]
-        r = np.max(np.abs(w.values[kids] - w.values[v] - gains))
-        worst = max(worst, float(r))
-    return worst
+    k = WealthKernel(m)
+    dw = w.values[k.child] - w.values[k.parent]
+    return float(np.abs(dw - k.edge_dot(s.holdings[None], k.dS)[0]).max(initial=0.0))
 
 
 def price_martingale_residual(m: MarketModel, dp: DensityProcess) -> float:

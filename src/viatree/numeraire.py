@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arbitrage import NaCertificate, check_na
+from .arbitrage import NaCertificate, admissible_unit_strategies, check_na
 from .markets import (
     FractionStrategy,
     MarketModel,
-    UnitStrategy,
+    WealthKernel,
     WealthProcess,
     wealth_from_fractions,
     wealth_from_units,
@@ -172,20 +172,30 @@ def numeraire_portfolio(m: MarketModel, x0: float = 1.0) -> NumeraireSolution:
     )
 
 
+def _feasible_fractions(
+    k: WealthKernel, rng: np.random.Generator, n: int, box: float = 2.0, margin: float = 1e-6
+) -> np.ndarray:
+    """n strategies' uniform draws in one block, then each offending
+    (strategy, node) row halved until its wealth factors clear the margin.
+    Halving is exact, so it is counted on the row's smallest factor."""
+    fr = np.zeros((n,) + k.market.prices.shape)
+    fr[:, k.nodes] = rng.uniform(-box, box, size=(n, k.nodes.size, k.market.d))
+    low = np.minimum.reduceat(k.edge_dot(fr, k.returns), k.starts, axis=1)
+    scale = np.ones_like(low)
+    while np.any(bad := 1.0 + low * scale < margin):
+        scale[bad] *= 0.5
+    fr[:, k.nodes] *= scale[:, :, None]
+    return fr
+
+
 def sample_feasible_fractions(
     m: MarketModel, rng: np.random.Generator, box: float = 2.0, margin: float = 1e-6
 ) -> FractionStrategy:
     """Uniform box draw per node, halved until all wealth factors clear
-    the positivity margin."""
-    t = m.tree
-    fr = np.zeros_like(m.prices)
-    for v in t.internal:
-        R = m.simple_returns(v)
-        pi = rng.uniform(-box, box, size=m.d)
-        while np.min(1.0 + R @ pi) < margin:
-            pi *= 0.5
-        fr[v] = pi
-    return FractionStrategy(fractions=fr)
+    the positivity margin.  Draws d uniforms per internal node in
+    breadth-first order, as each strategy of ``verify_numeraire`` does."""
+    fr = _feasible_fractions(WealthKernel(m), rng, 1, box, margin)
+    return FractionStrategy(fractions=fr[0])
 
 
 def random_stopping_time(
@@ -219,47 +229,60 @@ def verify_numeraire(
     expectation E[W(child)/N(child) | v] must not exceed W(v)/N(v) + tol.
     Three random stopping-time cuts check the optional-stopping form, and
     binary nodes are additionally held to the martingale equality.
+
+    Sampled strategies draw from ``seed`` in the order strategy, internal
+    node (breadth-first), asset, and the cuts draw after them.  Sampled
+    strategies are evaluated in blocks of about ``BLOCK_ENTRIES``
+    node-asset entries; given ones in one block.
     """
     t = m.tree
     if np.any(candidate.values <= 0.0):
         raise ValueError("candidate numeraire wealth must be strictly positive")
+    k = WealthKernel(m)
     rng = np.random.default_rng(seed)
     if strategies is None:
-        strategies = [
-            sample_feasible_fractions(m, rng) for _ in range(n_strategies)
-        ]
-    ratio_excess = -np.inf  # max of E[ratio|v] - ratio(v); <= tol required
-    binary_gap = 0.0
+        if n_strategies < 1:
+            raise ValueError(f"n_strategies must be at least 1, got {n_strategies!r}")
+        # the cuts draw after the strategies: skip past the strategy draws,
+        # draw the cuts, then rewind and redraw one block at a time
+        start = rng.bit_generator.state
+        for b in k.blocks(n_strategies):
+            rng.uniform(size=(b.stop - b.start, k.nodes.size, m.d))
+        cuts = [random_stopping_time(t, rng) for _ in range(n_cuts)]
+        rng.bit_generator.state = start
+        wealths = (candidate.x0 * k.growth(_feasible_fractions(k, rng, b.stop - b.start))
+                   for b in k.blocks(n_strategies))
+    else:
+        strategies = list(strategies)
+        if not strategies:
+            raise ValueError("strategies must not be empty")
+        n_strategies = len(strategies)
+        wealths = [np.stack([
+            (wealth_from_fractions if isinstance(s, FractionStrategy) else wealth_from_units)(
+                m, s, candidate.x0).values for s in strategies
+        ])]
+        cuts = [random_stopping_time(t, rng) for _ in range(n_cuts)]
     p = t.unconditional_probs()
-    cuts = [random_stopping_time(t, rng) for _ in range(n_cuts)]
-    cut_rows = []
-    cut_excess = -np.inf
-    for s in strategies:
-        w = (
-            wealth_from_fractions(m, s, candidate.x0)
-            if isinstance(s, FractionStrategy)
-            else wealth_from_units(m, s, candidate.x0)
-        )
-        ratio = w.values / candidate.values
-        for v in t.internal:
-            kids = t.children[v]
-            gap = float(t.branch_prob[kids] @ ratio[kids]) - ratio[v]
-            ratio_excess = max(ratio_excess, gap)
-            if kids.size == 2:
-                binary_gap = max(binary_gap, abs(gap))
-        for cut in cuts:
-            ev = float(sum(p[v] * ratio[v] for v in cut.nodes))
-            cut_excess = max(cut_excess, ev - ratio[0])
-    for cut in cuts:
-        cut_rows.append({"cut": list(cut.nodes)})
+    cut_nodes = [np.asarray(cut.nodes) for cut in cuts]
+    bp = t.branch_prob[k.child]
+    ratio_excess = cut_excess = -np.inf  # <= tol required
+    binary_gap = 0.0
+    for w in wealths:
+        ratio = w / candidate.values
+        gap = np.add.reduceat(bp * ratio[:, k.child], k.starts, axis=1) - ratio[:, k.nodes]
+        ratio_excess = max(ratio_excess, gap.max(initial=-np.inf))
+        binary_gap = max(binary_gap, np.abs(gap[:, k.sizes == 2]).max(initial=0.0))
+        for c in cut_nodes:  # sequential sums, not BLAS: blocks cannot change a bit
+            ev = np.cumsum(p[c] * ratio[:, c], axis=1)[:, -1]
+            cut_excess = max(cut_excess, float(np.max(ev - ratio[:, 0])))
     passed = ratio_excess <= tol and cut_excess <= tol
     return {
         "passed": bool(passed),
         "worst_ratio_excess": float(ratio_excess),
         "binary_martingale_gap": float(binary_gap),
         "worst_cut_excess": float(cut_excess),
-        "cuts": cut_rows,
-        "n_strategies": len(strategies),
+        "cuts": [{"cut": list(cut.nodes)} for cut in cuts],
+        "n_strategies": n_strategies,
         "tol": tol,
     }
 
@@ -275,27 +298,24 @@ def deflator_probe(
 
     Samples unit strategies, scales each so its wealth from x0 stays
     nonnegative, and checks E[W_T * x0 / N_T] <= x0 + tol.  Also reports
-    E[x0 / N_T] itself, which cannot exceed 1 + 1e-10.
+    E[x0 / N_T] itself, which cannot exceed 1 + 1e-10.  Holdings draw from
+    ``seed`` in the order strategy, internal node, asset, and are evaluated
+    in blocks (``admissible_unit_strategies``).
     """
     t = m.tree
     if np.any(candidate.values <= 0.0):
         raise ValueError("candidate numeraire wealth must be strictly positive")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
     x0 = candidate.x0
     rng = np.random.default_rng(seed)
     p_leaf = t.unconditional_probs()[t.leaves]
     defl_T = x0 / candidate.terminal(t)
     base = float(p_leaf @ defl_T)
     worst = -np.inf
-    for _ in range(n):
-        h = np.zeros_like(m.prices)
-        h[t.internal] = rng.standard_normal((t.internal.size, m.d))
-        gains = wealth_from_units(m, UnitStrategy(holdings=h), 0.0).values
-        low = float(gains.min())
-        if low < 0.0:
-            h *= x0 / (-low)
-        w = wealth_from_units(m, UnitStrategy(holdings=h), x0)
-        ev = float(p_leaf @ (w.terminal(t) * defl_T))
-        worst = max(worst, ev - x0)
+    for _, w_T, _ in admissible_unit_strategies(m, rng, n, x0):
+        ev = np.cumsum(p_leaf * (w_T * defl_T), axis=1)[:, -1]  # sequential, not BLAS
+        worst = max(worst, float(np.max(ev - x0)))
     passed = worst <= tol and base <= 1.0 + DEFLATOR_TOL
     return {
         "passed": bool(passed),

@@ -63,49 +63,47 @@ class EventTree:
             raise ValueError("branch probabilities must lie in (0, 1]")
 
         depth = np.zeros(n, dtype=np.int64)
-        depth[1:] = 0
         for i in range(1, n):
             depth[i] = depth[par[i]] + 1
         if np.any(np.diff(depth) < 0):
             raise ValueError("nodes must be grouped by depth (breadth-first order)")
 
-        children: list[list[int]] = [[] for _ in range(n)]
-        for i in range(1, n):
-            children[par[i]].append(i)
-        child_arrays = [np.asarray(c, dtype=np.int64) for c in children]
-
-        leaves = np.asarray(
-            [i for i in range(n) if child_arrays[i].size == 0], dtype=np.int64
-        )
-        internal = np.asarray(
-            [i for i in range(n) if child_arrays[i].size > 0], dtype=np.int64
-        )
+        # edges (named by their child) ordered by parent: siblings are adjacent
+        edges = np.argsort(par[1:], kind="stable") + 1
+        n_kids = np.bincount(par[1:], minlength=n)
+        leaves = np.flatnonzero(n_kids == 0)
+        internal = np.flatnonzero(n_kids)
         horizon = int(depth.max())
         if np.any(depth[leaves] != horizon):
             raise ValueError("tree must be leveled: every leaf at the terminal depth")
 
-        for v in internal:
-            s = bp[child_arrays[v]].sum()
-            if abs(s - 1.0) > PROB_SUM_TOL:
-                raise ValueError(
-                    f"branch probabilities out of node {v} sum to {s!r}, "
-                    f"expected 1 within {PROB_SUM_TOL}"
-                )
+        sums = np.bincount(par[1:], weights=bp[1:], minlength=n)
+        bad = internal[np.abs(sums[internal] - 1.0) > PROB_SUM_TOL]
+        if bad.size:
+            raise ValueError(
+                f"branch probabilities out of node {bad[0]} sum to {sums[bad[0]]!r}, "
+                f"expected 1 within {PROB_SUM_TOL}"
+            )
 
         self.parent = par
         self.branch_prob = bp
         self.n_nodes = n
         self.depth = depth
         self.horizon = horizon
-        self.children = child_arrays
+        # depth level k occupies nodes level_offsets[k]:level_offsets[k + 1]
+        self.level_offsets = np.searchsorted(depth, np.arange(horizon + 2))
+        self.edges = edges
+        self.children = np.split(edges, np.cumsum(n_kids)[:-1])
         self.leaves = leaves
         self.internal = internal
 
     def unconditional_probs(self) -> np.ndarray:
-        """Node probabilities, derived by multiplying branch probabilities."""
+        """Node probabilities, derived by multiplying branch probabilities
+        one depth level at a time."""
         p = np.ones(self.n_nodes)
-        for i in range(1, self.n_nodes):
-            p[i] = p[self.parent[i]] * self.branch_prob[i]
+        off = self.level_offsets
+        for lo, hi in zip(off[1:-1], off[2:]):
+            p[lo:hi] = p[self.parent[lo:hi]] * self.branch_prob[lo:hi]
         return p
 
     def path_to(self, node: int) -> list[int]:
@@ -142,11 +140,7 @@ class StoppingTime:
             raise ValueError("stopping-time cut contains duplicate nodes")
         if any(v < 0 or v >= tree.n_nodes for v in cut):
             raise ValueError("stopping-time cut references unknown nodes")
-        hits = np.zeros(tree.n_nodes, dtype=np.int64)
-        cutset = set(cut)
-        for i in range(tree.n_nodes):
-            above = hits[tree.parent[i]] if tree.parent[i] >= 0 else 0
-            hits[i] = above + (1 if i in cutset else 0)
+        hits = _meetings(tree, cut)
         bad = [int(l) for l in tree.leaves if hits[l] != 1]
         if bad:
             raise ValueError(
@@ -162,12 +156,17 @@ class StoppingTime:
 
 def crossed_by(tree: EventTree, cut: StoppingTime) -> np.ndarray:
     """Boolean per node: has the path to the node met the cut at or before it."""
-    out = np.zeros(tree.n_nodes, dtype=bool)
-    cutset = set(cut.nodes)
-    for i in range(tree.n_nodes):
-        above = out[tree.parent[i]] if tree.parent[i] >= 0 else False
-        out[i] = above or (i in cutset)
-    return out
+    return _meetings(tree, cut.nodes) > 0
+
+
+def _meetings(tree: EventTree, nodes) -> np.ndarray:
+    """Per node, how many of ``nodes`` its root path meets, level by level."""
+    hits = np.zeros(tree.n_nodes, dtype=np.int64)
+    hits[list(nodes)] = 1
+    off = tree.level_offsets
+    for lo, hi in zip(off[1:-1], off[2:]):
+        hits[lo:hi] += hits[tree.parent[lo:hi]]
+    return hits
 
 
 def cuts_nested(tree: EventTree, earlier: StoppingTime, later: StoppingTime) -> bool:

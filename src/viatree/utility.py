@@ -25,7 +25,9 @@ from .markets import (
     FractionStrategy,
     MarketModel,
     UnitStrategy,
+    WealthKernel,
     WealthProcess,
+    leaf_gain_matrix,
     wealth_from_fractions,
     wealth_from_units,
 )
@@ -317,30 +319,12 @@ def _solve_crra(m, weights, x0, gamma) -> OptimalPortfolioResult:
     )
 
 
-def _leaf_gain_matrix(m: MarketModel):
-    """G with one row per leaf and one column per (internal node, asset):
-    G[L, (v,i)] = dS_i on the edge the path to L takes out of v."""
-    t = m.tree
-    cols = {int(v): j for j, v in enumerate(t.internal)}
-    d = m.d
-    G = np.zeros((t.leaves.size, t.internal.size * d))
-    for li, leaf in enumerate(t.leaves):
-        path = t.path_to(int(leaf))
-        for v, c in zip(path[:-1], path[1:]):
-            j = cols[int(v)]
-            G[li, j * d : (j + 1) * d] = m.prices[c] - m.prices[v]
-    return G
-
-
 def _solve_custom(m, weights, x0, utility, tol=CUSTOM_GRAD_TOL, max_iter=300):
     t = m.tree
-    # leaf weights under the chosen measure
-    qw = np.ones(t.n_nodes)
-    for v in t.internal:
-        kids = t.children[v]
-        qw[kids] = qw[v] * weights[int(v)]
-    qw = qw[t.leaves]
-    G = _leaf_gain_matrix(m)
+    # leaf weights under the chosen measure (``weights`` in edge order)
+    step = np.concatenate([weights[int(v)] for v in t.internal])[None]
+    qw = WealthKernel(m).roll(step, 1.0, multiplicative=True)[0, t.leaves]
+    G = leaf_gain_matrix(m)
     n = G.shape[1]
     theta = np.zeros(n)
 
