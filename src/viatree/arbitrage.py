@@ -39,6 +39,7 @@ DEGENERATE_TOL = 1e-12
 EPS_POSITIVE_TOL = 1e-9
 AMBIGUITY_BAND = 1e-9
 EMM_RESIDUAL_TOL = 1e-9
+GAIN_ROUNDOFF = 1e-12  # gains below this share of max |gain| count as zero
 
 
 class ArbitrageError(RuntimeError):
@@ -239,10 +240,11 @@ def _replay_arbitrage(m: MarketModel, s: UnitStrategy) -> dict:
     w = wealth_from_units(m, s, 0.0)
     gains = w.terminal(m.tree)
     p = m.tree.unconditional_probs()[m.tree.leaves]
+    positive = gains > GAIN_ROUNDOFF * np.max(np.abs(gains))
     return {
         "min_gain": float(gains.min()),
         "max_gain": float(gains.max()),
-        "prob_positive": float(p[gains > 0.0].sum()),
+        "prob_positive": float(p[positive].sum()),
         "expected_gain": float(p @ gains),
     }
 
@@ -251,21 +253,6 @@ def find_emm(m: MarketModel, tol_pos: float = EPS_POSITIVE_TOL) -> DensityProces
     """The glued interior martingale density, or None under arbitrage."""
     cert = check_na(m, tol_pos)
     return cert.density if cert.verdict == "NA" else None
-
-
-@dataclass
-class SigmaDensityResult:
-    density: DensityProcess | None
-    phi: float = 1.0
-    note: str = (
-        "on a finite tree every sigma-martingale density is a martingale "
-        "density: the integrand phi can be taken identically 1"
-    )
-
-
-def find_sigma_density(m: MarketModel) -> SigmaDensityResult:
-    """Sigma-martingale density search; collapses to find_emm on trees."""
-    return SigmaDensityResult(density=find_emm(m))
 
 
 @dataclass

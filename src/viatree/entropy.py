@@ -17,10 +17,6 @@ Four related tools live here:
 * ``concatenate_densities`` splices segment densities along a nested
   sequence of stopping times, taking multiplicative increments from the
   n-th segment on the n-th interval.
-
-On a finite tree E[Z_T log Z_T] is always finite, so the integrability
-flag carried by ``EntropyReport`` is trivially true; it exists for
-interface parity with models where L log L integrability can fail.
 """
 
 from __future__ import annotations
@@ -38,6 +34,7 @@ from .markets import (
     leaf_gain_matrix,
     price_martingale_residual,
 )
+from .newton import damped_newton
 from .trees import EventTree, StoppingTime, crossed_by, cuts_nested
 
 KKT_TOL = 1e-8
@@ -63,7 +60,6 @@ class EntropyReport:
     e_p_v_terminal: float
     e_q_h_terminal: float
     relative_entropy: float
-    llogl_integrable: bool = True
 
 
 def entropy_hellinger(tree: EventTree, Z: DensityProcess) -> EntropyReport:
@@ -165,42 +161,15 @@ def min_entropy_emm(m: MarketModel, max_iter: int = 200) -> MinEntropyResult:
     rank = int(np.sum(s > tol))
     N = vt[rank:].T  # (n_leaf, k) orthonormal null-space basis
 
-    def kkt(q):
-        if N.shape[1] == 0:
-            return 0.0
-        return float(np.max(np.abs(N.T @ (np.log(q / pl) + 1.0))))
+    def evaluate(q):  # maximize -E[Z log Z] over the slice q + span(N)
+        if not np.all(q > 0.0):
+            return None
+        lq = np.log(q / pl)
+        return -float(q @ lq), -(N.T @ (lq + 1.0)), lambda: N.T @ (N / q[:, None])
 
-    q = q0
-    it = 0
-    if N.shape[1] > 0:
-        obj = float(q @ np.log(q / pl))
-        for it in range(1, max_iter + 1):
-            g = N.T @ (np.log(q / pl) + 1.0)
-            gnorm = float(np.max(np.abs(g)))
-            if gnorm < 1e-12:
-                break
-            H = N.T @ (N / q[:, None])
-            step, *_ = np.linalg.lstsq(H, -g, rcond=None)
-            direction = N @ step
-            alpha = 1.0
-            accepted = False
-            slope = float(g @ step)
-            if slope > 0.0:  # lstsq artifact; fall back to steepest descent
-                direction = -(N @ g)
-                slope = -float(g @ g)
-            for _ in range(60):
-                qn = q + alpha * direction
-                if np.all(qn > 0.0):
-                    objn = float(qn @ np.log(qn / pl))
-                    gn = float(np.max(np.abs(N.T @ (np.log(qn / pl) + 1.0))))
-                    if objn <= obj + 1e-4 * alpha * slope or gn <= 0.9 * gnorm:
-                        q, obj = qn, objn
-                        accepted = True
-                        break
-                alpha *= 0.5
-            if not accepted:
-                break
-    res_kkt = kkt(q)
+    q, _, _, res_kkt, it = damped_newton(
+        evaluate, q0, 1e-12, max_iter, lift=lambda step: N @ step
+    )
     if res_kkt >= KKT_TOL:
         raise RuntimeError(
             f"minimal-entropy Newton stalled at KKT residual {res_kkt:.3e}"
@@ -237,8 +206,8 @@ def exp_utility(m: MarketModel, max_iter: int = 200) -> ExpUtilityResult:
     residual vector of the induced density exp(-G)/E[exp(-G)], so at the
     optimum that density is an equivalent martingale density; convex
     duality links it to the minimal-entropy one, and the result reports
-    both residuals.  Strategies are capped at sup-norm 1e6; the cap can
-    only bind when the market admits arbitrage, which is rejected first.
+    both residuals.  Trial strategies are clipped to sup-norm 1e6, and
+    ``cap_hit`` reports whether any was.
     """
     cert = check_na(m)
     if cert.verdict != "NA":
@@ -251,57 +220,37 @@ def exp_utility(m: MarketModel, max_iter: int = 200) -> ExpUtilityResult:
     pl = probs[t.leaves]
     logp = np.log(pl)
     F = leaf_gain_matrix(m)
-    n_var = F.shape[1]
 
-    def eval_at(theta):
+    def induced(theta):  # log E[exp(-G)] and the leaf measure exp(-G)/E[exp(-G)]
         a = logp - F @ theta
         mx = float(np.max(a))
         w = np.exp(a - mx)
         sw = float(np.sum(w))
-        f = mx + np.log(sw)
-        what = w / sw  # induced leaf measure
-        grad = -(F.T @ what)
-        return f, grad, what
+        return mx + np.log(sw), w / sw
 
-    theta = np.zeros(n_var)
-    cap_hit = False
-    f, grad, what = eval_at(theta)
-    it = 0
-    for it in range(1, max_iter + 1):
-        gnorm = float(np.max(np.abs(grad))) if n_var else 0.0
-        if gnorm < 1e-10:
-            break
-        Fw = F * what[:, None]
+    def evaluate(theta):  # maximize -log E[exp(-G)]
+        f, what = induced(theta)
         mean = F.T @ what
-        H = F.T @ Fw - np.outer(mean, mean)
-        step, *_ = np.linalg.lstsq(H, -grad, rcond=None)
-        slope = float(grad @ step)
-        if slope > 0.0:
-            step = -grad
-            slope = -float(grad @ grad)
-        alpha = 1.0
-        accepted = False
-        for _ in range(60):
-            tn = theta + alpha * step
-            if float(np.max(np.abs(tn), initial=0.0)) > THETA_CAP:
-                cap_hit = True
-                tn = np.clip(tn, -THETA_CAP, THETA_CAP)
-            fn, gn, wn = eval_at(tn)
-            if fn <= f + 1e-4 * alpha * slope or float(
-                np.max(np.abs(gn), initial=0.0)
-            ) <= 0.9 * gnorm:
-                theta, f, grad, what = tn, fn, gn, wn
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break
-    gnorm = float(np.max(np.abs(grad), initial=0.0))
+        return -f, mean, lambda: F.T @ (F * what[:, None]) - np.outer(mean, mean)
+
+    cap_hit = False
+
+    def cap(theta):
+        nonlocal cap_hit
+        if float(np.max(np.abs(theta), initial=0.0)) > THETA_CAP:
+            cap_hit = True
+            theta = np.clip(theta, -THETA_CAP, THETA_CAP)
+        return theta
+
+    theta, _, _, gnorm, it = damped_newton(
+        evaluate, np.zeros(F.shape[1]), 1e-10, max_iter, project=cap
+    )
     if gnorm >= EXP_GRAD_TOL:
         raise RuntimeError(
             f"exponential-utility Newton stalled at gradient {gnorm:.3e}"
             + ("; strategy cap 1e6 binding" if cap_hit else "")
         )
+    f, what = induced(theta)
 
     holdings = np.zeros_like(m.prices)
     holdings[t.internal] = theta.reshape(-1, m.d)

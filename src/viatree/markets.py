@@ -174,6 +174,11 @@ class WealthKernel:
             )
         return self.dS / self.market.prices[self.parent]
 
+    def groups(self) -> list[tuple[int, int, slice]]:
+        """(index in ``nodes``, internal node, its range of edges), breadth-first."""
+        return [(i, int(v), slice(lo, lo + n))
+                for i, (v, lo, n) in enumerate(zip(self.nodes, self.starts, self.sizes))]
+
     def blocks(self, n: int) -> list[slice]:
         """Ranges of n strategies, each about BLOCK_ENTRIES node-asset entries."""
         step = max(1, BLOCK_ENTRIES // self.market.prices.size)

@@ -29,6 +29,7 @@ from .markets import (
     wealth_from_fractions,
     wealth_from_units,
 )
+from .newton import damped_newton
 from .trees import EventTree, StoppingTime
 
 FOC_TOL = 1e-10
@@ -44,84 +45,68 @@ def node_log_optimal(
 ) -> tuple[np.ndarray, float, int]:
     """Damped Newton for the one-step log-growth problem.
 
-    Starts at pi = 0 and backtracks to keep every factor 1 + pi . R_j
-    strictly positive.  Singular Hessians (redundant assets) fall back to
-    the least-norm Newton step, so the returned maximizer is the minimal
-    one.  Returns (pi, sup-norm of the gradient, iterations).
+    Starts at pi = 0 and keeps every factor 1 + pi . R_j strictly positive.
+    Singular Hessians (redundant assets) take the least-norm Newton step, so
+    the returned maximizer is the minimal one.  Raises ``RuntimeError`` when
+    the gradient does not reach ``tol``.  Returns (pi, sup-norm of the
+    gradient, Newton steps).
     """
     R = np.atleast_2d(np.asarray(returns, dtype=np.float64))
     p = np.asarray(probs, dtype=np.float64)
-    k, d = R.shape
-    pi = np.zeros(d)
+    pi = np.zeros(R.shape[1])
     if np.max(np.abs(R)) < 1e-12:
         return pi, 0.0, 0
 
-    def value(x):
+    def evaluate(x):
         g = 1.0 + R @ x
-        if np.any(g <= 0.0):
-            return -np.inf
-        return float(p @ np.log(g))
+        if not np.all(g > 0.0):
+            return None
+        return float(p @ np.log(g)), (p / g) @ R, lambda: (R.T * (p / g**2)) @ R
 
-    f = value(pi)
-    it = 0
-    for it in range(1, max_iter + 1):
-        g = 1.0 + R @ pi
-        grad = (p / g) @ R
-        gnorm = float(np.max(np.abs(grad)))
-        if gnorm < tol:
-            # polish with full Newton steps while the gradient still drops;
-            # quadratic convergence puts it near machine precision, so
-            # downstream one-step ratio identities hold to ~1e-13
-            for _ in range(3):
-                if gnorm == 0.0:
-                    break
-                H = (R.T * (p / g**2)) @ R
-                step, *_ = np.linalg.lstsq(H, grad, rcond=None)
-                cand = pi + step
-                gc = 1.0 + R @ cand
-                if not np.all(gc > 0.0):
-                    break
-                grad_c = (p / gc) @ R
-                gn_c = float(np.max(np.abs(grad_c)))
-                if gn_c >= gnorm:
-                    break
-                pi, g, grad, gnorm = cand, gc, grad_c, gn_c
-            return pi, gnorm, it - 1
-        H = (R.T * (p / g**2)) @ R  # negated Hessian, positive semidefinite
-        step, *_ = np.linalg.lstsq(H, grad, rcond=None)
-        slope = float(grad @ step)
-        if slope <= 0.0:  # numerically null direction; nudge along gradient
-            step = grad
-            slope = float(grad @ grad)
-        t = 1.0
-        moved = False
-        while t > 1e-14:
-            cand = pi + t * step
-            gc = 1.0 + R @ cand
-            if np.all(gc > 0.0):
-                fc = float(p @ np.log(gc))
-                gn_c = float(np.max(np.abs((p / gc) @ R)))
-                # Armijo, or plain gradient contraction: near the optimum the
-                # objective is flat to machine precision while Newton still
-                # shrinks the gradient quadratically.
-                if fc > f + 1e-4 * t * slope or gn_c <= 0.9 * gnorm:
-                    pi = cand
-                    f = fc
-                    moved = True
-                    break
-            t *= 0.5
-        if not moved:
-            # no admissible improvement left at this scale
-            return pi, gnorm, it
-    g = 1.0 + R @ pi
-    grad = (p / g) @ R
-    gnorm = float(np.max(np.abs(grad)))
+    pi, _, _, gnorm, steps = damped_newton(evaluate, pi, tol, max_iter)
     if gnorm >= tol:
         raise RuntimeError(
             f"log-growth Newton did not reach gradient {tol} "
             f"(residual {gnorm}); is the node arbitrage-free?"
         )
-    return pi, gnorm, it
+    # polish with full Newton steps while the gradient still drops; quadratic
+    # convergence puts it near machine precision, so downstream one-step ratio
+    # identities hold to ~1e-13
+    _, grad, hess = evaluate(pi)
+    for _ in range(3):
+        if gnorm == 0.0:
+            break
+        step, *_ = np.linalg.lstsq(hess(), grad, rcond=None)
+        trial = evaluate(cand := pi + step)
+        if trial is None or (gn_c := float(np.max(np.abs(trial[1])))) >= gnorm:
+            break
+        pi, (_, grad, hess), gnorm = cand, trial, gn_c
+    return pi, gnorm, steps
+
+
+def log_recursion(m: MarketModel, weights: np.ndarray | None = None):
+    """Log-optimal fractions at every internal node, leaves to root.
+
+    ``weights`` are the one-step probabilities in ``EventTree.edges`` order
+    (the branch probabilities by default).  Returns the fractions, the
+    gradient sup norm per internal node (breadth-first) and the expected
+    log growth of the optimal wealth under those weights.  A node whose
+    Newton stalls raises ``RuntimeError`` naming the node.
+    """
+    t = m.tree
+    k = WealthKernel(m)
+    R = k.returns
+    w = t.branch_prob[k.child] if weights is None else weights
+    fr = np.zeros_like(m.prices)
+    gnorms = np.zeros(k.nodes.size)
+    growth = np.zeros(t.n_nodes)  # continuation term E[sum of log factors]
+    for i, v, e in reversed(k.groups()):
+        try:
+            fr[v], gnorms[i], _ = node_log_optimal(R[e], w[e])
+        except RuntimeError as err:
+            raise RuntimeError(f"at node {v}: {err}") from err
+        growth[v] = float(w[e] @ (np.log(1.0 + R[e] @ fr[v]) + growth[k.child[e]]))
+    return fr, gnorms, growth[0]
 
 
 @dataclass
@@ -149,14 +134,8 @@ def numeraire_portfolio(m: MarketModel, x0: float = 1.0) -> NumeraireSolution:
     if cert.verdict != "NA":
         return NumeraireSolution(status="arbitrage", certificate=cert)
     t = m.tree
-    fr = np.zeros_like(m.prices)
-    gradients: dict[int, float] = {}
-    for v in t.internal:
-        pi, gnorm, _ = node_log_optimal(
-            m.simple_returns(v), t.branch_prob[t.children[v]]
-        )
-        fr[v] = pi
-        gradients[int(v)] = gnorm
+    fr, gnorms, _ = log_recursion(m)
+    gradients = dict(zip(t.internal.tolist(), gnorms.tolist()))
     strategy = FractionStrategy(fractions=fr)
     wealth = wealth_from_fractions(m, strategy, x0)
     p_leaf = t.unconditional_probs()[t.leaves]

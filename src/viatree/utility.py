@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arbitrage import NaCertificate, check_na, find_sigma_density
+from .arbitrage import NaCertificate, check_na, find_emm
 from .markets import (
     DensityProcess,
     FractionStrategy,
@@ -31,7 +31,8 @@ from .markets import (
     wealth_from_fractions,
     wealth_from_units,
 )
-from .numeraire import node_log_optimal
+from .newton import damped_newton
+from .numeraire import log_recursion
 
 FOC_TOL = 1e-10
 CUSTOM_GRAD_TOL = 1e-8
@@ -149,57 +150,31 @@ def node_power_optimal(
     """
     R = np.atleast_2d(np.asarray(returns, dtype=np.float64))
     a = np.asarray(weights, dtype=np.float64)
-    k, d = R.shape
     scale = float(np.sum(np.abs(a)))
     if scale == 0.0:
         raise ValueError("continuation weights are all zero")
     ah = a / scale
     one_m_g = 1.0 - gamma
-    pi = np.zeros(d)
+    pi = np.zeros(R.shape[1])
     if np.max(np.abs(R)) < 1e-12:
         return pi, float(np.sum(a)), 0.0, 0
 
-    def phi_grad(x):
+    def evaluate(x):
         g = 1.0 + R @ x
-        if np.any(g <= 0.0):
-            return -np.inf, None, None
-        pw = g**one_m_g
-        val = float(ah @ pw)
-        grad = one_m_g * ((ah * g ** (-gamma)) @ R)
-        return val, grad, g
+        if not np.all(g > 0.0):
+            return None
 
-    f, grad, g = phi_grad(pi)
-    gnorm = float(np.max(np.abs(grad)))
-    it = 0
-    for it in range(1, max_iter + 1):
-        if gnorm < tol:
-            break
-        curv = gamma * one_m_g * (ah * g ** (-gamma - 1.0))
-        H = (R.T * curv) @ R  # negated Hessian; PSD for all gamma
-        step, *_ = np.linalg.lstsq(H, grad, rcond=None)
-        slope = float(grad @ step)
-        if slope <= 0.0:
-            step = grad
-            slope = float(grad @ grad)
-        t = 1.0
-        moved = False
-        while t > 1e-14:
-            cand = pi + t * step
-            fc, grad_c, gc = phi_grad(cand)
-            if grad_c is not None:
-                gn_c = float(np.max(np.abs(grad_c)))
-                if fc > f + 1e-4 * t * slope or gn_c <= 0.9 * gnorm:
-                    pi, f, grad, g, gnorm = cand, fc, grad_c, gc, gn_c
-                    moved = True
-                    break
-            t *= 0.5
-        if not moved:
-            break
+        def hess():  # negated Hessian; PSD for all gamma
+            return (R.T * (gamma * one_m_g * (ah * g ** (-gamma - 1.0)))) @ R
+
+        return float(ah @ g**one_m_g), one_m_g * ((ah * g ** (-gamma)) @ R), hess
+
+    pi, f, _, gnorm, steps = damped_newton(evaluate, pi, tol, max_iter)
     if gnorm >= tol:
         raise RuntimeError(
             f"power-utility Newton stalled at gradient {gnorm} (target {tol})"
         )
-    return pi, f * scale, gnorm, it
+    return pi, f * scale, gnorm, steps
 
 
 @dataclass
@@ -215,16 +190,14 @@ class OptimalPortfolioResult:
     certificate: NaCertificate | None = None  # arbitrage certificate if any
 
 
-def _step_weights(m: MarketModel, measure: DensityProcess | None):
+def _step_weights(m: MarketModel, measure: DensityProcess | None) -> np.ndarray:
+    """One-step probabilities in ``EventTree.edges`` order, reweighted by
+    the density's one-step ratios when a measure is given."""
     t = m.tree
-    out = {}
-    for v in t.internal:
-        kids = t.children[v]
-        w = t.branch_prob[kids].copy()
-        if measure is not None:
-            w *= measure.z[kids] / measure.z[v]
-        out[int(v)] = w
-    return out
+    w = t.branch_prob[t.edges].copy()
+    if measure is not None:
+        w *= measure.z[t.edges] / measure.z[t.parent[t.edges]]
+    return w
 
 
 def maximize_utility(
@@ -270,42 +243,33 @@ def maximize_utility(
 
 
 def _solve_log(m, weights, x0) -> OptimalPortfolioResult:
-    t = m.tree
-    fr = np.zeros_like(m.prices)
-    offs = np.zeros(t.n_nodes)  # continuation term E[sum of log factors]
-    foc = 0.0
-    for v in reversed(t.internal):
-        kids = t.children[v]
-        w = weights[int(v)]
-        pi, gnorm, _ = node_log_optimal(m.simple_returns(v), w)
-        fr[v] = pi
-        foc = max(foc, gnorm)
-        step = np.log(1.0 + m.simple_returns(v) @ pi)
-        offs[v] = float(w @ (step + offs[kids]))
+    fr, gnorms, growth = log_recursion(m, weights)
     strategy = FractionStrategy(fractions=fr)
     wealth = wealth_from_fractions(m, strategy, x0)
     return OptimalPortfolioResult(
         status="ok",
-        value=float(np.log(x0) + offs[0]),
+        value=float(np.log(x0) + growth),
         strategy=strategy,
         wealth=wealth,
-        foc_residual=foc,
+        foc_residual=float(gnorms.max(initial=0.0)),
         route="log-recursion",
     )
 
 
 def _solve_crra(m, weights, x0, gamma) -> OptimalPortfolioResult:
     t = m.tree
+    k = WealthKernel(m)
+    R = k.returns
     fr = np.zeros_like(m.prices)
     psi = np.empty(t.n_nodes)
     psi[t.leaves] = 1.0 / (1.0 - gamma)
     foc = 0.0
-    for v in reversed(t.internal):
-        kids = t.children[v]
-        a = weights[int(v)] * psi[kids]
-        pi, val, gnorm, _ = node_power_optimal(m.simple_returns(v), a, gamma)
-        fr[v] = pi
-        psi[v] = val
+    for _, v, e in reversed(k.groups()):
+        try:
+            a = weights[e] * psi[k.child[e]]
+            fr[v], psi[v], gnorm, _ = node_power_optimal(R[e], a, gamma)
+        except RuntimeError as err:
+            raise RuntimeError(f"at node {v}: {err}") from err
         foc = max(foc, gnorm)
     strategy = FractionStrategy(fractions=fr)
     wealth = wealth_from_fractions(m, strategy, x0)
@@ -321,66 +285,37 @@ def _solve_crra(m, weights, x0, gamma) -> OptimalPortfolioResult:
 
 def _solve_custom(m, weights, x0, utility, tol=CUSTOM_GRAD_TOL, max_iter=300):
     t = m.tree
-    # leaf weights under the chosen measure (``weights`` in edge order)
-    step = np.concatenate([weights[int(v)] for v in t.internal])[None]
-    qw = WealthKernel(m).roll(step, 1.0, multiplicative=True)[0, t.leaves]
+    # leaf weights under the chosen measure
+    qw = WealthKernel(m).roll(weights[None], 1.0, multiplicative=True)[0, t.leaves]
     G = leaf_gain_matrix(m)
-    n = G.shape[1]
-    theta = np.zeros(n)
 
-    def full_wealth(th):
+    def unit_strategy(th):
         h = np.zeros_like(m.prices)
         h[t.internal] = th.reshape(t.internal.size, m.d)
-        return wealth_from_units(m, UnitStrategy(holdings=h), x0)
+        return UnitStrategy(holdings=h)
 
-    def objective(th):
-        w = full_wealth(th)
-        if np.any(w.values <= 0.0):
-            return -np.inf, None, None
+    def evaluate(th):
+        w = wealth_from_units(m, unit_strategy(th), x0)
+        if not np.all(w.values > 0.0):
+            return None
         wl = w.values[t.leaves]
-        val = float(qw @ utility.value(wl))
-        grad = G.T @ (qw * utility.marginal(wl))
-        return val, grad, wl
 
-    f, grad, wl = objective(theta)
-    gnorm = float(np.max(np.abs(grad)))
-    for _ in range(max_iter):
-        if gnorm < tol:
-            break
-        curv = -qw * utility.second(wl)  # positive weights
-        H = (G.T * curv) @ G
-        step, *_ = np.linalg.lstsq(H, grad, rcond=None)
-        slope = float(grad @ step)
-        if slope <= 0.0:
-            step = grad
-            slope = float(grad @ grad)
-        ts = 1.0
-        moved = False
-        while ts > 1e-14:
-            cand = theta + ts * step
-            fc, grad_c, wl_c = objective(cand)
-            if grad_c is not None:
-                gn_c = float(np.max(np.abs(grad_c)))
-                if fc > f + 1e-4 * ts * slope or gn_c <= 0.9 * gnorm:
-                    theta, f, grad, wl, gnorm = cand, fc, grad_c, wl_c, gn_c
-                    moved = True
-                    break
-            ts *= 0.5
-        if not moved:
-            break
+        def hess():
+            return (G.T * (-qw * utility.second(wl))) @ G  # positive weights
+
+        return float(qw @ utility.value(wl)), G.T @ (qw * utility.marginal(wl)), hess
+
+    theta, f, _, gnorm, _ = damped_newton(evaluate, np.zeros(G.shape[1]), tol, max_iter)
     if gnorm >= tol:
         raise RuntimeError(
             f"custom-utility program stalled at gradient {gnorm} (target {tol})"
         )
-    h = np.zeros_like(m.prices)
-    h[t.internal] = theta.reshape(t.internal.size, m.d)
-    strategy = UnitStrategy(holdings=h)
-    wealth = full_wealth(theta)
+    strategy = unit_strategy(theta)
     return OptimalPortfolioResult(
         status="ok",
         value=f,
         strategy=strategy,
-        wealth=wealth,
+        wealth=wealth_from_units(m, strategy, x0),
         foc_residual=gnorm,
         route="concave-program",
     )
@@ -400,15 +335,14 @@ def viability_under_measure(
     with the certificate.
     """
     utility = utility or log_utility()
-    sd = find_sigma_density(m)
-    if sd.density is None:
-        cert = check_na(m)
+    cert = check_na(m)
+    if cert.verdict != "NA":
         return {
             "viable": False,
             "reason": "arbitrage: no sigma-martingale density exists",
             "certificate": cert,
         }
-    res = maximize_utility(m, utility, x0, measure=sd.density)
+    res = maximize_utility(m, utility, x0, measure=cert.density)
     bound = float(utility.value(x0))
     return {
         "viable": True,
@@ -470,7 +404,7 @@ def equivalence_suite(config: EquivalenceConfig) -> SuiteReport:
         )
         log_ok = maximize_utility(m, log_utility(), 1.0).status == "ok"
         na_ok = check_na(m).verdict == "NA"
-        emm_ok = find_sigma_density(m).density is not None
+        emm_ok = find_emm(m) is not None
         from .numeraire import numeraire_portfolio
 
         num_ok = numeraire_portfolio(m).status == "ok"

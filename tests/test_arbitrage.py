@@ -10,7 +10,6 @@ from viatree import (
     check_nupbr,
     empirical_boundedness_probe,
     find_emm,
-    find_sigma_density,
     node_na_lp,
     price_martingale_residual,
     wealth_from_units,
@@ -133,6 +132,21 @@ class TestCheckNa:
         assert gains.min() >= -1e-12
         assert gains.max() > 1e-9
 
+    def test_round_off_gain_is_not_positive(self):
+        from viatree import EventTree, MarketModel
+        from viatree.arbitrage import _replay_arbitrage
+
+        # 0.1 + 0.2 - 0.3 is 5.6e-17 in doubles and 0 in exact arithmetic
+        t = EventTree([None, 0, 0], [1.0, 0.25, 0.75])
+        m = MarketModel(tree=t, prices=np.array([[0.3], [0.1 + 0.2], [1.3]]))
+        rep = _replay_arbitrage(m, UnitStrategy(holdings=np.ones((3, 1))))
+        assert rep["prob_positive"] == 0.75
+        assert rep["min_gain"] == (0.1 + 0.2) - 0.3 > 0.0
+        assert rep["max_gain"] == 1.3 - 0.3
+        cert = check_na(m)
+        assert cert.verdict == "ARBITRAGE"
+        assert cert.replay["prob_positive"] == 0.75
+
     def test_deep_arbitrage_found_off_root(self, binomial):
         # hide the bad node at depth 1 of a two-period tree
         from viatree import EventTree, MarketModel
@@ -160,12 +174,6 @@ class TestEmmAndSigma:
 
     def test_find_emm_none_under_arbitrage(self, arbitrage_market):
         assert find_emm(arbitrage_market) is None
-
-    def test_sigma_density_collapses_to_emm(self, binomial):
-        sd = find_sigma_density(binomial)
-        assert sd.phi == 1.0
-        assert sd.density is not None
-        assert price_martingale_residual(binomial, sd.density) < 1e-10
 
 
 class TestNupbr:
