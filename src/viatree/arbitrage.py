@@ -33,13 +33,16 @@ from .markets import (
     price_martingale_residual,
     wealth_from_units,
 )
-from .simplex import solve_lp
+from .simplex import SimplexError, solve_lp, solve_lps
 
 DEGENERATE_TOL = 1e-12
 EPS_POSITIVE_TOL = 1e-9
 AMBIGUITY_BAND = 1e-9
 EMM_RESIDUAL_TOL = 1e-9
 GAIN_ROUNDOFF = 1e-12  # gains below this share of max |gain| count as zero
+# Internal nodes a depth level needs before ``check_na`` stacks the LPs of
+# that level and every deeper one; smaller levels go node by node.
+STACK_MIN = 12
 
 
 class ArbitrageError(RuntimeError):
@@ -63,23 +66,24 @@ class NodeNaResult:
         return self.q is not None
 
 
-def _max_slack_lp(inc: np.ndarray):
-    """LP data for max eps s.t. sum q_j dS_j = 0, sum q_j = 1, q_j >= eps.
+def _max_slack_lps(inc: np.ndarray):
+    """LP data for max eps s.t. sum q_j dS_j = 0, sum q_j = 1, q_j >= eps,
+    one LP per (k, d) increment block of the (G, k, d) stack ``inc``.
 
     Substituting r_j = q_j - eps >= 0 and splitting eps = e+ - e- gives an
     equality-form LP in (r, e+, e-) >= 0.
     """
-    k, d = inc.shape
-    sigma = inc.sum(axis=0)  # column sums of increments
-    A = np.zeros((d + 1, k + 2))
-    A[:d, :k] = inc.T
-    A[:d, k] = sigma
-    A[:d, k + 1] = -sigma
-    A[d, :k] = 1.0
-    A[d, k] = k
-    A[d, k + 1] = -k
-    b = np.zeros(d + 1)
-    b[d] = 1.0
+    G, k, d = inc.shape
+    sigma = inc.sum(axis=1)  # column sums of increments
+    A = np.zeros((G, d + 1, k + 2))
+    A[:, :d, :k] = inc.transpose(0, 2, 1)
+    A[:, :d, k] = sigma
+    A[:, :d, k + 1] = -sigma
+    A[:, d, :k] = 1.0
+    A[:, d, k] = k
+    A[:, d, k + 1] = -k
+    b = np.zeros((G, d + 1))
+    b[:, d] = 1.0
     c = np.zeros(k + 2)
     c[k] = -1.0
     c[k + 1] = 1.0
@@ -137,7 +141,8 @@ def node_na_lp(
             note="degenerate node: all increments ~ 0",
         )
 
-    A, b, c = _max_slack_lp(inc)
+    A, b, c = _max_slack_lps(inc[None])
+    A, b = A[0], b[0]
     res = solve_lp(A, b, c)
     if res.status == "optimal":
         eps = float(res.x[k] - res.x[k + 1])
@@ -200,26 +205,25 @@ def check_na(m: MarketModel, tol_pos: float = EPS_POSITIVE_TOL) -> NaCertificate
     """
     t = m.tree
     node_eps: dict[int, float] = {}
-    weights: dict[int, np.ndarray] = {}
-    for v in t.internal:
-        r = node_na_lp(m.increments(v), t.branch_prob[t.children[v]], tol_pos)
-        node_eps[int(v)] = r.eps_star
+    w = np.empty(t.n_nodes)  # one-step martingale weight of each edge, by child
+    for v, r in _node_results(m, tol_pos):
+        node_eps[v] = r.eps_star
         if not r.is_na:
-            strategy = _lift_separating(m, int(v), r.separating)
+            strategy = _lift_separating(m, v, r.separating)
             replay = _replay_arbitrage(m, strategy)
             return NaCertificate(
                 verdict="ARBITRAGE",
                 node_eps=node_eps,
-                fail_node=int(v),
+                fail_node=v,
                 strategy=strategy,
                 replay=replay,
             )
-        weights[int(v)] = r.q
+        w[t.children[v]] = r.q
 
     z = np.ones(t.n_nodes)
-    for v in t.internal:
-        kids = t.children[v]
-        z[kids] = z[v] * weights[int(v)] / t.branch_prob[kids]
+    off = t.level_offsets
+    for lo, hi in zip(off[1:-1], off[2:]):
+        z[lo:hi] = z[t.parent[lo:hi]] * w[lo:hi] / t.branch_prob[lo:hi]
     density = DensityProcess(z=z)
     return NaCertificate(
         verdict="NA",
@@ -227,6 +231,58 @@ def check_na(m: MarketModel, tol_pos: float = EPS_POSITIVE_TOL) -> NaCertificate
         emm_residual=price_martingale_residual(m, density),
         node_eps=node_eps,
     )
+
+
+def _node_results(m: MarketModel, tol_pos: float):
+    """(node, ``node_na_lp`` result) for every internal node, breadth-first.
+
+    Levels with fewer than ``STACK_MIN`` nodes run node by node.  From the
+    first level that reaches it, the LPs of all remaining nodes are solved
+    in one ``solve_lps`` call per branch count; a node the stack does not
+    settle (not optimal, eps* in the ambiguity band or at most ``tol_pos``,
+    degenerate) is re-run through ``node_na_lp`` when its turn comes.
+    """
+    t = m.tree
+    off = t.level_offsets
+    for lo, hi in zip(off[:-2], off[1:-1]):
+        if hi - lo >= STACK_MIN:
+            yield from _stacked_results(m, lo, tol_pos)
+            return
+        for v in range(lo, hi):
+            yield v, node_na_lp(m.increments(v), t.branch_prob[t.children[v]], tol_pos)
+
+
+def _stacked_results(m: MarketModel, lo: int, tol_pos: float):
+    """``_node_results`` for the internal nodes from ``lo`` on, stacked."""
+    t = m.tree
+    nodes = np.arange(lo, t.level_offsets[-2])
+    sizes = np.bincount(t.parent[1:], minlength=t.n_nodes)
+    first = np.cumsum(sizes) - sizes  # first edge of each node in t.edges
+    ks, group = np.unique(sizes[nodes], return_inverse=True)
+    row = np.empty(nodes.size, dtype=np.int64)
+    stacks = []
+    for g, k in enumerate(ks.tolist()):
+        at = np.flatnonzero(group == g)
+        row[at] = np.arange(at.size)
+        kids = t.edges[first[nodes[at], None] + np.arange(k)]
+        inc = m.prices[kids] - m.prices[nodes[at], None]
+        X = np.full((at.size, k + 2), np.nan)  # NaN where no LP was solved
+        lp = np.flatnonzero(np.abs(inc).max(axis=(1, 2)) >= DEGENERATE_TOL)
+        if lp.size:
+            try:
+                X[lp] = solve_lps(*_max_slack_lps(inc[lp])).x
+            except SimplexError:  # node_na_lp raises it again on its node
+                pass
+        eps = X[:, k] - X[:, k + 1]
+        settled = ~(np.abs(eps) < AMBIGUITY_BAND) & (eps > tol_pos)
+        stacks.append((k, inc, t.branch_prob[kids], X, eps.tolist(), settled.tolist()))
+    for v, g, i in zip(nodes.tolist(), group.tolist(), row.tolist()):
+        k, inc, bp, X, eps, settled = stacks[g]
+        if settled[i]:
+            q = _project_weights(inc[i], X[i, :k] + eps[i])
+            yield v, NodeNaResult(eps_star=eps[i], q=q)
+        else:
+            yield v, node_na_lp(inc[i], bp[i], tol_pos)
 
 
 def _lift_separating(m: MarketModel, node: int, h: np.ndarray) -> UnitStrategy:
@@ -269,7 +325,11 @@ def check_nupbr(m: MarketModel) -> NupbrResult:
     coincide, so the decision reduces to the same per-node LP sweep used
     for no-arbitrage; NUPBR holds iff that density set is non-empty.
     """
-    cert = check_na(m)
+    return _nupbr(check_na(m))
+
+
+def _nupbr(cert: NaCertificate) -> NupbrResult:
+    """The NUPBR verdict carried by a no-arbitrage certificate."""
     if cert.verdict == "NA":
         return NupbrResult(
             verdict="NUPBR",

@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .arbitrage import ArbitrageError, check_na, check_nupbr
+from .arbitrage import ArbitrageError, _nupbr, check_na
 from .bessel import (
     estimate_log_value,
     estimate_reciprocal_moment,
@@ -124,7 +124,7 @@ def _cert_payload(cert) -> dict:
 def _cmd_check(args) -> tuple[int, dict]:
     m = load_market(args.market)
     cert = check_na(m)
-    nupbr = check_nupbr(m)
+    nupbr = _nupbr(cert)
     payload = {
         "market": m.label,
         "verdict": cert.verdict,
@@ -133,7 +133,7 @@ def _cmd_check(args) -> tuple[int, dict]:
         "certificate": _cert_payload(cert),
     }
     if cert.verdict == "NA":
-        resid = price_martingale_residual(m, cert.density)
+        resid = cert.emm_residual
         ok = resid <= args.tol_eq and float(cert.density.z.min()) > 0.0
         payload["emm_price_residual"] = resid
     else:

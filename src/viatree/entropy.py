@@ -132,7 +132,11 @@ def min_entropy_emm(m: MarketModel, max_iter: int = 200) -> MinEntropyResult:
     where the relative entropy is strictly convex.  Raises
     ``ArbitrageError`` when no positive solution exists.
     """
-    cert = check_na(m)
+    return _min_entropy_emm(m, check_na(m), max_iter)
+
+
+def _min_entropy_emm(m: MarketModel, cert, max_iter: int = 200) -> MinEntropyResult:
+    """``min_entropy_emm`` from the market's no-arbitrage certificate."""
     if cert.verdict != "NA":
         raise ArbitrageError(
             "market admits arbitrage; no equivalent martingale density exists",
@@ -257,7 +261,7 @@ def exp_utility(m: MarketModel, max_iter: int = 200) -> ExpUtilityResult:
     z_leaf = what / pl
     density = density_from_leaf_values(t, z_leaf)
     link = price_martingale_residual(m, density)
-    me = min_entropy_emm(m)
+    me = _min_entropy_emm(m, cert)
     gap = float(np.max(np.abs(density.z - me.density.z)))
     if gap > DUALITY_TOL:
         raise AssertionError(

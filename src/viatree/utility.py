@@ -214,12 +214,19 @@ def maximize_utility(
     admits arbitrage the problem has no solution and the certificate comes
     back instead.
     """
+    return _maximize_utility(m, utility, x0, measure)
+
+
+def _maximize_utility(m, utility, x0, measure, na: NaCertificate | None = None):
+    """``maximize_utility`` reusing the no-arbitrage certificate ``na`` of
+    ``m`` when the caller already has it."""
     if x0 <= 0.0:
         raise ValueError(f"initial capital must be positive, got {x0!r}")
     ucert = utility.certify()
     if not ucert["passed"]:
         raise ValueError(f"utility failed its numerical certificate: {ucert}")
-    na = check_na(m)
+    if na is None:
+        na = check_na(m)
     if na.verdict != "NA":
         return OptimalPortfolioResult(
             status="no-solution",
@@ -342,7 +349,7 @@ def viability_under_measure(
             "reason": "arbitrage: no sigma-martingale density exists",
             "certificate": cert,
         }
-    res = maximize_utility(m, utility, x0, measure=cert.density)
+    res = _maximize_utility(m, utility, x0, cert.density, cert)
     bound = float(utility.value(x0))
     return {
         "viable": True,

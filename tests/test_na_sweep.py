@@ -1,0 +1,167 @@
+"""The stacked no-arbitrage sweep against the per-node loop it replaced.
+
+``tests/na_oracle.py`` keeps that loop; every certificate field the sweep
+returns must match it bitwise, whatever ``STACK_MIN`` is.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+import na_oracle
+import viatree
+from viatree import EventTree, MarketModel, arbitrage, check_na
+from viatree.generators import random_market, random_na_market
+
+STACK_MIN = arbitrage.STACK_MIN
+
+
+def assert_same_certificate(a, b):
+    assert a.verdict == b.verdict
+    assert a.fail_node == b.fail_node
+    assert list(a.node_eps.items()) == list(b.node_eps.items())
+    assert (a.density is None) == (b.density is None)
+    if a.density is not None:
+        assert a.density.z.tobytes() == b.density.z.tobytes()
+        assert a.emm_residual == b.emm_residual
+    assert (a.strategy is None) == (b.strategy is None)
+    if a.strategy is not None:
+        assert a.strategy.holdings.tobytes() == b.strategy.holdings.tobytes()
+        assert a.replay == b.replay
+
+
+def deep_market(rng, d, depth=7, share3=0.4):
+    """A leveled tree with round(n * share3) three-way nodes per level and
+    arbitrage-free prices (parents are interior averages of children)."""
+    parent, prob, frontier = [None], [1.0], [0]
+    for _ in range(depth):
+        kids = np.full(len(frontier), 2)
+        kids[rng.permutation(len(frontier))[: int(round(len(frontier) * share3))]] = 3
+        nxt = []
+        for v, k in zip(frontier, kids):
+            w = 0.8 * rng.dirichlet(np.ones(k)) + 0.2 / k
+            for j in range(k):
+                parent.append(v)
+                prob.append(float(w[j]))
+                nxt.append(len(parent) - 1)
+        frontier = nxt
+    t = EventTree(parent, prob)
+    prices = np.empty((t.n_nodes, d))
+    prices[t.leaves] = rng.uniform(0.1, 10.0, size=(t.leaves.size, d))
+    for v in t.internal[::-1]:
+        k = t.children[v].size
+        prices[v] = (0.8 * rng.dirichlet(np.ones(k)) + 0.2 / k) @ prices[t.children[v]]
+    return MarketModel(tree=t, prices=prices)
+
+
+def random_case(seed):
+    rng = np.random.default_rng(seed)
+    maker = random_market if seed % 2 else random_na_market
+    return maker(rng, d=1 + seed % 3, depth_range=(2, 4))
+
+
+@pytest.mark.parametrize("block", range(6))
+def test_random_markets_match_oracle(monkeypatch, block):
+    """300 markets x 3 price units, with every level stacked and with the
+    default threshold."""
+    for seed in range(50 * block, 50 * block + 50):
+        m = random_case(seed)
+        for unit in (1.0, 1e6, 1e-9):
+            mu = MarketModel(m.tree, m.prices * unit)
+            want = na_oracle.check_na(mu)
+            for stack_min in (1, STACK_MIN):
+                monkeypatch.setattr(arbitrage, "STACK_MIN", stack_min)
+                assert_same_certificate(check_na(mu), want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_deep_markets_match_oracle(d):
+    m = deep_market(np.random.default_rng(40 + d), d)
+    assert m.tree.internal.size == 287
+    cert = check_na(m)
+    assert cert.verdict == "NA"
+    assert_same_certificate(cert, na_oracle.check_na(m))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_threshold_does_not_change_certificates(monkeypatch, seed):
+    m = random_market(np.random.default_rng(seed), d=1, depth_range=(3, 4)) \
+        if seed % 2 else deep_market(np.random.default_rng(seed), 1 + seed % 3, depth=4)
+    certs = []
+    for stack_min in (1, m.tree.n_nodes + 1):
+        monkeypatch.setattr(arbitrage, "STACK_MIN", stack_min)
+        certs.append(check_na(m))
+    assert_same_certificate(*certs)
+
+
+def test_failing_node_in_stacked_level_ends_the_sweep(monkeypatch):
+    m = deep_market(np.random.default_rng(3), 2, depth=5)
+    t = m.tree
+    # lift every child of one depth-3 node above it: buy-and-hold arbitrage
+    bad = int(t.level(3)[5])
+    m.prices[t.children[bad]] = m.prices[bad] + np.arange(1.0, t.children[bad].size + 1)[:, None]
+    assert t.level(3).size >= arbitrage.STACK_MIN
+    cert = check_na(m)
+    assert cert.verdict == "ARBITRAGE" and cert.fail_node == bad
+    assert list(cert.node_eps) == list(range(bad + 1))
+    assert_same_certificate(cert, na_oracle.check_na(m))
+    monkeypatch.setattr(arbitrage, "STACK_MIN", 1)
+    assert_same_certificate(check_na(m), cert)
+
+
+def test_degenerate_node_in_stacked_level():
+    m = deep_market(np.random.default_rng(4), 2, depth=5)
+    t = m.tree
+    flat = int(t.level(3)[2])
+    # shift each child's subtree so the child's price equals its parent's:
+    # no increments out of ``flat``, the same increments everywhere else
+    shift = {int(c): m.prices[flat] - m.prices[c] for c in t.children[flat]}
+    for u in range(t.n_nodes):
+        for c in set(t.path_to(u)) & shift.keys():
+            m.prices[u] += shift[c]
+    assert t.level(3).size >= arbitrage.STACK_MIN
+    cert = check_na(m)
+    assert cert.verdict == "NA"
+    assert cert.node_eps[flat] == float(t.branch_prob[t.children[flat]].min())
+    assert_same_certificate(cert, na_oracle.check_na(m))
+
+
+# ---------------------------------------------- one sweep per public call
+
+
+@pytest.fixture
+def check_na_calls(monkeypatch):
+    """Count calls of ``check_na`` through every viatree module holding it."""
+    calls = []
+    original = arbitrage.check_na
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("viatree") and getattr(mod, "check_na", None) is original:
+            monkeypatch.setattr(mod, "check_na", counted)
+    return calls
+
+
+def test_viability_sweeps_once(check_na_calls):
+    m = random_na_market(np.random.default_rng(1), d=2)
+    assert viatree.viability_under_measure(m)["viable"]
+    assert len(check_na_calls) == 1
+
+
+def test_exp_utility_sweeps_once(check_na_calls):
+    m = viatree.load_fixture("trinomial")
+    viatree.exp_utility(m)
+    assert len(check_na_calls) == 1
+
+
+def test_cli_check_sweeps_once(check_na_calls, tmp_path, capsys):
+    from viatree.cli import main
+
+    path = tmp_path / "m.json"
+    viatree.save_market(viatree.load_fixture("two_period"), str(path))
+    assert main(["check", "--market", str(path)]) == 0
+    assert len(check_na_calls) == 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from viatree.simplex import solve_lp
+from viatree.simplex import solve_lp, solve_lps
 
 
 def scipy_solve(A, b, c):
@@ -128,3 +128,121 @@ class TestAgainstScipy:
         y = ours.farkas
         assert float(y @ b) > 1e-9
         assert np.all(A.T @ y <= 1e-9)
+
+
+class TestStacked:
+    """solve_lps against solve_lp, LP by LP: status, x and iterations bitwise."""
+
+    @staticmethod
+    def assert_same(stack, A, b, c):
+        for g in range(len(A)):
+            one = solve_lp(A[g], b[g], c[g] if np.ndim(c) == 2 else c)
+            assert stack.status[g] == one.status
+            assert stack.iterations[g] == one.iterations
+            if one.status == "optimal":
+                assert stack.x[g].tobytes() == one.x.tobytes()
+            else:
+                assert np.isnan(stack.x[g]).all()
+
+    def test_node_lps_of_random_markets(self):
+        from viatree import MarketModel
+        from viatree.arbitrage import _max_slack_lps
+        from viatree.generators import random_market, random_na_market
+
+        stacks = {}
+        for seed in range(160):
+            rng = np.random.default_rng(seed)
+            maker = random_market if seed % 2 else random_na_market
+            m = maker(rng, d=1 + seed % 3, depth_range=(2, 4))
+            for unit in (1.0, 1e6, 1e-9):
+                mu = MarketModel(m.tree, m.prices * unit)
+                for v in m.tree.internal:
+                    inc = mu.increments(v)
+                    stacks.setdefault(inc.shape, []).append(inc)
+        n_lps = 0
+        for incs in stacks.values():
+            A, b, c = _max_slack_lps(np.array(incs))
+            self.assert_same(solve_lps(A, b, c), A, b, c)
+            n_lps += len(A)
+        assert n_lps >= 5000
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_lps(self, seed):
+        rng = np.random.default_rng(2000 + seed)
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(m + 1, m + 6))
+        G = 12
+        A = rng.normal(size=(G, m, n))
+        b = np.einsum("gmn,gn->gm", A, rng.uniform(0.0, 2.0, size=(G, n)))
+        b[::3] = rng.normal(size=b[::3].shape)  # some infeasible, some flipped rows
+        c = rng.normal(size=(G, n))
+        stack = solve_lps(A, b, c)
+        self.assert_same(stack, A, b, c)
+
+    def test_phase1_infeasible(self):
+        from viatree.arbitrage import _max_slack_lps
+
+        # equal increments on both branches: sum q = 1 and sum q dS = 0 clash
+        incs = np.array([[[1.0], [1.0]], [[1.0], [-0.5]], [[0.2], [0.2]]])
+        A, b, c = _max_slack_lps(incs)
+        stack = solve_lps(A, b, c)
+        assert list(stack.status) == ["infeasible", "optimal", "infeasible"]
+        self.assert_same(stack, A, b, c)
+
+    def test_leftover_artificials_dropped_row(self):
+        from viatree.arbitrage import _max_slack_lps
+
+        # d = 3 with 2 branches: collinear increments leave two moment rows
+        # redundant, and their artificials cannot be pivoted out
+        a = np.array([0.3, -1.2, 2.5])
+        incs = np.array([[a, -0.6 * a], [a, -2.0 * a], [a, 0.5 * a]])
+        A, b, c = _max_slack_lps(incs)
+        stack = solve_lps(A, b, c)
+        assert list(stack.status) == ["optimal"] * 3
+        self.assert_same(stack, A, b, c)
+
+    def test_singular_final_basis(self, monkeypatch):
+        # column 2 is 7 x column 1: both end up basic, the basis matrix is
+        # exactly singular, and x comes from the tableau instead
+        A1 = np.array([
+            [3085.4232274463125, 2215.208519279263, 15506.459634954841],
+            [-15102.903751626436, -16076.597194047681, -112536.18035833378],
+            [-350.41246181300716, -18474.402896576652, -129320.82027603657],
+            [-2033.996706744404, 4165.420548795768, 29157.943841570377],
+        ])
+        b1 = np.array([13094.517328275599, -92343.74617398709,
+                       -99845.65430556244, 21732.95891591449])
+        c1 = np.array([-0.4260812330395044, -2.8776405870652297, -8.632922761195688])
+        rng = np.random.default_rng(5)
+        A = np.stack([A1, rng.normal(size=(4, 3)), A1])
+        b = np.stack([b1, A[1] @ np.ones(3), b1])
+        c = np.stack([c1, rng.normal(size=3), c1])
+        singular = []
+        solve = np.linalg.solve
+
+        def spy(a, rhs):
+            try:
+                return solve(a, rhs)
+            except np.linalg.LinAlgError:
+                singular.append(np.shape(a))
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        stack = solve_lps(A, b, c)
+        assert singular and stack.status[0] == "optimal"
+        self.assert_same(stack, A, b, c)
+
+    def test_unbounded_phase2(self):
+        # x1 - x2 = 1 with objective -x1 is unbounded; the others are not
+        A = np.array([[[1.0, -1.0]], [[1.0, 1.0]], [[1.0, -1.0]]])
+        b = np.array([[1.0], [1.0], [2.0]])
+        c = np.array([[-1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        stack = solve_lps(A, b, c)
+        assert list(stack.status) == ["unbounded", "optimal", "optimal"]
+        self.assert_same(stack, A, b, c)
+
+    def test_duals_read_lazily(self):
+        A = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+        res = solve_lp(A, np.array([4.0, 3.0]), np.array([-1.0, -2.0, 0.0, 0.0]))
+        assert "y" not in vars(res)  # nothing computed until read
+        assert res.y is res.y and res.farkas is None
