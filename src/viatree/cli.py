@@ -38,18 +38,18 @@ from .bessel import (
     simulate_bes3,
     stopped_experiments,
 )
-from .entropy import entropy_hellinger, exp_utility, min_entropy_emm
+from .entropy import _min_entropy, entropy_hellinger, exp_utility, min_entropy_emm
 from .market_io import MarketFormatError, load_market
 from .markets import DensityProcess, price_martingale_residual
-from .measure_change import delta_for_epsilon, verify_value_bound
+from .measure_change import _verify_value_bound, delta_for_epsilon
 from .numeraire import deflator_probe, numeraire_portfolio, verify_numeraire
 from .reporting import make_report, render, write_report
 from .utility import (
     EquivalenceConfig,
+    _maximize_utility,
     crra_utility,
     equivalence_suite,
     log_utility,
-    maximize_utility,
 )
 
 STOPPED_LEVELS = [1, 2, 4, 8, 16, 32, 64]
@@ -189,6 +189,7 @@ def _parse_utility(text: str):
 def _cmd_optimize(args) -> tuple[int, dict]:
     m = load_market(args.market)
     utility = args.utility
+    cert = None
     if args.measure == "physical":
         measure = None
     elif args.measure == "emm":
@@ -203,7 +204,7 @@ def _cmd_optimize(args) -> tuple[int, dict]:
         measure = cert.density
     else:
         measure = _load_density(args.measure, m.tree.n_nodes)
-    res = maximize_utility(m, utility, x0=args.x0, measure=measure)
+    res = _maximize_utility(m, utility, args.x0, measure, cert)
     payload = {
         "market": m.label,
         "status": res.status,
@@ -227,10 +228,10 @@ def _cmd_optimize(args) -> tuple[int, dict]:
 
 def _cmd_measure(args) -> tuple[int, dict]:
     m = load_market(args.market)
-    me = min_entropy_emm(m)
-    q = me.density.z[m.tree.leaves]
+    cert = check_na(m)
+    q = _min_entropy(m, cert).density.z[m.tree.leaves]
     dm = delta_for_epsilon(m.tree, q, args.epsilon)
-    vb = verify_value_bound(m, dm, x0=args.x0, tol=args.tol_eq)
+    vb = _verify_value_bound(m, dm, None, args.x0, args.tol_eq, cert)
     eps_ok = dm.l1_dist <= args.epsilon
     bound_ok = float(dm.z_leaf.max()) <= dm.bound + 1e-12
     ok = eps_ok and bound_ok and vb["passed"]
@@ -271,10 +272,12 @@ def _cmd_entropy(args) -> tuple[int, dict]:
             ok = gap <= max(args.tol_eq, 1e-10 * (1.0 + rep.relative_entropy))
         payload["checks_passed"] = bool(ok)
         return (0 if ok else 1), payload
+    # martingale residuals are in price units; so is the tolerance
+    tol_price = args.tol_eq * max(1.0, float(np.max(np.abs(m.prices))))
     if args.exp_utility:
         res = exp_utility(m)
         ok = (
-            res.density_link_residual <= args.tol_eq
+            res.density_link_residual <= tol_price
             and res.entropy_density_gap <= 1e-6
         )
         payload.update(
@@ -284,13 +287,12 @@ def _cmd_entropy(args) -> tuple[int, dict]:
             gradient_sup=res.gradient_sup,
             density_link_residual=res.density_link_residual,
             entropy_density_gap=res.entropy_density_gap,
-            cap_hit=res.cap_hit,
             checks_passed=bool(ok),
         )
         return (0 if ok else 1), payload
     res = min_entropy_emm(m)
     resid = price_martingale_residual(m, res.density)
-    ok = res.kkt_residual < 1e-8 and resid <= args.tol_eq
+    ok = res.kkt_residual < 1e-8 and resid <= tol_price
     payload.update(
         mode="min-entropy",
         entropy=res.entropy,

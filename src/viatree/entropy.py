@@ -8,12 +8,13 @@ Four related tools live here:
   each path, and the compensator h^E adds, at every node, the conditional
   expectation of the next jump term (so h^E is predictable and V^E - h^E
   is a martingale under the tree probabilities).
-* ``min_entropy_emm`` finds the martingale density minimizing the relative
-  entropy E[Z_T log Z_T] by Newton iteration on the affine slice of leaf
-  measures satisfying the node martingale constraints.
-* ``exp_utility`` minimizes E[exp(-(theta . S)_T)] over unit strategies;
-  the normalized terminal weight exp(-G)/E[exp(-G)] is again a martingale
-  density, and by convex duality it matches the minimal-entropy one.
+* ``exp_utility`` minimizes E[exp(-(theta . S)_T)] over unit strategies,
+  and ``min_entropy_emm`` finds the martingale density minimizing the
+  relative entropy E[Z_T log Z_T].  The two are dual and factor node by
+  node, so one leaves-to-root recursion (``_exp_recursion``) solves both:
+  the normalized terminal weight exp(-G)/E[exp(-G)] of the optimal
+  holdings is the minimal-entropy density, and log of the optimal value is
+  minus its entropy.
 * ``concatenate_densities`` splices segment densities along a nested
   sequence of stopping times, taking multiplicative increments from the
   n-th segment on the n-th interval.
@@ -25,21 +26,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arbitrage import ArbitrageError, check_na
+from .arbitrage import ArbitrageError, NaCertificate, check_na
 from .markets import (
     DensityProcess,
     MarketModel,
     UnitStrategy,
+    WealthKernel,
     density_from_leaf_values,
-    leaf_gain_matrix,
     price_martingale_residual,
+    wealth_from_units,
 )
 from .newton import damped_newton
 from .trees import EventTree, StoppingTime, crossed_by, cuts_nested
 
-KKT_TOL = 1e-8
-EXP_GRAD_TOL = 1e-8
-THETA_CAP = 1e6
+NODE_TOL = 1e-12
 DUALITY_TOL = 1e-6
 
 
@@ -117,75 +117,88 @@ def entropy_hellinger(tree: EventTree, Z: DensityProcess) -> EntropyReport:
 class MinEntropyResult:
     density: DensityProcess
     entropy: float
-    kkt_residual: float
+    kkt_residual: float  # worst node gradient of the recursion, in max|dS| units
     leaf_q: np.ndarray
     iterations: int
 
 
-def min_entropy_emm(m: MarketModel, max_iter: int = 200) -> MinEntropyResult:
+def _exp_recursion(m: MarketModel, cert: NaCertificate, goal: str):
+    """Exponential utility node by node, leaves to root.
+
+    V = 1 at the leaves and V(v) = min_h sum_j p_j V(j) exp(-h . dS_j) over
+    the edges out of v (Frittelli 2000).  Each node maximizes the concave
+    -logsumexp(log p_j + log V(j) - h . X_j) in X = dS / max|dS|, so its
+    tolerance does not depend on the price unit; the gradient is the
+    node's martingale residual under the minimizing one-step weights
+    q_j = p_j V(j) exp(-h . dS_j) / V(v), in units of max|dS|.
+
+    ``cert`` is the market's no-arbitrage certificate; an arbitrage verdict
+    raises ``ArbitrageError`` saying that ``goal`` fails.  Returns the unit
+    holdings, log V per node, the density glued from the weights q, the
+    worst node gradient and the Newton steps.  A stalled node raises
+    ``RuntimeError`` naming the node.
+    """
+    if cert.verdict != "NA":
+        raise ArbitrageError(f"market admits arbitrage; {goal}", certificate=cert)
+    k = WealthKernel(m)
+    logp = np.log(m.tree.branch_prob[k.child])
+    holdings = np.zeros_like(m.prices)
+    log_v = np.zeros(m.tree.n_nodes)
+    log_ratio = np.empty(k.child.size)  # log(q_j / p_j)
+    worst, steps = 0.0, 0
+    for _, v, e in reversed(k.groups()):
+        scale = np.abs(k.dS[e]).max()
+        X = k.dS[e] / scale if scale > 0.0 else k.dS[e]
+        a = logp[e] + log_v[k.child[e]]
+
+        def evaluate(h):  # -logsumexp(a - X h), its gradient and -Hessian
+            b = a - X @ h
+            mx = b.max()
+            w = np.exp(b - mx)
+            sw = w.sum()
+            w /= sw
+            mean = w @ X
+            return -(mx + np.log(sw)), mean, lambda: (X.T * w) @ X - mean[:, None] * mean
+
+        h, f, _, gnorm, n = damped_newton(evaluate, np.zeros(m.d), NODE_TOL, 200)
+        if gnorm >= NODE_TOL:
+            raise RuntimeError(
+                f"at node {v}: exponential-utility Newton stalled at gradient "
+                f"{gnorm:.3e} (target {NODE_TOL})"
+            )
+        log_v[v] = -f
+        log_ratio[e] = a - X @ h + f - logp[e]
+        holdings[v] = h / scale if scale > 0.0 else h
+        worst, steps = max(worst, gnorm), steps + n
+    z = k.roll(np.exp(log_ratio)[None], 1.0, multiplicative=True)[0]
+    return holdings, log_v, DensityProcess(z), worst, steps
+
+
+def min_entropy_emm(m: MarketModel) -> MinEntropyResult:
     """Martingale density minimizing E[Z_T log Z_T].
 
-    Works on the leaf-measure formulation: the feasible set is the affine
-    slice {M q = b, q > 0} of leaf masses whose node aggregates make every
-    asset a martingale.  A strictly positive particular solution comes
-    from the no-arbitrage sweep; Newton then runs in the null space of M,
-    where the relative entropy is strictly convex.  Raises
-    ``ArbitrageError`` when no positive solution exists.
+    By duality with exponential utility the minimizer factors node by
+    node: its one-step weights are those of ``_exp_recursion``, glued
+    multiplicatively.  Raises ``ArbitrageError`` when no equivalent
+    martingale density exists.
     """
-    return _min_entropy_emm(m, check_na(m), max_iter)
+    return _min_entropy(m, check_na(m))
 
 
-def _min_entropy_emm(m: MarketModel, cert, max_iter: int = 200) -> MinEntropyResult:
+def _min_entropy(m: MarketModel, cert: NaCertificate) -> MinEntropyResult:
     """``min_entropy_emm`` from the market's no-arbitrage certificate."""
-    if cert.verdict != "NA":
-        raise ArbitrageError(
-            "market admits arbitrage; no equivalent martingale density exists",
-            certificate=cert,
-        )
-    t = m.tree
-    probs = t.unconditional_probs()
-    pl = probs[t.leaves]
-    # leaf-mass constraints: a martingale row per (internal node, asset), then
-    # total mass; kept in C order, since BLAS results depend on the layout
-    M = np.ascontiguousarray(np.vstack([leaf_gain_matrix(m).T, np.ones(t.leaves.size)]))
-    b = np.zeros(M.shape[0])
-    b[-1] = 1.0
-    q0 = cert.density.z[t.leaves] * pl
-
-    # least-squares polish of the particular solution onto {Mq = b}
-    resid = b - M @ q0
-    if np.max(np.abs(resid)) > 0.0:
-        corr, *_ = np.linalg.lstsq(M, resid, rcond=None)
-        q1 = q0 + corr
-        if np.all(q1 > 0.0):
-            q0 = q1
-
-    u, s, vt = np.linalg.svd(M)
-    tol = max(M.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > tol))
-    N = vt[rank:].T  # (n_leaf, k) orthonormal null-space basis
-
-    def evaluate(q):  # maximize -E[Z log Z] over the slice q + span(N)
-        if not np.all(q > 0.0):
-            return None
-        lq = np.log(q / pl)
-        return -float(q @ lq), -(N.T @ (lq + 1.0)), lambda: N.T @ (N / q[:, None])
-
-    q, _, _, res_kkt, it = damped_newton(
-        evaluate, q0, 1e-12, max_iter, lift=lambda step: N @ step
+    _, _, density, worst, steps = _exp_recursion(
+        m, cert, "no equivalent martingale density exists"
     )
-    if res_kkt >= KKT_TOL:
-        raise RuntimeError(
-            f"minimal-entropy Newton stalled at KKT residual {res_kkt:.3e}"
-        )
-    z_leaf = q / pl
-    density = density_from_leaf_values(t, z_leaf)
+    t = m.tree
+    z_leaf = density.z[t.leaves]
+    leaf_q = t.unconditional_probs()[t.leaves] * z_leaf
     return MinEntropyResult(
         density=density,
-        entropy=float(q @ np.log(z_leaf)),
-        kkt_residual=res_kkt,
-        leaf_q=q,
-        iterations=it,
+        entropy=float(leaf_q @ np.log(z_leaf)),
+        kkt_residual=worst,
+        leaf_q=leaf_q,
+        iterations=steps,
     )
 
 
@@ -194,89 +207,46 @@ class ExpUtilityResult:
     theta_hat: UnitStrategy
     value: float  # min E[exp(-(theta . S)_T)]
     log_value: float
-    gradient_sup: float
+    gradient_sup: float  # worst node gradient of the recursion, in max|dS| units
     density: DensityProcess
     density_link_residual: float
     entropy_density_gap: float
-    cap_hit: bool
     iterations: int
 
 
-def exp_utility(m: MarketModel, max_iter: int = 200) -> ExpUtilityResult:
+def exp_utility(m: MarketModel) -> ExpUtilityResult:
     """Minimize E[exp(-(theta . S)_T)] over unit strategies.
 
-    The objective is handled in log space (logsumexp) so large gains do
-    not overflow.  Its gradient at theta is exactly minus the martingale
-    residual vector of the induced density exp(-G)/E[exp(-G)], so at the
-    optimum that density is an equivalent martingale density; convex
-    duality links it to the minimal-entropy one, and the result reports
-    both residuals.  Trial strategies are clipped to sup-norm 1e6, and
-    ``cap_hit`` reports whether any was.
+    ``_exp_recursion`` gives the optimal holdings, the value in log space
+    (so large gains do not overflow) and the glued density of the
+    minimizing one-step weights, which is the minimal-entropy martingale
+    density.  The result reports that density's price martingale residual
+    and its distance to exp(-G_T) / E[exp(-G_T)], the density built from
+    the holdings' own terminal gains G_T; the two agree by convex duality.
     """
-    cert = check_na(m)
-    if cert.verdict != "NA":
-        raise ArbitrageError(
-            "market admits arbitrage; exponential-utility infimum is not attained",
-            certificate=cert,
-        )
-    t = m.tree
-    probs = t.unconditional_probs()
-    pl = probs[t.leaves]
-    logp = np.log(pl)
-    F = leaf_gain_matrix(m)
-
-    def induced(theta):  # log E[exp(-G)] and the leaf measure exp(-G)/E[exp(-G)]
-        a = logp - F @ theta
-        mx = float(np.max(a))
-        w = np.exp(a - mx)
-        sw = float(np.sum(w))
-        return mx + np.log(sw), w / sw
-
-    def evaluate(theta):  # maximize -log E[exp(-G)]
-        f, what = induced(theta)
-        mean = F.T @ what
-        return -f, mean, lambda: F.T @ (F * what[:, None]) - np.outer(mean, mean)
-
-    cap_hit = False
-
-    def cap(theta):
-        nonlocal cap_hit
-        if float(np.max(np.abs(theta), initial=0.0)) > THETA_CAP:
-            cap_hit = True
-            theta = np.clip(theta, -THETA_CAP, THETA_CAP)
-        return theta
-
-    theta, _, _, gnorm, it = damped_newton(
-        evaluate, np.zeros(F.shape[1]), 1e-10, max_iter, project=cap
+    holdings, log_v, density, worst, steps = _exp_recursion(
+        m, check_na(m), "exponential-utility infimum is not attained"
     )
-    if gnorm >= EXP_GRAD_TOL:
-        raise RuntimeError(
-            f"exponential-utility Newton stalled at gradient {gnorm:.3e}"
-            + ("; strategy cap 1e6 binding" if cap_hit else "")
-        )
-    f, what = induced(theta)
-
-    holdings = np.zeros_like(m.prices)
-    holdings[t.internal] = theta.reshape(-1, m.d)
-    z_leaf = what / pl
-    density = density_from_leaf_values(t, z_leaf)
-    link = price_martingale_residual(m, density)
-    me = _min_entropy_emm(m, cert)
-    gap = float(np.max(np.abs(density.z - me.density.z)))
+    t = m.tree
+    theta = UnitStrategy(holdings)
+    pl = t.unconditional_probs()[t.leaves]
+    a = np.log(pl) - wealth_from_units(m, theta, 0.0).terminal(t)
+    w = np.exp(a - np.max(a))
+    own = density_from_leaf_values(t, w / (np.sum(w) * pl))
+    gap = float(np.max(np.abs(own.z - density.z)))
     if gap > DUALITY_TOL:
         raise AssertionError(
             f"induced density deviates from the minimal-entropy density by {gap:.3e}"
         )
     return ExpUtilityResult(
-        theta_hat=UnitStrategy(holdings),
-        value=float(np.exp(f)),
-        log_value=f,
-        gradient_sup=gnorm,
+        theta_hat=theta,
+        value=float(np.exp(log_v[0])),
+        log_value=float(log_v[0]),
+        gradient_sup=worst,
         density=density,
-        density_link_residual=link,
+        density_link_residual=price_martingale_residual(m, density),
         entropy_density_gap=gap,
-        cap_hit=cap_hit,
-        iterations=it,
+        iterations=steps,
     )
 
 

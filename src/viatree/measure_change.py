@@ -133,20 +133,27 @@ def verify_value_bound(
     """Check the viability value bound under the capped measure.
 
     Requires the underlying q to be the terminal restriction of a
-    martingale density for the market; the optimal utility value under
-    Z_delta must then stay below U(x0 / (delta * E[q_delta])) + tol.
+    martingale density for the market (price residual within 1e-9 of
+    max(1, max|S|)); the optimal utility value under Z_delta must then stay
+    below U(x0 / (delta * E[q_delta])) + tol.
     """
-    from .utility import log_utility, maximize_utility
+    return _verify_value_bound(m, dm, utility, x0, tol)
+
+
+def _verify_value_bound(m, dm, utility, x0, tol, na=None):
+    """``verify_value_bound`` reusing the no-arbitrage certificate ``na`` of
+    ``m`` when the caller already has it."""
+    from .utility import _maximize_utility, log_utility
 
     utility = utility or log_utility()
     base = density_from_leaf_values(m.tree, dm.q)
     resid = price_martingale_residual(m, base)
-    if resid > 1e-9:
+    if resid > 1e-9 * max(1.0, float(np.max(np.abs(m.prices)))):
         raise ValueError(
             f"q is not a martingale-density transform of this market "
             f"(price residual {resid!r})"
         )
-    res = maximize_utility(m, utility, x0, measure=dm.density)
+    res = _maximize_utility(m, utility, x0, dm.density, na)
     if res.status != "ok":
         raise ValueError("market admits arbitrage; the bound presumes a density")
     cap = x0 / (dm.delta * dm.e_q_delta)

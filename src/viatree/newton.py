@@ -1,8 +1,8 @@
 """The damped-Newton routine behind every smooth concave solver.
 
-Node log and power problems, the custom-utility program, exponential
-utility and the minimal-entropy measure all maximize a concave function
-whose Newton system may be singular (redundant assets, flat directions).
+The node log, power and exponential problems and the custom-utility
+program all maximize a concave function whose Newton system may be
+singular (redundant assets, flat directions).
 They differ only in how they evaluate the function, so each passes an
 ``evaluate`` closure and keeps its own tolerances and error messages.
 """
@@ -13,21 +13,22 @@ import numpy as np
 
 ARMIJO = 1e-4
 CONTRACTION = 0.9
+FLAT = 1e-12  # relative drop in f that gradient contraction may still accept
 MAX_HALVINGS = 60
 
 
-def damped_newton(evaluate, x, tol, max_iter, lift=None, project=None):
+def damped_newton(evaluate, x, tol, max_iter):
     """Maximize a concave function from ``x``.
 
     ``evaluate(x)`` returns ``(f, grad, hess)``, where ``hess()`` builds the
     negated (positive semidefinite) Hessian on demand, or None when ``x``
     lies outside the domain.  Each step is the least-norm ``lstsq`` solution
     of the Newton system, or the gradient itself when that is not an ascent
-    direction.  ``lift`` maps a step to the search direction (a null-space
-    basis, say) and ``project`` clips each trial point.  A trial point is
-    accepted on the Armijo test f_c >= f + 1e-4 t slope or on gradient
-    contraction max|grad_c| <= 0.9 max|grad|: near the optimum the objective
-    is flat to machine precision while Newton still shrinks the gradient.
+    direction.  A trial point is accepted on the Armijo test f_c >= f + 1e-4 t slope or on gradient
+    contraction max|grad_c| <= 0.9 max|grad| with f_c >= f - 1e-12 max(1, |f|):
+    near the optimum the objective is flat to machine precision while Newton
+    still shrinks the gradient, but a smaller gradient further downhill (an
+    overshoot) is no progress.
     Halving t stops after 60 rejected points; then, or after ``max_iter``
     steps, the caller sees a gradient at or above ``tol``.
 
@@ -42,16 +43,15 @@ def damped_newton(evaluate, x, tol, max_iter, lift=None, project=None):
         if slope <= 0.0:  # numerically null direction; nudge along gradient
             step = grad
             slope = float(grad @ grad)
-        direction = step if lift is None else lift(step)
         t = 1.0
         for _ in range(MAX_HALVINGS):
-            cand = x + t * direction
-            if project is not None:
-                cand = project(cand)
+            cand = x + t * step
             trial = evaluate(cand)
             if trial is not None:
                 gn_c = float(np.max(np.abs(trial[1]), initial=0.0))
-                if trial[0] >= f + ARMIJO * t * slope or gn_c <= CONTRACTION * gnorm:
+                if trial[0] >= f + ARMIJO * t * slope or (
+                    gn_c <= CONTRACTION * gnorm and trial[0] >= f - FLAT * max(1.0, abs(f))
+                ):
                     x, (f, grad, hess), gnorm = cand, trial, gn_c
                     steps += 1
                     break

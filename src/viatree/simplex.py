@@ -110,15 +110,15 @@ def _run_simplex(tab, basis, cost, tol, max_iter):
 def _basis_matrix(A: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
     """Basis columns; indices >= n are phase-1 artificials (identity columns)."""
     m = A.shape[0]
-    cols = []
+    cols = [np.zeros((m, 0))]  # no columns when every row was dropped
     for j in basis:
         if j < n:
-            cols.append(A[:, j])
+            cols.append(A[:, j : j + 1])
         else:
-            e = np.zeros(m)
+            e = np.zeros((m, 1))
             e[j - n] = 1.0
             cols.append(e)
-    return np.column_stack(cols)
+    return np.hstack(cols)
 
 
 def _equality_duals(A, basis, cost, n):
@@ -334,8 +334,6 @@ def solve_lps(A, b, c, tol: float = PIVOT_TOL, max_iter: int = 10_000) -> LPStac
         status[g[unbounded]] = "unbounded"
         done = ~unbounded
         g, tab2, B = g[done], tab2[done], B[done]
-        if g.size and not rows.size:  # as in solve_lp: no basis to solve
-            raise ValueError("every equality row was dropped as redundant")
         A_kept, b_kept = A[g][:, rows], b[g][:, rows]
         basis_mat = np.take_along_axis(A_kept, B[:, None, :], axis=2)
         try:

@@ -2,24 +2,23 @@
 
 Each function is the per-solver loop that ``viatree.newton.damped_newton``
 replaced, unchanged: the node log and power problems, the log and CRRA
-recursions and the custom-utility program (with per-node dict weights), the
-minimal-entropy Newton and exponential utility.  ``tests/test_newton.py``
-holds the library to these results bit for bit.
+recursions and the custom-utility program (with per-node dict weights), and
+the two dense leaf-space solvers that the entropy recursion replaced, the
+minimal-entropy Newton in the null space of the martingale constraints and
+the exponential-utility Newton over every (node, asset) holding.
+``tests/test_newton.py`` holds the library's log, power and custom solvers
+to these results bit for bit, and its entropy recursion to these results
+within tolerances.  The entropy loops keep their own constants and result
+types, so nothing here depends on what the library's entropy module holds.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from viatree.arbitrage import ArbitrageError, check_na
-from viatree.entropy import (
-    DUALITY_TOL,
-    EXP_GRAD_TOL,
-    KKT_TOL,
-    THETA_CAP,
-    ExpUtilityResult,
-    MinEntropyResult,
-)
 from viatree.markets import (
     DensityProcess,
     FractionStrategy,
@@ -32,9 +31,36 @@ from viatree.markets import (
     wealth_from_fractions,
     wealth_from_units,
 )
-from viatree.utility import CUSTOM_GRAD_TOL, OptimalPortfolioResult
+from viatree.utility import OptimalPortfolioResult
 
 FOC_TOL = 1e-10
+CUSTOM_GRAD_TOL = 1e-8
+KKT_TOL = 1e-8
+EXP_GRAD_TOL = 1e-8
+THETA_CAP = 1e6
+DUALITY_TOL = 1e-6
+
+
+@dataclass
+class MinEntropyResult:
+    density: DensityProcess
+    entropy: float
+    kkt_residual: float
+    leaf_q: np.ndarray
+    iterations: int
+
+
+@dataclass
+class ExpUtilityResult:
+    theta_hat: UnitStrategy
+    value: float  # min E[exp(-(theta . S)_T)]
+    log_value: float
+    gradient_sup: float
+    density: DensityProcess
+    density_link_residual: float
+    entropy_density_gap: float
+    cap_hit: bool
+    iterations: int
 
 
 def node_log_optimal(

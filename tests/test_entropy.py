@@ -168,7 +168,6 @@ class TestExpUtility:
         want = 0.5 * (2.0 ** (-2.0 / 3.0) + 2.0 ** (1.0 / 3.0))
         assert res.value == pytest.approx(want, abs=1e-12)
         assert res.gradient_sup < 1e-8
-        assert not res.cap_hit
 
     def test_binomial_scalar_oracle(self, binomial):
         def m(theta):

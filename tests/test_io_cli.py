@@ -8,6 +8,7 @@ import pytest
 
 from viatree import (
     MarketFormatError,
+    MarketModel,
     fixture_names,
     load_fixture,
     load_market,
@@ -265,6 +266,25 @@ class TestCliCommands:
         assert rc == 0
         he = json.loads(capsys.readouterr().out)["payload"]
         assert abs(he["e_p_v_terminal"] - 0.056633) < 1e-6
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--min-entropy"],
+        ["entropy", "--exp-utility"],
+        ["measure", "--epsilon", "0.1"],
+    ])
+    def test_density_links_in_price_unit_1e6(self, argv, tmp_path, capsys):
+        # martingale residuals scale with the price unit: here about 1e-6,
+        # 1e-13 of max|S|, which an absolute 1e-9 gate would reject
+        base = random_na_market(np.random.default_rng(0), d=1)
+        m = MarketModel(base.tree, 1e6 * base.prices)
+        path = tmp_path / "m.json"
+        save_market(m, path)
+        rc = main([argv[0], "--market", str(path), *argv[1:]])
+        pay = json.loads(capsys.readouterr().out)["payload"]
+        assert rc == 0 and pay["checks_passed"] is True, pay
+        resid = pay.get("price_residual", pay.get("density_link_residual"))
+        resid = pay["value_bound"]["q_residual"] if resid is None else resid
+        assert 1e-9 < resid <= 1e-9 * float(np.max(np.abs(m.prices)))
 
     def test_entropy_on_arbitrage_exits_one(self, tmp_path, capsys):
         rc = main(["entropy", "--market", self.fixture_path("arbitrage", tmp_path),

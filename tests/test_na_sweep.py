@@ -12,6 +12,7 @@ import pytest
 import na_oracle
 import viatree
 from viatree import EventTree, MarketModel, arbitrage, check_na
+from viatree.cli import main  # imported before any test patches check_na
 from viatree.generators import random_market, random_na_market
 
 STACK_MIN = arbitrage.STACK_MIN
@@ -159,9 +160,19 @@ def test_exp_utility_sweeps_once(check_na_calls):
 
 
 def test_cli_check_sweeps_once(check_na_calls, tmp_path, capsys):
-    from viatree.cli import main
-
     path = tmp_path / "m.json"
     viatree.save_market(viatree.load_fixture("two_period"), str(path))
     assert main(["check", "--market", str(path)]) == 0
+    assert len(check_na_calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--epsilon", "0.1"],
+    ["optimize", "--measure", "emm"],
+    ["optimize", "--utility", "crra:2", "--measure", "emm"],
+])
+def test_cli_measure_commands_sweep_once(argv, check_na_calls, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    viatree.save_market(viatree.load_fixture("two_period"), str(path))
+    assert main([argv[0], "--market", str(path), *argv[1:]]) == 0
     assert len(check_na_calls) == 1

@@ -1,17 +1,20 @@
 """The shared damped-Newton routine against the separate per-solver loops.
 
-``newton_oracle`` keeps the five loops that ``viatree.newton.damped_newton``
-replaced.  Every solver must give the same bits, or raise the same error,
-on random arbitrage-free markets in price units 1 and 1e6, with two known
-exceptions:
+``newton_oracle`` keeps the loops that ``viatree.newton.damped_newton``
+replaced.  The node log and power solvers, the log and CRRA recursions and
+the custom-utility program must give the same bits, or raise the same
+error, on random arbitrage-free markets in price units 1 and 1e6, with one
+known exception: the custom-utility program at unit 1e6, whose objective is
+flat to rounding near the optimum, where the shared routine accepts a trial
+point with f_c == f + 1e-4 t slope, which the separate loop rejected.
 
-* the custom-utility program at unit 1e6, whose objective is flat to
-  rounding near the optimum: the shared routine accepts a trial point with
-  f_c == f + 1e-4 t slope, which the separate loop rejected;
-* exponential utility where its Hessian is exactly zero (the induced leaf
-  measure sits on one leaf): the separate loop accepted the zero Newton
-  step until ``max_iter``, the shared routine steps along the gradient.
-  Both stall and raise; the messages differ.
+The minimal-entropy and exponential-utility results now come from a node
+recursion, not from the oracle's two dense leaf-space Newton loops, so they
+are held to those loops within tolerances: where the dense loops converge
+the density agrees with the dense minimal-entropy one within 1e-8 and the
+exponential-utility log value with the dense one within 1e-12 relative;
+where the dense exponential-utility loop stalls, the recursion must still
+converge and pass its own duality and density-link checks.
 """
 
 import re
@@ -22,8 +25,10 @@ import pytest
 import newton_oracle as oracle
 import viatree.numeraire
 from viatree import (
+    ArbitrageError,
     EventTree,
     MarketModel,
+    check_na,
     crra_utility,
     custom_utility,
     log_utility,
@@ -41,6 +46,7 @@ SEEDS = range(30)
 UNITS = (1.0, 1e6)
 SQRT = custom_utility(np.sqrt, lambda x: 0.5 / np.sqrt(x), name="sqrt")
 STALLED = re.compile(r"stalled at (gradient|KKT residual)")
+LINK_TOL = 1e-9  # density-link gate, relative to max(1, max|S|)
 
 
 def _market(seed, unit):
@@ -114,22 +120,54 @@ def test_recursions_under_a_density(seed):
     _assert_same(utility._solve_crra(m, new_w, 1.0, 3.0), oracle._solve_crra(m, old_w, 1.0, 3.0))
 
 
+def _assert_entropy_pair(m, me, eu):
+    """The recursion's own checks: duality E = exp(-H(Q|P)) and a glued
+    density under which prices are martingales."""
+    assert eu.log_value == pytest.approx(-me.entropy, abs=1e-10)
+    assert np.array_equal(eu.density.z, me.density.z)
+    assert eu.density_link_residual <= LINK_TOL * max(1.0, float(np.max(np.abs(m.prices))))
+    assert max(me.kkt_residual, eu.gradient_sup) < entropy.NODE_TOL
+
+
+def _assert_matches_oracle(m):
+    old_me, old_eu = _outcome(oracle.min_entropy_emm, m), _outcome(oracle.exp_utility, m)
+    if check_na(m).verdict != "NA":  # unit 1e6 can flip the verdict (a check_na defect)
+        for fn, old in ((entropy.min_entropy_emm, old_me), (entropy.exp_utility, old_eu)):
+            with pytest.raises(ArbitrageError, match="^market admits arbitrage; "):
+                fn(m)
+            assert old[0] is ArbitrageError
+        return old_me, old_eu
+    me, eu = entropy.min_entropy_emm(m), entropy.exp_utility(m)
+    _assert_entropy_pair(m, me, eu)
+    if not isinstance(old_me, tuple):
+        assert np.max(np.abs(me.density.z - old_me.density.z)) <= 1e-8
+        assert me.entropy == pytest.approx(old_me.entropy, rel=1e-8, abs=1e-12)
+    if isinstance(old_eu, tuple):  # the dense loop stalled
+        assert old_eu[0] is RuntimeError and STALLED.search(old_eu[1])
+    else:  # its density is only as close as its 1e-6 duality gate
+        assert eu.log_value == pytest.approx(old_eu.log_value, rel=1e-12)
+    return old_me, old_eu
+
+
 @pytest.mark.parametrize("unit", UNITS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_entropy_solvers(seed, unit):
-    m = _market(seed, unit)
-    for new_fn, old_fn in ((entropy.min_entropy_emm, oracle.min_entropy_emm),
-                           (entropy.exp_utility, oracle.exp_utility)):
-        new, old = _outcome(new_fn, m), _outcome(old_fn, m)
-        if new_fn is entropy.exp_utility and isinstance(new, tuple) and new != old:
-            # zero Hessian: both stall, at different points
-            assert new[0] is old[0] is RuntimeError
-            assert new[1].startswith("exponential-utility Newton stalled at gradient")
-            assert old[1].startswith("exponential-utility Newton stalled at gradient")
-            continue
-        _assert_same(new, old)
-        if not isinstance(new, tuple):
-            assert old.iterations - new.iterations in (0, 1)
+    _assert_matches_oracle(_market(seed, unit))
+
+
+DENSE_STALLS = {3: (9, 25, 28, 37), 4: (30,), 5: ()}
+
+
+@pytest.mark.parametrize("depth", (3, 4, 5))
+def test_entropy_recursion_on_the_recipe(depth):
+    # every market converges and passes its checks, including the five on
+    # which the dense exponential-utility loop stalls
+    for seed in range(40):
+        m = random_na_market(np.random.default_rng(seed), d=2, depth_range=(depth, depth))
+        if seed in DENSE_STALLS[depth]:
+            assert isinstance(_assert_matches_oracle(m)[1], tuple)
+        else:
+            _assert_entropy_pair(m, entropy.min_entropy_emm(m), entropy.exp_utility(m))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -171,25 +209,34 @@ class TestEdgeCases:
     def test_empty_null_space(self, binomial):
         # a complete one-period market: the martingale measure is unique
         new, old = entropy.min_entropy_emm(binomial), oracle.min_entropy_emm(binomial)
-        _assert_same(new, old)
-        assert new.iterations == old.iterations == 0
-        assert new.kkt_residual == 0.0
+        assert old.iterations == 0 and old.kkt_residual == 0.0
+        assert np.allclose(new.leaf_q, old.leaf_q, rtol=0.0, atol=1e-15)
+        assert new.entropy == pytest.approx(old.entropy, rel=1e-14)
+        assert new.kkt_residual < entropy.NODE_TOL
 
     def test_no_trading_variables(self):
         m = MarketModel(EventTree([None], [1.0]), np.array([[2.0]]))
         new, old = entropy.exp_utility(m), oracle.exp_utility(m)
-        _assert_same(new, old)
-        assert new.theta_hat.holdings.shape == (1, 1)
+        assert new.theta_hat.holdings.shape == old.theta_hat.holdings.shape == (1, 1)
+        assert (new.value, new.log_value, new.density.z.tolist()) == (1.0, 0.0, [1.0])
+        assert (old.value, old.log_value, old.density.z.tolist()) == (1.0, 0.0, [1.0])
         assert new.iterations == 0 and new.gradient_sup == 0.0
+        assert entropy.min_entropy_emm(m).entropy == 0.0
 
-    def test_cap_hit(self):
-        # tiny prices need holdings beyond the 1e6 cap on the way
-        rng = np.random.default_rng(6)
+    def test_holdings_beyond_the_old_cap(self):
+        # tiny prices need unit holdings beyond the dense loop's 1e6 cap,
+        # where that loop stalls; the recursion scales each node by
+        # max|dS|, so it has no cap
+        rng = np.random.default_rng(5)
         base = random_na_market(rng, d=int(rng.integers(1, 4)))
         m = MarketModel(base.tree, 1e-6 * base.prices)
-        new, old = entropy.exp_utility(m), oracle.exp_utility(m)
-        _assert_same(new, old)
-        assert new.cap_hit and old.cap_hit
+        old = _assert_matches_oracle(m)[1]
+        assert old[1].endswith("strategy cap 1e6 binding")
+        new, unit = entropy.exp_utility(m), entropy.exp_utility(base)
+        assert np.max(np.abs(new.theta_hat.holdings)) > 1e6
+        h, h1 = 1e-6 * new.theta_hat.holdings, unit.theta_hat.holdings
+        assert np.max(np.abs(h - h1)) <= 1e-9 * np.max(np.abs(h1))
+        assert new.log_value == pytest.approx(unit.log_value, rel=1e-12)
 
     def test_domain_rejection_halves_the_step(self, monkeypatch):
         rejected = []
@@ -235,6 +282,17 @@ class TestEdgeCases:
 
         x, f, _, gnorm, steps = damped_newton(evaluate, np.zeros(1), 1e-12, 1)
         assert (x[0], f, gnorm, steps) == (1.0, 5e-4, 0.95, 1)
+
+    def test_smaller_gradient_downhill_is_rejected(self):
+        # x = 1 has the smaller gradient but a lower f: an overshoot, not
+        # progress; the routine halves to x = 0.5, where f rises
+        def evaluate(x):
+            f = {0.0: 0.0, 1.0: -1e-3, 0.5: 1e-3}[x[0]]
+            grad = {0.0: 1.0, 1.0: 0.5, 0.5: 0.95}[x[0]]
+            return f, np.array([grad]), lambda: np.eye(1)
+
+        x, f, _, gnorm, steps = damped_newton(evaluate, np.zeros(1), 1e-12, 1)
+        assert (x[0], f, gnorm, steps) == (0.5, 1e-3, 0.95, 1)
 
     def test_stall_after_sixty_rejected_points(self):
         calls = []

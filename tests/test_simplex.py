@@ -62,6 +62,14 @@ class TestHandProblems:
         assert res.status == "optimal"
         assert res.objective == pytest.approx(0.0, abs=1e-12)
 
+    def test_every_row_redundant(self):
+        # 0 x = 0 drops both rows; with c >= 0 the optimum is x = 0
+        res = solve_lp(np.zeros((2, 3)), np.zeros(2), np.ones(3))
+        assert res.status == "optimal"
+        assert res.x.tolist() == [0.0, 0.0, 0.0] and res.objective == 0.0
+        assert res.y.tolist() == [0.0, 0.0]
+        assert solve_lp(np.zeros((2, 3)), np.zeros(2), np.array([1.0, -1.0, 0.0])).status == "unbounded"
+
     def test_degenerate_vertex_terminates(self):
         # classic cycling-prone instance; Bland's rule must terminate
         A = np.array(
@@ -199,6 +207,14 @@ class TestStacked:
         A, b, c = _max_slack_lps(incs)
         stack = solve_lps(A, b, c)
         assert list(stack.status) == ["optimal"] * 3
+        self.assert_same(stack, A, b, c)
+
+    def test_every_row_redundant(self):
+        A, b = np.zeros((3, 2, 3)), np.zeros((3, 2))
+        c = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0.0, 2.0, 0.5]])
+        stack = solve_lps(A, b, c)
+        assert list(stack.status) == ["optimal", "unbounded", "optimal"]
+        assert stack.x[[0, 2]].tolist() == [[0.0] * 3] * 2
         self.assert_same(stack, A, b, c)
 
     def test_singular_final_basis(self, monkeypatch):
