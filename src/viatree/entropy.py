@@ -31,12 +31,13 @@ from .markets import (
     DensityProcess,
     MarketModel,
     UnitStrategy,
+    TreeLevels,
     WealthKernel,
     density_from_leaf_values,
     price_martingale_residual,
     wealth_from_units,
 )
-from .newton import damped_newton
+from .newton import damped_newton, raise_stalled
 from .trees import EventTree, StoppingTime, crossed_by, cuts_nested
 
 NODE_TOL = 1e-12
@@ -89,16 +90,11 @@ def entropy_hellinger(tree: EventTree, Z: DensityProcess) -> EntropyReport:
         raise AssertionError(f"negative jump term at node {bad}: {raw[bad - 1]!r}")
     jump[1:] = np.maximum(raw, 0.0)
 
-    v = np.zeros(tree.n_nodes)
-    v[1:] = jump[1:]
-    for c in range(1, tree.n_nodes):
-        v[c] += v[tree.parent[c]]
-
-    h = np.zeros(tree.n_nodes)
-    for p in tree.internal:
-        kids = tree.children[p]
-        inc = float(tree.branch_prob[kids] @ jump[kids])
-        h[kids] = h[p] + inc
+    k = TreeLevels(tree)
+    v = k.roll(jump[k.child][None], 0.0)[0]
+    inc = np.zeros(tree.n_nodes)  # E[next jump term | node]
+    inc[k.nodes] = k.sums(tree.branch_prob[k.child] * jump[k.child])
+    h = k.roll(inc[k.parent][None], 0.0)[0]
 
     probs = tree.unconditional_probs()
     pl = probs[tree.leaves]
@@ -128,50 +124,49 @@ def _exp_recursion(m: MarketModel, cert: NaCertificate, goal: str):
     V = 1 at the leaves and V(v) = min_h sum_j p_j V(j) exp(-h . dS_j) over
     the edges out of v (Frittelli 2000).  Each node maximizes the concave
     -logsumexp(log p_j + log V(j) - h . X_j) in X = dS / max|dS|, so its
-    tolerance does not depend on the price unit; the gradient is the
-    node's martingale residual under the minimizing one-step weights
-    q_j = p_j V(j) exp(-h . dS_j) / V(v), in units of max|dS|.
-
-    ``cert`` is the market's no-arbitrage certificate; an arbitrage verdict
-    raises ``ArbitrageError`` saying that ``goal`` fails.  Returns the unit
+    tolerance does not depend on the price unit; the gradient is the node's
+    martingale residual, in units of max|dS|, under the minimizing one-step
+    weights q_j = p_j V(j) exp(-h . dS_j) / V(v).  Each depth level is one
+    ``damped_newton`` stack.  An arbitrage verdict in ``cert`` raises
+    ``ArbitrageError`` saying that ``goal`` fails.  Returns the unit
     holdings, log V per node, the density glued from the weights q, the
-    worst node gradient and the Newton steps.  A stalled node raises
-    ``RuntimeError`` naming the node.
+    worst node gradient and the Newton steps.
     """
     if cert.verdict != "NA":
         raise ArbitrageError(f"market admits arbitrage; {goal}", certificate=cert)
     k = WealthKernel(m)
     logp = np.log(m.tree.branch_prob[k.child])
-    holdings = np.zeros_like(m.prices)
+    scale = np.maximum.reduceat(np.abs(k.dS).max(axis=1, initial=0.0), k.starts)
+    scale[scale == 0.0] = 1.0
+    h = np.zeros((k.nodes.size, m.d))  # per node, in units of X
     log_v = np.zeros(m.tree.n_nodes)
-    log_ratio = np.empty(k.child.size)  # log(q_j / p_j)
-    worst, steps = 0.0, 0
-    for _, v, e in reversed(k.groups()):
-        scale = np.abs(k.dS[e]).max()
-        X = k.dS[e] / scale if scale > 0.0 else k.dS[e]
-        a = logp[e] + log_v[k.child[e]]
+    gnorms = np.zeros(k.nodes.size)
+    steps = 0
 
-        def evaluate(h):  # -logsumexp(a - X h), its gradient and -Hessian
-            b = a - X @ h
-            mx = b.max()
-            w = np.exp(b - mx)
-            sw = w.sum()
-            w /= sw
-            mean = w @ X
-            return -(mx + np.log(sw)), mean, lambda: (X.T * w) @ X - mean[:, None] * mean
+    def evaluate(hr, rows):  # -logsumexp(a - X h) of the current level, its gradient and -Hessian
+        Xr = Xs[rows]
+        b = a[rows] - (Xr @ hr[:, :, None])[:, :, 0]
+        mx = b.max(axis=1)
+        w = np.exp(b - mx[:, None])
+        sw = w.sum(axis=1)
+        w /= sw[:, None]
+        mean = (w[:, None, :] @ Xr)[:, 0, :]
+        hess = (Xr.transpose(0, 2, 1) * w[:, None, :]) @ Xr - mean[:, :, None] * mean[:, None, :]
+        return -(mx + np.log(sw)), mean, hess
 
-        h, f, _, gnorm, n = damped_newton(evaluate, np.zeros(m.d), NODE_TOL, 200)
-        if gnorm >= NODE_TOL:
-            raise RuntimeError(
-                f"at node {v}: exponential-utility Newton stalled at gradient "
-                f"{gnorm:.3e} (target {NODE_TOL})"
-            )
-        log_v[v] = -f
-        log_ratio[e] = a - X @ h + f - logp[e]
-        holdings[v] = h / scale if scale > 0.0 else h
-        worst, steps = max(worst, gnorm), steps + n
+    for nv in reversed(k.node_levels):
+        Xs = k.stack(k.dS, 0.0, nv) / scale[nv, None, None]
+        a = k.stack(logp + log_v[k.child], -np.inf, nv)
+        h[nv], f, _, gnorms[nv], n = damped_newton(evaluate, h[nv], NODE_TOL, 200)
+        raise_stalled(gnorms[nv], NODE_TOL, k.nodes[nv], lambda g: (
+            f"exponential-utility Newton stalled at gradient {g:.3e} (target {NODE_TOL})"))
+        log_v[k.nodes[nv]] = -f
+        steps += int(n.sum())
+    holdings = np.zeros_like(m.prices)
+    holdings[k.nodes] = h / scale[:, None]
+    log_ratio = log_v[k.child] - k.edge_dot(holdings[None], k.dS)[0] - log_v[k.parent]  # log(q_j / p_j)
     z = k.roll(np.exp(log_ratio)[None], 1.0, multiplicative=True)[0]
-    return holdings, log_v, DensityProcess(z), worst, steps
+    return holdings, log_v, DensityProcess(z), float(gnorms.max(initial=0.0)), steps
 
 
 def min_entropy_emm(m: MarketModel) -> MinEntropyResult:
@@ -310,9 +305,8 @@ def concatenate_densities(
         jump_add[c] = max((1.0 + x) * np.log1p(x) - x, 0.0)
 
     out = DensityProcess(z)
-    v_add = np.zeros(tree.n_nodes)
-    for c in range(1, tree.n_nodes):
-        v_add[c] = v_add[int(tree.parent[c])] + jump_add[c]
+    k = TreeLevels(tree)
+    v_add = k.roll(jump_add[k.child][None], 0.0)[0]
     rep = entropy_hellinger(tree, out)
     report = {
         "positive": bool(np.all(z > 0.0)),

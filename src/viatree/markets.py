@@ -123,12 +123,9 @@ class DensityProcess:
 
     def martingale_residual(self, tree: EventTree) -> float:
         """sup over internal nodes of |E[z(child) | node] - z(node)|."""
-        worst = 0.0
-        for v in tree.internal:
-            kids = tree.children[v]
-            r = abs(float(tree.branch_prob[kids] @ self.z[kids]) - self.z[v])
-            worst = max(worst, r)
-        return worst
+        k = TreeLevels(tree)
+        gap = k.sums(tree.branch_prob[k.child] * self.z[k.child]) - self.z[k.nodes]
+        return float(np.abs(gap).max(initial=0.0))
 
     def is_martingale(self, tree: EventTree, tol: float = MARTINGALE_FLAG_TOL) -> bool:
         return self.martingale_residual(tree) <= tol
@@ -144,24 +141,67 @@ class DensityProcess:
         return tree.branch_prob[kids] * self.z[kids] / self.z[v]
 
 
-class WealthKernel:
-    """Wealth of many strategies on one market at once.
+class TreeLevels:
+    """Price-free sums over an event tree, one depth level at a time, of
+    per-edge arrays in ``EventTree.edges`` order, where sibling groups and
+    depth levels are contiguous ranges."""
 
-    Per-edge arrays are computed once, in ``EventTree.edges`` order, where
-    sibling groups and depth levels are contiguous ranges.  Strategies are
-    (S, n_nodes, d) arrays; wealth, an (S, n_nodes) array, is rolled forward
-    one depth level at a time.  Sums run in asset order, not through BLAS.
-    """
-
-    def __init__(self, m: MarketModel):
-        t = m.tree
-        self.market, self.child, self.parent = m, t.edges, t.parent[t.edges]
-        self.dS = m.prices[self.child] - m.prices[self.parent]
+    def __init__(self, t: EventTree):
+        self.child, self.parent = t.edges, t.parent[t.edges]
         self.starts = np.flatnonzero(np.diff(self.parent, prepend=-1))
         self.sizes = np.diff(self.starts, append=self.child.size)
         self.nodes = t.internal  # the parent of each sibling group
         off = t.level_offsets - 1
         self.levels = [slice(lo, hi) for lo, hi in zip(off[1:-1], off[2:])]
+        # every node above the terminal depth is internal, so the internal
+        # nodes of depth L are nodes[node_levels[L]], whose edges are levels[L]
+        self.node_levels = [slice(lo, hi) for lo, hi in
+                            zip(t.level_offsets[:-2], t.level_offsets[1:-1])]
+
+    def stack(self, per_edge: np.ndarray, fill: float, rows=slice(None)) -> np.ndarray:
+        """Per-edge values as an (internal node, branch slot, ...) array for
+        the internal nodes ``rows``, padded with ``fill`` past each node's
+        own branches."""
+        sizes = self.sizes[rows]
+        slot = np.arange(sizes.max(initial=0))
+        real = slot < sizes[:, None]
+        out = per_edge[np.where(real, self.starts[rows, None] + slot, 0)]
+        out[~real] = fill
+        return out
+
+    def sums(self, per_edge: np.ndarray) -> np.ndarray:
+        """Sums of per-edge values (along axis 0) over each internal node's edges."""
+        return np.add.reduceat(per_edge, self.starts, axis=0)
+
+    def backward(self, weights: np.ndarray, values: np.ndarray, step=None) -> np.ndarray:
+        """v(node) = sum of weights_j (step_j + v(child_j)) over the node's
+        edges, one depth level at a time from the leaf entries of ``values``
+        (an (n_nodes,) array; its other entries are overwritten)."""
+        v = np.array(values, dtype=np.float64)
+        for lv, nv in zip(reversed(self.levels), reversed(self.node_levels)):
+            term = v[self.child[lv]] if step is None else step[lv] + v[self.child[lv]]
+            v[self.nodes[nv]] = np.add.reduceat(weights[lv] * term, self.starts[nv] - lv.start)
+        return v
+
+    def roll(self, steps: np.ndarray, start: float, multiplicative: bool = False):
+        """Wealth from its root value and per-edge steps, level by level."""
+        w = np.empty((steps.shape[0], self.child.size + 1))
+        w[:, 0] = start
+        for lv in self.levels:
+            up = w[:, self.parent[lv]]
+            w[:, self.child[lv]] = up * steps[:, lv] if multiplicative else up + steps[:, lv]
+        return w
+
+
+class WealthKernel(TreeLevels):
+    """Wealth of many strategies on one market at once.  Strategies are
+    (S, n_nodes, d) arrays; wealth, an (S, n_nodes) array, is rolled forward
+    one depth level at a time.  Sums run in asset order, not through BLAS."""
+
+    def __init__(self, m: MarketModel):
+        super().__init__(m.tree)
+        self.market = m
+        self.dS = m.prices[self.child] - m.prices[self.parent]
 
     @property
     def returns(self) -> np.ndarray:
@@ -174,11 +214,6 @@ class WealthKernel:
             )
         return self.dS / self.market.prices[self.parent]
 
-    def groups(self) -> list[tuple[int, int, slice]]:
-        """(index in ``nodes``, internal node, its range of edges), breadth-first."""
-        return [(i, int(v), slice(lo, lo + n))
-                for i, (v, lo, n) in enumerate(zip(self.nodes, self.starts, self.sizes))]
-
     def blocks(self, n: int) -> list[slice]:
         """Ranges of n strategies, each about BLOCK_ENTRIES node-asset entries."""
         step = max(1, BLOCK_ENTRIES // self.market.prices.size)
@@ -190,15 +225,6 @@ class WealthKernel:
         for i in range(1, incr.shape[1]):
             out += per_node[:, self.parent, i] * incr[:, i]
         return out
-
-    def roll(self, steps: np.ndarray, start: float, multiplicative: bool = False):
-        """Wealth from its root value and per-edge steps, level by level."""
-        w = np.empty((steps.shape[0], self.market.tree.n_nodes))
-        w[:, 0] = start
-        for lv in self.levels:
-            up = w[:, self.parent[lv]]
-            w[:, self.child[lv]] = up * steps[:, lv] if multiplicative else up + steps[:, lv]
-        return w
 
     def units(self, holdings: np.ndarray, x0: float) -> np.ndarray:
         return self.roll(self.edge_dot(holdings, self.dS), x0)
@@ -269,14 +295,9 @@ def self_financing_residual(m: MarketModel, s: UnitStrategy, w: WealthProcess) -
 def price_martingale_residual(m: MarketModel, dp: DensityProcess) -> float:
     """sup over internal nodes and assets of the one-step density-weighted
     price increment |E[(z(child)/z(node)) dS | node]|."""
-    t = m.tree
-    worst = 0.0
-    for v in t.internal:
-        kids = t.children[v]
-        wts = t.branch_prob[kids] * dp.z[kids] / dp.z[v]
-        r = np.max(np.abs(wts @ (m.prices[kids] - m.prices[v])))
-        worst = max(worst, float(r))
-    return worst
+    k = WealthKernel(m)
+    wts = m.tree.branch_prob[k.child] * dp.z[k.child] / dp.z[k.parent]
+    return float(np.abs(k.sums(wts[:, None] * k.dS)).max(initial=0.0))
 
 
 def density_from_leaf_values(tree: EventTree, leaf_z: np.ndarray) -> DensityProcess:
@@ -291,10 +312,7 @@ def density_from_leaf_values(tree: EventTree, leaf_z: np.ndarray) -> DensityProc
         raise ValueError("leaf density values must be finite and strictly positive")
     z = np.empty(tree.n_nodes)
     z[tree.leaves] = leaf_z
-    for v in range(tree.n_nodes - 1, -1, -1):
-        kids = tree.children[v]
-        if kids.size:
-            z[v] = float(tree.branch_prob[kids] @ z[kids])
+    z = TreeLevels(tree).backward(tree.branch_prob[tree.edges], z)
     if abs(z[0] - 1.0) > 1e-9:
         raise ValueError(
             f"leaf values do not aggregate to a density: E[z_T] = {z[0]!r} != 1"

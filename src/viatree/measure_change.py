@@ -43,11 +43,9 @@ class DeltaMeasure:
     l1_dist: float  # E|Z_delta - 1|
 
 
-def construct_q_delta(tree: EventTree, q, delta: float) -> DeltaMeasure:
-    """Cap-and-normalize a terminal density: Z_delta = (q/(delta+q)) / E[...]."""
+def _leaf_density(tree: EventTree, q) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf probabilities and the checked terminal density q."""
     q = np.asarray(q, dtype=np.float64)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     if q.shape != (tree.leaves.size,):
         raise ValueError(
             f"expected one q value per leaf ({tree.leaves.size}), got {q.shape}"
@@ -58,6 +56,12 @@ def construct_q_delta(tree: EventTree, q, delta: float) -> DeltaMeasure:
     mean = float(p @ q)
     if abs(mean - 1.0) > 1e-9:
         raise ValueError(f"terminal density must have mean 1, got {mean!r}")
+    return p, q
+
+
+def _leaf_fields(p: np.ndarray, q: np.ndarray, delta: float):
+    """q_delta, E[q_delta], Z_delta, Delta0, 1/Delta0 and E|Z_delta - 1| on
+    the leaves, with the bound and the normalization checked."""
     q_delta = q / (delta + q)
     e_q_delta = float(p @ q_delta)
     z_leaf = q_delta / e_q_delta
@@ -70,19 +74,17 @@ def construct_q_delta(tree: EventTree, q, delta: float) -> DeltaMeasure:
     e_z = float(p @ z_leaf)
     if abs(e_z - 1.0) > NORMALIZATION_TOL:
         raise AssertionError(f"normalization failed: E[Z_delta] = {e_z!r}")
+    return q_delta, e_q_delta, z_leaf, delta0, bound, float(p @ np.abs(z_leaf - 1.0))
+
+
+def construct_q_delta(tree: EventTree, q, delta: float) -> DeltaMeasure:
+    """Cap-and-normalize a terminal density: Z_delta = (q/(delta+q)) / E[...]."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    p, q = _leaf_density(tree, q)
+    q_delta, e_q_delta, z_leaf, delta0, bound, l1 = _leaf_fields(p, q, delta)
     density = density_from_leaf_values(tree, z_leaf)
-    l1 = float(p @ np.abs(z_leaf - 1.0))
-    return DeltaMeasure(
-        delta=float(delta),
-        q=q,
-        q_delta=q_delta,
-        z_leaf=z_leaf,
-        density=density,
-        e_q_delta=e_q_delta,
-        delta0=delta0,
-        bound=bound,
-        l1_dist=l1,
-    )
+    return DeltaMeasure(float(delta), q, q_delta, z_leaf, density, e_q_delta, delta0, bound, l1)
 
 
 def delta_for_epsilon(tree: EventTree, q, eps: float) -> DeltaMeasure:
@@ -90,21 +92,24 @@ def delta_for_epsilon(tree: EventTree, q, eps: float) -> DeltaMeasure:
 
     Walks the decreasing grid delta_k = 2^-k until the constraint first
     holds, then bisects inside that bracket.  Existence is guaranteed for
-    strictly positive q: the l1 distance vanishes as delta -> 0.
+    strictly positive q: the l1 distance vanishes as delta -> 0.  Candidates
+    are checked on their leaves; only the result gets a density process.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    top = construct_q_delta(tree, q, DELTA_MAX)
-    if top.l1_dist <= eps:
-        return top
+    p, leaf_q = _leaf_density(tree, q)
+
+    def feasible(delta):
+        return _leaf_fields(p, leaf_q, delta)[-1] <= eps
+
+    if feasible(DELTA_MAX):
+        return construct_q_delta(tree, q, DELTA_MAX)
     hi = DELTA_MAX  # known infeasible side of the bracket
     lo = None
     delta = 0.5
     for _ in range(200):
-        dm = construct_q_delta(tree, q, delta)
-        if dm.l1_dist <= eps:
+        if feasible(delta):
             lo = delta
-            best = dm
             break
         hi = delta
         delta *= 0.5
@@ -115,12 +120,11 @@ def delta_for_epsilon(tree: EventTree, q, eps: float) -> DeltaMeasure:
         )
     while (hi - lo) / lo > REL_RESOLUTION:
         mid = 0.5 * (hi + lo)
-        dm = construct_q_delta(tree, q, mid)
-        if dm.l1_dist <= eps:
-            lo, best = mid, dm
+        if feasible(mid):
+            lo = mid
         else:
             hi = mid
-    return best
+    return construct_q_delta(tree, q, lo)
 
 
 def verify_value_bound(

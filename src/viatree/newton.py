@@ -1,10 +1,13 @@
 """The damped-Newton routine behind every smooth concave solver.
 
 The node log, power and exponential problems and the custom-utility
-program all maximize a concave function whose Newton system may be
-singular (redundant assets, flat directions).
-They differ only in how they evaluate the function, so each passes an
-``evaluate`` closure and keeps its own tolerances and error messages.
+program all maximize concave functions whose Newton systems may be
+singular (redundant assets, flat directions).  The routine solves a stack
+of G such problems, one per row: every internal node for the log problem,
+one tree level for the CRRA and exponential recursions, G = 1 for the
+custom program.  Rows never mix, so a row's result does not depend on its
+neighbours.  Each caller passes an ``evaluate`` closure and keeps its own
+tolerances and error messages.
 """
 
 from __future__ import annotations
@@ -17,45 +20,77 @@ FLAT = 1e-12  # relative drop in f that gradient contraction may still accept
 MAX_HALVINGS = 60
 
 
-def damped_newton(evaluate, x, tol, max_iter):
-    """Maximize a concave function from ``x``.
+def least_norm_step(hess, grad):
+    """Least-norm solutions of the stacked PSD systems hess @ step = grad.
 
-    ``evaluate(x)`` returns ``(f, grad, hess)``, where ``hess()`` builds the
-    negated (positive semidefinite) Hessian on demand, or None when ``x``
-    lies outside the domain.  Each step is the least-norm ``lstsq`` solution
-    of the Newton system, or the gradient itself when that is not an ascent
-    direction.  A trial point is accepted on the Armijo test f_c >= f + 1e-4 t slope or on gradient
-    contraction max|grad_c| <= 0.9 max|grad| with f_c >= f - 1e-12 max(1, |f|):
-    near the optimum the objective is flat to machine precision while Newton
-    still shrinks the gradient, but a smaller gradient further downhill (an
-    overshoot) is no progress.
-    Halving t stops after 60 rejected points; then, or after ``max_iter``
-    steps, the caller sees a gradient at or above ``tol``.
-
-    Returns (x, f, grad, sup norm of grad, accepted steps).
+    One ``eigh`` for the whole stack; eigenvalues at or below lstsq's
+    default cutoff (machine epsilon x size x the largest) count as zero,
+    so a singular system gets its minimal-norm solution, as from lstsq.
     """
-    f, grad, hess = evaluate(x)
-    gnorm = float(np.max(np.abs(grad), initial=0.0))
-    steps = 0
-    while gnorm >= tol and steps < max_iter:
-        step, *_ = np.linalg.lstsq(hess(), grad, rcond=None)
-        slope = float(grad @ step)
-        if slope <= 0.0:  # numerically null direction; nudge along gradient
-            step = grad
-            slope = float(grad @ grad)
+    w, V = np.linalg.eigh(hess)
+    a = np.abs(w)
+    keep = a > np.finfo(np.float64).eps * w.shape[-1] * a.max(axis=-1, keepdims=True)
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    return (V @ (inv * (grad[:, None, :] @ V)[:, 0, :])[:, :, None])[:, :, 0]
+
+
+def damped_newton(evaluate, x, tol, max_iter):
+    """Maximize G concave functions, one per row of ``x`` (shape (G, d)).
+
+    ``evaluate(x, rows)`` takes the points of the problems ``rows`` (indices
+    into the G rows) and returns f (n,), gradients (n, d) and negated (PSD)
+    Hessians (n, d, d), with f = -inf outside the domain.  Each step is the
+    least-norm Newton step, or the gradient when that is not an ascent
+    direction.  A trial point is accepted on the Armijo test
+    f_c >= f + 1e-4 t slope or on gradient contraction
+    max|grad_c| <= 0.9 max|grad| with f_c >= f - 1e-12 max(1, |f|): near the
+    optimum f is flat to machine precision while Newton still shrinks the
+    gradient, but a smaller gradient further downhill is no progress.  A row
+    stops once its gradient is below ``tol``, after ``max_iter`` steps, or
+    after 60 rejected points in one line search.
+
+    Returns (x, f, grad, sup norm of grad, accepted steps), one row each.
+    """
+    x = np.array(x, dtype=np.float64)
+    n = x.shape[0]
+    f, grad, hess = evaluate(x, np.arange(n))
+    gnorm = np.max(np.abs(grad), axis=1, initial=0.0)
+    steps = np.zeros(n, dtype=np.int64)
+    going = (gnorm >= tol) & (steps < max_iter)
+    while (act := np.flatnonzero(going)).size:
+        g = grad[act]
+        step = least_norm_step(hess[act], g)
+        slope = np.einsum("ij,ij->i", g, step)
+        if np.any(up := slope <= 0.0):  # numerically null direction; nudge along gradient
+            step[up] = g[up]
+            slope[up] = np.einsum("ij,ij->i", g[up], g[up])
+        x0, f0, cap = x[act], f[act], CONTRACTION * gnorm[act]
+        floor = f0 - FLAT * np.maximum(1.0, np.abs(f0))
         t = 1.0
         for _ in range(MAX_HALVINGS):
-            cand = x + t * step
-            trial = evaluate(cand)
-            if trial is not None:
-                gn_c = float(np.max(np.abs(trial[1]), initial=0.0))
-                if trial[0] >= f + ARMIJO * t * slope or (
-                    gn_c <= CONTRACTION * gnorm and trial[0] >= f - FLAT * max(1.0, abs(f))
-                ):
-                    x, (f, grad, hess), gnorm = cand, trial, gn_c
-                    steps += 1
-                    break
+            cand = x0 + t * step
+            fc, gc, hc = evaluate(cand, act)
+            gn_c = np.max(np.abs(gc), axis=1, initial=0.0)
+            ok = (fc >= f0 + ARMIJO * t * slope) | ((gn_c <= cap) & (fc >= floor))
+            if not ok.all():
+                cand, fc, gc, hc, gn_c = cand[ok], fc[ok], gc[ok], hc[ok], gn_c[ok]
+            done = act[ok]
+            x[done], f[done], grad[done], hess[done], gnorm[done] = cand, fc, gc, hc, gn_c
+            steps[done] += 1
+            going[done] = (gn_c >= tol) & (steps[done] < max_iter)
+            if ok.all():
+                break
+            act, x0, f0, cap, floor, step, slope = (
+                a[~ok] for a in (act, x0, f0, cap, floor, step, slope))
             t *= 0.5
         else:
-            break  # no admissible improvement left at this scale
+            going[act] = False  # no admissible improvement left at this scale
     return x, f, grad, gnorm, steps
+
+
+def raise_stalled(gnorm, tol, nodes, message) -> None:
+    """Raise ``RuntimeError`` "at node v: ``message(gradient)``" for the
+    first row (in stack order) whose gradient is not below ``tol``."""
+    if np.any(stalled := gnorm >= tol):
+        i = int(np.argmax(stalled))
+        raise RuntimeError(f"at node {nodes[i]}: {message(gnorm[i])}")

@@ -29,7 +29,7 @@ from .markets import (
     wealth_from_fractions,
     wealth_from_units,
 )
-from .newton import damped_newton
+from .newton import damped_newton, least_norm_step, raise_stalled
 from .trees import EventTree, StoppingTime
 
 FOC_TOL = 1e-10
@@ -37,75 +37,87 @@ RATIO_TOL = 1e-8
 DEFLATOR_TOL = 1e-10
 
 
-def node_log_optimal(
-    returns,
-    probs,
-    tol: float = FOC_TOL,
-    max_iter: int = 200,
-) -> tuple[np.ndarray, float, int]:
-    """Damped Newton for the one-step log-growth problem.
+def fraction_problems(R, a, gamma: float = 1.0):
+    """``damped_newton``'s ``evaluate`` for rows maximizing
+    sum_j a[i, j] phi(1 + pi . R[i, j]) over positive factors, phi = log for
+    gamma = 1, else phi(g) = g^(1-gamma) with a of the sign of 1 - gamma.
+    Edges with a = 0 and R = 0 pad a row to the common branch count; a node
+    whose returns are all below 1e-12 is solved with R = 0 (pi stays 0)."""
+    R = np.where(np.max(np.abs(R), axis=(1, 2), keepdims=True) < 1e-12, 0.0, R)
 
-    Starts at pi = 0 and keeps every factor 1 + pi . R_j strictly positive.
-    Singular Hessians (redundant assets) take the least-norm Newton step, so
-    the returned maximizer is the minimal one.  Raises ``RuntimeError`` when
-    the gradient does not reach ``tol``.  Returns (pi, sup-norm of the
-    gradient, Newton steps).
-    """
-    R = np.atleast_2d(np.asarray(returns, dtype=np.float64))
-    p = np.asarray(probs, dtype=np.float64)
-    pi = np.zeros(R.shape[1])
-    if np.max(np.abs(R)) < 1e-12:
-        return pi, 0.0, 0
+    def evaluate(x, rows):
+        Rr, ar = R[rows], a[rows]
+        g = 1.0 + (Rr @ x[:, :, None])[:, :, 0]
+        inside = np.all(g > 0.0, axis=1)
+        g = np.where(inside[:, None], g, 1.0)
+        if gamma == 1.0:
+            phi, u = np.log(g), ar / g
+        else:
+            phi, u = g ** (1.0 - gamma), (1.0 - gamma) * ar * g**-gamma
+        f = np.where(inside, np.einsum("ij,ij->i", ar, phi), -np.inf)
+        return f, (u[:, None, :] @ Rr)[:, 0, :], (Rr.transpose(0, 2, 1) * (gamma * u / g)[:, None, :]) @ Rr
 
-    def evaluate(x):
-        g = 1.0 + R @ x
-        if not np.all(g > 0.0):
-            return None
-        return float(p @ np.log(g)), (p / g) @ R, lambda: (R.T * (p / g**2)) @ R
+    return evaluate
 
-    pi, _, _, gnorm, steps = damped_newton(evaluate, pi, tol, max_iter)
-    if gnorm >= tol:
-        raise RuntimeError(
-            f"log-growth Newton did not reach gradient {tol} "
-            f"(residual {gnorm}); is the node arbitrage-free?"
-        )
-    # polish with full Newton steps while the gradient still drops; quadratic
-    # convergence puts it near machine precision, so downstream one-step ratio
-    # identities hold to ~1e-13
-    _, grad, hess = evaluate(pi)
+
+def log_optimal_stack(R, p, tol: float = FOC_TOL, max_iter: int = 200):
+    """G one-step log-growth problems sum_j p[i, j] log(1 + pi . R[i, j]),
+    from pi = 0; least-norm steps give the minimal maximizer.  Converged rows
+    get up to three full Newton steps while the gradient still drops, which
+    puts it near machine precision, so one-step ratio identities hold to
+    ~1e-13.  Returns (pi, gradient sup norm, Newton steps) per row; a
+    stalled row keeps a gradient >= tol."""
+    evaluate = fraction_problems(R, p)
+    pi, _, grad, gnorm, steps = damped_newton(evaluate, np.zeros((R.shape[0], R.shape[2])), tol, max_iter)
+    rows = np.flatnonzero((gnorm < tol) & (gnorm > 0.0))
+    _, grad, hess = evaluate(pi[rows], rows)
     for _ in range(3):
-        if gnorm == 0.0:
+        if not rows.size:
             break
-        step, *_ = np.linalg.lstsq(hess(), grad, rcond=None)
-        trial = evaluate(cand := pi + step)
-        if trial is None or (gn_c := float(np.max(np.abs(trial[1])))) >= gnorm:
-            break
-        pi, (_, grad, hess), gnorm = cand, trial, gn_c
+        cand = pi[rows] + least_norm_step(hess, grad)
+        f, grad, hess = evaluate(cand, rows)
+        gn_c = np.max(np.abs(grad), axis=1)
+        ok = (f > -np.inf) & (gn_c < gnorm[rows])
+        pi[rows[ok]], gnorm[rows[ok]] = cand[ok], gn_c[ok]
+        keep = ok & (gn_c > 0.0)
+        rows, grad, hess = rows[keep], grad[keep], hess[keep]
     return pi, gnorm, steps
 
 
+def _log_stall(gnorm, tol=FOC_TOL) -> str:
+    return (f"log-growth Newton did not reach gradient {tol} "
+            f"(residual {float(gnorm)}); is the node arbitrage-free?")
+
+
+def node_log_optimal(returns, probs, tol: float = FOC_TOL, max_iter: int = 200):
+    """``log_optimal_stack`` for one node; raises ``RuntimeError`` when the
+    gradient does not reach ``tol``.  Returns (pi, sup-norm of the gradient,
+    Newton steps)."""
+    R = np.atleast_2d(np.asarray(returns, dtype=np.float64))
+    pi, gnorm, steps = log_optimal_stack(R[None], np.asarray(probs, dtype=np.float64)[None], tol, max_iter)
+    if gnorm[0] >= tol:
+        raise RuntimeError(_log_stall(gnorm[0], tol))
+    return pi[0], float(gnorm[0]), int(steps[0])
+
+
 def log_recursion(m: MarketModel, weights: np.ndarray | None = None):
-    """Log-optimal fractions at every internal node, leaves to root.
+    """Log-optimal fractions at every internal node.
 
     ``weights`` are the one-step probabilities in ``EventTree.edges`` order
-    (the branch probabilities by default).  Returns the fractions, the
-    gradient sup norm per internal node (breadth-first) and the expected
-    log growth of the optimal wealth under those weights.  A node whose
-    Newton stalls raises ``RuntimeError`` naming the node.
+    (the branch probabilities by default).  A node's fractions do not depend
+    on its children, so all internal nodes form one ``log_optimal_stack``;
+    the expected log growth is then summed leaves to root.  Returns the
+    fractions, the gradient sup norm per internal node (breadth-first) and
+    the expected log growth of the optimal wealth under those weights.
     """
-    t = m.tree
     k = WealthKernel(m)
     R = k.returns
-    w = t.branch_prob[k.child] if weights is None else weights
+    w = m.tree.branch_prob[k.child] if weights is None else weights
+    pi, gnorms, _ = log_optimal_stack(k.stack(R, 0.0), k.stack(w, 0.0))
+    raise_stalled(gnorms, FOC_TOL, k.nodes, _log_stall)
     fr = np.zeros_like(m.prices)
-    gnorms = np.zeros(k.nodes.size)
-    growth = np.zeros(t.n_nodes)  # continuation term E[sum of log factors]
-    for i, v, e in reversed(k.groups()):
-        try:
-            fr[v], gnorms[i], _ = node_log_optimal(R[e], w[e])
-        except RuntimeError as err:
-            raise RuntimeError(f"at node {v}: {err}") from err
-        growth[v] = float(w[e] @ (np.log(1.0 + R[e] @ fr[v]) + growth[k.child[e]]))
+    fr[k.nodes] = pi
+    growth = k.backward(w, np.zeros(m.tree.n_nodes), np.log1p(k.edge_dot(fr[None], R)[0]))
     return fr, gnorms, growth[0]
 
 

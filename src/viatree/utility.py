@@ -31,11 +31,11 @@ from .markets import (
     wealth_from_fractions,
     wealth_from_units,
 )
-from .newton import damped_newton
-from .numeraire import log_recursion
+from .newton import damped_newton, raise_stalled
+from .numeraire import fraction_problems, log_recursion
 
 FOC_TOL = 1e-10
-CUSTOM_GRAD_TOL = 1e-8
+CUSTOM_GRAD_TOL = 1e-8  # times max(1, max|dS|): the program's gradient is in price units
 PROBE_GRID = np.logspace(-8.0, 8.0, 65)
 
 
@@ -134,47 +134,33 @@ def custom_utility(u, du, d2u=None, name: str = "custom") -> UtilityFunction:
     return UtilityFunction(kind="custom", _u=u, _du=du, _d2u=d2u, name=name)
 
 
-def node_power_optimal(
-    returns,
-    weights,
-    gamma: float,
-    tol: float = FOC_TOL,
-    max_iter: int = 200,
-):
-    """Maximize sum_j a_j (1 + pi . R_j)^(1-gamma) over feasible fractions.
-
-    The continuation weights ``a_j`` share the sign of 1/(1-gamma), which
-    makes the objective concave for every admissible gamma.  Returns
-    (pi, objective at the optimum in the original scale, gradient sup
-    norm, iterations).
-    """
-    R = np.atleast_2d(np.asarray(returns, dtype=np.float64))
-    a = np.asarray(weights, dtype=np.float64)
-    scale = float(np.sum(np.abs(a)))
-    if scale == 0.0:
+def power_optimal_stack(R, a, gamma: float, tol: float = FOC_TOL, max_iter: int = 200):
+    """Maximize sum_j a[i, j] (1 + pi . R[i, j])^(1-gamma) for every row i,
+    with |a| scaled to unit sum per row.  Returns (pi, objective in the
+    original scale, gradient sup norm, Newton steps) per row; a stalled row
+    keeps a gradient at or above ``tol``."""
+    scale = np.sum(np.abs(a), axis=1)
+    if np.any(scale == 0.0):
         raise ValueError("continuation weights are all zero")
-    ah = a / scale
-    one_m_g = 1.0 - gamma
-    pi = np.zeros(R.shape[1])
-    if np.max(np.abs(R)) < 1e-12:
-        return pi, float(np.sum(a)), 0.0, 0
-
-    def evaluate(x):
-        g = 1.0 + R @ x
-        if not np.all(g > 0.0):
-            return None
-
-        def hess():  # negated Hessian; PSD for all gamma
-            return (R.T * (gamma * one_m_g * (ah * g ** (-gamma - 1.0)))) @ R
-
-        return float(ah @ g**one_m_g), one_m_g * ((ah * g ** (-gamma)) @ R), hess
-
-    pi, f, _, gnorm, steps = damped_newton(evaluate, pi, tol, max_iter)
-    if gnorm >= tol:
-        raise RuntimeError(
-            f"power-utility Newton stalled at gradient {gnorm} (target {tol})"
-        )
+    evaluate = fraction_problems(R, a / scale[:, None], gamma)
+    pi, f, _, gnorm, steps = damped_newton(evaluate, np.zeros((R.shape[0], R.shape[2])), tol, max_iter)
     return pi, f * scale, gnorm, steps
+
+
+def _power_stall(gnorm, tol=FOC_TOL) -> str:
+    return f"power-utility Newton stalled at gradient {float(gnorm)} (target {tol})"
+
+
+def node_power_optimal(returns, weights, gamma: float, tol: float = FOC_TOL, max_iter: int = 200):
+    """``power_optimal_stack`` for one node; raises ``RuntimeError`` when the
+    gradient does not reach ``tol``.  Returns (pi, objective at the optimum
+    in the original scale, gradient sup norm, iterations)."""
+    R = np.atleast_2d(np.asarray(returns, dtype=np.float64))
+    a = np.asarray(weights, dtype=np.float64)[None]
+    pi, f, gnorm, steps = power_optimal_stack(R[None], a, gamma, tol, max_iter)
+    if gnorm[0] >= tol:
+        raise RuntimeError(_power_stall(gnorm[0], tol))
+    return pi[0], float(f[0]), float(gnorm[0]), int(steps[0])
 
 
 @dataclass
@@ -264,20 +250,20 @@ def _solve_log(m, weights, x0) -> OptimalPortfolioResult:
 
 
 def _solve_crra(m, weights, x0, gamma) -> OptimalPortfolioResult:
+    """One ``power_optimal_stack`` per depth level, leaves to root, with the
+    one-step weights times the children's value coefficients psi."""
     t = m.tree
     k = WealthKernel(m)
     R = k.returns
     fr = np.zeros_like(m.prices)
-    psi = np.empty(t.n_nodes)
+    psi = np.zeros(t.n_nodes)
     psi[t.leaves] = 1.0 / (1.0 - gamma)
-    foc = 0.0
-    for _, v, e in reversed(k.groups()):
-        try:
-            a = weights[e] * psi[k.child[e]]
-            fr[v], psi[v], gnorm, _ = node_power_optimal(R[e], a, gamma)
-        except RuntimeError as err:
-            raise RuntimeError(f"at node {v}: {err}") from err
-        foc = max(foc, gnorm)
+    gnorms = np.zeros(k.nodes.size)
+    for nv in reversed(k.node_levels):
+        a = k.stack(weights * psi[k.child], 0.0, nv)
+        pi, psi[k.nodes[nv]], gnorms[nv], _ = power_optimal_stack(k.stack(R, 0.0, nv), a, gamma)
+        raise_stalled(gnorms[nv], FOC_TOL, k.nodes[nv], _power_stall)
+        fr[k.nodes[nv]] = pi
     strategy = FractionStrategy(fractions=fr)
     wealth = wealth_from_fractions(m, strategy, x0)
     return OptimalPortfolioResult(
@@ -285,7 +271,7 @@ def _solve_crra(m, weights, x0, gamma) -> OptimalPortfolioResult:
         value=float(x0 ** (1.0 - gamma) * psi[0]),
         strategy=strategy,
         wealth=wealth,
-        foc_residual=foc,
+        foc_residual=float(gnorms.max(initial=0.0)),
         route="crra-recursion",
     )
 
@@ -295,35 +281,34 @@ def _solve_custom(m, weights, x0, utility, tol=CUSTOM_GRAD_TOL, max_iter=300):
     # leaf weights under the chosen measure
     qw = WealthKernel(m).roll(weights[None], 1.0, multiplicative=True)[0, t.leaves]
     G = leaf_gain_matrix(m)
+    tol = tol * max(1.0, float(np.abs(G).max(initial=0.0)))
 
     def unit_strategy(th):
         h = np.zeros_like(m.prices)
         h[t.internal] = th.reshape(t.internal.size, m.d)
         return UnitStrategy(holdings=h)
 
-    def evaluate(th):
-        w = wealth_from_units(m, unit_strategy(th), x0)
+    def evaluate(th, rows):  # a stack of one problem
+        w = wealth_from_units(m, unit_strategy(th[0]), x0)
         if not np.all(w.values > 0.0):
-            return None
+            return np.array([-np.inf]), np.zeros_like(th), np.zeros((1, th.size, th.size))
         wl = w.values[t.leaves]
+        hess = (G.T * (-qw * utility.second(wl))) @ G  # positive weights
+        grad = G.T @ (qw * utility.marginal(wl))
+        return np.array([qw @ utility.value(wl)]), grad[None], hess[None]
 
-        def hess():
-            return (G.T * (-qw * utility.second(wl))) @ G  # positive weights
-
-        return float(qw @ utility.value(wl)), G.T @ (qw * utility.marginal(wl)), hess
-
-    theta, f, _, gnorm, _ = damped_newton(evaluate, np.zeros(G.shape[1]), tol, max_iter)
-    if gnorm >= tol:
+    theta, f, _, gnorm, _ = damped_newton(evaluate, np.zeros((1, G.shape[1])), tol, max_iter)
+    if gnorm[0] >= tol:
         raise RuntimeError(
-            f"custom-utility program stalled at gradient {gnorm} (target {tol})"
+            f"custom-utility program stalled at gradient {gnorm[0]} (target {tol})"
         )
-    strategy = unit_strategy(theta)
+    strategy = unit_strategy(theta[0])
     return OptimalPortfolioResult(
         status="ok",
-        value=f,
+        value=float(f[0]),
         strategy=strategy,
         wealth=wealth_from_units(m, strategy, x0),
-        foc_residual=gnorm,
+        foc_residual=float(gnorm[0]),
         route="concave-program",
     )
 

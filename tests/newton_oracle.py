@@ -6,9 +6,9 @@ recursions and the custom-utility program (with per-node dict weights), and
 the two dense leaf-space solvers that the entropy recursion replaced, the
 minimal-entropy Newton in the null space of the martingale constraints and
 the exponential-utility Newton over every (node, asset) holding.
-``tests/test_newton.py`` holds the library's log, power and custom solvers
-to these results bit for bit, and its entropy recursion to these results
-within tolerances.  The entropy loops keep their own constants and result
+``tests/test_newton.py`` holds the library's stacked log, power and custom
+solvers and its entropy recursion to these results within tolerances (the
+custom loop keeps the old absolute 1e-8 gradient gate).  The entropy loops keep their own constants and result
 types, so nothing here depends on what the library's entropy module holds.
 """
 
