@@ -1,18 +1,25 @@
 """No-arbitrage decisions, martingale densities and arbitrage certificates.
 
 On a finite leveled event tree, absence of arbitrage is equivalent to a
-per-node one-period condition: at every internal node the origin must lie
-in the relative interior of the convex hull of the outgoing price
-increments.  That condition is decided by a small LP per node,
+per-node one-period condition (Dalang, Morton and Willinger 1990): at every
+internal node the origin must lie in the relative interior of the convex
+hull of the outgoing price increments.  That condition is decided by a
+small LP per node,
 
     maximize  eps   s.t.  sum_j q_j dS_j = 0 (per asset),
                           sum_j q_j = 1,  q_j >= eps,
 
 whose optimum eps* is strictly positive exactly when an interior
-martingale weight vector q exists.  Gluing the per-node weights
-multiplicatively yields an equivalent martingale measure; on failure the
-LP dual supplies a separating vector H with H.dS_j >= 0 for all branches
-and > 0 for at least one, which lifts to a one-period arbitrage strategy.
+martingale weight vector q exists.  The LP is built on scale-free
+coordinates: each node's increments are divided by their max |dS| and
+rotated onto their singular vectors, with singular values below
+``DEGENERATE_TOL`` times the largest set to zero.  That is a positive
+scaling and an orthogonal change of asset coordinates, which leave eps*
+and q unchanged in exact arithmetic, so the verdict does not depend on the
+price unit.  Gluing the per-node weights multiplicatively yields an
+equivalent martingale measure; at the first failing node a separate LP
+finds a vector H with H.dS_j >= 0 for all branches and > 0 for at least
+one, which lifts to a one-period arbitrage strategy.
 
 Every verdict ships with a replayable certificate: the density's
 martingale residuals on the NA side, the strategy's terminal gains on the
@@ -33,15 +40,14 @@ from .markets import (
     price_martingale_residual,
     wealth_from_units,
 )
-from .simplex import SimplexError, solve_lp, solve_lps
+from .simplex import solve_lp, solve_lps
 
 DEGENERATE_TOL = 1e-12
 EPS_POSITIVE_TOL = 1e-9
-AMBIGUITY_BAND = 1e-9
-EMM_RESIDUAL_TOL = 1e-9
 GAIN_ROUNDOFF = 1e-12  # gains below this share of max |gain| count as zero
-# Internal nodes a depth level needs before ``check_na`` stacks the LPs of
-# that level and every deeper one; smaller levels go node by node.
+# Node LPs that ``_node_lps`` solves in one ``solve_lps`` stack rather than
+# one by one through ``solve_lp``, and internal nodes a depth level needs
+# before ``check_na`` decides it together with every deeper level.
 STACK_MIN = 12
 
 
@@ -67,16 +73,24 @@ class NodeNaResult:
 
 
 def _max_slack_lps(inc: np.ndarray):
-    """LP data for max eps s.t. sum q_j dS_j = 0, sum q_j = 1, q_j >= eps,
+    """LP data for max eps s.t. sum q_j X_j = 0, sum q_j = 1, q_j >= eps,
     one LP per (k, d) increment block of the (G, k, d) stack ``inc``.
 
-    Substituting r_j = q_j - eps >= 0 and splitting eps = e+ - e- gives an
-    equality-form LP in (r, e+, e-) >= 0.
+    X is the block on scale-free coordinates: divided by its max |dS|, then
+    U S of its thin SVD with singular values below ``DEGENERATE_TOL`` times
+    the largest set to zero, padded with zero columns to d.  Substituting
+    r_j = q_j - eps >= 0 and splitting eps = e+ - e- gives an equality-form
+    LP in (r, e+, e-) >= 0.
     """
     G, k, d = inc.shape
-    sigma = inc.sum(axis=1)  # column sums of increments
+    U, s, _ = np.linalg.svd(inc / np.abs(inc).max(axis=(1, 2), keepdims=True),
+                            full_matrices=False)
+    s[s < DEGENERATE_TOL * s[:, :1]] = 0.0
+    X = np.zeros_like(inc)
+    X[:, :, : s.shape[1]] = U * s[:, None, :]
+    sigma = X.sum(axis=1)  # column sums of increments
     A = np.zeros((G, d + 1, k + 2))
-    A[:, :d, :k] = inc.transpose(0, 2, 1)
+    A[:, :d, :k] = X.transpose(0, 2, 1)
     A[:, :d, k] = sigma
     A[:, :d, k + 1] = -sigma
     A[:, d, :k] = 1.0
@@ -90,10 +104,56 @@ def _max_slack_lps(inc: np.ndarray):
     return A, b, c
 
 
+def _node_lps(inc: np.ndarray, bp: np.ndarray, tol_pos: float):
+    """Decide G nodes with k branches each from their (G, k, d) increments
+    and (G, k) branch probabilities.
+
+    Returns eps* (G,), the unprojected interior weights q (G, k), NaN in
+    the rows with eps* <= tol_pos, and the rows each q must satisfy, the
+    LP's (G, d + 1, k) moment and sum rows (``_project_weights``).  A node
+    whose increments are all below ``DEGENERATE_TOL`` keeps its branch
+    probabilities, with eps* their minimum and zero rows.  Fewer than
+    ``STACK_MIN`` LPs are solved one by one, more in one stack.
+    """
+    G, k, d = inc.shape
+    eps, q = bp.min(axis=1), bp.copy()
+    rows = np.zeros((G, d + 1, k))
+    lp = np.flatnonzero(np.abs(inc).max(axis=(1, 2)) >= DEGENERATE_TOL)
+    if lp.size:
+        A, b, c = _max_slack_lps(inc[lp])
+        if lp.size >= STACK_MIN:
+            X = solve_lps(A, b, c).x  # NaN rows where not optimal
+        else:
+            X = np.full((lp.size, k + 2), np.nan)
+            for i in range(lp.size):
+                res = solve_lp(A[i], b[i], c)
+                if res.status == "optimal":
+                    X[i] = res.x
+        e = X[:, k] - X[:, k + 1]
+        eps[lp] = np.where(np.isnan(e), -np.inf, e)
+        q[lp] = np.where((e > tol_pos)[:, None], X[:, :k] + e[:, None], np.nan)
+        rows[lp] = A[:, :, :k]
+    return eps, q, rows
+
+
+def _project_weights(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Least-norm corrections of a stack of weights q (G, k) onto
+    {q: rows q = (0, ..., 0, 1)}, one batched pseudo-inverse; a node whose
+    corrected weights leave the open simplex keeps q.  Zero rows leave q
+    as it is."""
+    target = np.zeros(rows.shape[1])
+    target[-1] = 1.0
+    resid = (rows @ q[:, :, None])[:, :, 0] - target
+    out = q - (np.linalg.pinv(rows) @ resid[:, :, None])[:, :, 0]
+    return np.where(np.all(out > 0.0, axis=1, keepdims=True), out, q)
+
+
 def _separating_vector(inc: np.ndarray) -> tuple[np.ndarray | None, float]:
     """Best-effort separating vector via  max sum_j H.dS_j  s.t.
-    H.dS_j >= 0 for all j and |H_i| <= 1.  The box keeps the LP bounded;
-    a positive optimum certifies one-period arbitrage."""
+    H.dS_j >= 0 for all j and |H_i| <= 1, on the increments divided by
+    their max |dS|.  The box keeps the LP bounded; a positive optimum
+    certifies one-period arbitrage."""
+    inc = inc / np.abs(inc).max()
     k, d = inc.shape
     # variables: h+ (d), h- (d), s (k slacks), u+ (d), u- (d)
     n = 2 * d + k + 2 * d
@@ -122,7 +182,8 @@ def node_na_lp(
     branch_probs,
     tol_pos: float = EPS_POSITIVE_TOL,
 ) -> NodeNaResult:
-    """Decide one-period no-arbitrage for the increments out of one node.
+    """Decide one-period no-arbitrage for the increments out of one node:
+    the one-node call of ``_node_lps``.
 
     Returns interior weights q when eps* > tol_pos; otherwise a separating
     vector.  A fully degenerate node (all increments below 1e-12 in sup
@@ -134,53 +195,18 @@ def node_na_lp(
     k = inc.shape[0]
     if bp.shape != (k,):
         raise ValueError(f"expected {k} branch probabilities, got {bp.shape}")
-
-    if np.max(np.abs(inc)) < DEGENERATE_TOL:
+    eps, q, rows = _node_lps(inc[None], bp[None], tol_pos)
+    eps = float(eps[0])
+    if not np.isnan(q[0, 0]):
         return NodeNaResult(
-            eps_star=float(bp.min()), q=bp.copy(), degenerate=True,
-            note="degenerate node: all increments ~ 0",
+            eps_star=eps, q=_project_weights(rows, q)[0],
+            degenerate=bool(np.max(np.abs(inc)) < DEGENERATE_TOL),
         )
-
-    A, b, c = _max_slack_lps(inc[None])
-    A, b = A[0], b[0]
-    res = solve_lp(A, b, c)
-    if res.status == "optimal":
-        eps = float(res.x[k] - res.x[k + 1])
-        if abs(eps) < AMBIGUITY_BAND:
-            res = solve_lp(A, b, c, tol=1e-13)  # re-solve in the ambiguity band
-            if res.status == "optimal":
-                eps = float(res.x[k] - res.x[k + 1])
-        if res.status == "optimal" and eps > tol_pos:
-            q = res.x[:k] + eps
-            q = _project_weights(inc, q)
-            return NodeNaResult(eps_star=eps, q=q)
-        sep, gain = _separating_vector(inc)
-        return NodeNaResult(
-            eps_star=eps if res.status == "optimal" else -np.inf,
-            separating=sep,
-            note=f"max-slack eps*={eps!r}; separating gain sum {gain!r}",
-        )
-    # No q at all solves the moment system: strong arbitrage. The phase-1
-    # Farkas dual certifies it, but report the polished vector from the
-    # separating LP.
     sep, gain = _separating_vector(inc)
     return NodeNaResult(
-        eps_star=-np.inf,
-        separating=sep,
-        note=f"moment system infeasible; separating gain sum {gain!r}",
+        eps_star=eps, separating=sep,
+        note=f"max-slack eps*={eps!r}; separating gain sum {gain!r}",
     )
-
-
-def _project_weights(inc: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Least-norm correction of q onto {q: inc.T q = 0, sum q = 1}."""
-    k = inc.shape[0]
-    M = np.vstack([inc.T, np.ones((1, k))])
-    target = np.zeros(M.shape[0])
-    target[-1] = 1.0
-    resid = M @ q - target
-    corr, *_ = np.linalg.lstsq(M, resid, rcond=None)
-    out = q - corr
-    return out if np.all(out > 0.0) else q
 
 
 @dataclass
@@ -199,90 +225,62 @@ class NaCertificate:
 def check_na(m: MarketModel, tol_pos: float = EPS_POSITIVE_TOL) -> NaCertificate:
     """Global no-arbitrage decision with a glued EMM or a lifted strategy.
 
-    Internal nodes are scanned breadth-first; the first failing node (if
-    any) supplies the separating vector, lifted to a one-period unit
-    strategy that is zero elsewhere.
+    Internal nodes are decided breadth-first, in arrays, one ``_node_lps``
+    call per branch count: one depth level at a time while levels have
+    fewer than ``STACK_MIN`` internal nodes, then all remaining nodes at
+    once.  The first failing node ends the sweep: its separating vector is
+    lifted to a one-period unit strategy that is zero elsewhere, and
+    ``node_eps`` stops at it.  When every node passes, the weights of all
+    nodes are projected in one batched call, in the LP's coordinates, and
+    glued into the density one depth level at a time.
     """
     t = m.tree
-    node_eps: dict[int, float] = {}
-    w = np.empty(t.n_nodes)  # one-step martingale weight of each edge, by child
-    for v, r in _node_results(m, tol_pos):
-        node_eps[v] = r.eps_star
-        if not r.is_na:
-            strategy = _lift_separating(m, v, r.separating)
-            replay = _replay_arbitrage(m, strategy)
+    k = WealthKernel(m)
+    eps = np.empty(k.nodes.size)
+    q = np.empty(k.child.size)  # one-step martingale weight of each edge
+    rows = np.empty((k.child.size, m.d + 1))  # the LP rows of each weight
+    for nodes in _sweep(k):
+        for size in sorted(set(k.sizes[nodes].tolist())):
+            at = nodes[k.sizes[nodes] == size]
+            e = k.starts[at, None] + np.arange(size)
+            eps[at], q[e], r = _node_lps(k.dS[e], t.branch_prob[k.child[e]], tol_pos)
+            rows[e] = r.transpose(0, 2, 1)
+        failed = nodes[np.isnan(q[k.starts[nodes]])]
+        if failed.size:
+            i = int(failed[0])
+            v = int(k.nodes[i])
+            sep, _ = _separating_vector(m.increments(v))
+            strategy = _lift_separating(m, v, sep)
             return NaCertificate(
                 verdict="ARBITRAGE",
-                node_eps=node_eps,
+                node_eps=dict(zip(k.nodes[: i + 1].tolist(), eps[: i + 1].tolist())),
                 fail_node=v,
                 strategy=strategy,
-                replay=replay,
+                replay=_replay_arbitrage(m, strategy),
             )
-        w[t.children[v]] = r.q
 
-    z = np.ones(t.n_nodes)
-    off = t.level_offsets
-    for lo, hi in zip(off[1:-1], off[2:]):
-        z[lo:hi] = z[t.parent[lo:hi]] * w[lo:hi] / t.branch_prob[lo:hi]
-    density = DensityProcess(z=z)
+    # padded branch slots get weight 1 and zero rows, which they keep
+    real = np.arange(k.sizes.max(initial=0)) < k.sizes[:, None]
+    q = _project_weights(k.stack(rows, 0.0).transpose(0, 2, 1), k.stack(q, 1.0))[real]
+    step = q / t.branch_prob[k.child]
+    density = DensityProcess(z=k.roll(step[None], 1.0, multiplicative=True)[0])
     return NaCertificate(
         verdict="NA",
         density=density,
         emm_residual=price_martingale_residual(m, density),
-        node_eps=node_eps,
+        node_eps=dict(zip(k.nodes.tolist(), eps.tolist())),
     )
 
 
-def _node_results(m: MarketModel, tol_pos: float):
-    """(node, ``node_na_lp`` result) for every internal node, breadth-first.
-
-    Levels with fewer than ``STACK_MIN`` nodes run node by node.  From the
-    first level that reaches it, the LPs of all remaining nodes are solved
-    in one ``solve_lps`` call per branch count; a node the stack does not
-    settle (not optimal, eps* in the ambiguity band or at most ``tol_pos``,
-    degenerate) is re-run through ``node_na_lp`` when its turn comes.
-    """
-    t = m.tree
-    off = t.level_offsets
-    for lo, hi in zip(off[:-2], off[1:-1]):
-        if hi - lo >= STACK_MIN:
-            yield from _stacked_results(m, lo, tol_pos)
+def _sweep(k: WealthKernel):
+    """Internal-node indices in the blocks ``check_na`` decides together:
+    one depth level at a time until a level has ``STACK_MIN`` nodes, then
+    all remaining ones."""
+    for nv in k.node_levels:
+        if nv.stop - nv.start >= STACK_MIN:
+            yield np.arange(nv.start, k.nodes.size)
             return
-        for v in range(lo, hi):
-            yield v, node_na_lp(m.increments(v), t.branch_prob[t.children[v]], tol_pos)
-
-
-def _stacked_results(m: MarketModel, lo: int, tol_pos: float):
-    """``_node_results`` for the internal nodes from ``lo`` on, stacked."""
-    t = m.tree
-    nodes = np.arange(lo, t.level_offsets[-2])
-    sizes = np.bincount(t.parent[1:], minlength=t.n_nodes)
-    first = np.cumsum(sizes) - sizes  # first edge of each node in t.edges
-    ks, group = np.unique(sizes[nodes], return_inverse=True)
-    row = np.empty(nodes.size, dtype=np.int64)
-    stacks = []
-    for g, k in enumerate(ks.tolist()):
-        at = np.flatnonzero(group == g)
-        row[at] = np.arange(at.size)
-        kids = t.edges[first[nodes[at], None] + np.arange(k)]
-        inc = m.prices[kids] - m.prices[nodes[at], None]
-        X = np.full((at.size, k + 2), np.nan)  # NaN where no LP was solved
-        lp = np.flatnonzero(np.abs(inc).max(axis=(1, 2)) >= DEGENERATE_TOL)
-        if lp.size:
-            try:
-                X[lp] = solve_lps(*_max_slack_lps(inc[lp])).x
-            except SimplexError:  # node_na_lp raises it again on its node
-                pass
-        eps = X[:, k] - X[:, k + 1]
-        settled = ~(np.abs(eps) < AMBIGUITY_BAND) & (eps > tol_pos)
-        stacks.append((k, inc, t.branch_prob[kids], X, eps.tolist(), settled.tolist()))
-    for v, g, i in zip(nodes.tolist(), group.tolist(), row.tolist()):
-        k, inc, bp, X, eps, settled = stacks[g]
-        if settled[i]:
-            q = _project_weights(inc[i], X[i, :k] + eps[i])
-            yield v, NodeNaResult(eps_star=eps[i], q=q)
-        else:
-            yield v, node_na_lp(inc[i], bp[i], tol_pos)
+        yield np.arange(nv.start, nv.stop)
 
 
 def _lift_separating(m: MarketModel, node: int, h: np.ndarray) -> UnitStrategy:

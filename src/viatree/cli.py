@@ -41,15 +41,16 @@ from .bessel import (
 from .entropy import _min_entropy, entropy_hellinger, exp_utility, min_entropy_emm
 from .market_io import MarketFormatError, load_market
 from .markets import DensityProcess, price_martingale_residual
-from .measure_change import _verify_value_bound, delta_for_epsilon
+from .measure_change import delta_for_epsilon, verify_value_bound
 from .numeraire import deflator_probe, numeraire_portfolio, verify_numeraire
 from .reporting import make_report, render, write_report
 from .utility import (
     EquivalenceConfig,
-    _maximize_utility,
     crra_utility,
     equivalence_suite,
     log_utility,
+    maximize_utility,
+    solve_utility,
 )
 
 STOPPED_LEVELS = [1, 2, 4, 8, 16, 32, 64]
@@ -134,7 +135,8 @@ def _cmd_check(args) -> tuple[int, dict]:
     }
     if cert.verdict == "NA":
         resid = cert.emm_residual
-        ok = resid <= args.tol_eq and float(cert.density.z.min()) > 0.0
+        tol_price = args.tol_eq * max(1.0, float(np.max(np.abs(m.prices))))
+        ok = resid <= tol_price and float(cert.density.z.min()) > 0.0
         payload["emm_price_residual"] = resid
     else:
         replay = cert.replay
@@ -189,10 +191,7 @@ def _parse_utility(text: str):
 def _cmd_optimize(args) -> tuple[int, dict]:
     m = load_market(args.market)
     utility = args.utility
-    cert = None
-    if args.measure == "physical":
-        measure = None
-    elif args.measure == "emm":
+    if args.measure == "emm":
         cert = check_na(m)
         if cert.verdict != "NA":
             return 1, {
@@ -201,10 +200,10 @@ def _cmd_optimize(args) -> tuple[int, dict]:
                 "reason": "no martingale density exists",
                 "certificate": _cert_payload(cert),
             }
-        measure = cert.density
+        res = solve_utility(m, utility, args.x0, cert.density)
     else:
-        measure = _load_density(args.measure, m.tree.n_nodes)
-    res = _maximize_utility(m, utility, args.x0, measure, cert)
+        measure = None if args.measure == "physical" else _load_density(args.measure, m.tree.n_nodes)
+        res = maximize_utility(m, utility, args.x0, measure)
     payload = {
         "market": m.label,
         "status": res.status,
@@ -231,7 +230,7 @@ def _cmd_measure(args) -> tuple[int, dict]:
     cert = check_na(m)
     q = _min_entropy(m, cert).density.z[m.tree.leaves]
     dm = delta_for_epsilon(m.tree, q, args.epsilon)
-    vb = _verify_value_bound(m, dm, None, args.x0, args.tol_eq, cert)
+    vb = verify_value_bound(m, dm, None, args.x0, args.tol_eq)
     eps_ok = dm.l1_dist <= args.epsilon
     bound_ok = float(dm.z_leaf.max()) <= dm.bound + 1e-12
     ok = eps_ok and bound_ok and vb["passed"]

@@ -138,16 +138,11 @@ def verify_value_bound(
 
     Requires the underlying q to be the terminal restriction of a
     martingale density for the market (price residual within 1e-9 of
-    max(1, max|S|)); the optimal utility value under Z_delta must then stay
-    below U(x0 / (delta * E[q_delta])) + tol.
+    max(1, max|S|)); with q > 0 that density certifies the market
+    arbitrage-free, so no sweep runs.  The optimal utility value under
+    Z_delta must then stay below U(x0 / (delta * E[q_delta])) + tol.
     """
-    return _verify_value_bound(m, dm, utility, x0, tol)
-
-
-def _verify_value_bound(m, dm, utility, x0, tol, na=None):
-    """``verify_value_bound`` reusing the no-arbitrage certificate ``na`` of
-    ``m`` when the caller already has it."""
-    from .utility import _maximize_utility, log_utility
+    from .utility import log_utility, solve_utility
 
     utility = utility or log_utility()
     base = density_from_leaf_values(m.tree, dm.q)
@@ -157,9 +152,7 @@ def _verify_value_bound(m, dm, utility, x0, tol, na=None):
             f"q is not a martingale-density transform of this market "
             f"(price residual {resid!r})"
         )
-    res = _maximize_utility(m, utility, x0, dm.density, na)
-    if res.status != "ok":
-        raise ValueError("market admits arbitrage; the bound presumes a density")
+    res = solve_utility(m, utility, x0, dm.density)
     cap = x0 / (dm.delta * dm.e_q_delta)
     bound = float(utility.value(cap))
     return {

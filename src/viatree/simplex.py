@@ -5,9 +5,8 @@ for both the entering and the leaving variable, which rules out cycling.
 Instances here have a handful of rows and columns, so a dense tableau in
 double precision is the right trade: correctness over speed.
 
-On termination the basic solution and the equality duals are recomputed
-from the original data (not read off the updated tableau), which removes
-accumulated pivot drift.  The duals are computed on first read.
+On termination the basic solution is recomputed from the original data
+(not read off the updated tableau), which removes accumulated pivot drift.
 
 ``solve_lp`` solves one LP; ``solve_lps`` solves a stack of same-shape LPs
 in lockstep with array operations and returns, for every LP, the status,
@@ -18,8 +17,7 @@ reductions go through the same numpy calls with the same memory layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,17 +34,6 @@ class LPResult:
     x: np.ndarray | None = None
     objective: float | None = None
     iterations: int = 0
-    _duals: object = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def y(self) -> np.ndarray | None:
-        """Duals of the equality rows of an optimal LP."""
-        return self._duals() if self.status == "optimal" and self._duals else None
-
-    @cached_property
-    def farkas(self) -> np.ndarray | None:
-        """For infeasible LPs: y with y.A <= 0 (componentwise) and y.b > 0."""
-        return self._duals() if self.status == "infeasible" and self._duals else None
 
 
 @dataclass
@@ -121,12 +108,6 @@ def _basis_matrix(A: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
     return np.hstack(cols)
 
 
-def _equality_duals(A, basis, cost, n):
-    B = _basis_matrix(A, basis, n)
-    y, *_ = np.linalg.lstsq(B.T, cost[basis], rcond=None)
-    return y
-
-
 def solve_lp(A, b, c, tol: float = PIVOT_TOL, max_iter: int = 10_000) -> LPResult:
     """min c.x s.t. A x = b, x >= 0 (dense two-phase simplex)."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64)).copy()
@@ -152,13 +133,7 @@ def solve_lp(A, b, c, tol: float = PIVOT_TOL, max_iter: int = 10_000) -> LPResul
         raise SimplexError("phase 1 did not terminate at an optimum")
     phase1_val = float(cost1[basis] @ tab[:, -1])
     if phase1_val > np.sqrt(tol):
-
-        def farkas():
-            y = _equality_duals(A, basis, cost1, n)
-            y[flip] *= -1.0
-            return y
-
-        return LPResult(status="infeasible", iterations=it1, _duals=farkas)
+        return LPResult(status="infeasible", iterations=it1)
 
     # Drive leftover artificials out of the basis; a row where no structural
     # pivot exists is a redundant equality and is dropped.
@@ -194,20 +169,7 @@ def solve_lp(A, b, c, tol: float = PIVOT_TOL, max_iter: int = 10_000) -> LPResul
     x = np.zeros(n)
     x[basis] = xb
     np.clip(x, 0.0, None, out=x)
-
-    def duals():
-        y = np.zeros(flip.size)
-        y[rows_kept] = _equality_duals(A_kept, basis, c, n)
-        y[flip] *= -1.0
-        return y
-
-    return LPResult(
-        status="optimal",
-        x=x,
-        objective=float(c @ x),
-        iterations=it1 + it2,
-        _duals=duals,
-    )
+    return LPResult(status="optimal", x=x, objective=float(c @ x), iterations=it1 + it2)
 
 
 # ---- stacked form: G same-shape LPs in lockstep ------------------------------

@@ -195,43 +195,54 @@ def maximize_utility(
     """Maximize E[U(terminal wealth)] over admissible self-financing
     strategies, optionally under a reweighted (density) measure.
 
-    Log and CRRA run the separable backward recursion; custom certified
-    utilities run the concave program over unit holdings.  If the market
-    admits arbitrage the problem has no solution and the certificate comes
-    back instead.
+    Decides no-arbitrage first (``check_na``) and then runs
+    ``solve_utility``.  If the market admits arbitrage the problem has no
+    solution and the certificate comes back instead.
     """
-    return _maximize_utility(m, utility, x0, measure)
+    na = check_na(m)
+    if na.verdict == "NA":
+        res = solve_utility(m, utility, x0, measure)
+        res.certificate = na
+        return res
+    return OptimalPortfolioResult(
+        status="no-solution",
+        route="arbitrage-detected",
+        measure_used="density" if measure is not None else "physical",
+        utility_certificate=_certified(utility, x0),
+        certificate=na,
+    )
 
 
-def _maximize_utility(m, utility, x0, measure, na: NaCertificate | None = None):
-    """``maximize_utility`` reusing the no-arbitrage certificate ``na`` of
-    ``m`` when the caller already has it."""
+def _certified(utility: UtilityFunction, x0: float) -> dict:
     if x0 <= 0.0:
         raise ValueError(f"initial capital must be positive, got {x0!r}")
     ucert = utility.certify()
     if not ucert["passed"]:
         raise ValueError(f"utility failed its numerical certificate: {ucert}")
-    if na is None:
-        na = check_na(m)
-    if na.verdict != "NA":
-        return OptimalPortfolioResult(
-            status="no-solution",
-            route="arbitrage-detected",
-            measure_used="density" if measure is not None else "physical",
-            utility_certificate=ucert,
-            certificate=na,
-        )
+    return ucert
+
+
+def solve_utility(
+    m: MarketModel,
+    utility: UtilityFunction,
+    x0: float = 1.0,
+    measure: DensityProcess | None = None,
+) -> OptimalPortfolioResult:
+    """``maximize_utility`` for a market the caller knows to be
+    arbitrage-free, with no sweep: log and CRRA run the separable backward
+    recursion, custom certified utilities the concave program over unit
+    holdings.  On a market with arbitrage a node solver stalls and raises,
+    naming its node."""
+    ucert = _certified(utility, x0)
     weights = _step_weights(m, measure)
-    measure_used = "density" if measure is not None else "physical"
     if utility.kind == "log":
         res = _solve_log(m, weights, x0)
     elif utility.kind == "crra":
         res = _solve_crra(m, weights, x0, utility.gamma)
     else:
         res = _solve_custom(m, weights, x0, utility)
-    res.measure_used = measure_used
+    res.measure_used = "density" if measure is not None else "physical"
     res.utility_certificate = ucert
-    res.certificate = na
     return res
 
 
@@ -334,7 +345,7 @@ def viability_under_measure(
             "reason": "arbitrage: no sigma-martingale density exists",
             "certificate": cert,
         }
-    res = _maximize_utility(m, utility, x0, cert.density, cert)
+    res = solve_utility(m, utility, x0, cert.density)
     bound = float(utility.value(x0))
     return {
         "viable": True,

@@ -1,26 +1,28 @@
 """Test-only oracle: the no-arbitrage sweep as a plain per-node loop.
 
-This is ``check_na`` before its LPs were stacked: every internal node, in
-breadth-first order, runs its own max-slack LP through ``solve_lp``, and the
-density is glued one node at a time.  The stacked sweep must reproduce its
-certificates bitwise.
+This is ``check_na`` before its LPs were stacked and conditioned: every
+internal node, in breadth-first order, runs its own max-slack LP in raw
+price units through ``solve_lp``, re-solves it at a tighter pivot
+tolerance when eps* falls in the ambiguity band, polishes its weights with
+one ``lstsq`` per node, and the density is glued one node at a time.  The
+constants and helpers of that sweep are kept here, so the oracle does not
+move with the library.
 """
 
 import numpy as np
 
 from viatree.arbitrage import (
-    AMBIGUITY_BAND,
-    DEGENERATE_TOL,
-    EPS_POSITIVE_TOL,
     NaCertificate,
     NodeNaResult,
     _lift_separating,
-    _project_weights,
     _replay_arbitrage,
-    _separating_vector,
 )
 from viatree.markets import DensityProcess, MarketModel, price_martingale_residual
 from viatree.simplex import solve_lp
+
+DEGENERATE_TOL = 1e-12
+EPS_POSITIVE_TOL = 1e-9
+AMBIGUITY_BAND = 1e-9
 
 
 def _max_slack_lp(inc: np.ndarray):
@@ -44,6 +46,44 @@ def _max_slack_lp(inc: np.ndarray):
     c[k] = -1.0
     c[k + 1] = 1.0
     return A, b, c
+
+
+def _separating_vector(inc: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """Best-effort separating vector via  max sum_j H.dS_j  s.t.
+    H.dS_j >= 0 for all j and |H_i| <= 1, in raw price units."""
+    k, d = inc.shape
+    # variables: h+ (d), h- (d), s (k slacks), u+ (d), u- (d)
+    n = 2 * d + k + 2 * d
+    A = np.zeros((k + 2 * d, n))
+    A[:k, :d] = inc
+    A[:k, d : 2 * d] = -inc
+    A[:k, 2 * d : 2 * d + k] = -np.eye(k)
+    A[k : k + d, :d] = np.eye(d)
+    A[k : k + d, 2 * d + k : 3 * d + k] = np.eye(d)
+    A[k + d :, d : 2 * d] = np.eye(d)
+    A[k + d :, 3 * d + k :] = np.eye(d)
+    b = np.concatenate([np.zeros(k), np.ones(2 * d)])
+    gain_sum = inc.sum(axis=0)
+    c = np.zeros(n)
+    c[:d] = -gain_sum
+    c[d : 2 * d] = gain_sum
+    res = solve_lp(A, b, c)
+    if res.status != "optimal":
+        return None, 0.0
+    h = res.x[:d] - res.x[d : 2 * d]
+    return h, float(-res.objective)
+
+
+def _project_weights(inc: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Least-norm correction of q onto {q: inc.T q = 0, sum q = 1}."""
+    k = inc.shape[0]
+    M = np.vstack([inc.T, np.ones((1, k))])
+    target = np.zeros(M.shape[0])
+    target[-1] = 1.0
+    resid = M @ q - target
+    corr, *_ = np.linalg.lstsq(M, resid, rcond=None)
+    out = q - corr
+    return out if np.all(out > 0.0) else q
 
 
 def node_na_lp(

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
+from test_newton import _permute_siblings
 
 from viatree import (
+    MarketModel,
     UnitStrategy,
     check_na,
     check_nupbr,
@@ -240,3 +244,50 @@ class TestRandomMarkets:
         else:
             assert cert.replay["min_gain"] >= -1e-12
             assert cert.replay["max_gain"] > 1e-9
+
+
+class TestScaleFreeDecision:
+    """The node LPs run on scale-free coordinates, so no unit of account,
+    per-asset unit or sibling order changes a verdict."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 3),
+        power=st.integers(-9, 9),
+        arbitrage_free=st.booleans(),
+    )
+    def test_verdict_is_invariant(self, seed, d, power, arbitrage_free):
+        rng = np.random.default_rng(seed)
+        maker = random_na_market if arbitrage_free else random_market
+        m = maker(rng, d=d, depth_range=(1, 4), branch_range=(2, 4))
+        verdict = check_na(m).verdict
+        assert verdict == "NA" or not arbitrage_free
+        per_asset = 10.0 ** rng.uniform(-3.0, 3.0, size=d)
+        for prices in (m.prices * 10.0**power, m.prices * per_asset):
+            assert check_na(MarketModel(m.tree, prices)).verdict == verdict
+        assert check_na(_permute_siblings(m, rng)).verdict == verdict
+
+    def test_recipe_in_price_unit_1e6(self):
+        rng = np.random.default_rng(3)
+        for _ in range(150):
+            m = random_na_market(rng, d=int(rng.integers(1, 4)))
+            assert check_na(MarketModel(m.tree, 1e6 * m.prices)).verdict == "NA"
+
+    def test_depth_10_market(self):
+        # rounding breaks the exact collinearity of its two-branch nodes
+        m = random_na_market(np.random.default_rng(1), d=2, depth_range=(10, 10),
+                             branch_range=(2, 3))
+        cert = check_na(m)
+        assert cert.verdict == "NA"
+        assert cert.emm_residual <= 1e-9 * np.abs(m.prices).max()
+
+    def test_rank_deficient_two_branch_node(self):
+        # two assets whose increments are collinear up to round-off (relative
+        # singular values 1 and 4e-16): scaled alone, the LP reads eps* = 0;
+        # on the singular vectors the round-off direction drops out
+        inc = np.array([[0.00015633682031701568, 3.508457174111962],
+                        [-0.00011007146983121885, -2.4701860841534846]])
+        r = node_na_lp(inc, np.array([0.5, 0.5]))
+        assert r.is_na and r.eps_star > 0.4
+        assert np.abs(inc.T @ r.q).max() <= 1e-12 * np.abs(inc).max()

@@ -43,11 +43,6 @@ class TestHandProblems:
         b = np.array([-1.0])
         res = solve_lp(A, b, np.array([1.0, 1.0]))
         assert res.status == "infeasible"
-        y = res.farkas
-        assert y is not None
-        # Farkas: y.A <= 0 while y.b > 0, so no x >= 0 can satisfy Ax = b
-        assert float(y @ b) > 1e-9
-        assert np.all(A.T @ y <= 1e-9)
 
     def test_negative_rhs_handled(self):
         # -x1 = -2 -> x1 = 2; phase 1 must flip the row sign
@@ -67,7 +62,6 @@ class TestHandProblems:
         res = solve_lp(np.zeros((2, 3)), np.zeros(2), np.ones(3))
         assert res.status == "optimal"
         assert res.x.tolist() == [0.0, 0.0, 0.0] and res.objective == 0.0
-        assert res.y.tolist() == [0.0, 0.0]
         assert solve_lp(np.zeros((2, 3)), np.zeros(2), np.array([1.0, -1.0, 0.0])).status == "unbounded"
 
     def test_degenerate_vertex_terminates(self):
@@ -84,14 +78,6 @@ class TestHandProblems:
         res = solve_lp(A, b, c)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-0.05, abs=1e-10)
-
-    def test_duals_match_objective(self):
-        A = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
-        b = np.array([4.0, 3.0])
-        c = np.array([-1.0, -2.0, 0.0, 0.0])
-        res = solve_lp(A, b, c)
-        # strong duality at the optimum: y.b == c.x
-        assert float(res.y @ b) == pytest.approx(res.objective, abs=1e-10)
 
 
 class TestAgainstScipy:
@@ -133,9 +119,6 @@ class TestAgainstScipy:
         ref = scipy_solve(A, b, np.zeros(n))
         assert ref.status == 2
         assert ours.status == "infeasible"
-        y = ours.farkas
-        assert float(y @ b) > 1e-9
-        assert np.all(A.T @ y <= 1e-9)
 
 
 class TestStacked:
@@ -256,9 +239,3 @@ class TestStacked:
         stack = solve_lps(A, b, c)
         assert list(stack.status) == ["unbounded", "optimal", "optimal"]
         self.assert_same(stack, A, b, c)
-
-    def test_duals_read_lazily(self):
-        A = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
-        res = solve_lp(A, np.array([4.0, 3.0]), np.array([-1.0, -2.0, 0.0, 0.0]))
-        assert "y" not in vars(res)  # nothing computed until read
-        assert res.y is res.y and res.farkas is None
