@@ -28,7 +28,6 @@ from .arbitrage import (
 from .numeraire import (
     NumeraireSolution,
     deflator_probe,
-    node_log_optimal,
     numeraire_portfolio,
     verify_numeraire,
 )

@@ -38,9 +38,9 @@ from .markets import (
     UnitStrategy,
     WealthKernel,
     price_martingale_residual,
-    wealth_from_units,
 )
 from .simplex import solve_lp, solve_lps
+from .trees import EventTree
 
 DEGENERATE_TOL = 1e-12
 EPS_POSITIVE_TOL = 1e-9
@@ -236,49 +236,49 @@ def check_na(m: MarketModel, tol_pos: float = EPS_POSITIVE_TOL) -> NaCertificate
     """
     t = m.tree
     k = WealthKernel(m)
-    eps = np.empty(k.nodes.size)
-    q = np.empty(k.child.size)  # one-step martingale weight of each edge
-    rows = np.empty((k.child.size, m.d + 1))  # the LP rows of each weight
-    for nodes in _sweep(k):
-        for size in sorted(set(k.sizes[nodes].tolist())):
-            at = nodes[k.sizes[nodes] == size]
-            e = k.starts[at, None] + np.arange(size)
-            eps[at], q[e], r = _node_lps(k.dS[e], t.branch_prob[k.child[e]], tol_pos)
+    eps = np.empty(t.internal.size)
+    q = np.empty(t.edges.size)  # one-step martingale weight of each edge
+    rows = np.empty((t.edges.size, m.d + 1))  # the LP rows of each weight
+    for nodes in _sweep(t):
+        for size in sorted(set(t.sizes[nodes].tolist())):
+            at = nodes[t.sizes[nodes] == size]
+            e = t.starts[at, None] + np.arange(size)
+            eps[at], q[e], r = _node_lps(k.dS[e], t.branch_prob[t.edges[e]], tol_pos)
             rows[e] = r.transpose(0, 2, 1)
-        failed = nodes[np.isnan(q[k.starts[nodes]])]
+        failed = nodes[np.isnan(q[t.starts[nodes]])]
         if failed.size:
             i = int(failed[0])
-            v = int(k.nodes[i])
-            sep, _ = _separating_vector(m.increments(v))
+            v = int(t.internal[i])
+            sep, _ = _separating_vector(k.dS[t.starts[i] : t.starts[i] + t.sizes[i]])
             strategy = _lift_separating(m, v, sep)
             return NaCertificate(
                 verdict="ARBITRAGE",
-                node_eps=dict(zip(k.nodes[: i + 1].tolist(), eps[: i + 1].tolist())),
+                node_eps=dict(zip(t.internal[: i + 1].tolist(), eps[: i + 1].tolist())),
                 fail_node=v,
                 strategy=strategy,
-                replay=_replay_arbitrage(m, strategy),
+                replay=_replay_arbitrage(k, strategy),
             )
 
     # padded branch slots get weight 1 and zero rows, which they keep
-    real = np.arange(k.sizes.max(initial=0)) < k.sizes[:, None]
-    q = _project_weights(k.stack(rows, 0.0).transpose(0, 2, 1), k.stack(q, 1.0))[real]
-    step = q / t.branch_prob[k.child]
-    density = DensityProcess(z=k.roll(step[None], 1.0, multiplicative=True)[0])
+    real = np.arange(t.sizes.max(initial=0)) < t.sizes[:, None]
+    q = _project_weights(t.stack(rows, 0.0).transpose(0, 2, 1), t.stack(q, 1.0))[real]
+    step = q / t.branch_prob[t.edges]
+    density = DensityProcess(z=t.roll(step[None], 1.0, multiplicative=True)[0])
     return NaCertificate(
         verdict="NA",
         density=density,
         emm_residual=price_martingale_residual(m, density),
-        node_eps=dict(zip(k.nodes.tolist(), eps.tolist())),
+        node_eps=dict(zip(t.internal.tolist(), eps.tolist())),
     )
 
 
-def _sweep(k: WealthKernel):
+def _sweep(t: EventTree):
     """Internal-node indices in the blocks ``check_na`` decides together:
     one depth level at a time until a level has ``STACK_MIN`` nodes, then
     all remaining ones."""
-    for nv in k.node_levels:
+    for nv in t.node_levels:
         if nv.stop - nv.start >= STACK_MIN:
-            yield np.arange(nv.start, k.nodes.size)
+            yield np.arange(nv.start, t.internal.size)
             return
         yield np.arange(nv.start, nv.stop)
 
@@ -289,11 +289,11 @@ def _lift_separating(m: MarketModel, node: int, h: np.ndarray) -> UnitStrategy:
     return UnitStrategy(holdings=holdings)
 
 
-def _replay_arbitrage(m: MarketModel, s: UnitStrategy) -> dict:
+def _replay_arbitrage(k: WealthKernel, s: UnitStrategy) -> dict:
     """Run the certificate from zero initial capital and summarize gains."""
-    w = wealth_from_units(m, s, 0.0)
-    gains = w.terminal(m.tree)
-    p = m.tree.unconditional_probs()[m.tree.leaves]
+    t = k.tree
+    gains = k.units(s.holdings[None], 0.0)[0, t.leaves]
+    p = t.unconditional_probs()[t.leaves]
     positive = gains > GAIN_ROUNDOFF * np.max(np.abs(gains))
     return {
         "min_gain": float(gains.min()),

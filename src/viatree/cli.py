@@ -39,7 +39,7 @@ from .bessel import (
     stopped_experiments,
 )
 from .entropy import _min_entropy, entropy_hellinger, exp_utility, min_entropy_emm
-from .market_io import MarketFormatError, load_market
+from .market_io import MarketFormatError, _number, load_market
 from .markets import DensityProcess, price_martingale_residual
 from .measure_change import delta_for_epsilon, verify_value_bound
 from .numeraire import deflator_probe, numeraire_portfolio, verify_numeraire
@@ -100,6 +100,9 @@ def _load_density(path: str, n_nodes: int) -> DensityProcess:
         raise MarketFormatError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(obj, dict) or "z" not in obj:
         raise MarketFormatError(f'{path}: expected a JSON object {{"z": [...]}}')
+    bad = [x for x in obj["z"] if not _number(x)] if isinstance(obj["z"], list) else [obj["z"]]
+    if bad:
+        raise MarketFormatError(f"{path}: z must be a list of numbers; {bad[0]!r} is not one")
     z = np.asarray(obj["z"], dtype=np.float64)
     if z.shape != (n_nodes,):
         raise MarketFormatError(

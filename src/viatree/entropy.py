@@ -31,7 +31,6 @@ from .markets import (
     DensityProcess,
     MarketModel,
     UnitStrategy,
-    TreeLevels,
     WealthKernel,
     density_from_leaf_values,
     price_martingale_residual,
@@ -90,11 +89,11 @@ def entropy_hellinger(tree: EventTree, Z: DensityProcess) -> EntropyReport:
         raise AssertionError(f"negative jump term at node {bad}: {raw[bad - 1]!r}")
     jump[1:] = np.maximum(raw, 0.0)
 
-    k = TreeLevels(tree)
-    v = k.roll(jump[k.child][None], 0.0)[0]
+    e = tree.edges
+    v = tree.roll(jump[e][None], 0.0)[0]
     inc = np.zeros(tree.n_nodes)  # E[next jump term | node]
-    inc[k.nodes] = k.sums(tree.branch_prob[k.child] * jump[k.child])
-    h = k.roll(inc[k.parent][None], 0.0)[0]
+    inc[tree.internal] = tree.sums(tree.branch_prob[e] * jump[e])
+    h = tree.roll(inc[tree.edge_parent][None], 0.0)[0]
 
     probs = tree.unconditional_probs()
     pl = probs[tree.leaves]
@@ -134,13 +133,13 @@ def _exp_recursion(m: MarketModel, cert: NaCertificate, goal: str):
     """
     if cert.verdict != "NA":
         raise ArbitrageError(f"market admits arbitrage; {goal}", certificate=cert)
-    k = WealthKernel(m)
-    logp = np.log(m.tree.branch_prob[k.child])
-    scale = np.maximum.reduceat(np.abs(k.dS).max(axis=1, initial=0.0), k.starts)
+    t, k = m.tree, WealthKernel(m)
+    logp = np.log(t.branch_prob[t.edges])
+    scale = np.maximum.reduceat(np.abs(k.dS).max(axis=1, initial=0.0), t.starts)
     scale[scale == 0.0] = 1.0
-    h = np.zeros((k.nodes.size, m.d))  # per node, in units of X
-    log_v = np.zeros(m.tree.n_nodes)
-    gnorms = np.zeros(k.nodes.size)
+    h = np.zeros((t.internal.size, m.d))  # per node, in units of X
+    log_v = np.zeros(t.n_nodes)
+    gnorms = np.zeros(t.internal.size)
     steps = 0
 
     def evaluate(hr, rows):  # -logsumexp(a - X h) of the current level, its gradient and -Hessian
@@ -154,18 +153,18 @@ def _exp_recursion(m: MarketModel, cert: NaCertificate, goal: str):
         hess = (Xr.transpose(0, 2, 1) * w[:, None, :]) @ Xr - mean[:, :, None] * mean[:, None, :]
         return -(mx + np.log(sw)), mean, hess
 
-    for nv in reversed(k.node_levels):
-        Xs = k.stack(k.dS, 0.0, nv) / scale[nv, None, None]
-        a = k.stack(logp + log_v[k.child], -np.inf, nv)
+    for nv in reversed(t.node_levels):
+        Xs = t.stack(k.dS, 0.0, nv) / scale[nv, None, None]
+        a = t.stack(logp + log_v[t.edges], -np.inf, nv)
         h[nv], f, _, gnorms[nv], n = damped_newton(evaluate, h[nv], NODE_TOL, 200)
-        raise_stalled(gnorms[nv], NODE_TOL, k.nodes[nv], lambda g: (
+        raise_stalled(gnorms[nv], NODE_TOL, t.internal[nv], lambda g: (
             f"exponential-utility Newton stalled at gradient {g:.3e} (target {NODE_TOL})"))
-        log_v[k.nodes[nv]] = -f
+        log_v[t.internal[nv]] = -f
         steps += int(n.sum())
     holdings = np.zeros_like(m.prices)
-    holdings[k.nodes] = h / scale[:, None]
-    log_ratio = log_v[k.child] - k.edge_dot(holdings[None], k.dS)[0] - log_v[k.parent]  # log(q_j / p_j)
-    z = k.roll(np.exp(log_ratio)[None], 1.0, multiplicative=True)[0]
+    holdings[t.internal] = h / scale[:, None]
+    log_ratio = log_v[t.edges] - k.edge_dot(holdings[None], k.dS)[0] - log_v[t.edge_parent]  # log(q_j / p_j)
+    z = t.roll(np.exp(log_ratio)[None], 1.0, multiplicative=True)[0]
     return holdings, log_v, DensityProcess(z), float(gnorms.max(initial=0.0)), steps
 
 
@@ -287,26 +286,22 @@ def concatenate_densities(
             raise ValueError(f"segment {k} does not cover the tree")
 
     crossed = np.array([crossed_by(tree, cut) for cut in cuts])  # (n_seg, n_nodes)
-    seg_of = np.zeros(tree.n_nodes, dtype=np.int64)  # segment owning the edge into c
-    z = np.empty(tree.n_nodes)
-    K = np.empty(tree.n_nodes)
-    jump_add = np.zeros(tree.n_nodes)
-    z[0] = 1.0
-    K[0] = 1.0
-    seg_of[0] = 0
-    for c in range(1, tree.n_nodes):
-        p = int(tree.parent[c])
-        n = int(np.argmin(crossed[:, p]))  # first cut the parent has not crossed
-        seg_of[c] = n
-        zs = segments[n].z
-        K[c] = z[p] / zs[p] if n != seg_of[p] else K[p]
-        z[c] = zs[c] * K[c]
-        x = zs[c] / zs[p] - 1.0
-        jump_add[c] = max((1.0 + x) * np.log1p(x) - x, 0.0)
+    zs = np.array([seg.z for seg in segments])
+    c = np.arange(1, tree.n_nodes)
+    # the edge into c belongs to the first segment whose cut its parent has not crossed
+    seg_of = np.zeros(tree.n_nodes, dtype=np.int64)
+    seg_of[c] = np.argmin(crossed[:, tree.parent[c]], axis=0)
+    x = zs[seg_of[c], c] / zs[seg_of[c], tree.parent[c]] - 1.0
+    jump_add = np.concatenate(([0.0], np.maximum((1.0 + x) * np.log1p(x) - x, 0.0)))
+    z, K = np.ones(tree.n_nodes), np.ones(tree.n_nodes)  # K: the factor of the node's segment
+    for lv in tree.edge_levels:
+        c, p = tree.edges[lv], tree.edge_parent[lv]
+        n = seg_of[c]
+        K[c] = np.where(n != seg_of[p], z[p] / zs[n, p], K[p])
+        z[c] = zs[n, c] * K[c]
 
     out = DensityProcess(z)
-    k = TreeLevels(tree)
-    v_add = k.roll(jump_add[k.child][None], 0.0)[0]
+    v_add = tree.roll(jump_add[tree.edges][None], 0.0)[0]
     rep = entropy_hellinger(tree, out)
     report = {
         "positive": bool(np.all(z > 0.0)),

@@ -40,6 +40,11 @@ class MarketFormatError(ValueError):
     pass
 
 
+def _number(x, kinds=(int, float)) -> bool:
+    """A JSON number of one of ``kinds``; JSON booleans are not numbers."""
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 def _reject_constant(name: str):
     raise MarketFormatError(f"non-finite JSON literal {name!r} is not allowed")
 
@@ -77,8 +82,10 @@ def market_from_dict(obj) -> MarketModel:
     if not isinstance(label, str):
         raise MarketFormatError("label must be a string")
     d = obj["d"]
-    if not isinstance(d, int) or d < 1:
+    if not _number(d, int) or d < 1:
         raise MarketFormatError(f"d must be a positive integer, got {d!r}")
+    if not _number(obj["horizon"], int) or obj["horizon"] < 0:
+        raise MarketFormatError(f"horizon must be a nonnegative integer, got {obj['horizon']!r}")
     nodes = obj["nodes"]
     if not isinstance(nodes, list) or not nodes:
         raise MarketFormatError("nodes must be a non-empty list")
@@ -97,19 +104,19 @@ def market_from_dict(obj) -> MarketModel:
                 f"node fields mismatch: extra {sorted(extra)}, missing {sorted(missing)}"
             )
         i = row["id"]
-        if not isinstance(i, int) or i < 0 or i >= n:
+        if not _number(i, int) or i < 0 or i >= n:
             raise MarketFormatError(f"node id {i!r} outside 0..{n - 1}")
         if i in seen:
             raise MarketFormatError(f"duplicate node id {i}")
         seen.add(i)
         par = row["parent"]
-        if par is not None and (not isinstance(par, int) or par < 0 or par >= n):
+        if par is not None and (not _number(par, int) or par < 0 or par >= n):
             raise MarketFormatError(f"node {i}: bad parent {par!r}")
         parent[i] = par
         p = row["prob"]
         if p is None and par is None:
             p = 1.0
-        if not isinstance(p, (int, float)) or isinstance(p, bool):
+        if not _number(p):
             raise MarketFormatError(f"node {i}: prob must be a number")
         p = float(p)
         if not math.isfinite(p) or p <= 0.0 or p > 1.0:
@@ -121,7 +128,7 @@ def market_from_dict(obj) -> MarketModel:
         if not isinstance(pr, list) or len(pr) != d:
             raise MarketFormatError(f"node {i}: expected {d} prices")
         for j, x in enumerate(pr):
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
+            if not _number(x):
                 raise MarketFormatError(f"node {i}: price {j} is not a number")
             if not math.isfinite(float(x)):
                 raise MarketFormatError(f"node {i}: price {j} is not finite")

@@ -3,7 +3,8 @@
 Prices are already discounted (there is no bank-account column), so
 martingale statements are about the price vectors themselves.  A trading
 strategy is predictable by construction: holdings or fractions are chosen
-at a node and applied over its outgoing edges.
+at a node and applied over its outgoing edges.  Kernels read the tree's edge
+layout; ``WealthKernel`` adds the prices: per-edge increments and returns.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import EventTree, StoppingTime
+from .trees import EventTree
 
 MARTINGALE_FLAG_TOL = 1e-12
 BLOCK_ENTRIES = 1 << 14  # node-asset entries per strategy block; bounds memory
@@ -40,20 +41,6 @@ class MarketModel:
     def d(self) -> int:
         return self.prices.shape[1]
 
-    def increments(self, v: int) -> np.ndarray:
-        """Price increments S(child) - S(v), one row per child of v."""
-        kids = self.tree.children[v]
-        return self.prices[kids] - self.prices[v]
-
-    def simple_returns(self, v: int) -> np.ndarray:
-        """Componentwise simple returns over the edges out of v."""
-        base = self.prices[v]
-        if np.any(base == 0.0):
-            raise ValueError(
-                f"simple returns undefined at node {v}: a price component is 0"
-            )
-        return self.increments(v) / base
-
 
 def validate_market(m: MarketModel) -> list[str]:
     """Collect rule violations; an empty list means the market is valid."""
@@ -64,10 +51,10 @@ def validate_market(m: MarketModel) -> list[str]:
         problems.append("market has no assets")
     # Tree-level invariants are enforced by EventTree's constructor; re-run
     # the probability sums here so a mutated tree is still caught.
-    for v in m.tree.internal:
-        s = m.tree.branch_prob[m.tree.children[v]].sum()
-        if abs(s - 1.0) > 1e-12:
-            problems.append(f"branch probabilities at node {v} sum to {s!r}")
+    t = m.tree
+    sums = t.sums(t.branch_prob[t.edges])
+    off = np.abs(sums - 1.0) > 1e-12
+    problems += [f"branch probabilities at node {v} sum to {s!r}" for v, s in zip(t.internal[off], sums[off])]
     return problems
 
 
@@ -123,96 +110,35 @@ class DensityProcess:
 
     def martingale_residual(self, tree: EventTree) -> float:
         """sup over internal nodes of |E[z(child) | node] - z(node)|."""
-        k = TreeLevels(tree)
-        gap = k.sums(tree.branch_prob[k.child] * self.z[k.child]) - self.z[k.nodes]
+        e = tree.edges
+        gap = tree.sums(tree.branch_prob[e] * self.z[e]) - self.z[tree.internal]
         return float(np.abs(gap).max(initial=0.0))
 
     def is_martingale(self, tree: EventTree, tol: float = MARTINGALE_FLAG_TOL) -> bool:
         return self.martingale_residual(tree) <= tol
 
-    def expectation_at(self, tree: EventTree, cut: StoppingTime) -> float:
-        """E[z at the cut]; equals 1 for martingale densities (optional stopping)."""
-        p = tree.unconditional_probs()
-        return float(sum(p[v] * self.z[v] for v in cut.nodes))
 
-    def step_weights(self, tree: EventTree, v: int) -> np.ndarray:
-        """One-step reweighted probabilities branch_prob * z(child)/z(node)."""
-        kids = tree.children[v]
-        return tree.branch_prob[kids] * self.z[kids] / self.z[v]
-
-
-class TreeLevels:
-    """Price-free sums over an event tree, one depth level at a time, of
-    per-edge arrays in ``EventTree.edges`` order, where sibling groups and
-    depth levels are contiguous ranges."""
-
-    def __init__(self, t: EventTree):
-        self.child, self.parent = t.edges, t.parent[t.edges]
-        self.starts = np.flatnonzero(np.diff(self.parent, prepend=-1))
-        self.sizes = np.diff(self.starts, append=self.child.size)
-        self.nodes = t.internal  # the parent of each sibling group
-        off = t.level_offsets - 1
-        self.levels = [slice(lo, hi) for lo, hi in zip(off[1:-1], off[2:])]
-        # every node above the terminal depth is internal, so the internal
-        # nodes of depth L are nodes[node_levels[L]], whose edges are levels[L]
-        self.node_levels = [slice(lo, hi) for lo, hi in
-                            zip(t.level_offsets[:-2], t.level_offsets[1:-1])]
-
-    def stack(self, per_edge: np.ndarray, fill: float, rows=slice(None)) -> np.ndarray:
-        """Per-edge values as an (internal node, branch slot, ...) array for
-        the internal nodes ``rows``, padded with ``fill`` past each node's
-        own branches."""
-        sizes = self.sizes[rows]
-        slot = np.arange(sizes.max(initial=0))
-        real = slot < sizes[:, None]
-        out = per_edge[np.where(real, self.starts[rows, None] + slot, 0)]
-        out[~real] = fill
-        return out
-
-    def sums(self, per_edge: np.ndarray) -> np.ndarray:
-        """Sums of per-edge values (along axis 0) over each internal node's edges."""
-        return np.add.reduceat(per_edge, self.starts, axis=0)
-
-    def backward(self, weights: np.ndarray, values: np.ndarray, step=None) -> np.ndarray:
-        """v(node) = sum of weights_j (step_j + v(child_j)) over the node's
-        edges, one depth level at a time from the leaf entries of ``values``
-        (an (n_nodes,) array; its other entries are overwritten)."""
-        v = np.array(values, dtype=np.float64)
-        for lv, nv in zip(reversed(self.levels), reversed(self.node_levels)):
-            term = v[self.child[lv]] if step is None else step[lv] + v[self.child[lv]]
-            v[self.nodes[nv]] = np.add.reduceat(weights[lv] * term, self.starts[nv] - lv.start)
-        return v
-
-    def roll(self, steps: np.ndarray, start: float, multiplicative: bool = False):
-        """Wealth from its root value and per-edge steps, level by level."""
-        w = np.empty((steps.shape[0], self.child.size + 1))
-        w[:, 0] = start
-        for lv in self.levels:
-            up = w[:, self.parent[lv]]
-            w[:, self.child[lv]] = up * steps[:, lv] if multiplicative else up + steps[:, lv]
-        return w
-
-
-class WealthKernel(TreeLevels):
+class WealthKernel:
     """Wealth of many strategies on one market at once.  Strategies are
     (S, n_nodes, d) arrays; wealth, an (S, n_nodes) array, is rolled forward
-    one depth level at a time.  Sums run in asset order, not through BLAS."""
+    one depth level at a time over the tree's edge layout, from the price
+    increment ``dS`` of each edge.  Sums run in asset order, not through
+    BLAS."""
 
     def __init__(self, m: MarketModel):
-        super().__init__(m.tree)
-        self.market = m
-        self.dS = m.prices[self.child] - m.prices[self.parent]
+        self.market, self.tree = m, m.tree
+        self.dS = m.prices[m.tree.edges] - m.prices[m.tree.edge_parent]
 
     @property
     def returns(self) -> np.ndarray:
         """Simple returns per edge; internal prices must be nonzero."""
-        zero = np.any(self.market.prices[self.nodes] == 0.0, axis=1)
+        nodes, prices = self.tree.internal, self.market.prices
+        zero = np.any(prices[nodes] == 0.0, axis=1)
         if np.any(zero):
             raise ValueError(
-                f"simple returns undefined at node {self.nodes[np.argmax(zero)]}: "
-                "a price component is 0"
+                f"simple returns undefined at node {nodes[np.argmax(zero)]}: a price component is 0"
             )
-        return self.dS / self.market.prices[self.parent]
+        return self.dS / prices[self.tree.edge_parent]
 
     def blocks(self, n: int) -> list[slice]:
         """Ranges of n strategies, each about BLOCK_ENTRIES node-asset entries."""
@@ -220,29 +146,31 @@ class WealthKernel(TreeLevels):
         return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
     def edge_dot(self, per_node: np.ndarray, incr: np.ndarray) -> np.ndarray:
-        """(S, n_edges) array of incr[e] . per_node[s, parent[e]]."""
-        out = per_node[:, self.parent, 0] * incr[:, 0]
+        """(S, n_edges) array of incr[e] . per_node[s, edge_parent[e]]."""
+        up = self.tree.edge_parent
+        out = per_node[:, up, 0] * incr[:, 0]
         for i in range(1, incr.shape[1]):
-            out += per_node[:, self.parent, i] * incr[:, i]
+            out += per_node[:, up, i] * incr[:, i]
         return out
 
     def units(self, holdings: np.ndarray, x0: float) -> np.ndarray:
-        return self.roll(self.edge_dot(holdings, self.dS), x0)
+        return self.tree.roll(self.edge_dot(holdings, self.dS), x0)
 
     def growth(self, fractions: np.ndarray) -> np.ndarray:
         """Cumulative wealth factors; names the first infeasible edge of
         the first infeasible strategy."""
+        t = self.tree
         step = 1.0 + self.edge_dot(fractions, self.returns)
         if np.any(bad := step <= 0.0):
             s = np.argmax(bad.any(axis=1))
-            g = np.searchsorted(self.starts, np.argmax(bad[s]), side="right") - 1
-            lo = self.starts[g]
-            e = lo + np.argmin(step[s, lo : lo + self.sizes[g]])
+            g = np.searchsorted(t.starts, np.argmax(bad[s]), side="right") - 1
+            lo = t.starts[g]
+            e = lo + np.argmin(step[s, lo : lo + t.sizes[g]])
             raise ValueError(
                 f"fraction strategy infeasible: wealth factor {step[s, e]!r} <= 0 "
-                f"on edge {self.parent[e]} -> {self.child[e]}"
+                f"on edge {t.edge_parent[e]} -> {t.edges[e]}"
             )
-        return self.roll(step, 1.0, multiplicative=True)
+        return t.roll(step, 1.0, multiplicative=True)
 
 
 def wealth_from_units(m: MarketModel, s: UnitStrategy, x0: float) -> WealthProcess:
@@ -287,17 +215,17 @@ def leaf_gain_matrix(m: MarketModel) -> np.ndarray:
 
 def self_financing_residual(m: MarketModel, s: UnitStrategy, w: WealthProcess) -> float:
     """sup over edges of |dW - holdings . dS| for a unit-strategy wealth."""
-    k = WealthKernel(m)
-    dw = w.values[k.child] - w.values[k.parent]
+    k, t = WealthKernel(m), m.tree
+    dw = w.values[t.edges] - w.values[t.edge_parent]
     return float(np.abs(dw - k.edge_dot(s.holdings[None], k.dS)[0]).max(initial=0.0))
 
 
 def price_martingale_residual(m: MarketModel, dp: DensityProcess) -> float:
     """sup over internal nodes and assets of the one-step density-weighted
     price increment |E[(z(child)/z(node)) dS | node]|."""
-    k = WealthKernel(m)
-    wts = m.tree.branch_prob[k.child] * dp.z[k.child] / dp.z[k.parent]
-    return float(np.abs(k.sums(wts[:, None] * k.dS)).max(initial=0.0))
+    t = m.tree
+    wts = t.branch_prob[t.edges] * dp.z[t.edges] / dp.z[t.edge_parent]
+    return float(np.abs(t.sums(wts[:, None] * WealthKernel(m).dS)).max(initial=0.0))
 
 
 def density_from_leaf_values(tree: EventTree, leaf_z: np.ndarray) -> DensityProcess:
@@ -312,7 +240,7 @@ def density_from_leaf_values(tree: EventTree, leaf_z: np.ndarray) -> DensityProc
         raise ValueError("leaf density values must be finite and strictly positive")
     z = np.empty(tree.n_nodes)
     z[tree.leaves] = leaf_z
-    z = TreeLevels(tree).backward(tree.branch_prob[tree.edges], z)
+    z = tree.backward(tree.branch_prob[tree.edges], z)
     if abs(z[0] - 1.0) > 1e-9:
         raise ValueError(
             f"leaf values do not aggregate to a density: E[z_T] = {z[0]!r} != 1"

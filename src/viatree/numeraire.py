@@ -84,20 +84,9 @@ def log_optimal_stack(R, p, tol: float = FOC_TOL, max_iter: int = 200):
     return pi, gnorm, steps
 
 
-def _log_stall(gnorm, tol=FOC_TOL) -> str:
-    return (f"log-growth Newton did not reach gradient {tol} "
+def _log_stall(gnorm) -> str:
+    return (f"log-growth Newton did not reach gradient {FOC_TOL} "
             f"(residual {float(gnorm)}); is the node arbitrage-free?")
-
-
-def node_log_optimal(returns, probs, tol: float = FOC_TOL, max_iter: int = 200):
-    """``log_optimal_stack`` for one node; raises ``RuntimeError`` when the
-    gradient does not reach ``tol``.  Returns (pi, sup-norm of the gradient,
-    Newton steps)."""
-    R = np.atleast_2d(np.asarray(returns, dtype=np.float64))
-    pi, gnorm, steps = log_optimal_stack(R[None], np.asarray(probs, dtype=np.float64)[None], tol, max_iter)
-    if gnorm[0] >= tol:
-        raise RuntimeError(_log_stall(gnorm[0], tol))
-    return pi[0], float(gnorm[0]), int(steps[0])
 
 
 def log_recursion(m: MarketModel, weights: np.ndarray | None = None):
@@ -110,14 +99,14 @@ def log_recursion(m: MarketModel, weights: np.ndarray | None = None):
     fractions, the gradient sup norm per internal node (breadth-first) and
     the expected log growth of the optimal wealth under those weights.
     """
-    k = WealthKernel(m)
+    t, k = m.tree, WealthKernel(m)
     R = k.returns
-    w = m.tree.branch_prob[k.child] if weights is None else weights
-    pi, gnorms, _ = log_optimal_stack(k.stack(R, 0.0), k.stack(w, 0.0))
-    raise_stalled(gnorms, FOC_TOL, k.nodes, _log_stall)
+    w = t.branch_prob[t.edges] if weights is None else weights
+    pi, gnorms, _ = log_optimal_stack(t.stack(R, 0.0), t.stack(w, 0.0))
+    raise_stalled(gnorms, FOC_TOL, t.internal, _log_stall)
     fr = np.zeros_like(m.prices)
-    fr[k.nodes] = pi
-    growth = k.backward(w, np.zeros(m.tree.n_nodes), np.log1p(k.edge_dot(fr[None], R)[0]))
+    fr[t.internal] = pi
+    growth = t.backward(w, np.zeros(t.n_nodes), np.log1p(k.edge_dot(fr[None], R)[0]))
     return fr, gnorms, growth[0]
 
 
@@ -170,12 +159,12 @@ def _feasible_fractions(
     (strategy, node) row halved until its wealth factors clear the margin.
     Halving is exact, so it is counted on the row's smallest factor."""
     fr = np.zeros((n,) + k.market.prices.shape)
-    fr[:, k.nodes] = rng.uniform(-box, box, size=(n, k.nodes.size, k.market.d))
-    low = np.minimum.reduceat(k.edge_dot(fr, k.returns), k.starts, axis=1)
+    fr[:, k.tree.internal] = rng.uniform(-box, box, size=(n, k.tree.internal.size, k.market.d))
+    low = np.minimum.reduceat(k.edge_dot(fr, k.returns), k.tree.starts, axis=1)
     scale = np.ones_like(low)
     while np.any(bad := 1.0 + low * scale < margin):
         scale[bad] *= 0.5
-    fr[:, k.nodes] *= scale[:, :, None]
+    fr[:, k.tree.internal] *= scale[:, :, None]
     return fr
 
 
@@ -238,7 +227,7 @@ def verify_numeraire(
         # draw the cuts, then rewind and redraw one block at a time
         start = rng.bit_generator.state
         for b in k.blocks(n_strategies):
-            rng.uniform(size=(b.stop - b.start, k.nodes.size, m.d))
+            rng.uniform(size=(b.stop - b.start, t.internal.size, m.d))
         cuts = [random_stopping_time(t, rng) for _ in range(n_cuts)]
         rng.bit_generator.state = start
         wealths = (candidate.x0 * k.growth(_feasible_fractions(k, rng, b.stop - b.start))
@@ -255,14 +244,14 @@ def verify_numeraire(
         cuts = [random_stopping_time(t, rng) for _ in range(n_cuts)]
     p = t.unconditional_probs()
     cut_nodes = [np.asarray(cut.nodes) for cut in cuts]
-    bp = t.branch_prob[k.child]
+    bp = t.branch_prob[t.edges]
     ratio_excess = cut_excess = -np.inf  # <= tol required
     binary_gap = 0.0
     for w in wealths:
         ratio = w / candidate.values
-        gap = np.add.reduceat(bp * ratio[:, k.child], k.starts, axis=1) - ratio[:, k.nodes]
+        gap = np.add.reduceat(bp * ratio[:, t.edges], t.starts, axis=1) - ratio[:, t.internal]
         ratio_excess = max(ratio_excess, gap.max(initial=-np.inf))
-        binary_gap = max(binary_gap, np.abs(gap[:, k.sizes == 2]).max(initial=0.0))
+        binary_gap = max(binary_gap, np.abs(gap[:, t.sizes == 2]).max(initial=0.0))
         for c in cut_nodes:  # sequential sums, not BLAS: blocks cannot change a bit
             ev = np.cumsum(p[c] * ratio[:, c], axis=1)[:, -1]
             cut_excess = max(cut_excess, float(np.max(ev - ratio[:, 0])))

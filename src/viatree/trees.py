@@ -10,11 +10,17 @@ occupies a contiguous index range.
 Unconditional node probabilities are derived from the conditional branch
 probabilities on demand and never stored: the conditionals are the single
 source of truth.
+
+The tree owns the one array layout every kernel reads: edges named by
+their child and ordered by parent, so sibling groups and depth levels are
+contiguous edge ranges, and four level-wise primitives on per-edge arrays
+(``stack``, ``sums``, ``backward``, ``roll``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,9 +68,10 @@ class EventTree:
         if np.any(bp <= 0.0) or np.any(bp > 1.0):
             raise ValueError("branch probabilities must lie in (0, 1]")
 
+        # one pass per level: a node's depth is final once its parent's is
         depth = np.zeros(n, dtype=np.int64)
-        for i in range(1, n):
-            depth[i] = depth[par[i]] + 1
+        while not np.array_equal(step := np.concatenate(([0], depth[par[1:]] + 1)), depth):
+            depth = step
         if np.any(np.diff(depth) < 0):
             raise ValueError("nodes must be grouped by depth (breadth-first order)")
 
@@ -91,34 +98,65 @@ class EventTree:
         self.depth = depth
         self.horizon = horizon
         # depth level k occupies nodes level_offsets[k]:level_offsets[k + 1]
-        self.level_offsets = np.searchsorted(depth, np.arange(horizon + 2))
-        self.edges = edges
-        self.children = np.split(edges, np.cumsum(n_kids)[:-1])
+        self.level_offsets = off = np.searchsorted(depth, np.arange(horizon + 2))
         self.leaves = leaves
         self.internal = internal
+        # the edge into node edges[e] leaves edge_parent[e]; internal node
+        # internal[i] owns the edges starts[i]:starts[i] + sizes[i]
+        self.edges = edges
+        self.edge_parent = par[edges]
+        self.sizes = n_kids[internal]
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        # the edges into depth L + 1 are edges[edge_levels[L]]; every node
+        # above the terminal depth is internal, so the nodes they leave are
+        # internal[node_levels[L]]
+        self.edge_levels = [slice(lo - 1, hi - 1) for lo, hi in zip(off[1:-1], off[2:])]
+        self.node_levels = [slice(lo, hi) for lo, hi in zip(off[:-2], off[1:-1])]
+
+    @cached_property
+    def children(self) -> list[np.ndarray]:
+        """Per node, its children in ascending order (empty at leaves)."""
+        n_kids = np.bincount(self.edge_parent, minlength=self.n_nodes)
+        return np.split(self.edges, np.cumsum(n_kids)[:-1])
+
+    def stack(self, per_edge: np.ndarray, fill: float, rows=slice(None)) -> np.ndarray:
+        """Per-edge values as an (internal node, branch slot, ...) array for
+        the internal nodes ``rows``, padded with ``fill`` past each node's
+        own branches."""
+        sizes = self.sizes[rows]
+        slot = np.arange(sizes.max(initial=0))
+        real = slot < sizes[:, None]
+        out = per_edge[np.where(real, self.starts[rows, None] + slot, 0)]
+        out[~real] = fill
+        return out
+
+    def sums(self, per_edge: np.ndarray) -> np.ndarray:
+        """Sums of per-edge values (along axis 0) over each internal node's edges."""
+        return np.add.reduceat(per_edge, self.starts, axis=0)
+
+    def backward(self, weights: np.ndarray, values: np.ndarray, step=None) -> np.ndarray:
+        """v(node) = sum of weights_j (step_j + v(child_j)) over the node's
+        edges, one depth level at a time from the leaf entries of ``values``
+        (an (n_nodes,) array; its other entries are overwritten)."""
+        v = np.array(values, dtype=np.float64)
+        for lv, nv in zip(reversed(self.edge_levels), reversed(self.node_levels)):
+            term = v[self.edges[lv]] if step is None else step[lv] + v[self.edges[lv]]
+            v[self.internal[nv]] = np.add.reduceat(weights[lv] * term, self.starts[nv] - lv.start)
+        return v
+
+    def roll(self, steps: np.ndarray, start: float, multiplicative: bool = False):
+        """(S, n_nodes) values from their root value and (S, n_edges)
+        per-edge steps, added or multiplied down one depth level at a time."""
+        w = np.empty((steps.shape[0], self.n_nodes))
+        w[:, 0] = start
+        for lv in self.edge_levels:
+            up = w[:, self.edge_parent[lv]]
+            w[:, self.edges[lv]] = up * steps[:, lv] if multiplicative else up + steps[:, lv]
+        return w
 
     def unconditional_probs(self) -> np.ndarray:
-        """Node probabilities, derived by multiplying branch probabilities
-        one depth level at a time."""
-        p = np.ones(self.n_nodes)
-        off = self.level_offsets
-        for lo, hi in zip(off[1:-1], off[2:]):
-            p[lo:hi] = p[self.parent[lo:hi]] * self.branch_prob[lo:hi]
-        return p
-
-    def path_to(self, node: int) -> list[int]:
-        """Nodes from the root to ``node``, inclusive."""
-        path = [int(node)]
-        while self.parent[path[-1]] >= 0:
-            path.append(int(self.parent[path[-1]]))
-        return path[::-1]
-
-    def level(self, d: int) -> np.ndarray:
-        """Indices of the nodes at depth ``d``."""
-        return np.nonzero(self.depth == d)[0]
-
-    def n_children(self, v: int) -> int:
-        return int(self.children[v].size)
+        """Node probabilities: branch probabilities multiplied down the tree."""
+        return self.roll(self.branch_prob[self.edges][None], 1.0, multiplicative=True)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -160,21 +198,15 @@ def crossed_by(tree: EventTree, cut: StoppingTime) -> np.ndarray:
 
 
 def _meetings(tree: EventTree, nodes) -> np.ndarray:
-    """Per node, how many of ``nodes`` its root path meets, level by level."""
-    hits = np.zeros(tree.n_nodes, dtype=np.int64)
-    hits[list(nodes)] = 1
-    off = tree.level_offsets
-    for lo, hi in zip(off[1:-1], off[2:]):
-        hits[lo:hi] += hits[tree.parent[lo:hi]]
-    return hits
+    """Per node, how many of ``nodes`` its root path meets."""
+    own = np.zeros(tree.n_nodes)
+    own[list(nodes)] = 1.0
+    return tree.roll(own[tree.edges][None], own[0])[0]
 
 
 def cuts_nested(tree: EventTree, earlier: StoppingTime, later: StoppingTime) -> bool:
     """True iff every path meets ``earlier`` no later than ``later``."""
-    ce = crossed_by(tree, earlier)
-    # Nested means: wherever the later cut is met, the earlier one was met
-    # at that node or above it.
-    return all(ce[v] for v in later.nodes)
+    return bool(crossed_by(tree, earlier)[list(later.nodes)].all())
 
 
 def conditional_expectation(tree: EventTree, values: dict, at=0):

@@ -147,20 +147,8 @@ def power_optimal_stack(R, a, gamma: float, tol: float = FOC_TOL, max_iter: int 
     return pi, f * scale, gnorm, steps
 
 
-def _power_stall(gnorm, tol=FOC_TOL) -> str:
-    return f"power-utility Newton stalled at gradient {float(gnorm)} (target {tol})"
-
-
-def node_power_optimal(returns, weights, gamma: float, tol: float = FOC_TOL, max_iter: int = 200):
-    """``power_optimal_stack`` for one node; raises ``RuntimeError`` when the
-    gradient does not reach ``tol``.  Returns (pi, objective at the optimum
-    in the original scale, gradient sup norm, iterations)."""
-    R = np.atleast_2d(np.asarray(returns, dtype=np.float64))
-    a = np.asarray(weights, dtype=np.float64)[None]
-    pi, f, gnorm, steps = power_optimal_stack(R[None], a, gamma, tol, max_iter)
-    if gnorm[0] >= tol:
-        raise RuntimeError(_power_stall(gnorm[0], tol))
-    return pi[0], float(f[0]), float(gnorm[0]), int(steps[0])
+def _power_stall(gnorm) -> str:
+    return f"power-utility Newton stalled at gradient {float(gnorm)} (target {FOC_TOL})"
 
 
 @dataclass
@@ -182,7 +170,7 @@ def _step_weights(m: MarketModel, measure: DensityProcess | None) -> np.ndarray:
     t = m.tree
     w = t.branch_prob[t.edges].copy()
     if measure is not None:
-        w *= measure.z[t.edges] / measure.z[t.parent[t.edges]]
+        w *= measure.z[t.edges] / measure.z[t.edge_parent]
     return w
 
 
@@ -264,17 +252,17 @@ def _solve_crra(m, weights, x0, gamma) -> OptimalPortfolioResult:
     """One ``power_optimal_stack`` per depth level, leaves to root, with the
     one-step weights times the children's value coefficients psi."""
     t = m.tree
-    k = WealthKernel(m)
-    R = k.returns
+    R = WealthKernel(m).returns
     fr = np.zeros_like(m.prices)
     psi = np.zeros(t.n_nodes)
     psi[t.leaves] = 1.0 / (1.0 - gamma)
-    gnorms = np.zeros(k.nodes.size)
-    for nv in reversed(k.node_levels):
-        a = k.stack(weights * psi[k.child], 0.0, nv)
-        pi, psi[k.nodes[nv]], gnorms[nv], _ = power_optimal_stack(k.stack(R, 0.0, nv), a, gamma)
-        raise_stalled(gnorms[nv], FOC_TOL, k.nodes[nv], _power_stall)
-        fr[k.nodes[nv]] = pi
+    gnorms = np.zeros(t.internal.size)
+    for nv in reversed(t.node_levels):
+        nodes = t.internal[nv]
+        a = t.stack(weights * psi[t.edges], 0.0, nv)
+        pi, psi[nodes], gnorms[nv], _ = power_optimal_stack(t.stack(R, 0.0, nv), a, gamma)
+        raise_stalled(gnorms[nv], FOC_TOL, nodes, _power_stall)
+        fr[nodes] = pi
     strategy = FractionStrategy(fractions=fr)
     wealth = wealth_from_fractions(m, strategy, x0)
     return OptimalPortfolioResult(
@@ -290,7 +278,7 @@ def _solve_crra(m, weights, x0, gamma) -> OptimalPortfolioResult:
 def _solve_custom(m, weights, x0, utility, tol=CUSTOM_GRAD_TOL, max_iter=300):
     t = m.tree
     # leaf weights under the chosen measure
-    qw = WealthKernel(m).roll(weights[None], 1.0, multiplicative=True)[0, t.leaves]
+    qw = t.roll(weights[None], 1.0, multiplicative=True)[0, t.leaves]
     G = leaf_gain_matrix(m)
     tol = tol * max(1.0, float(np.abs(G).max(initial=0.0)))
 

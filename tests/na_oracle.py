@@ -17,7 +17,7 @@ from viatree.arbitrage import (
     _lift_separating,
     _replay_arbitrage,
 )
-from viatree.markets import DensityProcess, MarketModel, price_martingale_residual
+from viatree.markets import DensityProcess, MarketModel, WealthKernel, price_martingale_residual
 from viatree.simplex import solve_lp
 
 DEGENERATE_TOL = 1e-12
@@ -150,11 +150,12 @@ def check_na(m: MarketModel, tol_pos: float = EPS_POSITIVE_TOL) -> NaCertificate
     node_eps: dict[int, float] = {}
     weights: dict[int, np.ndarray] = {}
     for v in t.internal:
-        r = node_na_lp(m.increments(v), t.branch_prob[t.children[v]], tol_pos)
+        kids = t.children[v]
+        r = node_na_lp(m.prices[kids] - m.prices[v], t.branch_prob[kids], tol_pos)
         node_eps[int(v)] = r.eps_star
         if not r.is_na:
             strategy = _lift_separating(m, int(v), r.separating)
-            replay = _replay_arbitrage(m, strategy)
+            replay = _replay_arbitrage(WealthKernel(m), strategy)
             return NaCertificate(
                 verdict="ARBITRAGE",
                 node_eps=node_eps,

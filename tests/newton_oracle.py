@@ -24,7 +24,6 @@ from viatree.markets import (
     FractionStrategy,
     MarketModel,
     UnitStrategy,
-    WealthKernel,
     density_from_leaf_values,
     leaf_gain_matrix,
     price_martingale_residual,
@@ -240,10 +239,11 @@ def _solve_log(m, weights, x0) -> OptimalPortfolioResult:
     for v in reversed(t.internal):
         kids = t.children[v]
         w = weights[int(v)]
-        pi, gnorm, _ = node_log_optimal(m.simple_returns(v), w)
+        R = (m.prices[kids] - m.prices[v]) / m.prices[v]
+        pi, gnorm, _ = node_log_optimal(R, w)
         fr[v] = pi
         foc = max(foc, gnorm)
-        step = np.log(1.0 + m.simple_returns(v) @ pi)
+        step = np.log(1.0 + R @ pi)
         offs[v] = float(w @ (step + offs[kids]))
     strategy = FractionStrategy(fractions=fr)
     wealth = wealth_from_fractions(m, strategy, x0)
@@ -266,7 +266,8 @@ def _solve_crra(m, weights, x0, gamma) -> OptimalPortfolioResult:
     for v in reversed(t.internal):
         kids = t.children[v]
         a = weights[int(v)] * psi[kids]
-        pi, val, gnorm, _ = node_power_optimal(m.simple_returns(v), a, gamma)
+        R = (m.prices[kids] - m.prices[v]) / m.prices[v]
+        pi, val, gnorm, _ = node_power_optimal(R, a, gamma)
         fr[v] = pi
         psi[v] = val
         foc = max(foc, gnorm)
@@ -286,7 +287,7 @@ def _solve_custom(m, weights, x0, utility, tol=CUSTOM_GRAD_TOL, max_iter=300):
     t = m.tree
     # leaf weights under the chosen measure (``weights`` in edge order)
     step = np.concatenate([weights[int(v)] for v in t.internal])[None]
-    qw = WealthKernel(m).roll(step, 1.0, multiplicative=True)[0, t.leaves]
+    qw = t.roll(step, 1.0, multiplicative=True)[0, t.leaves]
     G = leaf_gain_matrix(m)
     n = G.shape[1]
     theta = np.zeros(n)

@@ -35,7 +35,7 @@ def wealth_from_fractions(m, f, x0):
     growth[0] = 1.0
     for v in t.internal:
         kids = t.children[v]
-        step = 1.0 + m.simple_returns(v) @ f[v]
+        step = 1.0 + ((m.prices[kids] - m.prices[v]) / m.prices[v]) @ f[v]
         if np.any(step <= 0.0):
             j = kids[int(np.argmin(step))]
             raise ValueError(
@@ -50,7 +50,7 @@ def sample_feasible_fractions(m, rng, box=2.0, margin=1e-6):
     t = m.tree
     fr = np.zeros_like(m.prices)
     for v in t.internal:
-        R = m.simple_returns(v)
+        R = (m.prices[t.children[v]] - m.prices[v]) / m.prices[v]
         pi = rng.uniform(-box, box, size=m.d)
         while np.min(1.0 + R @ pi) < margin:
             pi *= 0.5

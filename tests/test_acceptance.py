@@ -305,7 +305,7 @@ def test_criterion_9_concatenation():
     flat_eq_left = True
     for _ in range(100):
         t = random_tree(rng, depth_range=(2, 4), branch_range=(2, 3))
-        cut = StoppingTime.of(t, t.level(1))
+        cut = StoppingTime.of(t, np.arange(*t.level_offsets[1:3]))
         term = StoppingTime.terminal(t)
         segs = [random_martingale_density(t, rng) for _ in range(2)]
         out = concatenate_densities(t, [cut, term], segs)
@@ -322,8 +322,8 @@ def test_criterion_9_concatenation():
     for seed in range(25):
         r = np.random.default_rng(990 + seed)
         t = random_tree(r, depth_range=(3, 3), branch_range=(2, 2))
-        c1 = StoppingTime.of(t, t.level(1))
-        c2 = StoppingTime.of(t, t.level(2))
+        c1 = StoppingTime.of(t, np.arange(*t.level_offsets[1:3]))
+        c2 = StoppingTime.of(t, np.arange(*t.level_offsets[2:4]))
         term = StoppingTime.terminal(t)
         segs = [_dyadic_density(t, r) for _ in range(3)]
         flat = concatenate_densities(t, [c1, c2, term], segs).density.z

@@ -139,11 +139,12 @@ class TestCheckNa:
     def test_round_off_gain_is_not_positive(self):
         from viatree import EventTree, MarketModel
         from viatree.arbitrage import _replay_arbitrage
+        from viatree.markets import WealthKernel
 
         # 0.1 + 0.2 - 0.3 is 5.6e-17 in doubles and 0 in exact arithmetic
         t = EventTree([None, 0, 0], [1.0, 0.25, 0.75])
         m = MarketModel(tree=t, prices=np.array([[0.3], [0.1 + 0.2], [1.3]]))
-        rep = _replay_arbitrage(m, UnitStrategy(holdings=np.ones((3, 1))))
+        rep = _replay_arbitrage(WealthKernel(m), UnitStrategy(holdings=np.ones((3, 1))))
         assert rep["prob_positive"] == 0.75
         assert rep["min_gain"] == (0.1 + 0.2) - 0.3 > 0.0
         assert rep["max_gain"] == 1.3 - 0.3
@@ -231,7 +232,7 @@ class TestRandomMarkets:
         # reference verdict: every node LP must clear the interior threshold
         ref_na = True
         for v in m.tree.internal:
-            inc = m.increments(v)
+            inc = m.prices[m.tree.children[v]] - m.prices[v]
             if np.max(np.abs(inc)) < 1e-12:
                 continue
             eps = scipy_node_eps(inc, m.tree.branch_prob[m.tree.children[v]])

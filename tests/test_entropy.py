@@ -53,7 +53,7 @@ class TestEntropyHellinger:
             t = random_tree(rng, depth_range=(1, 3))
             rep = entropy_hellinger(t, random_martingale_density(t, rng))
             assert np.all(rep.jump_terms >= 0.0)
-            assert np.all(np.diff(rep.v_process[t.path_to(int(t.leaves[-1]))]) >= 0)
+            assert np.all(rep.v_process[1:] >= rep.v_process[t.parent[1:]])
 
     def test_compensator_is_predictable(self, rng):
         # siblings share h: it is decided by the parent's information
@@ -207,7 +207,7 @@ class TestExpUtility:
 
 def two_segment_fixture(rng, depth=3, dyadic=False):
     t = random_tree(rng, depth_range=(depth, depth), branch_range=(2, 3))
-    cut = StoppingTime.of(t, t.level(1))
+    cut = StoppingTime.of(t, np.arange(*t.level_offsets[1:3]))
     term = StoppingTime.terminal(t)
     if dyadic:
         segs = [dyadic_density(t, rng) for _ in range(2)]
@@ -253,9 +253,9 @@ class TestConcatenation:
         out = concatenate_densities(t, cuts, segs)
         seg_of = out.report["segment_of_node"]
         # depth-1 edges belong to segment 0, deeper edges to segment 1
-        assert np.all(seg_of[t.level(1)] == 0)
-        assert np.all(seg_of[t.level(2)] == 1)
-        assert np.all(seg_of[t.level(3)] == 1)
+        assert np.all(seg_of[np.arange(*t.level_offsets[1:3])] == 0)
+        assert np.all(seg_of[np.arange(*t.level_offsets[2:4])] == 1)
+        assert np.all(seg_of[np.arange(*t.level_offsets[3:5])] == 1)
 
     def test_splice_uses_segment_ratios(self, rng):
         t, cuts, segs = two_segment_fixture(rng)
@@ -270,8 +270,8 @@ class TestConcatenation:
         for seed in range(15):
             r = np.random.default_rng(200 + seed)
             t = random_tree(r, depth_range=(3, 3), branch_range=(2, 3))
-            c1 = StoppingTime.of(t, t.level(1))
-            c2 = StoppingTime.of(t, t.level(2))
+            c1 = StoppingTime.of(t, np.arange(*t.level_offsets[1:3]))
+            c2 = StoppingTime.of(t, np.arange(*t.level_offsets[2:4]))
             term = StoppingTime.terminal(t)
             segs = [random_martingale_density(t, r) for _ in range(3)]
             flat = concatenate_densities(t, [c1, c2, term], segs)
@@ -285,8 +285,8 @@ class TestConcatenation:
         for seed in range(15):
             r = np.random.default_rng(300 + seed)
             t = random_tree(r, depth_range=(3, 3), branch_range=(2, 2))
-            c1 = StoppingTime.of(t, t.level(1))
-            c2 = StoppingTime.of(t, t.level(2))
+            c1 = StoppingTime.of(t, np.arange(*t.level_offsets[1:3]))
+            c2 = StoppingTime.of(t, np.arange(*t.level_offsets[2:4]))
             term = StoppingTime.terminal(t)
             segs = [dyadic_density(t, r) for _ in range(3)]
             flat = concatenate_densities(t, [c1, c2, term], segs)
@@ -302,8 +302,8 @@ class TestConcatenation:
         for seed in range(15):
             r = np.random.default_rng(400 + seed)
             t = random_tree(r, depth_range=(3, 3), branch_range=(2, 3))
-            c1 = StoppingTime.of(t, t.level(1))
-            c2 = StoppingTime.of(t, t.level(2))
+            c1 = StoppingTime.of(t, np.arange(*t.level_offsets[1:3]))
+            c2 = StoppingTime.of(t, np.arange(*t.level_offsets[2:4]))
             term = StoppingTime.terminal(t)
             segs = [random_martingale_density(t, r) for _ in range(3)]
             flat = concatenate_densities(t, [c1, c2, term], segs).density.z
@@ -322,7 +322,7 @@ class TestConcatenation:
     def test_validation_errors(self, rng):
         t = random_tree(rng, depth_range=(2, 2), branch_range=(2, 2))
         seg = random_martingale_density(t, rng)
-        c1 = StoppingTime.of(t, t.level(1))
+        c1 = StoppingTime.of(t, np.arange(*t.level_offsets[1:3]))
         term = StoppingTime.terminal(t)
         with pytest.raises(ValueError, match="one density per interval"):
             concatenate_densities(t, [c1, term], [seg])

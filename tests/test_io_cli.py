@@ -187,6 +187,31 @@ class TestCliExitCodes:
         p.write_text('{"label": 1}')
         rc = main(["check", "--market", str(p)])
         assert rc == 2
+        # JSON booleans are not numbers: each case names its field
+        cases = [
+            (lambda o: o.update(d=True), "d must be"),
+            (lambda o: o.update(horizon=True), "horizon must be"),
+            (lambda o: o["nodes"][1].update(id=True), "node id True"),
+            (lambda o: o["nodes"][2].update(parent=False), "bad parent False"),
+        ]
+        for spoil, field in cases:
+            obj = market_to_dict(load_fixture("binomial"))
+            spoil(obj)
+            p.write_text(json.dumps(obj))
+            capsys.readouterr()
+            assert main(["check", "--market", str(p)]) == 2, field
+            assert field in capsys.readouterr().err
+
+    def test_malformed_density_exits_two(self, tmp_path, capsys):
+        market = tmp_path / "m.json"
+        save_market(load_fixture("binomial"), market)
+        dens = tmp_path / "z.json"
+        dens.write_text(json.dumps({"z": [1.0, "a", 1.0]}))
+        for flag in ("entropy --hellinger", "optimize --measure"):
+            cmd, opt = flag.split()
+            capsys.readouterr()
+            assert main([cmd, "--market", str(market), opt, str(dens)]) == 2, flag
+            assert "z must be a list of numbers; 'a' is not one" in capsys.readouterr().err
 
     def test_bad_utility_spec_exits_two(self, tmp_path):
         path = self.fixture_path("binomial", tmp_path)

@@ -18,6 +18,7 @@ from viatree import (
     wealth_from_units,
 )
 from viatree.generators import random_market, random_martingale_density, random_tree
+from viatree.markets import WealthKernel
 from viatree.trees import EventTree, StoppingTime
 
 
@@ -25,16 +26,16 @@ class TestMarketModel:
     def test_shapes_and_returns(self, binomial):
         assert binomial.d == 1
         assert binomial.prices.shape == (3, 1)
-        inc = binomial.increments(0)
-        assert np.allclose(inc[:, 0], [1.0, -0.5])
-        r = binomial.simple_returns(0)
-        assert np.allclose(r[:, 0], [1.0, -0.5])
+        k = WealthKernel(binomial)
+        assert np.allclose(k.dS[:, 0], [1.0, -0.5])
+        assert np.allclose(k.returns[:, 0], [1.0, -0.5])
 
     def test_returns_scale_with_price(self, rng):
         t = EventTree([None, 0, 0], [1.0, 0.5, 0.5])
         m = MarketModel(tree=t, prices=np.array([[4.0], [6.0], [3.0]]))
-        assert np.allclose(m.increments(0)[:, 0], [2.0, -1.0])
-        assert np.allclose(m.simple_returns(0)[:, 0], [0.5, -0.25])
+        k = WealthKernel(m)
+        assert np.allclose(k.dS[:, 0], [2.0, -1.0])
+        assert np.allclose(k.returns[:, 0], [0.5, -0.25])
 
     def test_shape_mismatch_rejected(self, one_period_binary_tree):
         with pytest.raises(ValueError):
@@ -46,7 +47,7 @@ class TestMarketModel:
             prices=np.array([[0.0], [2.0], [1.0]]),
         )
         with pytest.raises(ValueError, match="node 0"):
-            m.simple_returns(0)
+            WealthKernel(m).returns
 
     def test_validate_clean_market(self, binomial):
         assert validate_market(binomial) == []
@@ -123,14 +124,9 @@ class TestDensityProcess:
     def test_expectation_at_cut_is_one(self, rng):
         t = random_tree(rng, depth_range=(3, 3))
         dp = random_martingale_density(t, rng)
-        cut = StoppingTime.of(t, t.level(2))
-        assert dp.expectation_at(t, cut) == pytest.approx(1.0, abs=1e-12)
-
-    def test_step_weights_are_conditional_probs(self, one_period_binary_tree):
-        dp = DensityProcess(z=np.array([1.0, 2 / 3, 4 / 3]))
-        w = dp.step_weights(one_period_binary_tree, 0)
-        assert np.allclose(w, [1 / 3, 2 / 3])
-        assert w.sum() == pytest.approx(1.0, abs=1e-15)
+        cut = np.asarray(StoppingTime.of(t, np.arange(*t.level_offsets[2:4])).nodes)
+        # optional stopping: E[z at the cut] = 1
+        assert t.unconditional_probs()[cut] @ dp.z[cut] == pytest.approx(1.0, abs=1e-12)
 
     def test_density_from_leaf_values_round_trip(self, rng):
         t = random_tree(rng, depth_range=(3, 3))

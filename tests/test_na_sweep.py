@@ -138,9 +138,9 @@ def test_failing_node_in_stacked_level_ends_the_sweep(monkeypatch):
     m = deep_market(np.random.default_rng(3), 2, depth=5)
     t = m.tree
     # lift every child of one depth-3 node above it: buy-and-hold arbitrage
-    bad = int(t.level(3)[5])
+    bad = int(t.level_offsets[3]) + 5
     m.prices[t.children[bad]] = m.prices[bad] + np.arange(1.0, t.children[bad].size + 1)[:, None]
-    assert t.level(3).size >= arbitrage.STACK_MIN
+    assert t.level_offsets[4] - t.level_offsets[3] >= arbitrage.STACK_MIN
     cert = check_na(m)
     assert cert.verdict == "ARBITRAGE" and cert.fail_node == bad
     assert list(cert.node_eps) == list(range(bad + 1))
@@ -152,14 +152,17 @@ def test_failing_node_in_stacked_level_ends_the_sweep(monkeypatch):
 def test_degenerate_node_in_stacked_level():
     m = deep_market(np.random.default_rng(4), 2, depth=5)
     t = m.tree
-    flat = int(t.level(3)[2])
+    flat = int(t.level_offsets[3]) + 2
     # shift each child's subtree so the child's price equals its parent's:
     # no increments out of ``flat``, the same increments everywhere else
     shift = {int(c): m.prices[flat] - m.prices[c] for c in t.children[flat]}
     for u in range(t.n_nodes):
-        for c in set(t.path_to(u)) & shift.keys():
+        c = u
+        while c > 0 and c not in shift:
+            c = int(t.parent[c])
+        if c in shift:
             m.prices[u] += shift[c]
-    assert t.level(3).size >= arbitrage.STACK_MIN
+    assert t.level_offsets[4] - t.level_offsets[3] >= arbitrage.STACK_MIN
     cert = check_na(m)
     assert cert.verdict == "NA"
     assert cert.node_eps[flat] == float(t.branch_prob[t.children[flat]].min())

@@ -47,10 +47,10 @@ from viatree import (
 )
 from viatree import entropy, numeraire, utility, verify_numeraire
 from viatree.generators import random_na_market
-from viatree.markets import leaf_gain_matrix
-from viatree.newton import damped_newton
-from viatree.numeraire import log_recursion, node_log_optimal
-from viatree.utility import node_power_optimal
+from viatree.markets import WealthKernel, leaf_gain_matrix
+from viatree.newton import damped_newton, raise_stalled
+from viatree.numeraire import log_optimal_stack, log_recursion
+from viatree.utility import power_optimal_stack
 
 SEEDS = range(30)
 UNITS = (1.0, 1e6)
@@ -102,19 +102,41 @@ def _log_node_checks(R, p, pi, gnorm, total=1.0):
     return float(p @ np.log(g))
 
 
+def _log_node(R, p):
+    """One node as a G = 1 ``log_optimal_stack``: (pi, gradient sup norm, steps)."""
+    pi, gnorm, steps = log_optimal_stack(R[None], p[None])
+    return pi[0], float(gnorm[0]), int(steps[0])
+
+
+def _power_node(R, a, gamma):
+    """One node as a G = 1 ``power_optimal_stack``: (pi, objective, gradient
+    sup norm, steps)."""
+    pi, f, gnorm, steps = power_optimal_stack(R[None], a[None], gamma)
+    return pi[0], float(f[0]), float(gnorm[0]), int(steps[0])
+
+
+def _same_stall(stalled, old, message):
+    """The stack's row stalls (gradient >= tol) exactly where the loop
+    raises its solver message; returns whether both converged."""
+    was = isinstance(old, tuple) and len(old) == 2 and isinstance(old[0], type)
+    assert stalled == was, old
+    if was:
+        assert old[0] is RuntimeError and message.search(old[1])
+    return not stalled
+
+
 def _assert_log_node(R, p):
-    new, old = _outcome(node_log_optimal, R, p), _outcome(oracle.node_log_optimal, R, p)
-    if _same_outcome(new, old, LOG_MESSAGE):
+    new, old = _log_node(R, p), _outcome(oracle.node_log_optimal, R, p)
+    if _same_stall(new[1] >= numeraire.FOC_TOL, old, LOG_MESSAGE):
         f = _log_node_checks(R, p, new[0], new[1])
         assert f == pytest.approx(float(p @ np.log(1.0 + R @ old[0])), rel=REL, abs=REL)
 
 
 def _assert_power_node(R, a, gamma):
-    new = _outcome(node_power_optimal, R, a, gamma)
+    new = _power_node(R, a, gamma)
     old = _outcome(oracle.node_power_optimal, R, a, gamma)
-    if _same_outcome(new, old, POWER_MESSAGE):
+    if _same_stall(new[2] >= utility.FOC_TOL, old, POWER_MESSAGE):
         assert new[1] == pytest.approx(old[1], rel=REL)
-        assert new[2] < utility.FOC_TOL
 
 
 def _assert_recursions(m, new_w, old_w, x0, gammas):
@@ -122,9 +144,10 @@ def _assert_recursions(m, new_w, old_w, x0, gammas):
     assert new.value == pytest.approx(old.value, rel=REL, abs=REL)
     assert new.foc_residual < numeraire.FOC_TOL
     fr = new.strategy.fractions
+    R = WealthKernel(m).returns
     for v, e in _edge_groups(m.tree):
         w = new_w[e]
-        _log_node_checks(m.simple_returns(v), w, fr[v], new.foc_residual, float(np.sum(w)))
+        _log_node_checks(R[e], w, fr[v], new.foc_residual, float(np.sum(w)))
     for gamma in gammas:
         new = utility._solve_crra(m, new_w, x0, gamma)
         old = oracle._solve_crra(m, old_w, x0, gamma)
@@ -144,13 +167,13 @@ def _edge_groups(t):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_node_solvers_and_recursions(seed, unit):
     m = _market(seed, unit)
-    t = m.tree
-    for v in t.internal:
-        R, p = m.simple_returns(v), t.branch_prob[t.children[v]]
-        _assert_log_node(R, p)
+    t, R = m.tree, WealthKernel(m).returns
+    for v, e in _edge_groups(t):
+        p = t.branch_prob[t.children[v]]
+        _assert_log_node(R[e], p)
         a = p * (1.0 + np.arange(p.size))
         for gamma in (0.5, 2.0):
-            _assert_power_node(R, a / (1.0 - gamma), gamma)
+            _assert_power_node(R[e], a / (1.0 - gamma), gamma)
     _assert_recursions(m, utility._step_weights(m, None), oracle._step_weights(m, None),
                        2.0, (0.5, 2.0))
     sol = numeraire_portfolio(m)
@@ -158,9 +181,9 @@ def test_node_solvers_and_recursions(seed, unit):
         return
     assert max(sol.node_gradients.values()) < numeraire.FOC_TOL
     assert list(sol.node_gradients) == t.internal.tolist()
-    for v in t.internal:
-        R, p = m.simple_returns(v), t.branch_prob[t.children[v]]
-        _log_node_checks(R, p, sol.fractions.fractions[v], sol.node_gradients[int(v)])
+    for v, e in _edge_groups(t):
+        p = t.branch_prob[t.children[v]]
+        _log_node_checks(R[e], p, sol.fractions.fractions[v], sol.node_gradients[int(v)])
     assert verify_numeraire(m, sol.wealth, seed=seed)["passed"]
 
 
@@ -334,10 +357,10 @@ class TestEdgeCases:
     def test_degenerate_node(self):
         R = np.array([[1e-13, -1e-13], [-5e-13, 2e-13]])
         p = np.array([0.4, 0.6])
-        new, old = node_log_optimal(R, p), oracle.node_log_optimal(R, p)
+        new, old = _log_node(R, p), oracle.node_log_optimal(R, p)
         assert new[0].tolist() == old[0].tolist() == [0.0, 0.0]
         assert new[1:] == old[1:] == (0.0, 0)
-        new, old = node_power_optimal(R, -p, 2.0), oracle.node_power_optimal(R, -p, 2.0)
+        new, old = _power_node(R, -p, 2.0), oracle.node_power_optimal(R, -p, 2.0)
         assert new[0].tolist() == old[0].tolist() == [0.0, 0.0]
         assert new[1] == pytest.approx(old[1], rel=1e-15) and old[1] == -1.0
         assert new[2:] == old[2:] == (0.0, 0)
@@ -387,7 +410,7 @@ class TestEdgeCases:
         monkeypatch.setattr(numeraire, "damped_newton", counting)
         # the second full Newton step leaves the domain 1 - pi/2 > 0
         R, p = np.array([[1.0], [-0.5]]), np.array([0.9, 0.1])
-        new, old = node_log_optimal(R, p), oracle.node_log_optimal(R, p)
+        new, old = _log_node(R, p), oracle.node_log_optimal(R, p)
         assert sum(rejected) == 1
         assert new[0] == pytest.approx(1.7, abs=1e-12) and old[0] == pytest.approx(1.7, abs=1e-12)
         assert new[2] == old[2]
@@ -467,8 +490,9 @@ class TestStalls:
 
     def test_node_solver_raises(self):
         msg = r"did not reach gradient 1e-10 \(residual 4\.\d+e-05\)"
+        gnorm = _log_node(self.R, self.P)[1]
         with pytest.raises(RuntimeError, match=msg):
-            node_log_optimal(self.R, self.P)
+            raise_stalled(np.array([gnorm]), numeraire.FOC_TOL, [0], numeraire._log_stall)
         # the separate loop returned the unconverged point
         assert oracle.node_log_optimal(self.R, self.P)[1] > 1e-5
 

@@ -15,7 +15,7 @@ from viatree import (
 )
 from viatree.generators import random_na_market
 from viatree.numeraire import (
-    node_log_optimal,
+    log_optimal_stack,
     random_stopping_time,
     sample_feasible_fractions,
 )
@@ -69,8 +69,9 @@ class TestNodeSolver:
         # one node, two assets; compare against a brute-force grid
         R = rng.uniform(-0.5, 1.0, size=(3, 2))
         bp = rng.dirichlet(np.ones(3))
-        pi, gnorm, _ = node_log_optimal(R, bp)
-        assert gnorm < 1e-10
+        pi, gnorm, _ = log_optimal_stack(R[None], bp[None])
+        pi = pi[0]
+        assert gnorm[0] < 1e-10
         base = float(bp @ np.log1p(R @ pi))
         for _ in range(200):
             trial = pi + rng.normal(scale=0.05, size=2)

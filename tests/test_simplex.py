@@ -148,7 +148,7 @@ class TestStacked:
             for unit in (1.0, 1e6, 1e-9):
                 mu = MarketModel(m.tree, m.prices * unit)
                 for v in m.tree.internal:
-                    inc = mu.increments(v)
+                    inc = mu.prices[m.tree.children[v]] - mu.prices[v]
                     stacks.setdefault(inc.shape, []).append(inc)
         n_lps = 0
         for incs in stacks.values():

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viatree import EventTree, StoppingTime, conditional_expectation
+from viatree import (
+    EventTree,
+    MarketModel,
+    StoppingTime,
+    check_na,
+    conditional_expectation,
+    crra_utility,
+    exp_utility,
+    maximize_utility,
+    numeraire_portfolio,
+)
 from viatree.generators import random_tree
 from viatree.trees import crossed_by, cuts_nested
 
@@ -24,7 +34,6 @@ class TestConstruction:
         assert t.horizon == 1
         assert list(t.leaves) == [1, 2]
         assert list(t.internal) == [0]
-        assert t.n_children(0) == 2
         assert list(t.children[0]) == [1, 2]
 
     def test_two_period_shape(self):
@@ -32,8 +41,7 @@ class TestConstruction:
         assert t.horizon == 2
         assert list(t.leaves) == [3, 4, 5, 6]
         assert list(t.internal) == [0, 1, 2]
-        assert list(t.level(1)) == [1, 2]
-        assert t.path_to(6) == [0, 2, 6]
+        assert t.level_offsets.tolist() == [0, 1, 3, 7]
 
     def test_unconditional_probs(self):
         t = build_two_period()
@@ -190,7 +198,7 @@ class TestConditionalExpectation:
         t = random_tree(rng, depth_range=(3, 3))
         vals = {int(v): float(rng.normal()) for v in t.leaves}
         direct = conditional_expectation(t, vals, at=0)
-        mid = conditional_expectation(t, vals, at=StoppingTime.of(t, t.level(1)))
+        mid = conditional_expectation(t, vals, at=StoppingTime.of(t, np.arange(*t.level_offsets[1:3])))
         staged = conditional_expectation(t, mid, at=0)
         assert staged == pytest.approx(direct, abs=1e-12)
 
@@ -208,3 +216,63 @@ def test_random_trees_are_consistent(seed, depth):
         assert abs(t.branch_prob[t.children[v]].sum() - 1.0) < 1e-12
     # leaves and internal partition the node set
     assert sorted(list(t.leaves) + list(t.internal)) == list(range(t.n_nodes))
+
+
+class TestSiblingOrder:
+    """A tree whose siblings are not numbered contiguously: node 1 has
+    children 3 and 5, node 2 has 4 and 6.  ``edges`` groups them by parent,
+    and every result matches the same market numbered contiguously."""
+
+    PARENT = [None, 0, 0, 1, 2, 1, 2]
+    PROB = [1.0, 0.4, 0.6, 0.3, 0.55, 0.7, 0.45]
+    ORDER = np.array([0, 1, 2, 3, 5, 4, 6])  # contiguous node j is node ORDER[j]
+
+    def market(self, prices):
+        return MarketModel(EventTree(self.PARENT, self.PROB), np.array(prices)[:, None])
+
+    def relabelled(self, m):
+        inv = np.argsort(self.ORDER)
+        t = m.tree
+        parent = [None] + [int(inv[t.parent[v]]) for v in self.ORDER[1:]]
+        out = MarketModel(EventTree(parent, t.branch_prob[self.ORDER]), m.prices[self.ORDER])
+        assert out.tree.parent.tolist() == [-1, 0, 0, 1, 1, 2, 2]
+        return out
+
+    def test_layout_invariants(self):
+        t = EventTree(self.PARENT, self.PROB)
+        assert t.edges.tolist() == [1, 2, 3, 5, 4, 6]
+        assert t.edge_parent.tolist() == t.parent[t.edges].tolist()
+        for i, v in enumerate(t.internal):
+            e = t.edges[t.starts[i] : t.starts[i] + t.sizes[i]]
+            assert e.tolist() == t.children[v].tolist()
+        covered = []
+        for depth, (lv, nv) in enumerate(zip(t.edge_levels, t.node_levels)):
+            into = t.edges[lv]
+            assert sorted(into.tolist()) == np.flatnonzero(t.depth == depth + 1).tolist()
+            assert np.all(t.depth[t.internal[nv]] == depth)
+            assert np.all(t.depth[t.edge_parent[lv]] == depth)
+            covered += into.tolist()
+        assert sorted(covered) == list(range(1, t.n_nodes))
+
+    def test_arbitrage_free_results_match(self):
+        m = self.market([1.0, 1.2, 0.9, 1.5, 1.1, 1.0, 0.7])
+        c = self.relabelled(m)
+        cert, ref = check_na(m), check_na(c)
+        assert cert.verdict == ref.verdict == "NA"
+        assert np.array_equal(cert.density.z[self.ORDER], ref.density.z)
+        pairs = [
+            (numeraire_portfolio(m).log_growth, numeraire_portfolio(c).log_growth),
+            (maximize_utility(m, crra_utility(2.0)).value, maximize_utility(c, crra_utility(2.0)).value),
+            (exp_utility(m).log_value, exp_utility(c).log_value),
+        ]
+        for got, want in pairs:
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_arbitrage_verdict_matches(self):
+        # both children of node 2 lie above it: buy-and-hold arbitrage there
+        m = self.market([1.0, 1.2, 0.9, 1.5, 1.1, 1.0, 1.3])
+        c = self.relabelled(m)
+        cert, ref = check_na(m), check_na(c)
+        assert cert.verdict == ref.verdict == "ARBITRAGE"
+        assert self.ORDER[ref.fail_node] == cert.fail_node == 2
+        assert cert.replay == ref.replay
