@@ -15,16 +15,26 @@ Simulation is exact in law at the grid points: the norm construction
 S = sqrt((1 + W1)^2 + W2^2 + W3^2) has no Euler bias and is positive by
 algebra.  Paths draw from counter-based generators keyed by
 (seed, path index), so any worker split reproduces the same batch.
+
+The study streams.  ``path_chunks`` builds PATH_CHUNK paths at a time in
+one reused buffer, and ``simulate_bes3`` reduces each chunk, while it is
+in cache, to the per-path statistics the estimators read: the terminal
+value, the trapezoid integral of S^-2, the coarse-node values with the
+lows and highs of each coarse interval, the checkpoint values, and per
+stop level the first-exit value and a stopped flag.  A batch holds these
+statistics, not paths, stored interval-major as (k, n_paths) arrays, so
+memory is O(n_paths x statistics + chunk).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-PATH_CHUNK = 4096
+PATH_CHUNK = 128  # paths per buffer: 128 x 1000 steps x 3 normals is 3 MB
 MIN_INTEGRAL_STEPS = 100
 RECIPROCAL_MOMENT_1 = math.erf(1.0 / math.sqrt(2.0))  # E[1/S_1] = 2*Phi(1) - 1
 LOG_VALUE_BOUND = 2.0 * math.log(2.0)
@@ -47,45 +57,136 @@ class Estimate:
 
 @dataclass
 class McBatch:
+    """Per-path statistics of a simulated batch.  Row k of a 2-D field is
+    coarse node, interval, checkpoint or stop level k across all paths."""
+
     n_paths: int
     n_steps: int
     seed: int
     grid: np.ndarray  # (n_steps + 1,) uniform times on [0, 1]
-    paths: np.ndarray  # (n_paths, n_steps + 1) values of S
+    terminal: np.ndarray  # (n_paths,) S_1
+    integral: np.ndarray  # (n_paths,) trapezoid int_0^1 S_u^-2 du
+    edges: np.ndarray  # (n_intervals + 1,) grid indices of the coarse nodes
+    nodes: np.ndarray  # (n_intervals + 1, n_paths) S at the coarse nodes
+    lows: np.ndarray  # (n_intervals, n_paths) min of S on [edge_k, edge_k+1]
+    highs: np.ndarray  # (n_intervals, n_paths) max of S on the same
+    checkpoints: np.ndarray  # distinct grid indices above 0
+    at_checkpoints: np.ndarray  # (checkpoints.size, n_paths) S there
+    levels: tuple  # stop levels n: tau_n leaves the band (1/n, n)
+    stop_values: np.ndarray  # (n_levels, n_paths) S_tau_n
+    stopped: np.ndarray  # (n_levels, n_paths) tau_n before the last grid time
 
-    def __post_init__(self):
-        if self.paths.shape != (self.n_paths, self.n_steps + 1):
-            raise ValueError(
-                f"paths shape {self.paths.shape} does not match "
-                f"({self.n_paths}, {self.n_steps + 1})"
-            )
-        if not self.paths.size or float(self.paths.min()) <= 0.0:
-            raise ValueError("batch must hold strictly positive path values")
+
+def _is_count(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
 
 
-def simulate_bes3(n_paths: int, n_steps: int, seed: int = 0) -> McBatch:
-    """Exact-in-law Bessel(3) batch on the uniform grid of [0, 1].
+def _coarse(n_steps: int, k: int) -> np.ndarray:
+    """k + 1 grid indices spread evenly over 0 .. n_steps (repeats when
+    n_steps < k)."""
+    return np.linspace(0, n_steps, k + 1).round().astype(int)
 
-    Each path uses its own Philox stream keyed by (seed, path index) and
-    draws the (n_steps, 3) Gaussian increments of the driving Brownian
-    motion in one block, so the batch is bit-reproducible and a prefix of
-    paths is independent of n_paths.
+
+def path_chunks(n_paths: int, n_steps: int, seed: int = 0):
+    """Yield (start, s): paths start .. start + len(s) - 1 as the rows of
+    s, shape (<= PATH_CHUNK, n_steps + 1), on the uniform grid of [0, 1].
+
+    Path j draws the (n_steps, 3) Gaussian increments of its driving
+    Brownian motion from its own Philox stream keyed by (seed, j), so a
+    path depends on (seed, j) only and a prefix of paths is independent
+    of n_paths.  ``s`` is a view of one buffer that the next chunk
+    overwrites; copy it to keep it.
     """
-    if n_paths < 1 or n_steps < 1:
-        raise ValueError("need n_paths >= 1 and n_steps >= 1")
+    sqdt = math.sqrt(1.0 / n_steps)
+    bitgen = np.random.Philox(key=[seed, 0])
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state  # counter 0; re-keying it restarts a path's stream
+    key = fresh["state"]["key"]
+    w = np.empty((PATH_CHUNK, n_steps, 3))
+    s = np.empty((PATH_CHUNK, n_steps + 1))
+    s[:, 0] = 1.0
+    for start in range(0, n_paths, PATH_CHUNK):
+        c = min(PATH_CHUNK, n_paths - start)
+        for i in range(c):
+            key[1] = start + i
+            bitgen.state = fresh
+            gen.standard_normal(out=w[i])
+        wc = w[:c]
+        wc *= sqdt
+        np.cumsum(wc, axis=1, out=wc)
+        wc[:, :, 0] += 1.0
+        np.sqrt(np.einsum("ijk,ijk->ij", wc, wc), out=s[:c, 1:])
+        yield start, s[:c]
+
+
+def simulate_bes3(
+    n_paths: int,
+    n_steps: int,
+    seed: int = 0,
+    *,
+    levels=(),
+    n_intervals: int = 10,
+    n_checkpoints: int = 10,
+) -> McBatch:
+    """Exact-in-law Bessel(3) batch on the uniform grid of [0, 1], reduced
+    to the statistics of every estimator in this module.
+
+    ``n_intervals`` coarse intervals serve ``numeraire_probe``,
+    ``n_checkpoints`` evenly spaced grid times (only the distinct ones
+    above 0 when n_steps < n_checkpoints) serve ``reciprocal_checkpoints``
+    and each stop level serves ``stopped_experiments``.
+    """
+    for name, value in (("n_paths", n_paths), ("n_steps", n_steps),
+                        ("n_intervals", n_intervals),
+                        ("n_checkpoints", n_checkpoints)):
+        if not _is_count(value):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    levels = tuple(levels)
+    if not all(map(_is_count, levels)):
+        raise ValueError(f"levels must be integers >= 1, got {list(levels)}")
+    levels = tuple(int(n) for n in levels)
+    edges = _coarse(n_steps, n_intervals)
+    checkpoints = _coarse(n_steps, n_checkpoints)
+    checkpoints = np.unique(checkpoints[checkpoints > 0])
     dt = 1.0 / n_steps
-    sqdt = math.sqrt(dt)
-    grid = np.linspace(0.0, 1.0, n_steps + 1)
-    paths = np.empty((n_paths, n_steps + 1))
-    paths[:, 0] = 1.0
-    for j in range(n_paths):
-        gen = np.random.Generator(np.random.Philox(key=[seed, j]))
-        w = gen.standard_normal((n_steps, 3))
-        w *= sqdt
-        np.cumsum(w, axis=0, out=w)
-        w[:, 0] += 1.0
-        np.sqrt(np.einsum("ij,ij->i", w, w), out=paths[j, 1:])
-    return McBatch(n_paths=n_paths, n_steps=n_steps, seed=seed, grid=grid, paths=paths)
+
+    terminal = np.empty(n_paths)
+    integral = np.empty(n_paths)
+    nodes = np.empty((n_intervals + 1, n_paths))
+    lows = np.empty((n_intervals, n_paths))
+    highs = np.empty((n_intervals, n_paths))
+    at_checkpoints = np.empty((checkpoints.size, n_paths))
+    stop_values = np.empty((len(levels), n_paths))
+    stopped = np.empty((len(levels), n_paths), dtype=bool)
+    for start, s in path_chunks(n_paths, n_steps, seed):
+        c = s.shape[0]
+        cols = slice(start, start + c)
+        terminal[cols] = s[:, -1]
+        f = s ** -2.0
+        integral[cols] = dt * (f[:, 1:-1].sum(axis=1) + 0.5 * (f[:, 0] + f[:, -1]))
+        nodes[:, cols] = s[:, edges].T
+        at_checkpoints[:, cols] = s[:, checkpoints].T
+        for i in range(n_intervals):
+            seg = s[:, edges[i] : edges[i + 1] + 1]
+            seg.min(axis=1, out=lows[i, cols])
+            seg.max(axis=1, out=highs[i, cols])
+        rows = np.arange(c)
+        for j, n in enumerate(levels):
+            outside = (s <= 1.0 / n) | (s >= float(n))
+            first = outside.argmax(axis=1)
+            stop = np.where(outside[rows, first], first, n_steps)
+            stop_values[j, cols] = s[rows, stop]
+            stopped[j, cols] = stop < n_steps
+    if float(lows.min()) <= 0.0:
+        raise ValueError("batch must hold strictly positive path values")
+    return McBatch(
+        n_paths=n_paths, n_steps=n_steps, seed=seed,
+        grid=np.linspace(0.0, 1.0, n_steps + 1),
+        terminal=terminal, integral=integral,
+        edges=edges, nodes=nodes, lows=lows, highs=highs,
+        checkpoints=checkpoints, at_checkpoints=at_checkpoints,
+        levels=levels, stop_values=stop_values, stopped=stopped,
+    )
 
 
 def estimate_reciprocal_moment(b: McBatch) -> Estimate:
@@ -95,14 +196,14 @@ def estimate_reciprocal_moment(b: McBatch) -> Estimate:
     1 - mean is the strict-local-martingale gap that excludes an
     equivalent martingale measure.
     """
-    return Estimate.of(1.0 / b.paths[:, -1], "E[1/S_1]")
+    return Estimate.of(1.0 / b.terminal, "E[1/S_1]")
 
 
-def reciprocal_checkpoints(b: McBatch, n_checkpoints: int = 10) -> list[Estimate]:
-    """E[1/S_t] at evenly spaced grid checkpoints; nonincreasing in t."""
-    idx = np.linspace(0, b.n_steps, n_checkpoints + 1).round().astype(int)[1:]
+def reciprocal_checkpoints(b: McBatch) -> list[Estimate]:
+    """E[1/S_t] at the batch's checkpoints; nonincreasing in t."""
     return [
-        Estimate.of(1.0 / b.paths[:, k], f"E[1/S_{b.grid[k]:g}]") for k in idx
+        Estimate.of(1.0 / s, f"E[1/S_{b.grid[k]:g}]")
+        for k, s in zip(b.checkpoints, b.at_checkpoints)
     ]
 
 
@@ -119,18 +220,10 @@ def estimate_log_value(b: McBatch) -> dict:
             f"time integral needs at least {MIN_INTEGRAL_STEPS} steps, "
             f"got {b.n_steps}"
         )
-    dt = 1.0 / b.n_steps
-    log_s1 = np.log(b.paths[:, -1])
-    integrals = np.empty(b.n_paths)
-    for start in range(0, b.n_paths, PATH_CHUNK):
-        stop = min(start + PATH_CHUNK, b.n_paths)
-        f = b.paths[start:stop] ** -2.0
-        integrals[start:stop] = dt * (
-            f[:, 1:-1].sum(axis=1) + 0.5 * (f[:, 0] + f[:, -1])
-        )
+    log_s1 = np.log(b.terminal)
     e_log = Estimate.of(log_s1, "E[log S_1]")
-    e_int = Estimate.of(integrals, "E[int_0^1 S^-2 du]")
-    paired = log_s1 - 0.5 * integrals
+    e_int = Estimate.of(b.integral, "E[int_0^1 S^-2 du]")
+    paired = log_s1 - 0.5 * b.integral
     ito = Estimate.of(paired, "Ito residual")
     bound_ok = e_int.mean <= LOG_VALUE_BOUND + 3.0 * e_int.std_error
     ito_ok = abs(ito.mean) <= 3.0 * ito.std_error
@@ -144,98 +237,75 @@ def estimate_log_value(b: McBatch) -> dict:
     }
 
 
-def _interval_extremes(b: McBatch, edges: np.ndarray):
-    """Per path, min and max of S over each coarse interval [edge_k, edge_k+1]."""
-    k = edges.size - 1
-    mins = np.empty((b.n_paths, k))
-    maxs = np.empty((b.n_paths, k))
-    for i in range(k):
-        seg = b.paths[:, edges[i] : edges[i + 1] + 1]
-        mins[:, i] = seg.min(axis=1)
-        maxs[:, i] = seg.max(axis=1)
-    return mins, maxs
+def _probe_row(label: str, ratio: np.ndarray, n_rejected: int) -> dict:
+    est = Estimate.of(ratio, f"E[X_T/S_1] ({label})")
+    return {
+        "label": label,
+        "mean": est.mean,
+        "std_error": est.std_error,
+        "n_used": est.n,
+        "n_rejected": n_rejected,
+        "margin": est.mean - 1.0,
+        "pass": bool(est.mean <= 1.0 + 3.0 * est.std_error),
+    }
 
 
 def numeraire_probe(
     b: McBatch,
     n_strats: int = 200,
     seed: int = 0,
-    n_intervals: int = 10,
     bound: float = 1.0,
 ) -> dict:
     """Deflator test of the candidate numeraire S.
 
-    Samples piecewise-constant holdings theta on a coarse subgrid, with
-    |theta_k| <= bound, and forms the exact wealth of the corresponding
-    simple strategy, X_T = 1 + sum theta_k (S_end - S_start).  Paths
-    where the wealth dips below 0 (checked against within-interval path
-    extremes, since X is linear in S inside an interval) are not covered
-    by the deflator inequality and are rejected and counted.  Each
+    Samples piecewise-constant holdings theta on the batch's coarse
+    intervals, with |theta_k| <= bound, and forms the exact wealth of the
+    corresponding simple strategy, X_T = 1 + sum theta_k (S_end - S_start).
+    Paths where the wealth dips below 0 (checked against within-interval
+    path extremes, since X is linear in S inside an interval) are not
+    covered by the deflator inequality and are rejected and counted.  Each
     strategy must satisfy mean(X_T / S_1) <= 1 + 3 SE.
 
     Two reference rows are always included: theta = 0 (ratio 1/S_1) and
     the self-ratio of holding one share throughout, whose wealth is S
     itself, so the ratio is identically 1.
     """
-    edges = np.linspace(0, b.n_steps, n_intervals + 1).round().astype(int)
-    s_nodes = b.paths[:, edges]  # (n_paths, n_intervals + 1)
-    ds = np.diff(s_nodes, axis=1)  # (n_paths, n_intervals)
-    s1 = b.paths[:, -1]
-    mins, maxs = _interval_extremes(b, edges)
+    k = b.edges.size - 1
+    ds = np.diff(b.nodes, axis=0)
+    # S's excursion from each interval's start: a long holding's wealth
+    # bottoms at S's low, a short one's at S's high
+    down = b.lows - b.nodes[:-1]
+    up = b.highs - b.nodes[:-1]
+    s1 = b.terminal
     rng = np.random.default_rng(seed)
-    thetas = rng.uniform(-bound, bound, size=(n_strats, n_intervals))
+    thetas = rng.uniform(-bound, bound, size=(n_strats, k))
+    x = np.empty_like(b.nodes)  # wealth at the coarse nodes
+    x[0] = 1.0
+    work = np.empty_like(ds)
 
-    rows = []
+    def sampled_row(label, theta):
+        # row by row: an accumulate along axis 0 strides across all paths
+        np.multiply(theta[:, None], ds, out=work)
+        for i in range(1, k):
+            np.add(work[i - 1], work[i], out=work[i])
+        np.add(work, 1.0, out=x[1:])
+        for i, th in enumerate(theta):
+            np.multiply(th, down[i] if th >= 0.0 else up[i], out=work[i])
+        np.add(work, x[:-1], out=work)  # worst wealth inside each interval
+        ok = work.min(axis=0) >= 0.0
+        return _probe_row(label, x[-1, ok] / s1[ok], int(np.sum(~ok)))
 
-    def add_row(label, theta):
-        # wealth at interval starts, then worst within-interval excursion
-        x_nodes = np.empty_like(s_nodes)
-        x_nodes[:, 0] = 1.0
-        np.cumsum(theta * ds, axis=1, out=x_nodes[:, 1:])
-        x_nodes[:, 1:] += 1.0
-        worst_s = np.where(theta >= 0.0, mins, maxs)
-        excursion = x_nodes[:, :-1] + theta * (worst_s - s_nodes[:, :-1])
-        ok = excursion.min(axis=1) >= 0.0
-        n_rejected = int(np.sum(~ok))
-        ratio = x_nodes[ok, -1] / s1[ok]
-        est = Estimate.of(ratio, f"E[X_T/S_1] ({label})")
-        passed = est.mean <= 1.0 + 3.0 * est.std_error
-        rows.append(
-            {
-                "label": label,
-                "mean": est.mean,
-                "std_error": est.std_error,
-                "n_used": est.n,
-                "n_rejected": n_rejected,
-                "margin": est.mean - 1.0,
-                "pass": bool(passed),
-            }
-        )
-
-    add_row("zero", np.zeros(n_intervals))
+    rows = [sampled_row("zero", np.zeros(k))]
     # one share held throughout has wealth S by self-financing; its
     # deflated ratio is S_1/S_1 = 1 without accumulating rounding
-    self_ratio = s1 / s1
-    est = Estimate.of(self_ratio, "E[X_T/S_1] (one-share)")
-    rows.append(
-        {
-            "label": "one-share",
-            "mean": est.mean,
-            "std_error": est.std_error,
-            "n_used": est.n,
-            "n_rejected": 0,
-            "margin": est.mean - 1.0,
-            "pass": bool(est.mean <= 1.0 + 3.0 * est.std_error),
-        }
-    )
-    for i in range(n_strats):
-        add_row(f"sampled-{i}", thetas[i])
+    rows.append(_probe_row("one-share", s1 / s1, 0))
+    rows += [sampled_row(f"sampled-{i}", theta) for i, theta in enumerate(thetas)]
 
     worst = max(rows, key=lambda r: r["margin"])
     return {
         "rows": rows,
         "n_strategies": n_strats,
-        "n_intervals": n_intervals,
+        "n_intervals": k,
         "bound": bound,
         "worst_label": worst["label"],
         "worst_margin": worst["margin"],
@@ -244,8 +314,9 @@ def numeraire_probe(
     }
 
 
-def stopped_experiments(b: McBatch, levels: list[int]) -> dict:
-    """Localized log values at barrier exits.
+def stopped_experiments(b: McBatch) -> dict:
+    """Localized log values at barrier exits, one row per stop level of
+    the batch.
 
     For each level n, tau_n is the first grid time with S outside the
     open band (1/n, n), or T if the band is never left.  Reports
@@ -254,27 +325,18 @@ def stopped_experiments(b: McBatch, levels: list[int]) -> dict:
     Level 1 stops immediately (S_0 = 1 is outside the empty band), so
     its value is log 1 = 0.
     """
-    if not levels:
+    if not b.levels:
         raise ValueError("need at least one level")
-    if any(int(n) < 1 for n in levels):
-        raise ValueError("levels must be integers >= 1")
-    unstopped = Estimate.of(np.log(b.paths[:, -1]), "E[log S_1]")
+    unstopped = Estimate.of(np.log(b.terminal), "E[log S_1]")
     rows = []
-    path_idx = np.arange(b.n_paths)
-    for n in levels:
-        n = int(n)
-        outside = (b.paths <= 1.0 / n) | (b.paths >= float(n))
-        hit = outside.any(axis=1)
-        first = np.argmax(outside, axis=1)
-        stop_idx = np.where(hit, first, b.n_steps)
-        values = np.log(b.paths[path_idx, stop_idx])
-        est = Estimate.of(values, f"E[log S_tau_{n}]")
+    for n, values, stopped in zip(b.levels, b.stop_values, b.stopped):
+        est = Estimate.of(np.log(values), f"E[log S_tau_{n}]")
         rows.append(
             {
                 "level": n,
                 "mean": est.mean,
                 "std_error": est.std_error,
-                "frac_stopped": float(np.mean(stop_idx < b.n_steps)),
+                "frac_stopped": float(np.mean(stopped)),
             }
         )
     return {

@@ -307,13 +307,13 @@ def _cmd_entropy(args) -> tuple[int, dict]:
 
 
 def _cmd_simulate(args) -> tuple[int, dict]:
-    b = simulate_bes3(args.paths, args.steps, seed=args.seed)
+    b = simulate_bes3(args.paths, args.steps, seed=args.seed, levels=STOPPED_LEVELS)
     rec = estimate_reciprocal_moment(b)
     gap = 1.0 - rec.mean
     gap_sigmas = gap / rec.std_error if rec.std_error else float("inf")
     lv = estimate_log_value(b)
     probe = numeraire_probe(b, n_strats=args.probe_strategies, seed=args.seed + 1)
-    stopped = stopped_experiments(b, STOPPED_LEVELS)
+    stopped = stopped_experiments(b)
     rows = [
         {"kind": "stopped", "level": r["level"], "mean": r["mean"],
          "std_error": r["std_error"], "frac_stopped": r["frac_stopped"]}

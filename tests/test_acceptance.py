@@ -269,8 +269,8 @@ def test_criterion_7_bessel_example():
 
 
 def test_criterion_8_localization():
-    b = simulate_bes3(20_000, 1000, seed=7)
-    rep = stopped_experiments(b, [1, 2, 4, 8, 16, 32, 64])
+    b = simulate_bes3(20_000, 1000, seed=7, levels=[1, 2, 4, 8, 16, 32, 64])
+    rep = stopped_experiments(b)
     means = [r["mean"] for r in rep["rows"]]
     finite = all(math.isfinite(x) for x in means)
     monotone = all(a <= x + 1e-12 for a, x in zip(means, means[1:]))

@@ -3,61 +3,75 @@
 The terminal marginal has a closed form (S_1^2 is noncentral chi-square
 with three degrees of freedom), which gives exact targets for moment and
 distribution checks without re-running the library's own estimators.
+The streaming study is held bitwise to ``tests/bessel_oracle.py``, the
+same estimators on a materialized path matrix.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import bessel_oracle as oracle
 from viatree.bessel import (
+    PATH_CHUNK,
     Estimate,
     LOG_VALUE_BOUND,
     RECIPROCAL_MOMENT_1,
     estimate_log_value,
     estimate_reciprocal_moment,
     numeraire_probe,
+    path_chunks,
     reciprocal_checkpoints,
     simulate_bes3,
     stopped_experiments,
 )
 
+LEVELS = [1, 2, 4, 8, 16, 32, 64]
+
 
 @pytest.fixture(scope="module")
 def batch():
     # shared mid-size batch; tests below only read it
-    return simulate_bes3(20_000, 200, seed=11)
+    return simulate_bes3(20_000, 200, seed=11, levels=LEVELS)
+
+
+def _paths(n_paths, n_steps, seed):
+    # the chunk buffer is reused, so keep copies
+    return np.concatenate([s.copy() for _, s in path_chunks(n_paths, n_steps, seed)])
 
 
 class TestSimulation:
     def test_shapes_and_grid(self):
         b = simulate_bes3(16, 8, seed=0)
-        assert b.paths.shape == (16, 9)
+        paths = _paths(16, 8, 0)
+        assert paths.shape == (16, 9)
         assert np.allclose(b.grid, np.linspace(0.0, 1.0, 9))
-        assert np.all(b.paths[:, 0] == 1.0)
-        assert np.all(b.paths > 0.0)
+        assert np.all(paths[:, 0] == 1.0)
+        assert np.all(paths > 0.0)
 
     def test_deterministic_given_seed(self):
-        a = simulate_bes3(64, 16, seed=9)
-        b = simulate_bes3(64, 16, seed=9)
-        assert np.array_equal(a.paths, b.paths)
+        a = _paths(64, 16, 9)
+        b = _paths(64, 16, 9)
+        assert np.array_equal(a, b)
 
     def test_seed_changes_paths(self):
-        a = simulate_bes3(64, 16, seed=9)
-        b = simulate_bes3(64, 16, seed=10)
-        assert not np.array_equal(a.paths, b.paths)
+        a = _paths(64, 16, 9)
+        b = _paths(64, 16, 10)
+        assert not np.array_equal(a, b)
 
     def test_paths_keyed_individually(self):
         # path j depends on (seed, j) only, so prefixes agree across sizes
-        small = simulate_bes3(50, 16, seed=3)
-        large = simulate_bes3(100, 16, seed=3)
-        assert np.array_equal(small.paths, large.paths[:50])
+        small = _paths(50, 16, 3)
+        large = _paths(100, 16, 3)
+        assert np.array_equal(small, large[:50])
 
     def test_terminal_marginal_ks(self):
         # S_1 = |(1,0,0) + W|; compare simulated S_1^2 against exact
         # noncentral chi-square(3, 1) draws at the 1% KS level
         n = m = 4000
-        sim = simulate_bes3(n, 1, seed=21).paths[:, -1] ** 2
+        sim = _paths(n, 1, 21)[:, -1] ** 2
         rng = np.random.default_rng(77)
         ref = ((1.0 + rng.standard_normal(m)) ** 2
                + rng.standard_normal(m) ** 2
@@ -74,6 +88,68 @@ class TestSimulation:
             simulate_bes3(0, 10)
         with pytest.raises(ValueError):
             simulate_bes3(10, 0)
+
+    @pytest.mark.parametrize("name", ["n_intervals", "n_checkpoints"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True])
+    def test_grid_counts_validated(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            simulate_bes3(8, 4, **{name: value})
+
+
+class TestOracle:
+    """Every estimate of the streaming study is bitwise the matrix oracle's;
+    repr round-trips a float exactly, so equal reprs mean equal bits."""
+
+    # one path can be rejected by a strategy, leaving an empty mean
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    # numpy keys Philox through float64 above 2**63; 2**64 - 2**11 is the
+    # largest seed it keeps exactly
+    @pytest.mark.parametrize("seed", [3, 2**64 - 2**11])
+    @pytest.mark.parametrize("n_steps", [1, 7, 100, 250])
+    @pytest.mark.parametrize(
+        "n_paths", [1, PATH_CHUNK - 1, PATH_CHUNK, PATH_CHUNK + 1, 3 * PATH_CHUNK + 5]
+    )
+    def test_study_matches_oracle(self, n_paths, n_steps, seed):
+        want = oracle.simulate_bes3(n_paths, n_steps, seed=seed)
+        b = simulate_bes3(n_paths, n_steps, seed=seed, levels=LEVELS)
+        assert np.array_equal(_paths(n_paths, n_steps, seed), want.paths)
+        assert repr(estimate_reciprocal_moment(b)) == repr(
+            oracle.estimate_reciprocal_moment(want))
+        if n_steps >= 100:
+            assert repr(estimate_log_value(b)) == repr(oracle.estimate_log_value(want))
+        assert repr(numeraire_probe(b, n_strats=20, seed=5)) == repr(
+            oracle.numeraire_probe(want, n_strats=20, seed=5))
+        assert repr(stopped_experiments(b)) == repr(
+            oracle.stopped_experiments(want, LEVELS))
+        # the oracle repeats grid points and includes t = 0 when
+        # n_steps < 10; the study keeps the distinct checkpoints above 0
+        distinct = {e.label: e for e in oracle.reciprocal_checkpoints(want)
+                    if e.label != "E[1/S_0]"}
+        assert repr(reciprocal_checkpoints(b)) == repr(list(distinct.values()))
+
+    def test_checkpoints_distinct_on_coarse_grid(self):
+        labels = [e.label for e in reciprocal_checkpoints(simulate_bes3(50, 3, seed=1))]
+        assert labels == ["E[1/S_0.333333]", "E[1/S_0.666667]", "E[1/S_1]"]
+
+    def test_peak_memory_is_the_chunk(self):
+        # the study holds per-path statistics, not paths: a path matrix
+        # alone would add 8 KB per path at 1,000 steps
+        def peak(n_paths):
+            tracemalloc.start()
+            try:
+                b = simulate_bes3(n_paths, 1000, seed=4, levels=LEVELS)
+                estimate_log_value(b)
+                numeraire_probe(b, n_strats=20, seed=5)
+                stopped_experiments(b)
+                reciprocal_checkpoints(b)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(512)  # the first study pays one-time allocations
+        small, large = peak(512), peak(4096)
+        assert (large - small) / (4096 - 512) < 2048
 
 
 class TestEstimates:
@@ -139,14 +215,14 @@ class TestProbe:
 
 class TestStopped:
     def test_level_one_stops_at_zero(self, batch):
-        rep = stopped_experiments(batch, [1, 4])
+        rep = stopped_experiments(batch)
         first = rep["rows"][0]
         assert first["level"] == 1
         assert first["mean"] == 0.0
         assert first["frac_stopped"] == 1.0
 
     def test_levels_increase_toward_unstopped(self, batch):
-        rep = stopped_experiments(batch, [1, 2, 4, 8, 16, 32, 64])
+        rep = stopped_experiments(batch)
         means = [r["mean"] for r in rep["rows"]]
         assert all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
         top = rep["rows"][-1]
@@ -156,8 +232,17 @@ class TestStopped:
         fracs = [r["frac_stopped"] for r in rep["rows"]]
         assert all(a >= b for a, b in zip(fracs, fracs[1:]))
 
-    def test_levels_validated(self, batch):
+    def test_levels_validated(self):
         with pytest.raises(ValueError, match="levels"):
-            stopped_experiments(batch, [0, 2])
+            simulate_bes3(8, 4, levels=[0, 2])
         with pytest.raises(ValueError, match="at least one"):
-            stopped_experiments(batch, [])
+            stopped_experiments(simulate_bes3(8, 4, levels=[]))
+
+    @pytest.mark.parametrize("levels", [[2.5, True], [True], [2.5], ["2"], [np.float64(4.0)]])
+    def test_levels_must_be_integers(self, levels):
+        with pytest.raises(ValueError, match="levels must be integers >= 1"):
+            simulate_bes3(8, 4, levels=levels)
+
+    def test_numpy_integer_levels(self):
+        b = simulate_bes3(8, 4, levels=[np.int64(4), 1])
+        assert [r["level"] for r in stopped_experiments(b)["rows"]] == [4, 1]
