@@ -14,7 +14,8 @@ exits to show the stopped values climbing to the global one.
 Simulation is exact in law at the grid points: the norm construction
 S = sqrt((1 + W1)^2 + W2^2 + W3^2) has no Euler bias and is positive by
 algebra.  Paths draw from counter-based generators keyed by
-(seed, path index), so any worker split reproduces the same batch.
+(seed, path index) as a 64-bit pair, so any worker split reproduces the
+same batch.
 
 The study streams.  ``path_chunks`` builds PATH_CHUNK paths at a time in
 one reused buffer, and ``simulate_bes3`` reduces each chunk, while it is
@@ -24,17 +25,28 @@ lows and highs of each coarse interval, the checkpoint values, and per
 stop level the first-exit value and a stopped flag.  A batch holds these
 statistics, not paths, stored interval-major as (k, n_paths) arrays, so
 memory is O(n_paths x statistics + chunk).
+
+With more than one chunk and more than one CPU, ``simulate_bes3`` fills
+and reduces the chunks on one worker thread per CPU, created and joined
+inside the call.  Each worker owns its generator and buffers of
+PATH_CHUNK // workers paths, so all buffers together stay one chunk, and
+writes its chunks' columns of the batch.  numpy releases the interpreter
+lock in the normal draws, cumsum, einsum, sqrt and reductions, which are
+nearly all of the work.  No statistic reads another path, so the batch
+is bitwise the same for any worker count and schedule.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
-PATH_CHUNK = 128  # paths per buffer: 128 x 1000 steps x 3 normals is 3 MB
+PATH_CHUNK = 128  # paths in all buffers together: 128 x 1000 steps x 3 normals is 3 MB
 MIN_INTEGRAL_STEPS = 100
 RECIPROCAL_MOMENT_1 = math.erf(1.0 / math.sqrt(2.0))  # E[1/S_1] = 2*Phi(1) - 1
 LOG_VALUE_BOUND = 2.0 * math.log(2.0)
@@ -87,26 +99,34 @@ def _coarse(n_steps: int, k: int) -> np.ndarray:
     return np.linspace(0, n_steps, k + 1).round().astype(int)
 
 
-def path_chunks(n_paths: int, n_steps: int, seed: int = 0):
-    """Yield (start, s): paths start .. start + len(s) - 1 as the rows of
-    s, shape (<= PATH_CHUNK, n_steps + 1), on the uniform grid of [0, 1].
+def _cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_filler(n_steps: int, seed: int, rows: int):
+    """Return fill(start, c), which simulates paths start .. start + c - 1
+    (c <= rows) and returns them as the rows of a (c, n_steps + 1) view of
+    its own buffer, which the next fill overwrites.
 
     Path j draws the (n_steps, 3) Gaussian increments of its driving
-    Brownian motion from its own Philox stream keyed by (seed, j), so a
-    path depends on (seed, j) only and a prefix of paths is independent
-    of n_paths.  ``s`` is a view of one buffer that the next chunk
-    overwrites; copy it to keep it.
+    Brownian motion from its own Philox stream keyed by (seed, j).  A
+    filler owns its generator, buffers and temporaries, so fillers on
+    different threads share nothing.
     """
     sqdt = math.sqrt(1.0 / n_steps)
-    bitgen = np.random.Philox(key=[seed, 0])
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state  # counter 0; re-keying it restarts a path's stream
     key = fresh["state"]["key"]
-    w = np.empty((PATH_CHUNK, n_steps, 3))
-    s = np.empty((PATH_CHUNK, n_steps + 1))
+    w = np.empty((rows, n_steps, 3))
+    s = np.empty((rows, n_steps + 1))
     s[:, 0] = 1.0
-    for start in range(0, n_paths, PATH_CHUNK):
-        c = min(PATH_CHUNK, n_paths - start)
+
+    def fill(start: int, c: int) -> np.ndarray:
         for i in range(c):
             key[1] = start + i
             bitgen.state = fresh
@@ -116,7 +136,56 @@ def path_chunks(n_paths: int, n_steps: int, seed: int = 0):
         np.cumsum(wc, axis=1, out=wc)
         wc[:, :, 0] += 1.0
         np.sqrt(np.einsum("ijk,ijk->ij", wc, wc), out=s[:c, 1:])
-        yield start, s[:c]
+        return s[:c]
+
+    return fill
+
+
+def path_chunks(n_paths: int, n_steps: int, seed: int = 0):
+    """Yield (start, s): paths start .. start + len(s) - 1 as the rows of
+    s, shape (<= PATH_CHUNK, n_steps + 1), on the uniform grid of [0, 1].
+
+    A path depends on (seed, j) only, so a prefix of paths is independent
+    of n_paths.  ``s`` is a view of one buffer that the next chunk
+    overwrites; copy it to keep it.
+    """
+    fill = _chunk_filler(n_steps, seed, PATH_CHUNK)
+    for start in range(0, n_paths, PATH_CHUNK):
+        yield start, fill(start, min(PATH_CHUNK, n_paths - start))
+
+
+def _pooled_chunks(reduce, n_paths: int, n_steps: int, seed: int, workers: int):
+    """Call reduce(start, s) on every chunk of PATH_CHUNK // workers paths
+    from ``workers`` threads, each with its own filler; a thread takes the
+    next chunk start when it comes free.  The first error stops the other
+    threads after their current chunk and reaches the caller."""
+    # imported here: it loads logging, which no other command needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    rows = PATH_CHUNK // workers
+    starts = iter(range(0, n_paths, rows))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def take():
+        with lock:
+            return None if stop.is_set() else next(starts, None)
+
+    def work():
+        fill = _chunk_filler(n_steps, seed, rows)
+        try:
+            for start in iter(take, None):
+                reduce(start, fill(start, min(rows, n_paths - start)))
+        finally:
+            stop.set()  # harmless once the starts are exhausted
+
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(work) for _ in range(workers)]
+        try:
+            for future in futures:
+                future.result()
+        finally:
+            stop.set()
 
 
 def simulate_bes3(
@@ -158,7 +227,8 @@ def simulate_bes3(
     at_checkpoints = np.empty((checkpoints.size, n_paths))
     stop_values = np.empty((len(levels), n_paths))
     stopped = np.empty((len(levels), n_paths), dtype=bool)
-    for start, s in path_chunks(n_paths, n_steps, seed):
+
+    def reduce(start, s):
         c = s.shape[0]
         cols = slice(start, start + c)
         terminal[cols] = s[:, -1]
@@ -177,6 +247,15 @@ def simulate_bes3(
             stop = np.where(outside[rows, first], first, n_steps)
             stop_values[j, cols] = s[rows, stop]
             stopped[j, cols] = stop < n_steps
+
+    # every statistic reads its own path only, so the batch is the same
+    # bitwise for any worker count and schedule; each worker gets >= 1 row
+    workers = min(-(-n_paths // PATH_CHUNK), _cores(), PATH_CHUNK)
+    if workers == 1:
+        for start, s in path_chunks(n_paths, n_steps, seed):
+            reduce(start, s)
+    else:
+        _pooled_chunks(reduce, n_paths, n_steps, seed, workers)
     if float(lows.min()) <= 0.0:
         raise ValueError("batch must hold strictly positive path values")
     return McBatch(

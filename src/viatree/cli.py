@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .arbitrage import ArbitrageError, _nupbr, check_na
 from .bessel import (
+    MIN_INTEGRAL_STEPS,
     estimate_log_value,
     estimate_reciprocal_moment,
     numeraire_probe,
@@ -74,6 +75,15 @@ def _count(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return n
+
+
+def _steps(text: str) -> int:
+    # the log value's time integral needs a fine grid
+    n = int(text)
+    if n < MIN_INTEGRAL_STEPS:
+        raise argparse.ArgumentTypeError(
+            f"must be >= {MIN_INTEGRAL_STEPS}, got {text}")
     return n
 
 
@@ -436,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common],
                        help="Bessel(3) Monte Carlo study")
     p.add_argument("--paths", type=_count, default=100_000, metavar="N")
-    p.add_argument("--steps", type=_count, default=1000, metavar="M")
+    p.add_argument("--steps", type=_steps, default=1000, metavar="M")
     p.add_argument("--probe-strategies", type=_count, default=200, metavar="N")
     p.add_argument("--report", dest="out", metavar="FILE",
                    help="alias for --out")

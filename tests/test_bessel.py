@@ -7,17 +7,23 @@ The streaming study is held bitwise to ``tests/bessel_oracle.py``, the
 same estimators on a materialized path matrix.
 """
 
+import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import bessel_oracle as oracle
+from viatree import bessel
 from viatree.bessel import (
     PATH_CHUNK,
     Estimate,
     LOG_VALUE_BOUND,
+    McBatch,
     RECIPROCAL_MOMENT_1,
     estimate_log_value,
     estimate_reciprocal_moment,
@@ -94,6 +100,94 @@ class TestSimulation:
     def test_grid_counts_validated(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
             simulate_bes3(8, 4, **{name: value})
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_large_seeds_keep_their_bits(self, monkeypatch, cores):
+        # a float64 key would merge 2**63 + 1 into 2**63 and wrap
+        # 2**64 - 2 to 0 with a cast warning
+        monkeypatch.setattr(bessel, "_cores", lambda: cores)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            terminal = {seed: simulate_bes3(PATH_CHUNK + 1, 10, seed=seed).terminal
+                        for seed in (0, 2**63, 2**63 + 1, 2**64 - 2)}
+        assert not np.array_equal(terminal[2**63], terminal[2**63 + 1])
+        assert not np.array_equal(terminal[2**64 - 2], terminal[0])
+
+
+def _assert_same_batch(a, b):
+    for field in dataclasses.fields(McBatch):
+        x, y = np.asarray(getattr(a, field.name)), np.asarray(getattr(b, field.name))
+        assert x.dtype == y.dtype and x.shape == y.shape, field.name
+        assert x.tobytes() == y.tobytes(), field.name
+
+
+class TestWorkers:
+    """The chunks are spread over worker threads; every statistic reads
+    its own path only, so the batch is bitwise the same for any count."""
+
+    @pytest.fixture
+    def pooled(self, monkeypatch):
+        """Worker counts of the pools that simulate_bes3 starts."""
+        calls = []
+        real = bessel._pooled_chunks
+
+        def spy(reduce, n_paths, n_steps, seed, workers):
+            calls.append(workers)
+            real(reduce, n_paths, n_steps, seed, workers)
+
+        monkeypatch.setattr(bessel, "_pooled_chunks", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "n_paths", [1, PATH_CHUNK - 1, PATH_CHUNK, PATH_CHUNK + 1, 3 * PATH_CHUNK + 5]
+    )
+    def test_batch_bitwise_for_any_worker_count(self, monkeypatch, pooled, n_paths):
+        batches = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(bessel, "_cores", lambda: cores)
+            pooled.clear()
+            batches.append(simulate_bes3(n_paths, 120, seed=8, levels=LEVELS))
+            # one chunk or one core runs inline, without a pool
+            want = min(cores, -(-n_paths // PATH_CHUNK))
+            assert pooled == ([want] if want > 1 else [])
+        for b in batches[1:]:
+            _assert_same_batch(b, batches[0])
+
+    def test_many_workers_lose_no_chunk(self, monkeypatch, pooled):
+        # more workers than cores, switching threads every microsecond:
+        # a chunk taken twice or skipped would leave a column unwritten
+        monkeypatch.setattr(bessel, "_cores", lambda: 1)
+        want = simulate_bes3(1000, 12, seed=5, levels=LEVELS)
+        monkeypatch.setattr(bessel, "_cores", lambda: 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate_bes3(1000, 12, seed=5, levels=LEVELS)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == [8]
+        _assert_same_batch(got, want)
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(bessel, "_cores", lambda: 2)
+        real = bessel._chunk_filler
+
+        def filler(n_steps, seed, rows):
+            fill = real(n_steps, seed, rows)
+
+            def fill_or_fail(start, c):
+                if start == 2 * rows:
+                    raise RuntimeError(f"chunk at path {start} failed")
+                return fill(start, c)
+
+            return fill_or_fail
+
+        monkeypatch.setattr(bessel, "_chunk_filler", filler)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk at path 128 failed"):
+            simulate_bes3(3 * PATH_CHUNK + 5, 20, seed=1)
+        # the pool lives inside the call: no worker thread outlives it
+        assert threading.active_count() == threads
 
 
 class TestOracle:

@@ -224,6 +224,15 @@ class TestCliExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_simulate_coarse_grid_exits_two(self, capsys):
+        # the log value's time integral needs 100 steps: a usage error,
+        # not a failed study
+        for steps in ("3", "99"):
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", "--paths", "200", "--steps", steps])
+            assert exc.value.code == 2
+            assert f"--steps: must be >= 100, got {steps}" in capsys.readouterr().err
+
 
 class TestCliCommands:
     def fixture_path(self, name, tmp_path):
