@@ -23,7 +23,6 @@ from .arbitrage import (
     check_nupbr,
     empirical_boundedness_probe,
     find_emm,
-    node_na_lp,
 )
 from .numeraire import (
     NumeraireSolution,

@@ -17,8 +17,8 @@ rotated onto their singular vectors, with singular values below
 scaling and an orthogonal change of asset coordinates, which leave eps*
 and q unchanged in exact arithmetic, so the verdict does not depend on the
 price unit.  Gluing the per-node weights multiplicatively yields an
-equivalent martingale measure; at the first failing node a separate LP
-finds a vector H with H.dS_j >= 0 for all branches and > 0 for at least
+equivalent martingale measure.  At a failing node the same LP's dual row
+gives a vector H with H.dS_j >= 0 for all branches and > 0 for at least
 one, which lifts to a one-period arbitrage strategy.
 
 Every verdict ships with a replayable certificate: the density's
@@ -39,16 +39,11 @@ from .markets import (
     WealthKernel,
     price_martingale_residual,
 )
-from .simplex import solve_lp, solve_lps
-from .trees import EventTree
+from .simplex import solve_lps
 
 DEGENERATE_TOL = 1e-12
 EPS_POSITIVE_TOL = 1e-9
 GAIN_ROUNDOFF = 1e-12  # gains below this share of max |gain| count as zero
-# Node LPs that ``_node_lps`` solves in one ``solve_lps`` stack rather than
-# one by one through ``solve_lp``, and internal nodes a depth level needs
-# before ``check_na`` decides it together with every deeper level.
-STACK_MIN = 12
 
 
 class ArbitrageError(RuntimeError):
@@ -59,19 +54,6 @@ class ArbitrageError(RuntimeError):
         self.certificate = certificate
 
 
-@dataclass
-class NodeNaResult:
-    eps_star: float
-    q: np.ndarray | None = None  # interior one-step martingale weights
-    separating: np.ndarray | None = None  # H with H.dS_j >= 0, some > 0
-    degenerate: bool = False
-    note: str = ""
-
-    @property
-    def is_na(self) -> bool:
-        return self.q is not None
-
-
 def _max_slack_lps(inc: np.ndarray):
     """LP data for max eps s.t. sum q_j X_j = 0, sum q_j = 1, q_j >= eps,
     one LP per (k, d) increment block of the (G, k, d) stack ``inc``.
@@ -80,11 +62,12 @@ def _max_slack_lps(inc: np.ndarray):
     U S of its thin SVD with singular values below ``DEGENERATE_TOL`` times
     the largest set to zero, padded with zero columns to d.  Substituting
     r_j = q_j - eps >= 0 and splitting eps = e+ - e- gives an equality-form
-    LP in (r, e+, e-) >= 0.
+    LP in (r, e+, e-) >= 0.  Returns A, b, c and the (G, r, d) right
+    singular vectors Vh, which map X's first r coordinates back to assets.
     """
     G, k, d = inc.shape
-    U, s, _ = np.linalg.svd(inc / np.abs(inc).max(axis=(1, 2), keepdims=True),
-                            full_matrices=False)
+    U, s, Vh = np.linalg.svd(inc / np.abs(inc).max(axis=(1, 2), keepdims=True),
+                             full_matrices=False)
     s[s < DEGENERATE_TOL * s[:, :1]] = 0.0
     X = np.zeros_like(inc)
     X[:, :, : s.shape[1]] = U * s[:, None, :]
@@ -101,39 +84,38 @@ def _max_slack_lps(inc: np.ndarray):
     c = np.zeros(k + 2)
     c[k] = -1.0
     c[k + 1] = 1.0
-    return A, b, c
+    return A, b, c, Vh
 
 
 def _node_lps(inc: np.ndarray, bp: np.ndarray, tol_pos: float):
     """Decide G nodes with k branches each from their (G, k, d) increments
-    and (G, k) branch probabilities.
+    and (G, k) branch probabilities, in one ``solve_lps`` stack.
 
     Returns eps* (G,), the unprojected interior weights q (G, k), NaN in
-    the rows with eps* <= tol_pos, and the rows each q must satisfy, the
-    LP's (G, d + 1, k) moment and sum rows (``_project_weights``).  A node
-    whose increments are all below ``DEGENERATE_TOL`` keeps its branch
-    probabilities, with eps* their minimum and zero rows.  Fewer than
-    ``STACK_MIN`` LPs are solved one by one, more in one stack.
+    the rows with eps* <= tol_pos, the rows each q must satisfy, the LP's
+    (G, d + 1, k) moment and sum rows (``_project_weights``), and the
+    (G, d) vectors H = -Vh^T y of the LP's dual rows y.  In the LP's
+    coordinates X_j, an optimal y has y_mom.X_j <= -y_sum = eps* and
+    sum_j H.X_j = 1 - k eps*, so where eps* <= 0 every gain H.dS_j is
+    >= 0 and their sum is positive; a Farkas ray has H.X_j >= y_sum > 0
+    for every j.  A node whose increments are all below ``DEGENERATE_TOL``
+    keeps its branch probabilities, with eps* their minimum, zero rows and
+    H = 0.
     """
     G, k, d = inc.shape
     eps, q = bp.min(axis=1), bp.copy()
     rows = np.zeros((G, d + 1, k))
+    h = np.zeros((G, d))
     lp = np.flatnonzero(np.abs(inc).max(axis=(1, 2)) >= DEGENERATE_TOL)
     if lp.size:
-        A, b, c = _max_slack_lps(inc[lp])
-        if lp.size >= STACK_MIN:
-            X = solve_lps(A, b, c).x  # NaN rows where not optimal
-        else:
-            X = np.full((lp.size, k + 2), np.nan)
-            for i in range(lp.size):
-                res = solve_lp(A[i], b[i], c)
-                if res.status == "optimal":
-                    X[i] = res.x
-        e = X[:, k] - X[:, k + 1]
+        A, b, c, Vh = _max_slack_lps(inc[lp])
+        res = solve_lps(A, b, c)
+        e = res.x[:, k] - res.x[:, k + 1]  # NaN where not optimal
         eps[lp] = np.where(np.isnan(e), -np.inf, e)
-        q[lp] = np.where((e > tol_pos)[:, None], X[:, :k] + e[:, None], np.nan)
+        q[lp] = np.where((e > tol_pos)[:, None], res.x[:, :k] + e[:, None], np.nan)
         rows[lp] = A[:, :, :k]
-    return eps, q, rows
+        h[lp] = -(res.y[:, None, : Vh.shape[1]] @ Vh)[:, 0]
+    return eps, q, rows, h
 
 
 def _project_weights(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -146,67 +128,6 @@ def _project_weights(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     resid = (rows @ q[:, :, None])[:, :, 0] - target
     out = q - (np.linalg.pinv(rows) @ resid[:, :, None])[:, :, 0]
     return np.where(np.all(out > 0.0, axis=1, keepdims=True), out, q)
-
-
-def _separating_vector(inc: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """Best-effort separating vector via  max sum_j H.dS_j  s.t.
-    H.dS_j >= 0 for all j and |H_i| <= 1, on the increments divided by
-    their max |dS|.  The box keeps the LP bounded; a positive optimum
-    certifies one-period arbitrage."""
-    inc = inc / np.abs(inc).max()
-    k, d = inc.shape
-    # variables: h+ (d), h- (d), s (k slacks), u+ (d), u- (d)
-    n = 2 * d + k + 2 * d
-    A = np.zeros((k + 2 * d, n))
-    A[:k, :d] = inc
-    A[:k, d : 2 * d] = -inc
-    A[:k, 2 * d : 2 * d + k] = -np.eye(k)
-    A[k : k + d, :d] = np.eye(d)
-    A[k : k + d, 2 * d + k : 3 * d + k] = np.eye(d)
-    A[k + d :, d : 2 * d] = np.eye(d)
-    A[k + d :, 3 * d + k :] = np.eye(d)
-    b = np.concatenate([np.zeros(k), np.ones(2 * d)])
-    gain_sum = inc.sum(axis=0)
-    c = np.zeros(n)
-    c[:d] = -gain_sum
-    c[d : 2 * d] = gain_sum
-    res = solve_lp(A, b, c)
-    if res.status != "optimal":
-        return None, 0.0
-    h = res.x[:d] - res.x[d : 2 * d]
-    return h, float(-res.objective)
-
-
-def node_na_lp(
-    increments,
-    branch_probs,
-    tol_pos: float = EPS_POSITIVE_TOL,
-) -> NodeNaResult:
-    """Decide one-period no-arbitrage for the increments out of one node:
-    the one-node call of ``_node_lps``.
-
-    Returns interior weights q when eps* > tol_pos; otherwise a separating
-    vector.  A fully degenerate node (all increments below 1e-12 in sup
-    norm) keeps the physical branch probabilities as its weights, so a
-    constant market gets the density that is identically one.
-    """
-    inc = np.atleast_2d(np.asarray(increments, dtype=np.float64))
-    bp = np.asarray(branch_probs, dtype=np.float64)
-    k = inc.shape[0]
-    if bp.shape != (k,):
-        raise ValueError(f"expected {k} branch probabilities, got {bp.shape}")
-    eps, q, rows = _node_lps(inc[None], bp[None], tol_pos)
-    eps = float(eps[0])
-    if not np.isnan(q[0, 0]):
-        return NodeNaResult(
-            eps_star=eps, q=_project_weights(rows, q)[0],
-            degenerate=bool(np.max(np.abs(inc)) < DEGENERATE_TOL),
-        )
-    sep, gain = _separating_vector(inc)
-    return NodeNaResult(
-        eps_star=eps, separating=sep,
-        note=f"max-slack eps*={eps!r}; separating gain sum {gain!r}",
-    )
 
 
 @dataclass
@@ -225,39 +146,37 @@ class NaCertificate:
 def check_na(m: MarketModel, tol_pos: float = EPS_POSITIVE_TOL) -> NaCertificate:
     """Global no-arbitrage decision with a glued EMM or a lifted strategy.
 
-    Internal nodes are decided breadth-first, in arrays, one ``_node_lps``
-    call per branch count: one depth level at a time while levels have
-    fewer than ``STACK_MIN`` internal nodes, then all remaining nodes at
-    once.  The first failing node ends the sweep: its separating vector is
-    lifted to a one-period unit strategy that is zero elsewhere, and
-    ``node_eps`` stops at it.  When every node passes, the weights of all
-    nodes are projected in one batched call, in the LP's coordinates, and
-    glued into the density one depth level at a time.
+    Every internal node is decided, in arrays, by one ``_node_lps`` call
+    per branch count.  The failing node with the lowest breadth-first
+    index names the certificate: the separating vector from its LP's dual
+    row is lifted to a one-period unit strategy that is zero elsewhere,
+    and ``node_eps`` stops at it.  When every node passes, the weights of
+    all nodes are projected in one batched call, in the LP's coordinates,
+    and glued into the density one depth level at a time.
     """
     t = m.tree
     k = WealthKernel(m)
     eps = np.empty(t.internal.size)
     q = np.empty(t.edges.size)  # one-step martingale weight of each edge
     rows = np.empty((t.edges.size, m.d + 1))  # the LP rows of each weight
-    for nodes in _sweep(t):
-        for size in sorted(set(t.sizes[nodes].tolist())):
-            at = nodes[t.sizes[nodes] == size]
-            e = t.starts[at, None] + np.arange(size)
-            eps[at], q[e], r = _node_lps(k.dS[e], t.branch_prob[t.edges[e]], tol_pos)
-            rows[e] = r.transpose(0, 2, 1)
-        failed = nodes[np.isnan(q[t.starts[nodes]])]
-        if failed.size:
-            i = int(failed[0])
-            v = int(t.internal[i])
-            sep, _ = _separating_vector(k.dS[t.starts[i] : t.starts[i] + t.sizes[i]])
-            strategy = _lift_separating(m, v, sep)
-            return NaCertificate(
-                verdict="ARBITRAGE",
-                node_eps=dict(zip(t.internal[: i + 1].tolist(), eps[: i + 1].tolist())),
-                fail_node=v,
-                strategy=strategy,
-                replay=_replay_arbitrage(k, strategy),
-            )
+    h = np.empty((t.internal.size, m.d))  # separating vector of each node
+    for size in sorted(set(t.sizes.tolist())):
+        at = np.flatnonzero(t.sizes == size)
+        e = t.starts[at, None] + np.arange(size)
+        eps[at], q[e], r, h[at] = _node_lps(k.dS[e], t.branch_prob[t.edges[e]], tol_pos)
+        rows[e] = r.transpose(0, 2, 1)
+    failed = np.flatnonzero(np.isnan(q[t.starts]))
+    if failed.size:
+        i = int(failed[0])
+        v = int(t.internal[i])
+        strategy = _lift_separating(m, v, h[i])
+        return NaCertificate(
+            verdict="ARBITRAGE",
+            node_eps=dict(zip(t.internal[: i + 1].tolist(), eps[: i + 1].tolist())),
+            fail_node=v,
+            strategy=strategy,
+            replay=_replay_arbitrage(k, strategy),
+        )
 
     # padded branch slots get weight 1 and zero rows, which they keep
     real = np.arange(t.sizes.max(initial=0)) < t.sizes[:, None]
@@ -270,17 +189,6 @@ def check_na(m: MarketModel, tol_pos: float = EPS_POSITIVE_TOL) -> NaCertificate
         emm_residual=price_martingale_residual(m, density),
         node_eps=dict(zip(t.internal.tolist(), eps.tolist())),
     )
-
-
-def _sweep(t: EventTree):
-    """Internal-node indices in the blocks ``check_na`` decides together:
-    one depth level at a time until a level has ``STACK_MIN`` nodes, then
-    all remaining ones."""
-    for nv in t.node_levels:
-        if nv.stop - nv.start >= STACK_MIN:
-            yield np.arange(nv.start, t.internal.size)
-            return
-        yield np.arange(nv.start, nv.stop)
 
 
 def _lift_separating(m: MarketModel, node: int, h: np.ndarray) -> UnitStrategy:

@@ -2,27 +2,38 @@
 
 This is ``check_na`` before its LPs were stacked and conditioned: every
 internal node, in breadth-first order, runs its own max-slack LP in raw
-price units through ``solve_lp``, re-solves it at a tighter pivot
-tolerance when eps* falls in the ambiguity band, polishes its weights with
-one ``lstsq`` per node, and the density is glued one node at a time.  The
-constants and helpers of that sweep are kept here, so the oracle does not
-move with the library.
+price units through the one-LP ``solve_lp`` of ``simplex_oracle``,
+re-solves it at a tighter pivot tolerance when eps* falls in the ambiguity
+band, polishes its weights with one ``lstsq`` per node, finds the
+separating vector of the first failing node with a second LP, and the
+density is glued one node at a time.  The constants and helpers of that
+sweep are kept here, so the oracle does not move with the library.
 """
 
-import numpy as np
+from dataclasses import dataclass
 
-from viatree.arbitrage import (
-    NaCertificate,
-    NodeNaResult,
-    _lift_separating,
-    _replay_arbitrage,
-)
+import numpy as np
+from simplex_oracle import solve_lp
+
+from viatree.arbitrage import NaCertificate, _lift_separating, _replay_arbitrage
 from viatree.markets import DensityProcess, MarketModel, WealthKernel, price_martingale_residual
-from viatree.simplex import solve_lp
 
 DEGENERATE_TOL = 1e-12
 EPS_POSITIVE_TOL = 1e-9
 AMBIGUITY_BAND = 1e-9
+
+
+@dataclass
+class NodeNaResult:
+    eps_star: float
+    q: np.ndarray | None = None  # interior one-step martingale weights
+    separating: np.ndarray | None = None  # H with H.dS_j >= 0, some > 0
+    degenerate: bool = False
+    note: str = ""
+
+    @property
+    def is_na(self) -> bool:
+        return self.q is not None
 
 
 def _max_slack_lp(inc: np.ndarray):

@@ -8,13 +8,13 @@ from scipy.optimize import linprog
 from test_newton import _permute_siblings
 
 from viatree import (
+    EventTree,
     MarketModel,
     UnitStrategy,
     check_na,
     check_nupbr,
     empirical_boundedness_probe,
     find_emm,
-    node_na_lp,
     price_martingale_residual,
     wealth_from_units,
 )
@@ -47,39 +47,49 @@ def scipy_node_eps(inc, bp):
     return float(res.x[k])
 
 
+def one_period(inc, bp):
+    """The one-period market whose root, priced 0, has increments inc with
+    branch probabilities bp."""
+    inc = np.atleast_2d(inc)
+    tree = EventTree([None] + [0] * len(bp), [1.0, *bp])
+    return MarketModel(tree, np.vstack([np.zeros(inc.shape[1]), inc]))
+
+
+def root_decision(inc, bp):
+    """check_na on ``one_period``: (certificate, root eps*, the root's
+    one-step weights or None, its separating vector or None)."""
+    cert = check_na(one_period(inc, bp))
+    if cert.verdict == "NA":
+        return cert, cert.node_eps[0], cert.density.z[1:] * np.asarray(bp), None
+    return cert, cert.node_eps[0], None, cert.strategy.holdings[0]
+
+
 class TestNodeLp:
+    """The per-node LP, one root node at a time through ``check_na``."""
+
     def test_binomial_unique_weights(self):
-        r = node_na_lp(np.array([[1.0], [-0.5]]), np.array([0.5, 0.5]))
-        assert r.is_na
-        # the moment system pins q exactly: q1 = q3... q = (1/3, 2/3)
-        assert r.eps_star == pytest.approx(1 / 3, abs=1e-12)
-        assert np.allclose(r.q, [1 / 3, 2 / 3], atol=1e-12)
-        assert abs(float(r.q @ np.array([1.0, -0.5]))) < 1e-14
+        _, eps, q, _ = root_decision(np.array([[1.0], [-0.5]]), np.array([0.5, 0.5]))
+        # the moment system pins q exactly: q = (1/3, 2/3)
+        assert eps == pytest.approx(1 / 3, abs=1e-12)
+        assert np.allclose(q, [1 / 3, 2 / 3], atol=1e-12)
+        assert abs(float(q @ np.array([1.0, -0.5]))) < 1e-14
 
     def test_trinomial_max_interior(self):
         # increments (1, 0, -0.5): q1 = q3/2, best floor at eps = 1/4
-        r = node_na_lp(np.array([[1.0], [0.0], [-0.5]]), np.ones(3) / 3)
-        assert r.is_na
-        assert r.eps_star == pytest.approx(0.25, abs=1e-10)
-        assert np.allclose(r.q, [0.25, 0.25, 0.5], atol=1e-9)
+        _, eps, q, _ = root_decision(np.array([[1.0], [0.0], [-0.5]]), np.ones(3) / 3)
+        assert eps == pytest.approx(0.25, abs=1e-10)
+        assert np.allclose(q, [0.25, 0.25, 0.5], atol=1e-9)
 
     def test_one_sided_increments_fail(self):
-        r = node_na_lp(np.array([[0.5], [1.0]]), np.array([0.5, 0.5]))
-        assert not r.is_na
-        assert r.separating is not None
-        gains = np.array([[0.5], [1.0]]) @ r.separating
-        assert np.all(gains > 1e-9)
+        inc = np.array([[0.5], [1.0]])
+        cert, _, q, h = root_decision(inc, np.array([0.5, 0.5]))
+        assert q is None and cert.fail_node == 0
+        assert np.all(inc @ h > 1e-9)
 
     def test_degenerate_node_keeps_physical_weights(self):
-        r = node_na_lp(np.zeros((3, 2)), np.array([0.2, 0.3, 0.5]))
-        assert r.is_na
-        assert r.degenerate
-        assert np.allclose(r.q, [0.2, 0.3, 0.5])
-        assert r.eps_star == pytest.approx(0.2)
-
-    def test_branch_count_mismatch(self):
-        with pytest.raises(ValueError):
-            node_na_lp(np.array([[1.0], [-1.0]]), np.array([1.0]))
+        _, eps, q, _ = root_decision(np.zeros((3, 2)), np.array([0.2, 0.3, 0.5]))
+        assert q.tolist() == [0.2, 0.3, 0.5]
+        assert eps == 0.2
 
     @pytest.mark.parametrize("seed", range(60))
     def test_eps_matches_scipy(self, seed):
@@ -88,17 +98,20 @@ class TestNodeLp:
         d = int(rng.integers(1, 4))
         inc = rng.normal(size=(k, d))
         bp = rng.dirichlet(np.ones(k))
-        r = node_na_lp(inc, bp)
+        _, eps, q, h = root_decision(inc, bp)
         ref = scipy_node_eps(inc, bp)
         if np.isinf(ref):
-            assert not r.is_na
+            assert q is None
         else:
-            assert r.eps_star == pytest.approx(ref, abs=1e-8)
-            assert r.is_na == (ref > 1e-9)
-        if r.is_na and not r.degenerate:
-            assert np.allclose(inc.T @ r.q, 0.0, atol=1e-10)
-            assert r.q.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(r.q > 0.0)
+            assert eps == pytest.approx(ref, abs=1e-8)
+            assert (q is not None) == (ref > 1e-9)
+        if q is not None:
+            assert np.allclose(inc.T @ q, 0.0, atol=1e-10)
+            assert q.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(q > 0.0)
+        else:
+            gains = inc @ h
+            assert gains.min() >= -1e-12 * np.abs(inc).max() and gains.max() > 1e-9
 
 
 class TestCheckNa:
@@ -289,6 +302,6 @@ class TestScaleFreeDecision:
         # on the singular vectors the round-off direction drops out
         inc = np.array([[0.00015633682031701568, 3.508457174111962],
                         [-0.00011007146983121885, -2.4701860841534846]])
-        r = node_na_lp(inc, np.array([0.5, 0.5]))
-        assert r.is_na and r.eps_star > 0.4
-        assert np.abs(inc.T @ r.q).max() <= 1e-12 * np.abs(inc).max()
+        _, eps, q, _ = root_decision(inc, np.array([0.5, 0.5]))
+        assert q is not None and eps > 0.4
+        assert np.abs(inc.T @ q).max() <= 1e-12 * np.abs(inc).max()

@@ -8,8 +8,7 @@ bounds times the market's max |S| (NA: price residual <= 1e-9 and z > 0;
 ARBITRAGE: min gain >= -1e-12 and max gain > 1e-9): the same verdict, and
 on NA the same one-step weights within 1e-12 and the same density within
 1e-12 relative.  Every certificate the sweep returns must be sound by the
-same bounds.  ``STACK_MIN`` only chooses between ``solve_lp`` and
-``solve_lps``, which agree bitwise, so it must not change a single bit.
+same bounds.
 """
 
 import sys
@@ -23,22 +22,7 @@ from viatree import EventTree, MarketModel, arbitrage, check_na
 from viatree.cli import main  # imported before any test patches check_na
 from viatree.generators import random_market, random_na_market
 
-STACK_MIN = arbitrage.STACK_MIN
 TOL = 1e-12  # one-step weights, and density relative, against the oracle
-
-
-def assert_same_certificate(a, b):
-    assert a.verdict == b.verdict
-    assert a.fail_node == b.fail_node
-    assert list(a.node_eps.items()) == list(b.node_eps.items())
-    assert (a.density is None) == (b.density is None)
-    if a.density is not None:
-        assert a.density.z.tobytes() == b.density.z.tobytes()
-        assert a.emm_residual == b.emm_residual
-    assert (a.strategy is None) == (b.strategy is None)
-    if a.strategy is not None:
-        assert a.strategy.holdings.tobytes() == b.strategy.holdings.tobytes()
-        assert a.replay == b.replay
 
 
 def is_sound(cert, m):
@@ -91,6 +75,19 @@ def deep_market(rng, d, depth=7, share3=0.4):
     return MarketModel(tree=t, prices=prices)
 
 
+def shift_subtrees(m, v, shifts):
+    """Add shifts[j] to the prices of the whole subtree of v's j-th child:
+    only the increments out of v change."""
+    t = m.tree
+    top = {int(c): shift for c, shift in zip(t.children[v], shifts)}
+    for u in range(t.n_nodes):
+        c = u
+        while c > 0 and c not in top:
+            c = int(t.parent[c])
+        if c in top:
+            m.prices[u] += top[c]
+
+
 def random_case(seed):
     rng = np.random.default_rng(seed)
     maker = random_market if seed % 2 else random_na_market
@@ -98,19 +95,14 @@ def random_case(seed):
 
 
 @pytest.mark.parametrize("block", range(6))
-def test_random_markets_match_oracle(monkeypatch, block):
-    """300 markets x 3 price units, with every level stacked and with the
-    default threshold."""
+def test_random_markets_match_oracle(block):
+    """300 markets x 3 price units."""
     compared = 0
     for seed in range(50 * block, 50 * block + 50):
         m = random_case(seed)
         for unit in (1.0, 1e6, 1e-9):
             mu = MarketModel(m.tree, m.prices * unit)
-            cert = check_na(mu)
-            compared += compare_with_oracle(cert, mu)
-            monkeypatch.setattr(arbitrage, "STACK_MIN", 1)
-            assert_same_certificate(check_na(mu), cert)
-            monkeypatch.setattr(arbitrage, "STACK_MIN", STACK_MIN)
+            compared += compare_with_oracle(check_na(mu), mu)
     assert compared >= 120  # the oracle is sound on most of the 150 cases
 
 
@@ -123,30 +115,37 @@ def test_deep_markets_match_oracle(d):
     assert compare_with_oracle(cert, m)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_threshold_does_not_change_certificates(monkeypatch, seed):
-    m = random_market(np.random.default_rng(seed), d=1, depth_range=(3, 4)) \
-        if seed % 2 else deep_market(np.random.default_rng(seed), 1 + seed % 3, depth=4)
-    certs = []
-    for stack_min in (1, m.tree.n_nodes + 1):
-        monkeypatch.setattr(arbitrage, "STACK_MIN", stack_min)
-        certs.append(check_na(m))
-    assert_same_certificate(*certs)
-
-
-def test_failing_node_in_stacked_level_ends_the_sweep(monkeypatch):
+def test_failing_node_in_stacked_level_ends_the_sweep():
     m = deep_market(np.random.default_rng(3), 2, depth=5)
     t = m.tree
     # lift every child of one depth-3 node above it: buy-and-hold arbitrage
     bad = int(t.level_offsets[3]) + 5
     m.prices[t.children[bad]] = m.prices[bad] + np.arange(1.0, t.children[bad].size + 1)[:, None]
-    assert t.level_offsets[4] - t.level_offsets[3] >= arbitrage.STACK_MIN
     cert = check_na(m)
     assert cert.verdict == "ARBITRAGE" and cert.fail_node == bad
     assert list(cert.node_eps) == list(range(bad + 1))
     assert compare_with_oracle(cert, m)
-    monkeypatch.setattr(arbitrage, "STACK_MIN", 1)
-    assert_same_certificate(check_na(m), cert)
+
+
+def test_shallowest_failing_node_names_the_certificate():
+    # one depth-1 and one depth-3 node fail; every node is decided, and the
+    # depth-1 node, first breadth-first, names the certificate
+    base = deep_market(np.random.default_rng(6), 2, depth=5)
+    t = base.tree
+    shallow, deep = int(t.level_offsets[1]) + 1, int(t.level_offsets[3]) + 4
+    markets = {}
+    for bad in [(deep,), (shallow, deep)]:
+        m = MarketModel(t, base.prices.copy())
+        for v in bad:
+            lift = m.prices[v] - m.prices[t.children[v]] + np.arange(1.0, t.children[v].size + 1)[:, None]
+            shift_subtrees(m, v, lift)
+        markets[bad] = m
+    assert check_na(markets[(deep,)]).fail_node == deep
+    m = markets[(shallow, deep)]
+    cert = check_na(m)
+    assert cert.verdict == "ARBITRAGE" and cert.fail_node == shallow
+    assert list(cert.node_eps) == list(range(shallow + 1))
+    assert compare_with_oracle(cert, m)
 
 
 def test_degenerate_node_in_stacked_level():
@@ -155,14 +154,7 @@ def test_degenerate_node_in_stacked_level():
     flat = int(t.level_offsets[3]) + 2
     # shift each child's subtree so the child's price equals its parent's:
     # no increments out of ``flat``, the same increments everywhere else
-    shift = {int(c): m.prices[flat] - m.prices[c] for c in t.children[flat]}
-    for u in range(t.n_nodes):
-        c = u
-        while c > 0 and c not in shift:
-            c = int(t.parent[c])
-        if c in shift:
-            m.prices[u] += shift[c]
-    assert t.level_offsets[4] - t.level_offsets[3] >= arbitrage.STACK_MIN
+    shift_subtrees(m, flat, m.prices[flat] - m.prices[t.children[flat]])
     cert = check_na(m)
     assert cert.verdict == "NA"
     assert cert.node_eps[flat] == float(t.branch_prob[t.children[flat]].min())

@@ -1,18 +1,52 @@
-"""Two-phase simplex against hand solutions and scipy.linprog.
+"""Two-phase simplex against hand solutions, scipy.linprog and the
+one-LP oracle, and its dual rows against LP duality.
 
 scipy is a test-only dependency; the library itself solves its LPs with
 the in-house routine, and these tests pin the two against each other.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from simplex_oracle import solve_lp
 
-from viatree.simplex import solve_lp, solve_lps
+from viatree.arbitrage import EPS_POSITIVE_TOL, _max_slack_lps, _node_lps
+from viatree.simplex import solve_lps
+
+DUAL_TOL = 1e-9  # dual rows, relative to max |A| |y|
 
 
 def scipy_solve(A, b, c):
     return linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+
+
+def solve_one(A, b, c):
+    """``solve_lps`` on one LP, as a stack of G = 1."""
+    A, b, c = (np.asarray(v, dtype=np.float64) for v in (A, b, c))
+    res = solve_lps(A[None], b[None], c)
+    x = res.x[0]
+    return SimpleNamespace(status=res.status[0], x=x, y=res.y[0], objective=float(c @ x))
+
+
+def assert_dual_rows(stack, A, b, c, rows=None):
+    """Each row of ``stack.y`` (all, or those listed) certifies its status:
+    an optimal row is dual feasible with y.b = c.x, an infeasible row is a
+    Farkas ray, an unbounded row is NaN."""
+    c = np.broadcast_to(c, stack.x.shape)
+    for g in range(len(A)) if rows is None else rows:
+        status, y = stack.status[g], stack.y[g]
+        if status == "unbounded":
+            assert np.isnan(y).all()
+            continue
+        tol = DUAL_TOL * max(1.0, np.abs(A[g]).max() * np.abs(y).max())
+        if status == "optimal":
+            assert (c[g] - y @ A[g]).min() >= -tol
+            assert abs(y @ b[g] - c[g] @ stack.x[g]) <= tol
+        else:
+            assert (y @ A[g]).max() <= tol
+            assert y @ b[g] > 0.0
 
 
 class TestHandProblems:
@@ -21,48 +55,52 @@ class TestHandProblems:
         A = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
         b = np.array([4.0, 3.0])
         c = np.array([-1.0, -2.0, 0.0, 0.0])
-        res = solve_lp(A, b, c)
+        res = solve_one(A, b, c)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-7.0, abs=1e-12)
         assert np.allclose(res.x[:2], [1.0, 3.0], atol=1e-12)
 
     def test_equality_only(self):
         # x1 + x2 = 1, minimize x1 -> (0, 1)
-        res = solve_lp(np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 0.0]))
+        res = solve_one(np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 0.0]))
         assert res.status == "optimal"
         assert np.allclose(res.x, [0.0, 1.0], atol=1e-12)
 
     def test_unbounded(self):
         # x1 - x2 = 1 with objective -x1: push x1 up forever
-        res = solve_lp(np.array([[1.0, -1.0]]), np.array([1.0]), np.array([-1.0, 0.0]))
+        res = solve_one(np.array([[1.0, -1.0]]), np.array([1.0]), np.array([-1.0, 0.0]))
         assert res.status == "unbounded"
 
     def test_infeasible_farkas(self):
         # x1 + x2 = -1 with x >= 0 is impossible
         A = np.array([[1.0, 1.0]])
         b = np.array([-1.0])
-        res = solve_lp(A, b, np.array([1.0, 1.0]))
+        res = solve_one(A, b, np.array([1.0, 1.0]))
         assert res.status == "infeasible"
+        # Farkas ray in the caller's row sign: y A <= 0 and y b > 0
+        assert res.y.tolist() == [-1.0]
 
     def test_negative_rhs_handled(self):
         # -x1 = -2 -> x1 = 2; phase 1 must flip the row sign
-        res = solve_lp(np.array([[-1.0, 0.0]]), np.array([-2.0]), np.array([1.0, 1.0]))
+        res = solve_one(np.array([[-1.0, 0.0]]), np.array([-2.0]), np.array([1.0, 1.0]))
         assert res.status == "optimal"
         assert res.x[0] == pytest.approx(2.0, abs=1e-12)
+        assert res.y.tolist() == [-1.0]  # c_B B^-1 with the row's sign back
 
     def test_redundant_rows(self):
         A = np.array([[1.0, 1.0], [2.0, 2.0]])
         b = np.array([1.0, 2.0])
-        res = solve_lp(A, b, np.array([0.0, 1.0]))
+        res = solve_one(A, b, np.array([0.0, 1.0]))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(0.0, abs=1e-12)
 
     def test_every_row_redundant(self):
         # 0 x = 0 drops both rows; with c >= 0 the optimum is x = 0
-        res = solve_lp(np.zeros((2, 3)), np.zeros(2), np.ones(3))
+        res = solve_one(np.zeros((2, 3)), np.zeros(2), np.ones(3))
         assert res.status == "optimal"
         assert res.x.tolist() == [0.0, 0.0, 0.0] and res.objective == 0.0
-        assert solve_lp(np.zeros((2, 3)), np.zeros(2), np.array([1.0, -1.0, 0.0])).status == "unbounded"
+        assert res.y.tolist() == [0.0, 0.0]  # dropped rows
+        assert solve_one(np.zeros((2, 3)), np.zeros(2), np.array([1.0, -1.0, 0.0])).status == "unbounded"
 
     def test_degenerate_vertex_terminates(self):
         # classic cycling-prone instance; Bland's rule must terminate
@@ -75,7 +113,7 @@ class TestHandProblems:
         )
         b = np.array([0.0, 0.0, 1.0])
         c = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
-        res = solve_lp(A, b, c)
+        res = solve_one(A, b, c)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-0.05, abs=1e-10)
 
@@ -94,7 +132,7 @@ class TestAgainstScipy:
         m = int(rng.integers(1, 6))
         n = int(rng.integers(m + 1, m + 8))
         A, b, c = self.random_problem(rng, m, n)
-        ours = solve_lp(A, b, c)
+        ours = solve_one(A, b, c)
         ref = scipy_solve(A, b, c)
         if ref.status == 3:
             assert ours.status == "unbounded"
@@ -102,6 +140,8 @@ class TestAgainstScipy:
             assert ref.status == 0
             assert ours.status == "optimal"
             assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
+            assert ours.y @ b == pytest.approx(ref.fun, abs=1e-7)
+            assert np.all(c - ours.y @ A >= -1e-9)
             assert np.allclose(A @ ours.x, b, atol=1e-8)
             assert np.all(ours.x >= -1e-10)
 
@@ -115,14 +155,16 @@ class TestAgainstScipy:
         # contradictory duplicate row forces infeasibility
         A = np.vstack([A, A[0]])
         b = np.append(b, b[0] + 1.0)
-        ours = solve_lp(A, b, rng.normal(size=n))
+        ours = solve_one(A, b, rng.normal(size=n))
         ref = scipy_solve(A, b, np.zeros(n))
         assert ref.status == 2
         assert ours.status == "infeasible"
+        assert np.all(ours.y @ A <= 1e-9) and ours.y @ b > 0.0
 
 
 class TestStacked:
-    """solve_lps against solve_lp, LP by LP: status, x and iterations bitwise."""
+    """solve_lps against the oracle's solve_lp, LP by LP: status, x and
+    iterations bitwise; and the dual row of every LP."""
 
     @staticmethod
     def assert_same(stack, A, b, c):
@@ -137,7 +179,6 @@ class TestStacked:
 
     def test_node_lps_of_random_markets(self):
         from viatree import MarketModel
-        from viatree.arbitrage import _max_slack_lps
         from viatree.generators import random_market, random_na_market
 
         stacks = {}
@@ -150,12 +191,22 @@ class TestStacked:
                 for v in m.tree.internal:
                     inc = mu.prices[m.tree.children[v]] - mu.prices[v]
                     stacks.setdefault(inc.shape, []).append(inc)
-        n_lps = 0
+        n_lps = n_failed = 0
         for incs in stacks.values():
-            A, b, c = _max_slack_lps(np.array(incs))
-            self.assert_same(solve_lps(A, b, c), A, b, c)
+            incs = np.array(incs)
+            A, b, c, _ = _max_slack_lps(incs)
+            stack = solve_lps(A, b, c)
+            self.assert_same(stack, A, b, c)
+            assert_dual_rows(stack, A, b, c)
             n_lps += len(A)
-        assert n_lps >= 5000
+            # the separating vector of each failing node, from its dual row
+            bp = np.full(incs.shape[:2], 1.0 / incs.shape[1])
+            _, q, _, H = _node_lps(incs, bp, EPS_POSITIVE_TOL)
+            for inc, h in zip(incs[np.isnan(q[:, 0])], H[np.isnan(q[:, 0])]):
+                gains = inc @ h
+                assert gains.min() >= -1e-12 * np.abs(inc).max() and gains.max() > 0.0
+                n_failed += 1
+        assert n_lps >= 5000 and n_failed >= 3000
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_lps(self, seed):
@@ -169,28 +220,28 @@ class TestStacked:
         c = rng.normal(size=(G, n))
         stack = solve_lps(A, b, c)
         self.assert_same(stack, A, b, c)
+        assert_dual_rows(stack, A, b, c)
 
     def test_phase1_infeasible(self):
-        from viatree.arbitrage import _max_slack_lps
-
         # equal increments on both branches: sum q = 1 and sum q dS = 0 clash
         incs = np.array([[[1.0], [1.0]], [[1.0], [-0.5]], [[0.2], [0.2]]])
-        A, b, c = _max_slack_lps(incs)
+        A, b, c, _ = _max_slack_lps(incs)
         stack = solve_lps(A, b, c)
         assert list(stack.status) == ["infeasible", "optimal", "infeasible"]
         self.assert_same(stack, A, b, c)
+        assert_dual_rows(stack, A, b, c)
 
     def test_leftover_artificials_dropped_row(self):
-        from viatree.arbitrage import _max_slack_lps
-
         # d = 3 with 2 branches: collinear increments leave two moment rows
         # redundant, and their artificials cannot be pivoted out
         a = np.array([0.3, -1.2, 2.5])
         incs = np.array([[a, -0.6 * a], [a, -2.0 * a], [a, 0.5 * a]])
-        A, b, c = _max_slack_lps(incs)
+        A, b, c, _ = _max_slack_lps(incs)
         stack = solve_lps(A, b, c)
         assert list(stack.status) == ["optimal"] * 3
         self.assert_same(stack, A, b, c)
+        assert_dual_rows(stack, A, b, c)
+        assert stack.y[:, 1:3].tolist() == [[0.0, 0.0]] * 3  # the dropped rows
 
     def test_every_row_redundant(self):
         A, b = np.zeros((3, 2, 3)), np.zeros((3, 2))
@@ -199,10 +250,14 @@ class TestStacked:
         assert list(stack.status) == ["optimal", "unbounded", "optimal"]
         assert stack.x[[0, 2]].tolist() == [[0.0] * 3] * 2
         self.assert_same(stack, A, b, c)
+        assert_dual_rows(stack, A, b, c)
+        assert stack.y[[0, 2]].tolist() == [[0.0] * 2] * 2
 
     def test_singular_final_basis(self, monkeypatch):
-        # column 2 is 7 x column 1: both end up basic, the basis matrix is
-        # exactly singular, and x comes from the tableau instead
+        # column 2 is 7 x column 1: both end up basic with column 0 on rows
+        # 0-2 (row 3 is dropped), the basis matrix is exactly singular, x
+        # comes from the tableau instead and y is the least-norm solution
+        # of B^T y = c_B
         A1 = np.array([
             [3085.4232274463125, 2215.208519279263, 15506.459634954841],
             [-15102.903751626436, -16076.597194047681, -112536.18035833378],
@@ -230,6 +285,11 @@ class TestStacked:
         stack = solve_lps(A, b, c)
         assert singular and stack.status[0] == "optimal"
         self.assert_same(stack, A, b, c)
+        y = np.linalg.lstsq(A1[:3].T, c1, rcond=None)[0]
+        for g in (0, 2):
+            assert np.allclose(stack.y[g, :3], y, rtol=1e-12, atol=0.0)
+            assert stack.y[g, 3] == 0.0
+        assert_dual_rows(stack, A, b, c, rows=[1])
 
     def test_unbounded_phase2(self):
         # x1 - x2 = 1 with objective -x1 is unbounded; the others are not
@@ -239,3 +299,4 @@ class TestStacked:
         stack = solve_lps(A, b, c)
         assert list(stack.status) == ["unbounded", "optimal", "optimal"]
         self.assert_same(stack, A, b, c)
+        assert_dual_rows(stack, A, b, c)
