@@ -44,6 +44,10 @@ from .simplex import solve_lps
 DEGENERATE_TOL = 1e-12
 EPS_POSITIVE_TOL = 1e-9
 GAIN_ROUNDOFF = 1e-12  # gains below this share of max |gain| count as zero
+# criterion 2's bounds on an arbitrage replay: the least gain times
+# max(1, max|S|), the largest times max|S|, so a verdict keeps in any unit
+REPLAY_MIN_GAIN = -1e-12
+REPLAY_MAX_GAIN = 1e-9
 
 
 class ArbitrageError(RuntimeError):
@@ -152,7 +156,10 @@ def check_na(m: MarketModel, tol_pos: float = EPS_POSITIVE_TOL) -> NaCertificate
     row is lifted to a one-period unit strategy that is zero elsewhere,
     and ``node_eps`` stops at it.  When every node passes, the weights of
     all nodes are projected in one batched call, in the LP's coordinates,
-    and glued into the density one depth level at a time.
+    and glued into the density one depth level at a time.  An arbitrage
+    certificate whose least gain is below ``REPLAY_MIN_GAIN`` times
+    max(1, max|S|), or whose largest is not above ``REPLAY_MAX_GAIN`` times
+    max|S|, raises ``RuntimeError``: it proves nothing.
     """
     t = m.tree
     k = WealthKernel(m)
@@ -170,12 +177,21 @@ def check_na(m: MarketModel, tol_pos: float = EPS_POSITIVE_TOL) -> NaCertificate
         i = int(failed[0])
         v = int(t.internal[i])
         strategy = _lift_separating(m, v, h[i])
+        replay = _replay_arbitrage(k, strategy)
+        top = float(np.max(np.abs(m.prices)))
+        low, high = REPLAY_MIN_GAIN * max(1.0, top), REPLAY_MAX_GAIN * top
+        if not (replay["min_gain"] >= low and replay["max_gain"] > high):
+            raise RuntimeError(
+                f"arbitrage certificate at node {v} (eps* {eps[i]:.3g}) fails its "
+                f"replay: min_gain {replay['min_gain']:.3g} (needs >= {low:.3g}), "
+                f"max_gain {replay['max_gain']:.3g} (needs > {high:.3g})"
+            )
         return NaCertificate(
             verdict="ARBITRAGE",
             node_eps=dict(zip(t.internal[: i + 1].tolist(), eps[: i + 1].tolist())),
             fail_node=v,
             strategy=strategy,
-            replay=_replay_arbitrage(k, strategy),
+            replay=replay,
         )
 
     # padded branch slots get weight 1 and zero rows, which they keep

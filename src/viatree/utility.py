@@ -123,9 +123,9 @@ def log_utility() -> UtilityFunction:
 
 
 def crra_utility(gamma: float) -> UtilityFunction:
-    if gamma <= 0.0 or gamma == 1.0:
+    if not (np.isfinite(gamma) and gamma > 0.0 and gamma != 1.0):
         raise ValueError(
-            f"CRRA exponent must be positive and different from 1, got {gamma!r}"
+            f"CRRA exponent must be a finite number > 0 and != 1, got {gamma!r}"
         )
     return UtilityFunction(kind="crra", gamma=float(gamma), name=f"crra({gamma})")
 

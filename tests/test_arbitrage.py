@@ -1,5 +1,7 @@
 """No-arbitrage sweep, certificates, NUPBR and the scipy LP cross-check."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,11 @@ from viatree import (
     check_nupbr,
     empirical_boundedness_probe,
     find_emm,
+    load_fixture,
     price_martingale_residual,
     wealth_from_units,
 )
+from viatree.arbitrage import EPS_POSITIVE_TOL
 from viatree.generators import random_market, random_na_market
 
 
@@ -305,3 +309,60 @@ class TestScaleFreeDecision:
         _, eps, q, _ = root_decision(inc, np.array([0.5, 0.5]))
         assert q is not None and eps > 0.4
         assert np.abs(inc.T @ q).max() <= 1e-12 * np.abs(inc).max()
+
+
+def bessel_tree(n):
+    """Binary tree of depth n stepping S -> S + dt/S +- sqrt(dt), p = 1/2,
+    S0 = 1, dt = 1/n: the Bessel(3) drift, whose lowest path runs into the
+    node where one increment is 0 up to round-off."""
+    dt = 1.0 / n
+    parent, prob, prices = [None], [1.0], [1.0]
+    level = [0]
+    for _ in range(n):
+        nxt = []
+        for v in level:
+            for sign in (1.0, -1.0):
+                parent.append(v)
+                prob.append(0.5)
+                prices.append(prices[v] + dt / prices[v] + sign * np.sqrt(dt))
+                nxt.append(len(prices) - 1)
+        level = nxt
+    return MarketModel(EventTree(parent, prob), np.array(prices)[:, None])
+
+
+class TestCertificateGate:
+    """check_na returns an arbitrage certificate only if its replay meets
+    criterion 2's bounds (gains >= -1e-12, max > 1e-9) times max(1, max|S|)."""
+
+    def test_unsound_replay_raises(self):
+        # node 254's LP reads eps* 1.6e-11; the dual's vector loses 1.1e-11
+        m = bessel_tree(8)
+        with pytest.raises(RuntimeError, match="at node 254") as exc:
+            check_na(m)
+        eps, low, bound, high = map(float, re.search(
+            r"eps\* (\S+)\) fails its replay: min_gain (\S+) \(needs >= (\S+)\), "
+            r"max_gain (\S+) \(needs >", str(exc.value)).groups())
+        assert 0.0 < eps <= EPS_POSITIVE_TOL
+        assert low < bound == float(f"{-1e-12 * np.abs(m.prices).max():.3g}")
+        assert high > 0.7
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_sound_replay_is_returned(self, n):
+        m = bessel_tree(n)
+        cert = check_na(m)
+        scale = float(np.abs(m.prices).max())
+        assert cert.verdict == "ARBITRAGE" and cert.fail_node == 510
+        assert cert.replay["min_gain"] >= -1e-12 * scale
+        assert cert.replay["max_gain"] > 1e-9 * scale
+        if n == 12:
+            # the loss misses the unscaled -1e-12, not the bound times max|S| = 4.9
+            assert cert.replay["min_gain"] < -1e-12
+
+    @pytest.mark.parametrize("unit", [1e-12, 1e-10, 1e-9, 1e6])
+    def test_verdict_keeps_in_any_price_unit(self, unit):
+        # gains scale with the unit; the lower bound's floor only loosens it
+        m = load_fixture("arbitrage")
+        base = check_na(m)
+        cert = check_na(MarketModel(m.tree, unit * m.prices))
+        assert cert.verdict == "ARBITRAGE" and cert.fail_node == base.fail_node
+        assert cert.replay["max_gain"] == pytest.approx(unit * base.replay["max_gain"])

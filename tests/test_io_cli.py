@@ -2,9 +2,12 @@
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from test_arbitrage import bessel_tree
 
 from viatree import (
     MarketFormatError,
@@ -16,7 +19,7 @@ from viatree import (
     market_to_dict,
     save_market,
 )
-from viatree.cli import main
+from viatree.cli import build_parser, main
 from viatree.generators import random_market, random_na_market
 from viatree.market_io import atomic_write_text
 from viatree.reporting import make_report, render, sanitize, to_csv, to_json
@@ -169,6 +172,21 @@ class TestCliExitCodes:
         assert out["payload"]["verdict"] == "ARBITRAGE"
         assert out["payload"]["certificate"]["replay"]["max_gain"] > 1e-9
 
+    @pytest.mark.parametrize("n, code", [(8, 1), (12, 0)])
+    def test_check_agrees_with_the_certificate_gate(self, n, code, tmp_path, capsys):
+        # n = 12's replay loses 1.3e-12, inside -1e-12 times max|S| = 4.9, and
+        # check_na returns it; n = 8's loses 1.1e-11, and check_na raises
+        p = tmp_path / f"bessel{n}.json"
+        save_market(bessel_tree(n), p)
+        rc = main(["check", "--market", str(p)])
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert rc == code
+        if n == 12:
+            assert payload["checks_passed"] is True
+            assert payload["certificate"]["fail_node"] == 510
+        else:
+            assert "at node 254" in payload["error"]
+
     def test_numeraire_on_arbitrage_exits_one(self, tmp_path, capsys):
         rc = main(["numeraire", "--market",
                    self.fixture_path("arbitrage", tmp_path)])
@@ -218,6 +236,31 @@ class TestCliExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["optimize", "--market", path, "--utility", "crra:abc"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--tol-eq", "inf"],
+        ["check", "--tol-ineq", "nan"],
+        ["optimize", "--x0", "inf"],
+        ["measure", "--epsilon", "inf"],
+    ])
+    def test_non_finite_numbers_exit_two(self, argv, tmp_path, capsys):
+        # an infinite --tol-eq would switch the EMM residual gate off
+        path = self.fixture_path("binomial", tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--market", path, *argv[1:]])
+        assert exc.value.code == 2
+        assert f"must be a finite number > 0, got {argv[2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_crra_exits_two(self, gamma, tmp_path, capsys):
+        path = self.fixture_path("binomial", tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                main(["optimize", "--market", path, "--utility", f"crra:{gamma}"])
+        assert exc.value.code == 2
+        assert f"CRRA exponent must be a finite number > 0 and != 1, got {gamma}" in (
+            capsys.readouterr().err)
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -363,3 +406,63 @@ class TestCliCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "verdict" in out and "NA" in out
+
+
+class TestSharedParser:
+    """main parses with one parser per process; each call must still start
+    from the parser's defaults and report as a freshly built parser would."""
+
+    @pytest.fixture
+    def market(self, tmp_path):
+        p = tmp_path / "trinomial.json"
+        save_market(load_fixture("trinomial"), p)
+        return str(p)
+
+    def report(self, argv, capsys):
+        capsys.readouterr()
+        code = main(argv)
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_defaults_do_not_carry_over(self, market, capsys):
+        _, out = self.report(["optimize", "--market", market, "--utility", "crra:2"], capsys)
+        assert out["config"]["utility"] == "crra(2.0)"
+        _, out = self.report(["optimize", "--market", market], capsys)
+        assert out["config"]["utility"] == "log"
+        _, out = self.report(["numeraire", "--market", market, "--strategies", "7"], capsys)
+        assert out["config"]["strategies"] == 7
+        _, out = self.report(["numeraire", "--market", market], capsys)
+        assert out["config"]["strategies"] == 100
+
+    def test_usage_error_leaves_next_call_normal(self, market, capsys):
+        code, before = self.report(["check", "--market", market], capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--market", market, "--tol-eq", "-1"])
+        assert exc.value.code == 2
+        after_code, after = self.report(["check", "--market", market], capsys)
+        assert (after_code, after["config"], after["payload"]) == (
+            code, before["config"], before["payload"])
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--market", "{market}"],
+        ["numeraire", "--market", "{market}", "--strategies", "20"],
+        ["optimize", "--market", "{market}", "--utility", "crra:3", "--measure", "emm"],
+        ["measure", "--market", "{market}", "--epsilon", "0.2"],
+        ["entropy", "--market", "{market}", "--exp-utility"],
+        ["simulate", "--paths", "400", "--steps", "100", "--probe-strategies", "5"],
+        ["equivalence-suite", "--markets", "3", "--seed", "2"],
+    ])
+    def test_warm_parser_reports_as_a_cold_one(self, argv, market, tmp_path):
+        argv = [a.format(market=market) for a in argv]
+        build_parser()
+        runs = []
+        for i in range(2):
+            if i == 1:
+                build_parser.cache_clear()
+            out = tmp_path / f"r{i}.json"
+            code = main([*argv, "--out", str(out)])
+            runs.append((code, re.sub(r'  "timing": \{[^}]*\},\n', "", out.read_text())))
+        assert '"timing"' not in runs[0][1]
+        assert runs[0] == runs[1]

@@ -34,6 +34,11 @@ class TestUtilityObjects:
         with pytest.raises(ValueError):
             crra_utility(1.0)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="finite"):
+            crra_utility(gamma)
+
     def test_custom_certificate_accepts_concave(self):
         u = custom_utility(np.log1p, lambda x: 1.0 / (1.0 + x), name="log1p")
         assert u.certify()["passed"]
