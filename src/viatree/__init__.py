@@ -22,7 +22,6 @@ from .arbitrage import (
     check_na,
     check_nupbr,
     empirical_boundedness_probe,
-    find_emm,
 )
 from .numeraire import (
     NumeraireSolution,

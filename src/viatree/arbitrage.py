@@ -227,12 +227,6 @@ def _replay_arbitrage(k: WealthKernel, s: UnitStrategy) -> dict:
     }
 
 
-def find_emm(m: MarketModel, tol_pos: float = EPS_POSITIVE_TOL) -> DensityProcess | None:
-    """The glued interior martingale density, or None under arbitrage."""
-    cert = check_na(m, tol_pos)
-    return cert.density if cert.verdict == "NA" else None
-
-
 @dataclass
 class NupbrResult:
     verdict: str  # "NUPBR" | "NO-NUPBR"
@@ -247,11 +241,7 @@ def check_nupbr(m: MarketModel) -> NupbrResult:
     coincide, so the decision reduces to the same per-node LP sweep used
     for no-arbitrage; NUPBR holds iff that density set is non-empty.
     """
-    return _nupbr(check_na(m))
-
-
-def _nupbr(cert: NaCertificate) -> NupbrResult:
-    """The NUPBR verdict carried by a no-arbitrage certificate."""
+    cert = check_na(m)
     if cert.verdict == "NA":
         return NupbrResult(
             verdict="NUPBR",

@@ -16,7 +16,8 @@ atomically, otherwise printed to stdout.  Reruns with the same config
 produce byte-identical reports except for the timing field.
 
 Density files (for --measure FILE and --hellinger FILE) are JSON objects
-{"z": [per-node values]} with z[0] = 1 in breadth-first node order.
+{"z": [per-node values]} with z[0] = 1 in breadth-first node order; a
+--measure density must also be a martingale.
 Numeric flags must be finite; inf and nan are usage errors.
 
 main() may be called repeatedly in one process, and each call starts from
@@ -36,7 +37,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .arbitrage import ArbitrageError, _nupbr, check_na
+from .arbitrage import ArbitrageError, check_na, check_nupbr
 from .bessel import (
     MIN_INTEGRAL_STEPS,
     estimate_log_value,
@@ -46,7 +47,7 @@ from .bessel import (
     simulate_bes3,
     stopped_experiments,
 )
-from .entropy import _min_entropy, entropy_hellinger, exp_utility, min_entropy_emm
+from .entropy import entropy_hellinger, exp_utility, min_entropy_emm
 from .market_io import MarketFormatError, _number, load_market
 from .markets import DensityProcess, price_martingale_residual
 from .measure_change import delta_for_epsilon, verify_value_bound
@@ -78,20 +79,14 @@ def _seed(text: str) -> int:
     return s
 
 
-def _count(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return n
-
-
-def _steps(text: str) -> int:
-    # the log value's time integral needs a fine grid
-    n = int(text)
-    if n < MIN_INTEGRAL_STEPS:
-        raise argparse.ArgumentTypeError(
-            f"must be >= {MIN_INTEGRAL_STEPS}, got {text}")
-    return n
+def _at_least(low: int):
+    """The argparse type of integers >= ``low``."""
+    def count(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return n
+    return count
 
 
 def _common() -> argparse.ArgumentParser:
@@ -109,7 +104,7 @@ def _common() -> argparse.ArgumentParser:
     return p
 
 
-def _load_density(path: str, n_nodes: int) -> DensityProcess:
+def _load_density(path: str, tree, martingale: bool = False) -> DensityProcess:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -121,12 +116,15 @@ def _load_density(path: str, n_nodes: int) -> DensityProcess:
     if bad:
         raise MarketFormatError(f"{path}: z must be a list of numbers; {bad[0]!r} is not one")
     z = np.asarray(obj["z"], dtype=np.float64)
-    if z.shape != (n_nodes,):
+    if z.shape != (tree.n_nodes,):
         raise MarketFormatError(
-            f"{path}: density has {z.size} values, the tree has {n_nodes} nodes"
+            f"{path}: density has {z.size} values, the tree has {tree.n_nodes} nodes"
         )
     try:
-        return DensityProcess(z)
+        dp = DensityProcess(z)
+        if martingale:
+            dp.require_martingale(tree)
+        return dp
     except ValueError as e:
         raise MarketFormatError(f"{path}: {e}") from e
 
@@ -144,8 +142,8 @@ def _cert_payload(cert) -> dict:
 
 def _cmd_check(args) -> tuple[int, dict]:
     m = load_market(args.market)
-    cert = check_na(m)
-    nupbr = _nupbr(cert)
+    nupbr = check_nupbr(m)
+    cert = nupbr.certificate
     payload = {
         "market": m.label,
         "verdict": cert.verdict,
@@ -223,7 +221,7 @@ def _cmd_optimize(args) -> tuple[int, dict]:
             }
         res = solve_utility(m, utility, args.x0, cert.density)
     else:
-        measure = None if args.measure == "physical" else _load_density(args.measure, m.tree.n_nodes)
+        measure = None if args.measure == "physical" else _load_density(args.measure, m.tree, martingale=True)
         res = maximize_utility(m, utility, args.x0, measure)
     payload = {
         "market": m.label,
@@ -248,8 +246,7 @@ def _cmd_optimize(args) -> tuple[int, dict]:
 
 def _cmd_measure(args) -> tuple[int, dict]:
     m = load_market(args.market)
-    cert = check_na(m)
-    q = _min_entropy(m, cert).density.z[m.tree.leaves]
+    q = min_entropy_emm(m).density.z[m.tree.leaves]
     dm = delta_for_epsilon(m.tree, q, args.epsilon)
     vb = verify_value_bound(m, dm, None, args.x0, args.tol_eq)
     eps_ok = dm.l1_dist <= args.epsilon
@@ -275,7 +272,7 @@ def _cmd_entropy(args) -> tuple[int, dict]:
     m = load_market(args.market)
     payload = {"market": m.label}
     if args.hellinger is not None:
-        dp = _load_density(args.hellinger, m.tree.n_nodes)
+        dp = _load_density(args.hellinger, m.tree)
         rep = entropy_hellinger(m.tree, dp)
         is_mart = dp.is_martingale(m.tree, 1e-9)
         payload.update(
@@ -418,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="numeraire portfolio and supermartingale verification")
     p.add_argument("--market", required=True, metavar="FILE")
     p.add_argument("--x0", type=_positive, default=1.0, metavar="R")
-    p.add_argument("--strategies", type=_count, default=100, metavar="N",
+    p.add_argument("--strategies", type=_at_least(1), default=100, metavar="N",
                    help="sampled strategies for verification (default 100)")
     p.set_defaults(func=_cmd_numeraire)
 
@@ -456,25 +453,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common],
                        help="Bessel(3) Monte Carlo study")
-    p.add_argument("--paths", type=_count, default=100_000, metavar="N")
-    p.add_argument("--steps", type=_steps, default=1000, metavar="M")
-    p.add_argument("--probe-strategies", type=_count, default=200, metavar="N")
+    p.add_argument("--paths", type=_at_least(1), default=100_000, metavar="N")
+    # the log value's time integral needs a fine grid
+    p.add_argument("--steps", type=_at_least(MIN_INTEGRAL_STEPS), default=1000, metavar="M")
+    p.add_argument("--probe-strategies", type=_at_least(1), default=200, metavar="N")
     p.add_argument("--report", dest="out", metavar="FILE",
                    help="alias for --out")
     p.set_defaults(func=_cmd_simulate)
 
-    def _branches(text: str) -> int:
-        n = int(text)
-        if n < 2:
-            raise argparse.ArgumentTypeError("need at least 2 branches")
-        return n
-
     p = sub.add_parser("equivalence-suite", parents=[common],
                        help="four-way equivalence check on random markets")
-    p.add_argument("--markets", type=_count, default=100, metavar="N")
-    p.add_argument("--d-max", type=_count, default=3, metavar="N")
-    p.add_argument("--depth-max", type=_count, default=3, metavar="N")
-    p.add_argument("--branch-max", type=_branches, default=4, metavar="N")
+    p.add_argument("--markets", type=_at_least(1), default=100, metavar="N")
+    p.add_argument("--d-max", type=_at_least(1), default=3, metavar="N")
+    p.add_argument("--depth-max", type=_at_least(1), default=3, metavar="N")
+    p.add_argument("--branch-max", type=_at_least(2), default=4, metavar="N")
     p.set_defaults(func=_cmd_suite)
 
     return parser

@@ -176,14 +176,8 @@ def min_entropy_emm(m: MarketModel) -> MinEntropyResult:
     multiplicatively.  Raises ``ArbitrageError`` when no equivalent
     martingale density exists.
     """
-    return _min_entropy(m, check_na(m))
-
-
-def _min_entropy(m: MarketModel, cert: NaCertificate) -> MinEntropyResult:
-    """``min_entropy_emm`` from the market's no-arbitrage certificate."""
-    _, _, density, worst, steps = _exp_recursion(
-        m, cert, "no equivalent martingale density exists"
-    )
+    goal = "no equivalent martingale density exists"
+    _, _, density, worst, steps = _exp_recursion(m, check_na(m), goal)
     t = m.tree
     z_leaf = density.z[t.leaves]
     leaf_q = t.unconditional_probs()[t.leaves] * z_leaf

@@ -108,11 +108,25 @@ class DensityProcess:
                 f"density must be strictly positive; node {bad} has z={self.z[bad]!r}"
             )
 
+    def _gaps(self, tree: EventTree) -> np.ndarray:
+        """|E[z(child) | node] - z(node)| per internal node."""
+        e = tree.edges
+        return np.abs(tree.sums(tree.branch_prob[e] * self.z[e]) - self.z[tree.internal])
+
     def martingale_residual(self, tree: EventTree) -> float:
         """sup over internal nodes of |E[z(child) | node] - z(node)|."""
-        e = tree.edges
-        gap = tree.sums(tree.branch_prob[e] * self.z[e]) - self.z[tree.internal]
-        return float(np.abs(gap).max(initial=0.0))
+        return float(self._gaps(tree).max(initial=0.0))
+
+    def require_martingale(self, tree: EventTree, rel_tol: float = 1e-9) -> None:
+        """Raise ``ValueError`` naming the worst node when the martingale
+        residual exceeds ``rel_tol`` x max(1, max z)."""
+        gaps, tol = self._gaps(tree), rel_tol * max(1.0, float(self.z.max()))
+        if gaps.max(initial=0.0) > tol:
+            i = int(np.argmax(gaps))
+            raise ValueError(
+                f"density is not a martingale: at node {tree.internal[i]}, "
+                f"|E[z(child) | node] - z(node)| = {float(gaps[i])!r} > {tol!r}"
+            )
 
     def is_martingale(self, tree: EventTree, tol: float = MARTINGALE_FLAG_TOL) -> bool:
         return self.martingale_residual(tree) <= tol
@@ -196,21 +210,6 @@ def wealth_from_fractions(m: MarketModel, s: FractionStrategy, x0: float) -> Wea
             f"fractions shape {f.shape} does not match prices {m.prices.shape}"
         )
     return WealthProcess(x0=float(x0), values=x0 * WealthKernel(m).growth(f[None])[0])
-
-
-def leaf_gain_matrix(m: MarketModel) -> np.ndarray:
-    """G[leaf, (internal node, asset)] = dS on the edge the leaf's path takes
-    out of the node, so G @ theta are the terminal gains of unit holdings."""
-    t = m.tree
-    col = np.zeros(t.n_nodes, dtype=np.int64)
-    col[t.internal] = np.arange(t.internal.size)
-    G = np.zeros((t.leaves.size, t.internal.size, m.d))
-    rows, node = np.arange(t.leaves.size), t.leaves
-    for _ in range(t.horizon):
-        up = t.parent[node]
-        G[rows, col[up]] = m.prices[node] - m.prices[up]
-        node = up
-    return G.reshape(t.leaves.size, -1)
 
 
 def self_financing_residual(m: MarketModel, s: UnitStrategy, w: WealthProcess) -> float:

@@ -5,9 +5,9 @@ program all maximize concave functions whose Newton systems may be
 singular (redundant assets, flat directions).  The routine solves a stack
 of G such problems, one per row: every internal node for the log problem,
 one tree level for the CRRA and exponential recursions, G = 1 for the
-custom program.  Rows never mix, so a row's result does not depend on its
-neighbours.  Each caller passes an ``evaluate`` closure and keeps its own
-tolerances and error messages.
+custom program, which steps by a pass over the tree.  Rows never mix, so a
+row's result does not depend on its neighbours.  Each caller passes an
+``evaluate`` closure and keeps its own tolerances and error messages.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ MAX_HALVINGS = 60
 
 
 def least_norm_step(hess, grad):
-    """Least-norm solutions of the stacked PSD systems hess @ step = grad.
+    """Least-norm solutions of the stacked PSD systems hess @ step = grad,
+    for grad of shape (G, d), or (G, d, r) with r right-hand sides each.
 
     One ``eigh`` for the whole stack; eigenvalues at or below lstsq's
     default cutoff (machine epsilon x size x the largest) count as zero,
@@ -31,17 +32,20 @@ def least_norm_step(hess, grad):
     a = np.abs(w)
     keep = a > np.finfo(np.float64).eps * w.shape[-1] * a.max(axis=-1, keepdims=True)
     inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    if grad.ndim == 3:
+        return V @ (inv[:, :, None] * (V.transpose(0, 2, 1) @ grad))
     return (V @ (inv * (grad[:, None, :] @ V)[:, 0, :])[:, :, None])[:, :, 0]
 
 
-def damped_newton(evaluate, x, tol, max_iter):
+def damped_newton(evaluate, x, tol, max_iter, newton_step=least_norm_step):
     """Maximize G concave functions, one per row of ``x`` (shape (G, d)).
 
     ``evaluate(x, rows)`` takes the points of the problems ``rows`` (indices
     into the G rows) and returns f (n,), gradients (n, d) and negated (PSD)
-    Hessians (n, d, d), with f = -inf outside the domain.  Each step is the
-    least-norm Newton step, or the gradient when that is not an ascent
-    direction.  A trial point is accepted on the Armijo test
+    Hessians (n, d, d), or any per-row model its ``newton_step`` reads, with
+    f = -inf outside the domain.  Each step is ``newton_step(hess, grad)``,
+    by default the least-norm Newton step, or the gradient when that is not
+    an ascent direction.  A trial point is accepted on the Armijo test
     f_c >= f + 1e-4 t slope or on gradient contraction
     max|grad_c| <= 0.9 max|grad| with f_c >= f - 1e-12 max(1, |f|): near the
     optimum f is flat to machine precision while Newton still shrinks the
@@ -59,7 +63,7 @@ def damped_newton(evaluate, x, tol, max_iter):
     going = (gnorm >= tol) & (steps < max_iter)
     while (act := np.flatnonzero(going)).size:
         g = grad[act]
-        step = least_norm_step(hess[act], g)
+        step = newton_step(hess[act], g)
         slope = np.einsum("ij,ij->i", g, step)
         if np.any(up := slope <= 0.0):  # numerically null direction; nudge along gradient
             step[up] = g[up]

@@ -135,19 +135,17 @@ def numeraire_portfolio(m: MarketModel, x0: float = 1.0) -> NumeraireSolution:
     if cert.verdict != "NA":
         return NumeraireSolution(status="arbitrage", certificate=cert)
     t = m.tree
-    fr, gnorms, _ = log_recursion(m)
+    fr, gnorms, growth = log_recursion(m)
     gradients = dict(zip(t.internal.tolist(), gnorms.tolist()))
     strategy = FractionStrategy(fractions=fr)
     wealth = wealth_from_fractions(m, strategy, x0)
-    p_leaf = t.unconditional_probs()[t.leaves]
-    log_growth = float(p_leaf @ np.log(wealth.terminal(t) / x0))
     return NumeraireSolution(
         status="ok",
         fractions=strategy,
         wealth=wealth,
         foc_sup=max(gradients.values(), default=0.0),
         node_gradients=gradients,
-        log_growth=log_growth,
+        log_growth=float(growth),
         certificate=cert,
     )
 

@@ -3,10 +3,10 @@
 Log and power (CRRA) utilities factor the dynamic program: the value
 function separates into a wealth term and per-node coefficients, so the
 optimal fractions solve one smooth concave problem per internal node.
-General utilities lose that separation and are solved as a single concave
-program over unit holdings at every internal node, with wealth kept
-strictly positive (under no-arbitrage the optimum is interior, because
-infinite marginal utility at zero wealth repels the boundary).
+General utilities lose that separation; one concave program over the unit
+holdings at every internal node, each Newton step a pass over the tree,
+keeps wealth strictly positive (under no-arbitrage the optimum is
+interior: infinite marginal utility at zero wealth repels the boundary).
 
 "No solution" is not a numerical condition: it happens exactly when the
 market admits arbitrage, and the returned result then carries the
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arbitrage import NaCertificate, check_na, find_emm
+from .arbitrage import NaCertificate, check_na
 from .markets import (
     DensityProcess,
     FractionStrategy,
@@ -27,15 +27,15 @@ from .markets import (
     UnitStrategy,
     WealthKernel,
     WealthProcess,
-    leaf_gain_matrix,
     wealth_from_fractions,
     wealth_from_units,
 )
-from .newton import damped_newton, raise_stalled
-from .numeraire import fraction_problems, log_recursion
+from .newton import CONTRACTION, damped_newton, least_norm_step, raise_stalled
+from .numeraire import fraction_problems, log_recursion, numeraire_portfolio
 
 FOC_TOL = 1e-10
 CUSTOM_GRAD_TOL = 1e-8  # times max(1, max|dS|): the program's gradient is in price units
+ROUNDOFF = 1e-14  # custom program's Newton gain, relative to max(1, |f|), at which f is exact
 PROBE_GRID = np.logspace(-8.0, 8.0, 65)
 
 
@@ -147,10 +147,6 @@ def power_optimal_stack(R, a, gamma: float, tol: float = FOC_TOL, max_iter: int 
     return pi, f * scale, gnorm, steps
 
 
-def _power_stall(gnorm) -> str:
-    return f"power-utility Newton stalled at gradient {float(gnorm)} (target {FOC_TOL})"
-
-
 @dataclass
 class OptimalPortfolioResult:
     status: str  # "ok" | "no-solution"
@@ -220,8 +216,11 @@ def solve_utility(
     arbitrage-free, with no sweep: log and CRRA run the separable backward
     recursion, custom certified utilities the concave program over unit
     holdings.  On a market with arbitrage a node solver stalls and raises,
-    naming its node."""
+    naming its node; a ``measure`` that is not a martingale raises
+    ``ValueError`` naming its worst node."""
     ucert = _certified(utility, x0)
+    if measure is not None:
+        measure.require_martingale(m.tree)
     weights = _step_weights(m, measure)
     if utility.kind == "log":
         res = _solve_log(m, weights, x0)
@@ -234,18 +233,23 @@ def solve_utility(
     return res
 
 
-def _solve_log(m, weights, x0) -> OptimalPortfolioResult:
-    fr, gnorms, growth = log_recursion(m, weights)
-    strategy = FractionStrategy(fractions=fr)
-    wealth = wealth_from_fractions(m, strategy, x0)
+def _optimum(m, strategy, x0, value, foc_residual, route) -> OptimalPortfolioResult:
+    """A solver's "ok" result, with the strategy's wealth from x0."""
+    grow = wealth_from_units if isinstance(strategy, UnitStrategy) else wealth_from_fractions
     return OptimalPortfolioResult(
         status="ok",
-        value=float(np.log(x0) + growth),
+        value=float(value),
         strategy=strategy,
-        wealth=wealth,
-        foc_residual=float(gnorms.max(initial=0.0)),
-        route="log-recursion",
+        wealth=grow(m, strategy, x0),
+        foc_residual=float(foc_residual),
+        route=route,
     )
+
+
+def _solve_log(m, weights, x0) -> OptimalPortfolioResult:
+    fr, gnorms, growth = log_recursion(m, weights)
+    return _optimum(m, FractionStrategy(fractions=fr), x0, np.log(x0) + growth,
+                    gnorms.max(initial=0.0), "log-recursion")
 
 
 def _solve_crra(m, weights, x0, gamma) -> OptimalPortfolioResult:
@@ -261,55 +265,80 @@ def _solve_crra(m, weights, x0, gamma) -> OptimalPortfolioResult:
         nodes = t.internal[nv]
         a = t.stack(weights * psi[t.edges], 0.0, nv)
         pi, psi[nodes], gnorms[nv], _ = power_optimal_stack(t.stack(R, 0.0, nv), a, gamma)
-        raise_stalled(gnorms[nv], FOC_TOL, nodes, _power_stall)
+        raise_stalled(gnorms[nv], FOC_TOL, nodes, lambda g: (
+            f"power-utility Newton stalled at gradient {float(g)} (target {FOC_TOL})"))
         fr[nodes] = pi
-    strategy = FractionStrategy(fractions=fr)
-    wealth = wealth_from_fractions(m, strategy, x0)
-    return OptimalPortfolioResult(
-        status="ok",
-        value=float(x0 ** (1.0 - gamma) * psi[0]),
-        strategy=strategy,
-        wealth=wealth,
-        foc_residual=float(gnorms.max(initial=0.0)),
-        route="crra-recursion",
-    )
+    return _optimum(m, FractionStrategy(fractions=fr), x0, x0 ** (1.0 - gamma) * psi[0],
+                    gnorms.max(initial=0.0), "crra-recursion")
+
+
+def _tree_step(k: WealthKernel, model):
+    """The holding changes dh maximizing sum_l (b_l dW_l - a_l dW_l^2 / 2),
+    dW their leaf wealth changes, with b and a at the leaves of ``model``.
+    Leaves to root, node v folds its children's quadratics in its own wealth
+    change x: M = sum a_j X_j X_j^T, c = sum b_j X_j and e = sum a_j X_j over
+    its edges' price increments give dh_v = M^+ (c - x e), child j's change
+    alpha_j x + beta_j, b_v = sum b_j - e.M^+ c and a_v = sum a_j - e.M^+ e,
+    summed as a_j alpha_j^2 to stay >= 0.  Root to leaves, x follows."""
+    t = k.tree
+    b, a = model.copy()
+    mc, me = np.zeros((2, t.n_nodes, k.dS.shape[1]))  # M^+ c and M^+ e
+    alpha, beta = np.empty((2, t.edges.size))
+    for lv, nv in zip(reversed(t.edge_levels), reversed(t.node_levels)):
+        X, kids, up, at = k.dS[lv], t.edges[lv], t.internal[nv], t.starts[nv] - lv.start
+        M = np.add.reduceat(a[kids, None, None] * X[:, :, None] * X[:, None, :], at)
+        rhs = np.add.reduceat(X[:, :, None] * np.stack([b[kids], a[kids]], axis=1)[:, None, :], at)
+        mc[up], me[up] = least_norm_step(M, rhs).transpose(2, 0, 1)
+        beta[lv] = np.einsum("ij,ij->i", mc[t.edge_parent[lv]], X)
+        alpha[lv] = 1.0 - np.einsum("ij,ij->i", me[t.edge_parent[lv]], X)
+        a[up] = np.add.reduceat(a[kids] * alpha[lv] ** 2, at)
+        b[up] = np.add.reduceat(b[kids] - a[kids] * beta[lv], at)
+    x = np.zeros(t.n_nodes)
+    for lv in t.edge_levels:
+        x[t.edges[lv]] = alpha[lv] * x[t.edge_parent[lv]] + beta[lv]
+    return mc - x[:, None] * me
 
 
 def _solve_custom(m, weights, x0, utility, tol=CUSTOM_GRAD_TOL, max_iter=300):
-    t = m.tree
-    # leaf weights under the chosen measure
-    qw = t.roll(weights[None], 1.0, multiplicative=True)[0, t.leaves]
-    G = leaf_gain_matrix(m)
-    tol = tol * max(1.0, float(np.abs(G).max(initial=0.0)))
+    """Damped Newton over the unit holdings of every node (0 at the leaves),
+    each step one ``_tree_step``.  Below the gate tol x max(1, max|dS|) f may
+    still be off in its 7th digit, and leaf wealths near 0 can hold the
+    gradient above it once f is exact.  So it stops where the Newton gain
+    g.step / 2 is at f's roundoff and the gradient is below the gate or no
+    longer shrinking; the line search or ``max_iter`` ending it first raises."""
+    t, k = m.tree, WealthKernel(m)
+    q = t.roll(weights[None], 1.0, multiplicative=True)[0, t.leaves]
+    gate = tol * max(1.0, float(np.abs(k.dS).max(initial=0.0)))
+    gains = []
 
-    def unit_strategy(th):
-        h = np.zeros_like(m.prices)
-        h[t.internal] = th.reshape(t.internal.size, m.d)
-        return UnitStrategy(holdings=h)
+    def evaluate(h, rows):  # one problem; in place of its Hessian, b and a per node
+        w, model = k.units(h.reshape(1, *m.prices.shape), x0)[0], np.zeros((1, 2, t.n_nodes))
+        if not np.all(w > 0.0):
+            return np.array([-np.inf]), np.zeros_like(h), model
+        (b, a), wl, grad = model[0], w[t.leaves], np.zeros_like(m.prices)
+        b[t.leaves], a[t.leaves] = q * utility.marginal(wl), -q * utility.second(wl)
+        grad[t.internal] = t.sums(t.backward(np.ones(t.edges.size), b)[t.edges, None] * k.dS)
+        return np.array([q @ utility.value(wl)]), grad.reshape(1, -1), model
 
-    def evaluate(th, rows):  # a stack of one problem
-        w = wealth_from_units(m, unit_strategy(th[0]), x0)
-        if not np.all(w.values > 0.0):
-            return np.array([-np.inf]), np.zeros_like(th), np.zeros((1, th.size, th.size))
-        wl = w.values[t.leaves]
-        hess = (G.T * (-qw * utility.second(wl))) @ G  # positive weights
-        grad = G.T @ (qw * utility.marginal(wl))
-        return np.array([qw @ utility.value(wl)]), grad[None], hess[None]
+    def step(model, grad):
+        dh = _tree_step(k, model[0]).reshape(1, -1)
+        gains.append(0.5 * float(grad[0] @ dh[0]))
+        return dh
 
-    theta, f, _, gnorm, _ = damped_newton(evaluate, np.zeros((1, G.shape[1])), tol, max_iter)
-    if gnorm[0] >= tol:
-        raise RuntimeError(
-            f"custom-utility program stalled at gradient {gnorm[0]} (target {tol})"
-        )
-    strategy = unit_strategy(theta[0])
-    return OptimalPortfolioResult(
-        status="ok",
-        value=float(f[0]),
-        strategy=strategy,
-        wealth=wealth_from_units(m, strategy, x0),
-        foc_residual=float(gnorm[0]),
-        route="concave-program",
-    )
+    h = np.zeros((1, m.prices.size))
+    f, grad, _ = evaluate(h, None)
+    gnorm, last = float(np.max(np.abs(grad))), np.inf
+    for _ in range(max_iter):
+        new, f_new, _, gn_new, steps = damped_newton(evaluate, h, 0.0, 1, newton_step=step)
+        done = gains[-1] <= ROUNDOFF * max(1.0, abs(f[0])) and (gnorm < gate or gnorm > CONTRACTION * last)
+        if done or not steps[0]:
+            break
+        h, f, gnorm, last = new, f_new, float(gn_new[0]), gnorm
+    if not done:
+        raise RuntimeError(f"custom-utility program stalled at gradient {gnorm} "
+                           f"(target {gate}), Newton gain {gains[-1]}")
+    return _optimum(m, UnitStrategy(holdings=h.reshape(m.prices.shape)), x0, f[0], gnorm,
+                    "concave-program")
 
 
 def viability_under_measure(
@@ -393,20 +422,15 @@ def equivalence_suite(config: EquivalenceConfig) -> SuiteReport:
             price_range=config.price_range,
             label=f"suite-{i}",
         )
-        log_ok = maximize_utility(m, log_utility(), 1.0).status == "ok"
-        na_ok = check_na(m).verdict == "NA"
-        emm_ok = find_emm(m) is not None
-        from .numeraire import numeraire_portfolio
-
-        num_ok = numeraire_portfolio(m).status == "ok"
+        cert = check_na(m)
         verdicts = {
-            "log_solvable": log_ok,
-            "no_arbitrage": na_ok,
-            "martingale_density": emm_ok,
-            "numeraire": num_ok,
+            "log_solvable": maximize_utility(m, log_utility(), 1.0).status == "ok",
+            "no_arbitrage": cert.verdict == "NA",
+            "martingale_density": cert.density is not None,
+            "numeraire": numeraire_portfolio(m).status == "ok",
         }
-        agree = len({log_ok, na_ok, emm_ok, num_ok}) == 1
-        counts["NA" if na_ok else "ARBITRAGE"] += 1
+        agree = len(set(verdicts.values())) == 1
+        counts["NA" if verdicts["no_arbitrage"] else "ARBITRAGE"] += 1
         rows.append({"index": i, "label": m.label, "agree": agree, **verdicts})
         if not agree:
             disagreements.append(

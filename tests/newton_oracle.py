@@ -5,7 +5,8 @@ replaced, unchanged: the node log and power problems, the log and CRRA
 recursions and the custom-utility program (with per-node dict weights), and
 the two dense leaf-space solvers that the entropy recursion replaced, the
 minimal-entropy Newton in the null space of the martingale constraints and
-the exponential-utility Newton over every (node, asset) holding.
+the exponential-utility Newton over every (node, asset) holding, and the
+dense leaf gain matrix that the custom loop and both dense loops read.
 ``tests/test_newton.py`` holds the library's stacked log, power and custom
 solvers and its entropy recursion to these results within tolerances (the
 custom loop keeps the old absolute 1e-8 gradient gate).  The entropy loops keep their own constants and result
@@ -25,7 +26,6 @@ from viatree.markets import (
     MarketModel,
     UnitStrategy,
     density_from_leaf_values,
-    leaf_gain_matrix,
     price_martingale_residual,
     wealth_from_fractions,
     wealth_from_units,
@@ -38,6 +38,21 @@ KKT_TOL = 1e-8
 EXP_GRAD_TOL = 1e-8
 THETA_CAP = 1e6
 DUALITY_TOL = 1e-6
+
+
+def leaf_gain_matrix(m: MarketModel) -> np.ndarray:
+    """G[leaf, (internal node, asset)] = dS on the edge the leaf's path takes
+    out of the node, so G @ theta are the terminal gains of unit holdings."""
+    t = m.tree
+    col = np.zeros(t.n_nodes, dtype=np.int64)
+    col[t.internal] = np.arange(t.internal.size)
+    G = np.zeros((t.leaves.size, t.internal.size, m.d))
+    rows, node = np.arange(t.leaves.size), t.leaves
+    for _ in range(t.horizon):
+        up = t.parent[node]
+        G[rows, col[up]] = m.prices[node] - m.prices[up]
+        node = up
+    return G.reshape(t.leaves.size, -1)
 
 
 @dataclass

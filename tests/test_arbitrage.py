@@ -16,7 +16,6 @@ from viatree import (
     check_na,
     check_nupbr,
     empirical_boundedness_probe,
-    find_emm,
     load_fixture,
     price_martingale_residual,
     wealth_from_units,
@@ -187,15 +186,15 @@ class TestCheckNa:
 
 
 class TestEmmAndSigma:
-    def test_find_emm_matches_certificate(self, trinomial):
-        dp = find_emm(trinomial)
+    def test_certificate_density_is_a_martingale(self, trinomial):
+        dp = check_na(trinomial).density
         assert dp is not None
         assert price_martingale_residual(trinomial, dp) < 1e-10
         assert dp.martingale_residual(trinomial.tree) < 1e-10
         assert dp.z.min() > 0.0
 
-    def test_find_emm_none_under_arbitrage(self, arbitrage_market):
-        assert find_emm(arbitrage_market) is None
+    def test_no_density_under_arbitrage(self, arbitrage_market):
+        assert check_na(arbitrage_market).density is None
 
 
 class TestNupbr:

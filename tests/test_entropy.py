@@ -11,10 +11,10 @@ from viatree import (
     DensityProcess,
     EventTree,
     StoppingTime,
+    check_na,
     concatenate_densities,
     entropy_hellinger,
     exp_utility,
-    find_emm,
     min_entropy_emm,
     price_martingale_residual,
 )
@@ -40,7 +40,7 @@ class TestEntropyHellinger:
         assert rep.relative_entropy == 0.0
 
     def test_binomial_hand_value(self, binomial, one_period_binary_tree):
-        z = find_emm(binomial)
+        z = check_na(binomial).density
         rep = entropy_hellinger(one_period_binary_tree, z)
         assert rep.e_p_v_terminal == pytest.approx(BINOMIAL_ENTROPY, abs=1e-14)
         assert rep.e_p_v_terminal == pytest.approx(0.056633, abs=1e-6)
@@ -146,7 +146,7 @@ class TestMinEntropy:
             r = np.random.default_rng(seed)
             m = random_na_market(r, d=int(r.integers(1, 3)))
             res = min_entropy_emm(m)
-            glued = find_emm(m)
+            glued = check_na(m).density
             rep = entropy_hellinger(m.tree, glued)
             assert res.entropy <= rep.relative_entropy + 1e-9
             assert price_martingale_residual(m, res.density) < 1e-8

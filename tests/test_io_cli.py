@@ -316,6 +316,18 @@ class TestCliCommands:
         out = json.loads(capsys.readouterr().out)
         assert abs(out["payload"]["value"]) < 1e-9
 
+    def test_optimize_rejects_a_non_martingale_density(self, tmp_path, capsys):
+        # the one-step weights sum to 3; entropy --hellinger still takes it
+        path = self.fixture_path("binomial", tmp_path)
+        dens = tmp_path / "z.json"
+        dens.write_text(json.dumps({"z": [1.0, 3.0, 3.0]}))
+        rc = main(["optimize", "--market", path, "--measure", str(dens)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{dens}: density is not a martingale: at node 0" in err
+        assert main(["entropy", "--market", path, "--hellinger", str(dens)]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["density_is_martingale"] is False
+
     def test_measure_command(self, tmp_path, capsys):
         rc = main(["measure", "--market", self.fixture_path("trinomial", tmp_path),
                    "--epsilon", "0.1"])

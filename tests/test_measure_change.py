@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viatree import (
+    check_na,
     construct_q_delta,
     crra_utility,
     delta_for_epsilon,
-    find_emm,
     min_entropy_emm,
     verify_value_bound,
 )
@@ -131,7 +131,7 @@ class TestValueBound:
         assert rep["q_residual"] <= 1e-9
 
     def test_bound_holds_for_crra(self, binomial):
-        q = find_emm(binomial).z[binomial.tree.leaves]
+        q = check_na(binomial).density.z[binomial.tree.leaves]
         dm = delta_for_epsilon(binomial.tree, q, 0.5)
         rep = verify_value_bound(binomial, dm, utility=crra_utility(2.0), x0=1.0)
         assert rep["passed"]

@@ -11,10 +11,12 @@ therefore held to the loops within tolerances: the same ok/raise outcome
 and message, every node gradient below its tolerance, the log growth and
 the CRRA value within 1e-12 relative, |1 - sum p/g| <= 1e-12 at every log
 node after the polish, and ``verify_numeraire`` passing; the custom program
-also keeps its holdings within 1e-6 of the loops' max|holdings|.  The scalar rules
-of the routine (zero-slope fallback, flat and Armijo acceptance, the
-downhill rejection, the 60-halving stall) keep their exact values, alone
-and stacked beside each other.
+also keeps its holdings within 1e-6 of the loops' max|holdings|.  Its tree
+Newton step is also held to CRRA(0.5) / 2 on the deep markets where the
+dense loop stalled, to a peak memory under 1 KB per node, and to its stop
+rule's edge cases.  The scalar rules of the routine (zero-slope fallback,
+flat and Armijo acceptance, the downhill rejection, the 60-halving stall)
+keep their exact values, alone and stacked beside each other.
 
 The minimal-entropy and exponential-utility results come from a node
 recursion, not from the oracle's two dense leaf-space Newton loops, so they
@@ -26,6 +28,7 @@ converge and pass its own duality and density-link checks.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,7 +49,7 @@ from viatree import (
 )
 from viatree import entropy, numeraire, utility, verify_numeraire
 from viatree.generators import random_na_market
-from viatree.markets import WealthKernel, leaf_gain_matrix
+from viatree.markets import WealthKernel
 from viatree.newton import damped_newton, raise_stalled
 from viatree.numeraire import log_optimal_stack, log_recursion
 from viatree.utility import power_optimal_stack
@@ -284,7 +287,7 @@ def _assert_same_holdings(new, old):
 
 
 def _custom_gate(m):
-    return utility.CUSTOM_GRAD_TOL * max(1.0, float(np.max(np.abs(leaf_gain_matrix(m)))))
+    return utility.CUSTOM_GRAD_TOL * max(1.0, float(np.max(np.abs(oracle.leaf_gain_matrix(m)))))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -312,6 +315,66 @@ def test_custom_program_flat_objective(seed):
     else:
         assert new.value == pytest.approx(old.value, rel=REL)
         _assert_same_holdings(new, old)
+
+
+CUSTOM_STALLS = ((6, 2), (7, 1), (7, 2), (7, 3), (8, 1))  # (depth, seed)
+
+
+def _deep_market(depth, seed):
+    rng = np.random.default_rng(seed)
+    return random_na_market(rng, d=2, depth_range=(depth, depth), branch_range=(2, 3))
+
+
+def _sqrt_against_crra(m, **kwargs):
+    """sqrt is CRRA(0.5) / 2, so both programs must give the same value."""
+    w = utility._step_weights(m, None)
+    res = utility._solve_custom(m, w, 1.0, SQRT, **kwargs)
+    assert res.value == pytest.approx(utility._solve_crra(m, w, 1.0, 0.5).value / 2, rel=REL)
+    return res
+
+
+@pytest.mark.parametrize("depth, seed", CUSTOM_STALLS)
+def test_custom_program_on_deep_trees(depth, seed):
+    # the dense program raised "custom-utility program stalled" on all five
+    _sqrt_against_crra(_deep_market(depth, seed))
+
+
+def test_custom_program_memory_per_node():
+    # the dense program's gain matrix and Hessian grew with the square of
+    # the tree; the tree step keeps a few arrays per node
+    m = _deep_market(8, 1)
+    w = utility._step_weights(m, None)
+    tracemalloc.start()
+    try:
+        utility._solve_custom(m, w, 1.0, SQRT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * m.tree.n_nodes
+
+
+class TestCustomStopRule:
+    def test_one_node_market(self):
+        m = MarketModel(EventTree([None], [1.0]), np.array([[2.0]]))
+        res = utility._solve_custom(m, utility._step_weights(m, None), 4.0, SQRT)
+        assert (res.value, res.foc_residual) == (2.0, 0.0)
+        assert res.strategy.holdings.tolist() == [[0.0]]
+
+    def test_stops_at_the_gradient_floor(self):
+        # leaf wealths near 1e-12 hold the rounding of the gradient above
+        # its gate once the value is exact; the run stops there and is ok
+        m = _deep_market(10, 4)
+        res = _sqrt_against_crra(m)
+        gate = utility.CUSTOM_GRAD_TOL * max(1.0, float(np.max(np.abs(WealthKernel(m).dS))))
+        assert res.foc_residual > gate
+
+    def test_gate_that_no_gradient_meets(self):
+        _sqrt_against_crra(_deep_market(5, 3), tol=0.0)
+
+    def test_arbitrage_market_stalls(self, arbitrage_market):
+        m = arbitrage_market
+        with pytest.raises(RuntimeError, match=r"^custom-utility program stalled at gradient"):
+            utility._solve_custom(m, utility._step_weights(m, None), 1.0, SQRT)
 
 
 def _zero_slope(x, rows):

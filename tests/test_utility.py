@@ -7,16 +7,17 @@ import pytest
 from scipy.optimize import brentq
 
 from viatree import (
+    DensityProcess,
     crra_utility,
     custom_utility,
+    check_na,
     equivalence_suite,
-    find_emm,
     log_utility,
     maximize_utility,
     viability_under_measure,
 )
 from viatree.generators import random_na_market
-from viatree.utility import EquivalenceConfig
+from viatree.utility import EquivalenceConfig, solve_utility
 
 
 class TestUtilityObjects:
@@ -148,11 +149,18 @@ class TestArbitrageAndMeasures:
             maximize_utility(binomial, log_utility(), 0.0)
 
     def test_under_emm_trading_is_worthless(self, binomial):
-        emm = find_emm(binomial)
+        emm = check_na(binomial).density
         res = maximize_utility(binomial, log_utility(), 1.0, measure=emm)
         # log 1 = 0 is the best achievable when prices are martingales
         assert res.value == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(res.strategy.fractions, 0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("solve", [maximize_utility, solve_utility])
+    def test_non_martingale_measure_raises(self, binomial, solve):
+        # one-step weights summing to 3 once gave status ok and value 0.1767
+        bad = DensityProcess(np.array([1.0, 3.0, 3.0]))
+        with pytest.raises(ValueError, match=r"not a martingale: at node 0, .* = 2\.0 > "):
+            solve(binomial, log_utility(), 1.0, bad)
 
     @pytest.mark.parametrize("name", ["binomial", "trinomial", "two_period"])
     def test_viability_under_measure(self, name, request):
