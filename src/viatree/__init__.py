@@ -21,7 +21,6 @@ from .arbitrage import (
     NaCertificate,
     check_na,
     check_nupbr,
-    empirical_boundedness_probe,
 )
 from .numeraire import (
     NumeraireSolution,

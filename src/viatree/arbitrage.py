@@ -230,7 +230,6 @@ def _replay_arbitrage(k: WealthKernel, s: UnitStrategy) -> dict:
 @dataclass
 class NupbrResult:
     verdict: str  # "NUPBR" | "NO-NUPBR"
-    explanation: str
     certificate: NaCertificate
 
 
@@ -238,89 +237,11 @@ def check_nupbr(m: MarketModel) -> NupbrResult:
     """Decide NUPBR via existence of a local martingale density.
 
     On a finite tree local martingale densities and martingale densities
-    coincide, so the decision reduces to the same per-node LP sweep used
-    for no-arbitrage; NUPBR holds iff that density set is non-empty.
+    coincide, so the decision is the same per-node LP sweep as for
+    no-arbitrage: NUPBR holds iff a strictly positive martingale density
+    exists, and the certificate carries it.  Otherwise the certificate's
+    lifted one-period strategy scales to unbounded profit with bounded
+    risk.
     """
     cert = check_na(m)
-    if cert.verdict == "NA":
-        return NupbrResult(
-            verdict="NUPBR",
-            explanation=(
-                "a strictly positive martingale density exists (glued from "
-                "per-node interior weights), hence no unbounded profit with "
-                "bounded risk"
-            ),
-            certificate=cert,
-        )
-    return NupbrResult(
-        verdict="NO-NUPBR",
-        explanation=(
-            "no local martingale density exists on a finite tree once a node "
-            "admits a separating vector; the lifted one-period strategy "
-            "scales to unbounded profit with bounded risk"
-        ),
-        certificate=cert,
-    )
-
-
-def admissible_unit_strategies(m: MarketModel, rng: np.random.Generator, n: int, x0: float):
-    """n random admissible unit strategies, one block of about
-    ``BLOCK_ENTRIES`` node-asset entries at a time, as (holdings, terminal
-    wealths, scaled flags).  Holdings are standard normal, drawn in the order
-    strategy, internal node (breadth-first), asset; a strategy dipping below
-    0 from zero capital is scaled so its wealth from ``x0`` stays >= 0."""
-    t = m.tree
-    k = WealthKernel(m)
-    for b in k.blocks(n):
-        h = np.zeros((b.stop - b.start, t.n_nodes, m.d))
-        h[:, t.internal] = rng.standard_normal((len(h), t.internal.size, m.d))
-        low = k.units(h, 0.0).min(axis=1)
-        scaled = low < 0.0
-        h[scaled] *= (x0 / -low[scaled])[:, None, None]
-        yield h, k.units(h, x0)[:, t.leaves], scaled
-
-
-def empirical_boundedness_probe(
-    m: MarketModel,
-    n_strategies: int = 200,
-    seed: int = 0,
-    x0: float = 1.0,
-) -> dict:
-    """Quantiles of terminal wealth over random admissible strategies.
-
-    Draws unit strategies with standard normal holdings, scales each so the
-    wealth from ``x0`` stays nonnegative at every node, and pools the
-    terminal values (weighted by leaf probability).  Holdings draw from
-    ``seed`` in the order strategy, internal node, asset, and are evaluated
-    in blocks (``admissible_unit_strategies``).  The probe is
-    diagnostic only: a bounded-looking table is evidence, not a proof of
-    NUPBR, which is why the decision procedure is the LP sweep.
-    """
-    if n_strategies < 1:
-        raise ValueError(f"n_strategies must be at least 1, got {n_strategies!r}")
-    t = m.tree
-    rng = np.random.default_rng(seed)
-    p_leaf = t.unconditional_probs()[t.leaves]
-    vals, scaled = [], 0
-    for _, w_T, flags in admissible_unit_strategies(m, rng, n_strategies, x0):
-        vals.append(w_T.ravel())
-        scaled += int(flags.sum())
-    vals = np.concatenate(vals)
-    wts = np.tile(p_leaf / n_strategies, n_strategies)
-    order = np.argsort(vals)
-    vals = vals[order]
-    cum = np.cumsum(wts[order])
-    cum /= cum[-1]
-    quantiles = {
-        q: float(vals[np.searchsorted(cum, q, side="left")])
-        for q in (0.5, 0.9, 0.99)
-    }
-    return {
-        "n_strategies": n_strategies,
-        "seed": seed,
-        "x0": x0,
-        "quantiles": quantiles,
-        "max_observed": float(vals.max()),
-        "strategies_scaled": scaled,
-        "note": "diagnostic probe; the LP sweep is the decision procedure",
-    }
+    return NupbrResult("NUPBR" if cert.verdict == "NA" else "NO-NUPBR", cert)

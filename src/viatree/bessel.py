@@ -17,23 +17,23 @@ algebra.  Paths draw from counter-based generators keyed by
 (seed, path index) as a 64-bit pair, so any worker split reproduces the
 same batch.
 
-The study streams.  ``path_chunks`` builds PATH_CHUNK paths at a time in
-one reused buffer, and ``simulate_bes3`` reduces each chunk, while it is
-in cache, to the per-path statistics the estimators read: the terminal
+The study streams.  ``simulate_bes3`` splits the paths into chunks and
+fills each chunk in a reused buffer, then reduces it, while it is in
+cache, to the per-path statistics the estimators read: the terminal
 value, the trapezoid integral of S^-2, the coarse-node values with the
 lows and highs of each coarse interval, the checkpoint values, and per
 stop level the first-exit value and a stopped flag.  A batch holds these
 statistics, not paths, stored interval-major as (k, n_paths) arrays, so
 memory is O(n_paths x statistics + chunk).
 
-With more than one chunk and more than one CPU, ``simulate_bes3`` fills
-and reduces the chunks on one worker thread per CPU, created and joined
-inside the call.  Each worker owns its generator and buffers of
-PATH_CHUNK // workers paths, so all buffers together stay one chunk, and
-writes its chunks' columns of the batch.  numpy releases the interpreter
-lock in the normal draws, cumsum, einsum, sqrt and reductions, which are
-nearly all of the work.  No statistic reads another path, so the batch
-is bitwise the same for any worker count and schedule.
+The chunks run on one pool of worker threads, one per CPU and never more
+than there are chunks, created and joined inside the call.  Each worker
+owns its generator and buffers of PATH_CHUNK // workers paths, so all
+buffers together stay one chunk, and writes its chunks' columns of the
+batch.  numpy releases the interpreter lock in the normal draws, cumsum,
+einsum, sqrt and reductions, which are nearly all of the work.  No
+statistic reads another path, so the batch is bitwise the same for any
+worker count and schedule.
 """
 
 from __future__ import annotations
@@ -141,51 +141,39 @@ def _chunk_filler(n_steps: int, seed: int, rows: int):
     return fill
 
 
-def path_chunks(n_paths: int, n_steps: int, seed: int = 0):
-    """Yield (start, s): paths start .. start + len(s) - 1 as the rows of
-    s, shape (<= PATH_CHUNK, n_steps + 1), on the uniform grid of [0, 1].
-
-    A path depends on (seed, j) only, so a prefix of paths is independent
-    of n_paths.  ``s`` is a view of one buffer that the next chunk
-    overwrites; copy it to keep it.
-    """
-    fill = _chunk_filler(n_steps, seed, PATH_CHUNK)
-    for start in range(0, n_paths, PATH_CHUNK):
-        yield start, fill(start, min(PATH_CHUNK, n_paths - start))
-
-
 def _pooled_chunks(reduce, n_paths: int, n_steps: int, seed: int, workers: int):
-    """Call reduce(start, s) on every chunk of PATH_CHUNK // workers paths
-    from ``workers`` threads, each with its own filler; a thread takes the
-    next chunk start when it comes free.  The first error stops the other
-    threads after their current chunk and reaches the caller."""
+    """Call reduce(start, s) on each chunk of PATH_CHUNK // workers paths in
+    a pool of ``workers`` threads with one filler each.  The first error
+    shuts the pool, so chunks not yet started never run, and is raised."""
     # imported here: it loads logging, which no other command needs
     from concurrent.futures import ThreadPoolExecutor
 
     rows = PATH_CHUNK // workers
-    starts = iter(range(0, n_paths, rows))
-    lock = threading.Lock()
-    stop = threading.Event()
+    local = threading.local()
 
-    def take():
-        with lock:
-            return None if stop.is_set() else next(starts, None)
-
-    def work():
-        fill = _chunk_filler(n_steps, seed, rows)
+    def run(start):
         try:
-            for start in iter(take, None):
-                reduce(start, fill(start, min(rows, n_paths - start)))
-        finally:
-            stop.set()  # harmless once the starts are exhausted
+            if not hasattr(local, "fill"):
+                local.fill = _chunk_filler(n_steps, seed, rows)
+            reduce(start, local.fill(start, min(rows, n_paths - start)))
+        except BaseException:
+            # from this thread, before it takes another chunk
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
 
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(work) for _ in range(workers)]
-        try:
-            for future in futures:
-                future.result()
-        finally:
-            stop.set()
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = []
+        for start in range(0, n_paths, rows):
+            try:
+                futures.append(pool.submit(run, start))
+            except RuntimeError:  # a chunk failed and shut the pool
+                break
+        # the failed chunk started before every cancelled one
+        for future in futures:
+            future.result()
+    finally:  # joins the workers; an interrupt leaves no chunk to start
+        pool.shutdown(cancel_futures=True)
 
 
 def simulate_bes3(
@@ -248,14 +236,9 @@ def simulate_bes3(
             stop_values[j, cols] = s[rows, stop]
             stopped[j, cols] = stop < n_steps
 
-    # every statistic reads its own path only, so the batch is the same
-    # bitwise for any worker count and schedule; each worker gets >= 1 row
+    # each worker gets >= 1 row
     workers = min(-(-n_paths // PATH_CHUNK), _cores(), PATH_CHUNK)
-    if workers == 1:
-        for start, s in path_chunks(n_paths, n_steps, seed):
-            reduce(start, s)
-    else:
-        _pooled_chunks(reduce, n_paths, n_steps, seed, workers)
+    _pooled_chunks(reduce, n_paths, n_steps, seed, workers)
     if float(lows.min()) <= 0.0:
         raise ValueError("batch must hold strictly positive path values")
     return McBatch(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arbitrage import NaCertificate, admissible_unit_strategies, check_na
+from .arbitrage import NaCertificate, check_na
 from .markets import (
     FractionStrategy,
     MarketModel,
@@ -263,6 +263,23 @@ def verify_numeraire(
         "n_strategies": n_strategies,
         "tol": tol,
     }
+
+
+def admissible_unit_strategies(m: MarketModel, rng: np.random.Generator, n: int, x0: float):
+    """n random admissible unit strategies, one block of about
+    ``BLOCK_ENTRIES`` node-asset entries at a time, as (holdings, terminal
+    wealths, scaled flags).  Holdings are standard normal, drawn in the order
+    strategy, internal node (breadth-first), asset; a strategy dipping below
+    0 from zero capital is scaled so its wealth from ``x0`` stays >= 0."""
+    t = m.tree
+    k = WealthKernel(m)
+    for b in k.blocks(n):
+        h = np.zeros((b.stop - b.start, t.n_nodes, m.d))
+        h[:, t.internal] = rng.standard_normal((len(h), t.internal.size, m.d))
+        low = k.units(h, 0.0).min(axis=1)
+        scaled = low < 0.0
+        h[scaled] *= (x0 / -low[scaled])[:, None, None]
+        yield h, k.units(h, x0)[:, t.leaves], scaled
 
 
 def deflator_probe(

@@ -77,7 +77,7 @@ class UtilityFunction:
             return -self.gamma * x ** (-self.gamma - 1.0)
         if self._d2u is not None:
             return self._d2u(x)
-        h = 1e-6 * np.maximum(x, 1e-6)
+        h = 1e-6 * x  # relative, so x - h stays positive at any wealth
         return (self._du(x + h) - self._du(x - h)) / (2.0 * h)
 
     def certify(self) -> dict:

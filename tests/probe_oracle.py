@@ -129,26 +129,3 @@ def deflator_probe(m, candidate, n=200, seed=0, tol=RATIO_TOL):
         "tol": tol,
     }
 
-
-def empirical_boundedness_probe(m, n_strategies=200, seed=0, x0=1.0):
-    t = m.tree
-    rng = np.random.default_rng(seed)
-    p_leaf = unconditional_probs(t)[t.leaves]
-    draws = admissible_unit_strategies(m, rng, n_strategies, x0)
-    vals = np.concatenate([w_T for _, w_T, _ in draws])
-    wts = np.concatenate([p_leaf / n_strategies for _ in draws])
-    order = np.argsort(vals)
-    vals = vals[order]
-    cum = np.cumsum(wts[order])
-    cum /= cum[-1]
-    return {
-        "n_strategies": n_strategies,
-        "seed": seed,
-        "x0": x0,
-        "quantiles": {
-            q: float(vals[np.searchsorted(cum, q, side="left")]) for q in (0.5, 0.9, 0.99)
-        },
-        "max_observed": float(vals.max()),
-        "strategies_scaled": sum(int(s) for _, _, s in draws),
-        "note": "diagnostic probe; the LP sweep is the decision procedure",
-    }

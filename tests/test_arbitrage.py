@@ -15,7 +15,6 @@ from viatree import (
     UnitStrategy,
     check_na,
     check_nupbr,
-    empirical_boundedness_probe,
     load_fixture,
     price_martingale_residual,
     wealth_from_units,
@@ -218,14 +217,6 @@ class TestNupbr:
         )
         assert np.allclose(g2, 2.0 * g1, atol=1e-12)
         assert g1.min() >= -1e-12
-
-    def test_probe_reports_quantiles(self, binomial):
-        rep = empirical_boundedness_probe(binomial, n_strategies=50, seed=1)
-        q = rep["quantiles"]
-        assert q[0.5] <= q[0.9] <= q[0.99] <= rep["max_observed"]
-        # wealth from x0 = 1 stays nonnegative by the scaling rule
-        assert q[0.5] >= 0.0
-        assert rep["n_strategies"] == 50
 
 
 class TestRandomMarkets:

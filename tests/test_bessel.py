@@ -28,7 +28,6 @@ from viatree.bessel import (
     estimate_log_value,
     estimate_reciprocal_moment,
     numeraire_probe,
-    path_chunks,
     reciprocal_checkpoints,
     simulate_bes3,
     stopped_experiments,
@@ -44,8 +43,8 @@ def batch():
 
 
 def _paths(n_paths, n_steps, seed):
-    # the chunk buffer is reused, so keep copies
-    return np.concatenate([s.copy() for _, s in path_chunks(n_paths, n_steps, seed)])
+    # one filler whose buffer holds every path
+    return bessel._chunk_filler(n_steps, seed, n_paths)(0, n_paths)
 
 
 class TestSimulation:
@@ -147,9 +146,8 @@ class TestWorkers:
             monkeypatch.setattr(bessel, "_cores", lambda: cores)
             pooled.clear()
             batches.append(simulate_bes3(n_paths, 120, seed=8, levels=LEVELS))
-            # one chunk or one core runs inline, without a pool
-            want = min(cores, -(-n_paths // PATH_CHUNK))
-            assert pooled == ([want] if want > 1 else [])
+            # one chunk or one core runs a pool of one worker
+            assert pooled == [min(cores, -(-n_paths // PATH_CHUNK))]
         for b in batches[1:]:
             _assert_same_batch(b, batches[0])
 
@@ -165,7 +163,7 @@ class TestWorkers:
             got = simulate_bes3(1000, 12, seed=5, levels=LEVELS)
         finally:
             sys.setswitchinterval(interval)
-        assert pooled == [8]
+        assert pooled == [1, 8]
         _assert_same_batch(got, want)
 
     def test_worker_error_reaches_caller(self, monkeypatch):
@@ -188,6 +186,31 @@ class TestWorkers:
             simulate_bes3(3 * PATH_CHUNK + 5, 20, seed=1)
         # the pool lives inside the call: no worker thread outlives it
         assert threading.active_count() == threads
+
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_error_cancels_later_chunks(self, monkeypatch, k):
+        # one worker takes the chunks in order; the failed chunk shuts the
+        # pool before the worker can take the next one
+        monkeypatch.setattr(bessel, "_cores", lambda: 1)
+        real = bessel._chunk_filler
+        filled = []
+
+        def filler(n_steps, seed, rows):
+            fill = real(n_steps, seed, rows)
+
+            def record(start, c):
+                filled.append(start)
+                if start == k * rows:
+                    raise RuntimeError(f"chunk {k} failed")
+                return fill(start, c)
+
+            return record
+
+        monkeypatch.setattr(bessel, "_chunk_filler", filler)
+        with pytest.raises(RuntimeError, match=f"chunk {k} failed"):
+            simulate_bes3(6 * PATH_CHUNK, 20, seed=2)
+        assert filled == [i * PATH_CHUNK for i in range(k + 1)]
 
 
 class TestOracle:

@@ -15,17 +15,19 @@ from viatree import (
     FractionStrategy,
     UnitStrategy,
     deflator_probe,
-    empirical_boundedness_probe,
     load_fixture,
     numeraire_portfolio,
     verify_numeraire,
     wealth_from_fractions,
     wealth_from_units,
 )
-from viatree.arbitrage import admissible_unit_strategies
 from viatree.generators import random_na_market
 from viatree.markets import WealthKernel
-from viatree.numeraire import _feasible_fractions, sample_feasible_fractions
+from viatree.numeraire import (
+    _feasible_fractions,
+    admissible_unit_strategies,
+    sample_feasible_fractions,
+)
 
 FIXTURES = ("binomial", "binomial_skew", "trinomial", "two_period", "constant")
 RANDOM = [(d, seed) for d in (1, 2, 3) for seed in range(3)]
@@ -117,11 +119,6 @@ class TestAgainstOracle:
         new = deflator_probe(m, sol.wealth, n=25, seed=9)
         assert_reports_match(new, oracle.deflator_probe(m, sol.wealth, n=25, seed=9))
 
-    def test_empirical_boundedness_probe(self, name, m):
-        new = empirical_boundedness_probe(m, n_strategies=20, seed=10, x0=2.0)
-        want = oracle.empirical_boundedness_probe(m, n_strategies=20, seed=10, x0=2.0)
-        assert_reports_match(new, want)
-
     @pytest.mark.parametrize("entries", [1, 7])
     def test_block_size_does_not_change_results(self, name, m, entries, monkeypatch):
         sol = numeraire_portfolio(m)
@@ -130,7 +127,6 @@ class TestAgainstOracle:
             return (
                 verify_numeraire(m, sol.wealth, n_strategies=12, seed=1),
                 deflator_probe(m, sol.wealth, n=12, seed=2),
-                empirical_boundedness_probe(m, n_strategies=12, seed=3),
             )
 
         default = run()
@@ -162,10 +158,6 @@ class TestZeroStrategies:
         sol = numeraire_portfolio(binomial)
         with pytest.raises(ValueError, match="n must be"):
             deflator_probe(binomial, sol.wealth, n=0)
-
-    def test_empirical_boundedness_probe_zero(self, binomial):
-        with pytest.raises(ValueError, match="n_strategies"):
-            empirical_boundedness_probe(binomial, n_strategies=0)
 
 
 class TestWealthErrors:

@@ -48,6 +48,13 @@ class TestUtilityObjects:
         u = custom_utility(np.square, lambda x: 2.0 * x, name="square")
         assert not u.certify()["passed"]
 
+    @pytest.mark.parametrize("x", [5e-13, 1e-11])
+    def test_finite_difference_second_at_small_wealth(self, x):
+        # without d2u, U'' is a central difference whose step is relative
+        # to wealth, so both evaluations stay inside (0, 2x)
+        u = custom_utility(np.sqrt, lambda x: 0.5 / np.sqrt(x))
+        assert u.second(x) == pytest.approx(-0.25 * x**-1.5, rel=1e-8, abs=0.0)
+
     def test_maximize_rejects_uncertified(self, binomial):
         u = custom_utility(np.square, lambda x: 2.0 * x, name="square")
         with pytest.raises(ValueError, match="certificate"):
