@@ -23,7 +23,11 @@ one, which lifts to a one-period arbitrage strategy.
 
 Every verdict ships with a replayable certificate: the density's
 martingale residuals on the NA side, the strategy's terminal gains on the
-arbitrage side.
+arbitrage side.  The decision depends on the market alone, so it is made
+once per model (``MarketModel.memo``): ``check_na``, ``check_nupbr`` and
+every solver that gates on the verdict share one sweep until the model's
+prices or tree arrays change, and each call gets its own copy of the
+certificate.
 """
 
 from __future__ import annotations
@@ -160,7 +164,17 @@ def check_na(m: MarketModel, tol_pos: float = EPS_POSITIVE_TOL) -> NaCertificate
     certificate whose least gain is below ``REPLAY_MIN_GAIN`` times
     max(1, max|S|), or whose largest is not above ``REPLAY_MAX_GAIN`` times
     max|S|, raises ``RuntimeError``: it proves nothing.
+
+    The sweep (``_na_sweep``) runs once per model and ``tol_pos``; later
+    calls on an unchanged model return a copy of its certificate
+    (``MarketModel.memo``).  A certificate that fails the replay gate is
+    not kept, so it raises on every call.
     """
+    return m.memo(("check_na", tol_pos), lambda: _na_sweep(m, tol_pos))
+
+
+def _na_sweep(m: MarketModel, tol_pos: float) -> NaCertificate:
+    """``check_na``'s decision, computed afresh."""
     t = m.tree
     k = WealthKernel(m)
     eps = np.empty(t.internal.size)

@@ -14,7 +14,10 @@ Four related tools live here:
   node, so one leaves-to-root recursion (``_exp_recursion``) solves both:
   the normalized terminal weight exp(-G)/E[exp(-G)] of the optimal
   holdings is the minimal-entropy density, and log of the optimal value is
-  minus its entropy.
+  minus its entropy.  The recursion depends on the market alone, so it
+  runs once per model (``MarketModel.memo``), as does the ``check_na``
+  verdict both gate on: on an unchanged model the second of the two calls
+  reuses both, and each call gets its own copy of the arrays.
 * ``concatenate_densities`` splices segment densities along a nested
   sequence of stopping times, taking multiplicative increments from the
   n-th segment on the n-th interval.
@@ -118,6 +121,16 @@ class MinEntropyResult:
 
 
 def _exp_recursion(m: MarketModel, cert: NaCertificate, goal: str):
+    """``_exp_solve``'s holdings, log V, density, worst node gradient and
+    Newton steps, run once per model (``MarketModel.memo``).  An arbitrage
+    verdict in ``cert`` raises ``ArbitrageError`` saying that ``goal``
+    fails, on every call."""
+    if cert.verdict != "NA":
+        raise ArbitrageError(f"market admits arbitrage; {goal}", certificate=cert)
+    return m.memo("exp_recursion", lambda: _exp_solve(m))
+
+
+def _exp_solve(m: MarketModel):
     """Exponential utility node by node, leaves to root.
 
     V = 1 at the leaves and V(v) = min_h sum_j p_j V(j) exp(-h . dS_j) over
@@ -126,13 +139,10 @@ def _exp_recursion(m: MarketModel, cert: NaCertificate, goal: str):
     tolerance does not depend on the price unit; the gradient is the node's
     martingale residual, in units of max|dS|, under the minimizing one-step
     weights q_j = p_j V(j) exp(-h . dS_j) / V(v).  Each depth level is one
-    ``damped_newton`` stack.  An arbitrage verdict in ``cert`` raises
-    ``ArbitrageError`` saying that ``goal`` fails.  Returns the unit
-    holdings, log V per node, the density glued from the weights q, the
-    worst node gradient and the Newton steps.
+    ``damped_newton`` stack; a level that stalls raises ``RuntimeError``.
+    Returns the unit holdings, log V per node, the density glued from the
+    weights q, the worst node gradient and the Newton steps.
     """
-    if cert.verdict != "NA":
-        raise ArbitrageError(f"market admits arbitrage; {goal}", certificate=cert)
     t, k = m.tree, WealthKernel(m)
     logp = np.log(t.branch_prob[t.edges])
     scale = np.maximum.reduceat(np.abs(k.dS).max(axis=1, initial=0.0), t.starts)

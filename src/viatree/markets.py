@@ -5,11 +5,15 @@ martingale statements are about the price vectors themselves.  A trading
 strategy is predictable by construction: holdings or fractions are chosen
 at a node and applied over its outgoing edges.  Kernels read the tree's edge
 layout; ``WealthKernel`` adds the prices: per-edge increments and returns.
+
+A model keeps the results of the decisions that depend on it alone
+(``MarketModel.memo``) for as long as its prices and tree arrays are
+bitwise what they were when the result was computed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -26,6 +30,7 @@ class MarketModel:
     tree: EventTree
     prices: np.ndarray  # shape (n_nodes, d)
     label: str = ""
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.prices = np.atleast_2d(np.asarray(self.prices, dtype=np.float64))
@@ -40,6 +45,48 @@ class MarketModel:
     @property
     def d(self) -> int:
         return self.prices.shape[1]
+
+    def memo(self, key, compute):
+        """``compute()``, computed once and kept on the model under ``key``.
+
+        A kept result is reused only while ``prices``, ``tree.parent`` and
+        ``tree.branch_prob`` are bitwise the arrays it was computed from;
+        any change drops every kept result.  A ``compute`` that raises keeps
+        nothing, so it raises again on the next call.  Every call returns its
+        own copy (``_detached``): a caller that mutates a result does not
+        change what a later call returns.
+        """
+        t = self.tree
+        state = tuple((a.dtype.str, a.shape, a.tobytes()) for a in (self.prices, t.parent, t.branch_prob))
+        if self._memo.get(_STATE) != state:
+            self._memo.clear()
+            self._memo[_STATE] = state
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return _detached(self._memo[key])
+
+
+_STATE = object()  # memo key of the arrays the kept results were computed from
+_IMMUTABLE = {bool, int, float, str, type(None)}
+
+
+def _detached(x):
+    """A copy of ``x`` that shares no mutable part with it: arrays, dicts,
+    lists, tuples and dataclass instances are copied, recursively; numbers,
+    strings and None are returned as they are."""
+    if isinstance(x, np.ndarray):
+        return x.copy()
+    if isinstance(x, dict):
+        if set(map(type, x.values())) <= _IMMUTABLE:  # node_eps, replay: one C-level copy
+            return dict(x)
+        return {k: _detached(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(_detached, x))
+    if is_dataclass(x) and not isinstance(x, type):
+        out = object.__new__(type(x))
+        out.__dict__.update((k, _detached(v)) for k, v in vars(x).items())
+        return out
+    return x
 
 
 def validate_market(m: MarketModel) -> list[str]:

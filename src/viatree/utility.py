@@ -299,6 +299,24 @@ def _tree_step(k: WealthKernel, model):
     return mc - x[:, None] * me
 
 
+def _remember_last(evaluate):
+    """``evaluate`` of one problem with a one-entry memory: a call at the
+    point it last evaluated, bitwise, returns that result again.  Each
+    ``damped_newton`` call of ``_solve_custom`` starts where the previous
+    call's line search ended, on the point it accepted, so no accepted point
+    is evaluated twice.  Every call returns copies, because ``damped_newton``
+    writes its accepted points into the arrays its first call returned."""
+    last = [None, None]
+
+    def remembered(h, rows):
+        key = h.tobytes()
+        if key != last[0]:
+            last[:] = key, evaluate(h, rows)
+        return tuple(a.copy() for a in last[1])
+
+    return remembered
+
+
 def _solve_custom(m, weights, x0, utility, tol=CUSTOM_GRAD_TOL, max_iter=300):
     """Damped Newton over the unit holdings of every node (0 at the leaves),
     each step one ``_tree_step``.  Below the gate tol x max(1, max|dS|) f may
@@ -311,6 +329,7 @@ def _solve_custom(m, weights, x0, utility, tol=CUSTOM_GRAD_TOL, max_iter=300):
     gate = tol * max(1.0, float(np.abs(k.dS).max(initial=0.0)))
     gains = []
 
+    @_remember_last
     def evaluate(h, rows):  # one problem; in place of its Hessian, b and a per node
         w, model = k.units(h.reshape(1, *m.prices.shape), x0)[0], np.zeros((1, 2, t.n_nodes))
         if not np.all(w > 0.0):

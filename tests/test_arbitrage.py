@@ -1,5 +1,6 @@
 """No-arbitrage sweep, certificates, NUPBR and the scipy LP cross-check."""
 
+import pickle
 import re
 
 import numpy as np
@@ -19,6 +20,7 @@ from viatree import (
     price_martingale_residual,
     wealth_from_units,
 )
+from viatree import arbitrage
 from viatree.arbitrage import EPS_POSITIVE_TOL
 from viatree.generators import random_market, random_na_market
 
@@ -356,3 +358,89 @@ class TestCertificateGate:
         cert = check_na(MarketModel(m.tree, unit * m.prices))
         assert cert.verdict == "ARBITRAGE" and cert.fail_node == base.fail_node
         assert cert.replay["max_gain"] == pytest.approx(unit * base.replay["max_gain"])
+
+
+# ------------------------------------------------ one decision per model
+
+
+def same_bits(a, b) -> bool:
+    """Bitwise equality of two results: pickles store every float and array
+    element exactly."""
+    return pickle.dumps(a) == pickle.dumps(b)
+
+
+def fresh(m):
+    """A new model with copies of m's arrays, so nothing it keeps carries over."""
+    return MarketModel(EventTree(m.tree.parent.copy(), m.tree.branch_prob.copy()), m.prices.copy())
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The tol_pos of every run of the uncached no-arbitrage sweep."""
+    calls = []
+    sweep = arbitrage._na_sweep
+
+    def counted(m, tol_pos):
+        calls.append(tol_pos)
+        return sweep(m, tol_pos)
+
+    monkeypatch.setattr(arbitrage, "_na_sweep", counted)
+    return calls
+
+
+class TestMemo:
+    def test_repeated_calls_sweep_once(self, sweeps):
+        m = random_na_market(np.random.default_rng(3), d=2)
+        first = check_na(m)
+        assert same_bits(check_na(m), first)
+        assert same_bits(check_nupbr(m).certificate, first)
+        assert same_bits(first, check_na(fresh(m)))
+        assert len(sweeps) == 2  # m once, the fresh model once
+
+    def test_in_place_price_change_decides_again(self, sweeps):
+        m = random_na_market(np.random.default_rng(4), d=2, depth_range=(3, 3))
+        t = m.tree
+        assert check_na(m).verdict == "NA"
+        # lift every child of node 1 above it: buy-and-hold arbitrage there
+        m.prices[t.children[1]] = m.prices[1] + np.arange(1.0, t.children[1].size + 1)[:, None]
+        cert = check_na(m)
+        assert cert.verdict == "ARBITRAGE" and cert.fail_node == 1
+        assert same_bits(cert, check_na(fresh(m)))
+        assert len(sweeps) == 3
+
+    def test_in_place_branch_prob_change_decides_again(self, sweeps):
+        m = random_na_market(np.random.default_rng(5), d=1, depth_range=(3, 3))
+        t = m.tree
+        before = check_na(m)
+        kids = t.children[0]
+        t.branch_prob[kids] = t.branch_prob[kids][::-1]  # still sums to 1
+        cert = check_na(m)
+        assert not same_bits(cert.density, before.density)
+        assert same_bits(cert, check_na(fresh(m)))
+        assert len(sweeps) == 3
+
+    def test_mutated_results_do_not_leak(self, arbitrage_market):
+        m = random_na_market(np.random.default_rng(6), d=2)
+        want = check_na(fresh(m))
+        cert = check_na(m)
+        cert.density.z[:] = 2.0
+        cert.node_eps.clear()
+        assert same_bits(check_na(m), want)
+        bad = check_na(arbitrage_market)
+        bad.strategy.holdings[:] = 0.0
+        bad.replay["min_gain"] = 1.0
+        assert same_bits(check_na(arbitrage_market), check_na(fresh(arbitrage_market)))
+
+    def test_tol_pos_values_are_kept_apart(self, sweeps):
+        m = random_na_market(np.random.default_rng(7), d=1)
+        loose, tight = check_na(m, 1e-9), check_na(m, 1e-3)
+        assert same_bits(check_na(m, 1e-9), loose)
+        assert same_bits(check_na(m, 1e-3), tight)
+        assert sweeps == [1e-9, 1e-3]
+
+    def test_failed_replay_raises_on_every_call(self, sweeps):
+        m = bessel_tree(8)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="at node 254"):
+                check_na(m)
+        assert len(sweeps) == 2

@@ -5,18 +5,26 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from test_arbitrage import fresh, same_bits
 
 from viatree import (
     ArbitrageError,
     DensityProcess,
     EventTree,
     StoppingTime,
+    arbitrage,
     check_na,
+    check_nupbr,
     concatenate_densities,
+    entropy,
     entropy_hellinger,
     exp_utility,
+    log_utility,
+    maximize_utility,
     min_entropy_emm,
+    numeraire_portfolio,
     price_martingale_residual,
+    viability_under_measure,
 )
 from viatree.generators import (
     random_market,
@@ -337,3 +345,80 @@ class TestConcatenation:
             concatenate_densities(
                 t, [c1, term], [seg, random_martingale_density(t2, rng)]
             )
+
+
+# ------------------------------------------------ one recursion per model
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts of runs of the uncached NA sweep and exponential recursion."""
+    calls = {"sweep": 0, "recursion": 0}
+    sweep, solve = arbitrage._na_sweep, entropy._exp_solve
+
+    def counted_sweep(m, tol_pos):
+        calls["sweep"] += 1
+        return sweep(m, tol_pos)
+
+    def counted_solve(m):
+        calls["recursion"] += 1
+        return solve(m)
+
+    monkeypatch.setattr(arbitrage, "_na_sweep", counted_sweep)
+    monkeypatch.setattr(entropy, "_exp_solve", counted_solve)
+    return calls
+
+
+class TestMemo:
+    def test_every_api_path_decides_once(self, solves):
+        m = random_na_market(np.random.default_rng(11), d=2)
+        check_na(m)
+        check_nupbr(m)
+        assert maximize_utility(m, log_utility()).status == "ok"
+        assert numeraire_portfolio(m).status == "ok"
+        assert viability_under_measure(m)["viable"]
+        me, eu = min_entropy_emm(m), exp_utility(m)
+        assert solves == {"sweep": 1, "recursion": 1}
+        other = fresh(m)
+        assert same_bits(me, min_entropy_emm(other))
+        assert same_bits(eu, exp_utility(other))
+
+    def test_in_place_price_change_solves_again(self, solves):
+        m = random_na_market(np.random.default_rng(12), d=1, depth_range=(3, 3))
+        before = exp_utility(m)
+        m.prices[m.tree.leaves] *= 1.5  # still arbitrage-free: every increment scales
+        m.prices[m.tree.internal] *= 1.5
+        after = exp_utility(m)
+        assert solves == {"sweep": 2, "recursion": 2}
+        assert not same_bits(after.theta_hat, before.theta_hat)
+        assert same_bits(after, exp_utility(fresh(m)))
+
+    def test_in_place_branch_prob_change_solves_again(self, solves):
+        m = random_na_market(np.random.default_rng(13), d=2, depth_range=(3, 3))
+        before = min_entropy_emm(m)
+        kids = m.tree.children[0]
+        m.tree.branch_prob[kids] = m.tree.branch_prob[kids][::-1]
+        after = min_entropy_emm(m)
+        assert solves == {"sweep": 2, "recursion": 2}
+        assert not same_bits(after.density, before.density)
+        assert same_bits(after, min_entropy_emm(fresh(m)))
+
+    def test_mutated_densities_do_not_leak(self):
+        m = random_na_market(np.random.default_rng(14), d=2)
+        other = fresh(m)
+        me = min_entropy_emm(m)
+        me.density.z[:] = 3.0
+        me.leaf_q[:] = 0.0
+        eu = exp_utility(m)
+        assert same_bits(eu, exp_utility(other))
+        eu.theta_hat.holdings[:] = 1.0
+        eu.density.z[:] = 3.0
+        assert same_bits(min_entropy_emm(m), min_entropy_emm(other))
+
+    def test_arbitrage_raises_each_goal_on_every_call(self, arbitrage_market, solves):
+        for _ in range(2):
+            with pytest.raises(ArbitrageError, match="no equivalent martingale density"):
+                min_entropy_emm(arbitrage_market)
+            with pytest.raises(ArbitrageError, match="infimum is not attained"):
+                exp_utility(arbitrage_market)
+        assert solves == {"sweep": 1, "recursion": 0}

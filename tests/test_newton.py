@@ -376,6 +376,37 @@ class TestCustomStopRule:
         with pytest.raises(RuntimeError, match=r"^custom-utility program stalled at gradient"):
             utility._solve_custom(m, utility._step_weights(m, None), 1.0, SQRT)
 
+    def test_accepted_points_are_evaluated_once(self, monkeypatch):
+        # each one-step damped_newton call starts on the point the previous
+        # call accepted; the memory saves that evaluation and nothing else
+        m = _deep_market(6, 1)
+        w = utility._step_weights(m, None)
+        remember, newton = utility._remember_last, utility.damped_newton
+
+        def run(memory):
+            evaluations, newton_calls = [], []
+
+            def counted(evaluate):
+                def spy(h, rows):
+                    evaluations.append(1)
+                    return evaluate(h, rows)
+
+                return memory(spy)
+
+            def counted_newton(*args, **kwargs):
+                newton_calls.append(1)
+                return newton(*args, **kwargs)
+
+            monkeypatch.setattr(utility, "_remember_last", counted)
+            monkeypatch.setattr(utility, "damped_newton", counted_newton)
+            return utility._solve_custom(m, w, 1.0, SQRT), len(evaluations), len(newton_calls)
+
+        plain, n_plain, n_newton = run(lambda evaluate: evaluate)
+        res, n, _ = run(remember)
+        assert n == n_plain - n_newton and n_newton > 10
+        assert res.value == plain.value
+        assert res.strategy.holdings.tobytes() == plain.strategy.holdings.tobytes()
+
 
 def _zero_slope(x, rows):
     # a Hessian of zeros gives a zero Newton step
