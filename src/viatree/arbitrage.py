@@ -10,10 +10,11 @@ small LP per node,
                           sum_j q_j = 1,  q_j >= eps,
 
 whose optimum eps* is strictly positive exactly when an interior
-martingale weight vector q exists.  The LP is built on scale-free
-coordinates: each node's increments are divided by their max |dS| and
-rotated onto their singular vectors, with singular values below
-``DEGENERATE_TOL`` times the largest set to zero.  That is a positive
+martingale weight vector q exists; a node passes when eps* exceeds
+``EPS_POSITIVE_TOL``.  The LP is built on scale-free coordinates: each
+node's increments are divided by their max |dS| and rotated onto their
+singular vectors, with singular values below ``DEGENERATE_TOL`` times the
+largest set to zero.  That is a positive
 scaling and an orthogonal change of asset coordinates, which leave eps*
 and q unchanged in exact arithmetic, so the verdict does not depend on the
 price unit.  Gluing the per-node weights multiplicatively yields an
@@ -25,9 +26,8 @@ Every verdict ships with a replayable certificate: the density's
 martingale residuals on the NA side, the strategy's terminal gains on the
 arbitrage side.  The decision depends on the market alone, so it is made
 once per model (``MarketModel.memo``): ``check_na``, ``check_nupbr`` and
-every solver that gates on the verdict share one sweep until the model's
-prices or tree arrays change, and each call gets its own copy of the
-certificate.
+every solver that gates on the verdict share one sweep and one threshold
+until the model's prices or tree arrays change; each call gets a copy.
 """
 
 from __future__ import annotations
@@ -95,20 +95,20 @@ def _max_slack_lps(inc: np.ndarray):
     return A, b, c, Vh
 
 
-def _node_lps(inc: np.ndarray, bp: np.ndarray, tol_pos: float):
+def _node_lps(inc: np.ndarray, bp: np.ndarray):
     """Decide G nodes with k branches each from their (G, k, d) increments
     and (G, k) branch probabilities, in one ``solve_lps`` stack.
 
     Returns eps* (G,), the unprojected interior weights q (G, k), NaN in
-    the rows with eps* <= tol_pos, the rows each q must satisfy, the LP's
-    (G, d + 1, k) moment and sum rows (``_project_weights``), and the
-    (G, d) vectors H = -Vh^T y of the LP's dual rows y.  In the LP's
-    coordinates X_j, an optimal y has y_mom.X_j <= -y_sum = eps* and
-    sum_j H.X_j = 1 - k eps*, so where eps* <= 0 every gain H.dS_j is
-    >= 0 and their sum is positive; a Farkas ray has H.X_j >= y_sum > 0
-    for every j.  A node whose increments are all below ``DEGENERATE_TOL``
-    keeps its branch probabilities, with eps* their minimum, zero rows and
-    H = 0.
+    the rows with eps* <= ``EPS_POSITIVE_TOL``, the rows each q must
+    satisfy, the LP's (G, d + 1, k) moment and sum rows
+    (``_project_weights``), and the (G, d) vectors H = -Vh^T y of the LP's
+    dual rows y.  In the LP's coordinates X_j, an optimal y has
+    y_mom.X_j <= -y_sum = eps* and sum_j H.X_j = 1 - k eps*, so where
+    eps* <= 0 every gain H.dS_j is >= 0 and their sum is positive; a
+    Farkas ray has H.X_j >= y_sum > 0 for every j.  A node whose
+    increments are all below ``DEGENERATE_TOL`` keeps its branch
+    probabilities, with eps* their minimum, zero rows and H = 0.
     """
     G, k, d = inc.shape
     eps, q = bp.min(axis=1), bp.copy()
@@ -120,7 +120,7 @@ def _node_lps(inc: np.ndarray, bp: np.ndarray, tol_pos: float):
         res = solve_lps(A, b, c)
         e = res.x[:, k] - res.x[:, k + 1]  # NaN where not optimal
         eps[lp] = np.where(np.isnan(e), -np.inf, e)
-        q[lp] = np.where((e > tol_pos)[:, None], res.x[:, :k] + e[:, None], np.nan)
+        q[lp] = np.where((e > EPS_POSITIVE_TOL)[:, None], res.x[:, :k] + e[:, None], np.nan)
         rows[lp] = A[:, :, :k]
         h[lp] = -(res.y[:, None, : Vh.shape[1]] @ Vh)[:, 0]
     return eps, q, rows, h
@@ -151,7 +151,7 @@ class NaCertificate:
     replay: dict = field(default_factory=dict)
 
 
-def check_na(m: MarketModel, tol_pos: float = EPS_POSITIVE_TOL) -> NaCertificate:
+def check_na(m: MarketModel) -> NaCertificate:
     """Global no-arbitrage decision with a glued EMM or a lifted strategy.
 
     Every internal node is decided, in arrays, by one ``_node_lps`` call
@@ -165,15 +165,15 @@ def check_na(m: MarketModel, tol_pos: float = EPS_POSITIVE_TOL) -> NaCertificate
     max(1, max|S|), or whose largest is not above ``REPLAY_MAX_GAIN`` times
     max|S|, raises ``RuntimeError``: it proves nothing.
 
-    The sweep (``_na_sweep``) runs once per model and ``tol_pos``; later
-    calls on an unchanged model return a copy of its certificate
-    (``MarketModel.memo``).  A certificate that fails the replay gate is
-    not kept, so it raises on every call.
+    The sweep (``_na_sweep``) runs once per model; later calls on an
+    unchanged model return a copy of its certificate (``MarketModel.memo``).
+    A certificate that fails the replay gate is not kept, so it raises on
+    every call.
     """
-    return m.memo(("check_na", tol_pos), lambda: _na_sweep(m, tol_pos))
+    return m.memo("check_na", lambda: _na_sweep(m))
 
 
-def _na_sweep(m: MarketModel, tol_pos: float) -> NaCertificate:
+def _na_sweep(m: MarketModel) -> NaCertificate:
     """``check_na``'s decision, computed afresh."""
     t = m.tree
     k = WealthKernel(m)
@@ -184,7 +184,7 @@ def _na_sweep(m: MarketModel, tol_pos: float) -> NaCertificate:
     for size in sorted(set(t.sizes.tolist())):
         at = np.flatnonzero(t.sizes == size)
         e = t.starts[at, None] + np.arange(size)
-        eps[at], q[e], r, h[at] = _node_lps(k.dS[e], t.branch_prob[t.edges[e]], tol_pos)
+        eps[at], q[e], r, h[at] = _node_lps(k.dS[e], t.branch_prob[t.edges[e]])
         rows[e] = r.transpose(0, 2, 1)
     failed = np.flatnonzero(np.isnan(q[t.starts]))
     if failed.size:

@@ -48,6 +48,9 @@ import numpy as np
 
 PATH_CHUNK = 128  # paths in all buffers together: 128 x 1000 steps x 3 normals is 3 MB
 MIN_INTEGRAL_STEPS = 100
+N_INTERVALS = 10  # coarse intervals of numeraire_probe's strategies
+N_CHECKPOINTS = 10  # evenly spaced grid times of reciprocal_checkpoints
+PROBE_BOUND = 1.0  # |theta_k| bound of numeraire_probe's holdings
 RECIPROCAL_MOMENT_1 = math.erf(1.0 / math.sqrt(2.0))  # E[1/S_1] = 2*Phi(1) - 1
 LOG_VALUE_BOUND = 2.0 * math.log(2.0)
 
@@ -78,10 +81,10 @@ class McBatch:
     grid: np.ndarray  # (n_steps + 1,) uniform times on [0, 1]
     terminal: np.ndarray  # (n_paths,) S_1
     integral: np.ndarray  # (n_paths,) trapezoid int_0^1 S_u^-2 du
-    edges: np.ndarray  # (n_intervals + 1,) grid indices of the coarse nodes
-    nodes: np.ndarray  # (n_intervals + 1, n_paths) S at the coarse nodes
-    lows: np.ndarray  # (n_intervals, n_paths) min of S on [edge_k, edge_k+1]
-    highs: np.ndarray  # (n_intervals, n_paths) max of S on the same
+    edges: np.ndarray  # (N_INTERVALS + 1,) grid indices of the coarse nodes
+    nodes: np.ndarray  # (N_INTERVALS + 1, n_paths) S at the coarse nodes
+    lows: np.ndarray  # (N_INTERVALS, n_paths) min of S on [edge_k, edge_k+1]
+    highs: np.ndarray  # (N_INTERVALS, n_paths) max of S on the same
     checkpoints: np.ndarray  # distinct grid indices above 0
     at_checkpoints: np.ndarray  # (checkpoints.size, n_paths) S there
     levels: tuple  # stop levels n: tau_n leaves the band (1/n, n)
@@ -182,36 +185,32 @@ def simulate_bes3(
     seed: int = 0,
     *,
     levels=(),
-    n_intervals: int = 10,
-    n_checkpoints: int = 10,
 ) -> McBatch:
     """Exact-in-law Bessel(3) batch on the uniform grid of [0, 1], reduced
     to the statistics of every estimator in this module.
 
-    ``n_intervals`` coarse intervals serve ``numeraire_probe``,
-    ``n_checkpoints`` evenly spaced grid times (only the distinct ones
-    above 0 when n_steps < n_checkpoints) serve ``reciprocal_checkpoints``
+    ``N_INTERVALS`` coarse intervals serve ``numeraire_probe``,
+    ``N_CHECKPOINTS`` evenly spaced grid times (only the distinct ones
+    above 0 when n_steps < N_CHECKPOINTS) serve ``reciprocal_checkpoints``
     and each stop level serves ``stopped_experiments``.
     """
-    for name, value in (("n_paths", n_paths), ("n_steps", n_steps),
-                        ("n_intervals", n_intervals),
-                        ("n_checkpoints", n_checkpoints)):
+    for name, value in (("n_paths", n_paths), ("n_steps", n_steps)):
         if not _is_count(value):
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     levels = tuple(levels)
     if not all(map(_is_count, levels)):
         raise ValueError(f"levels must be integers >= 1, got {list(levels)}")
     levels = tuple(int(n) for n in levels)
-    edges = _coarse(n_steps, n_intervals)
-    checkpoints = _coarse(n_steps, n_checkpoints)
+    edges = _coarse(n_steps, N_INTERVALS)
+    checkpoints = _coarse(n_steps, N_CHECKPOINTS)
     checkpoints = np.unique(checkpoints[checkpoints > 0])
     dt = 1.0 / n_steps
 
     terminal = np.empty(n_paths)
     integral = np.empty(n_paths)
-    nodes = np.empty((n_intervals + 1, n_paths))
-    lows = np.empty((n_intervals, n_paths))
-    highs = np.empty((n_intervals, n_paths))
+    nodes = np.empty((N_INTERVALS + 1, n_paths))
+    lows = np.empty((N_INTERVALS, n_paths))
+    highs = np.empty((N_INTERVALS, n_paths))
     at_checkpoints = np.empty((checkpoints.size, n_paths))
     stop_values = np.empty((len(levels), n_paths))
     stopped = np.empty((len(levels), n_paths), dtype=bool)
@@ -224,7 +223,7 @@ def simulate_bes3(
         integral[cols] = dt * (f[:, 1:-1].sum(axis=1) + 0.5 * (f[:, 0] + f[:, -1]))
         nodes[:, cols] = s[:, edges].T
         at_checkpoints[:, cols] = s[:, checkpoints].T
-        for i in range(n_intervals):
+        for i in range(N_INTERVALS):
             seg = s[:, edges[i] : edges[i + 1] + 1]
             seg.min(axis=1, out=lows[i, cols])
             seg.max(axis=1, out=highs[i, cols])
@@ -316,13 +315,13 @@ def numeraire_probe(
     b: McBatch,
     n_strats: int = 200,
     seed: int = 0,
-    bound: float = 1.0,
 ) -> dict:
     """Deflator test of the candidate numeraire S.
 
     Samples piecewise-constant holdings theta on the batch's coarse
-    intervals, with |theta_k| <= bound, and forms the exact wealth of the
-    corresponding simple strategy, X_T = 1 + sum theta_k (S_end - S_start).
+    intervals, with |theta_k| <= ``PROBE_BOUND``, and forms the exact
+    wealth of the corresponding simple strategy,
+    X_T = 1 + sum theta_k (S_end - S_start).
     Paths where the wealth dips below 0 (checked against within-interval
     path extremes, since X is linear in S inside an interval) are not
     covered by the deflator inequality and are rejected and counted.  Each
@@ -340,7 +339,7 @@ def numeraire_probe(
     up = b.highs - b.nodes[:-1]
     s1 = b.terminal
     rng = np.random.default_rng(seed)
-    thetas = rng.uniform(-bound, bound, size=(n_strats, k))
+    thetas = rng.uniform(-PROBE_BOUND, PROBE_BOUND, size=(n_strats, k))
     x = np.empty_like(b.nodes)  # wealth at the coarse nodes
     x[0] = 1.0
     work = np.empty_like(ds)
@@ -368,7 +367,7 @@ def numeraire_probe(
         "rows": rows,
         "n_strategies": n_strats,
         "n_intervals": k,
-        "bound": bound,
+        "bound": PROBE_BOUND,
         "worst_label": worst["label"],
         "worst_margin": worst["margin"],
         "all_pass": bool(all(r["pass"] for r in rows)),

@@ -59,7 +59,6 @@ from .utility import (
     equivalence_suite,
     log_utility,
     maximize_utility,
-    solve_utility,
 )
 
 STOPPED_LEVELS = [1, 2, 4, 8, 16, 32, 64]
@@ -211,18 +210,10 @@ def _cmd_optimize(args) -> tuple[int, dict]:
     m = load_market(args.market)
     utility = args.utility
     if args.measure == "emm":
-        cert = check_na(m)
-        if cert.verdict != "NA":
-            return 1, {
-                "market": m.label,
-                "status": "no-solution",
-                "reason": "no martingale density exists",
-                "certificate": _cert_payload(cert),
-            }
-        res = solve_utility(m, utility, args.x0, cert.density)
+        measure = check_na(m).density
     else:
         measure = None if args.measure == "physical" else _load_density(args.measure, m.tree, martingale=True)
-        res = maximize_utility(m, utility, args.x0, measure)
+    res = maximize_utility(m, utility, args.x0, measure)
     payload = {
         "market": m.label,
         "status": res.status,
@@ -457,8 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     # the log value's time integral needs a fine grid
     p.add_argument("--steps", type=_at_least(MIN_INTEGRAL_STEPS), default=1000, metavar="M")
     p.add_argument("--probe-strategies", type=_at_least(1), default=200, metavar="N")
-    p.add_argument("--report", dest="out", metavar="FILE",
-                   help="alias for --out")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("equivalence-suite", parents=[common],

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arbitrage import ArbitrageError, NaCertificate, check_na
+from .arbitrage import ArbitrageError, check_na
 from .markets import (
     DensityProcess,
     MarketModel,
@@ -120,11 +120,12 @@ class MinEntropyResult:
     iterations: int
 
 
-def _exp_recursion(m: MarketModel, cert: NaCertificate, goal: str):
+def _exp_recursion(m: MarketModel, goal: str):
     """``_exp_solve``'s holdings, log V, density, worst node gradient and
     Newton steps, run once per model (``MarketModel.memo``).  An arbitrage
-    verdict in ``cert`` raises ``ArbitrageError`` saying that ``goal``
+    verdict of ``check_na`` raises ``ArbitrageError`` saying that ``goal``
     fails, on every call."""
+    cert = check_na(m)
     if cert.verdict != "NA":
         raise ArbitrageError(f"market admits arbitrage; {goal}", certificate=cert)
     return m.memo("exp_recursion", lambda: _exp_solve(m))
@@ -187,7 +188,7 @@ def min_entropy_emm(m: MarketModel) -> MinEntropyResult:
     martingale density exists.
     """
     goal = "no equivalent martingale density exists"
-    _, _, density, worst, steps = _exp_recursion(m, check_na(m), goal)
+    _, _, density, worst, steps = _exp_recursion(m, goal)
     t = m.tree
     z_leaf = density.z[t.leaves]
     leaf_q = t.unconditional_probs()[t.leaves] * z_leaf
@@ -223,8 +224,7 @@ def exp_utility(m: MarketModel) -> ExpUtilityResult:
     the holdings' own terminal gains G_T; the two agree by convex duality.
     """
     holdings, log_v, density, worst, steps = _exp_recursion(
-        m, check_na(m), "exponential-utility infimum is not attained"
-    )
+        m, "exponential-utility infimum is not attained")
     t = m.tree
     theta = UnitStrategy(holdings)
     pl = t.unconditional_probs()[t.leaves]

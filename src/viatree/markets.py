@@ -20,6 +20,7 @@ import numpy as np
 from .trees import EventTree
 
 MARTINGALE_FLAG_TOL = 1e-12
+MARTINGALE_REL_TOL = 1e-9  # require_martingale's gate, times max(1, max z)
 BLOCK_ENTRIES = 1 << 14  # node-asset entries per strategy block; bounds memory
 
 
@@ -164,10 +165,10 @@ class DensityProcess:
         """sup over internal nodes of |E[z(child) | node] - z(node)|."""
         return float(self._gaps(tree).max(initial=0.0))
 
-    def require_martingale(self, tree: EventTree, rel_tol: float = 1e-9) -> None:
+    def require_martingale(self, tree: EventTree) -> None:
         """Raise ``ValueError`` naming the worst node when the martingale
-        residual exceeds ``rel_tol`` x max(1, max z)."""
-        gaps, tol = self._gaps(tree), rel_tol * max(1.0, float(self.z.max()))
+        residual exceeds ``MARTINGALE_REL_TOL`` x max(1, max z)."""
+        gaps, tol = self._gaps(tree), MARTINGALE_REL_TOL * max(1.0, float(self.z.max()))
         if gaps.max(initial=0.0) > tol:
             i = int(np.argmax(gaps))
             raise ValueError(

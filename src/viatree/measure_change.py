@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arbitrage import ArbitrageError
 from .markets import DensityProcess, MarketModel, density_from_leaf_values, price_martingale_residual
 from .trees import EventTree
 
@@ -139,10 +140,12 @@ def verify_value_bound(
     Requires the underlying q to be the terminal restriction of a
     martingale density for the market (price residual within 1e-9 of
     max(1, max|S|)); with q > 0 that density certifies the market
-    arbitrage-free, so no sweep runs.  The optimal utility value under
-    Z_delta must then stay below U(x0 / (delta * E[q_delta])) + tol.
+    arbitrage-free.  ``maximize_utility`` solves under Z_delta, deciding
+    by the model's kept ``check_na`` sweep; should that sweep find
+    arbitrage all the same, ``ArbitrageError`` carries its certificate.
+    The optimal value must stay below U(x0 / (delta * E[q_delta])) + tol.
     """
-    from .utility import log_utility, solve_utility
+    from .utility import log_utility, maximize_utility
 
     utility = utility or log_utility()
     base = density_from_leaf_values(m.tree, dm.q)
@@ -152,7 +155,10 @@ def verify_value_bound(
             f"q is not a martingale-density transform of this market "
             f"(price residual {resid!r})"
         )
-    res = solve_utility(m, utility, x0, dm.density)
+    res = maximize_utility(m, utility, x0, dm.density)
+    if res.status != "ok":
+        raise ArbitrageError("market admits arbitrage although q passed its price "
+                             "residual check", certificate=res.certificate)
     cap = x0 / (dm.delta * dm.e_q_delta)
     bound = float(utility.value(cap))
     return {

@@ -33,8 +33,13 @@ from .newton import damped_newton, least_norm_step, raise_stalled
 from .trees import EventTree, StoppingTime
 
 FOC_TOL = 1e-10
+NEWTON_MAX_ITER = 200
 RATIO_TOL = 1e-8
 DEFLATOR_TOL = 1e-10
+SAMPLE_BOX = 2.0  # sampled fractions start uniform on [-SAMPLE_BOX, SAMPLE_BOX]
+SAMPLE_MARGIN = 1e-6  # least wealth factor of a sampled fraction
+STOP_PROB = 0.35  # chance that a random cut stops a non-root branch
+N_CUTS = 3  # random stopping-time cuts of verify_numeraire
 
 
 def fraction_problems(R, a, gamma: float = 1.0):
@@ -60,16 +65,17 @@ def fraction_problems(R, a, gamma: float = 1.0):
     return evaluate
 
 
-def log_optimal_stack(R, p, tol: float = FOC_TOL, max_iter: int = 200):
+def log_optimal_stack(R, p):
     """G one-step log-growth problems sum_j p[i, j] log(1 + pi . R[i, j]),
     from pi = 0; least-norm steps give the minimal maximizer.  Converged rows
     get up to three full Newton steps while the gradient still drops, which
     puts it near machine precision, so one-step ratio identities hold to
     ~1e-13.  Returns (pi, gradient sup norm, Newton steps) per row; a
-    stalled row keeps a gradient >= tol."""
+    stalled row keeps a gradient >= ``FOC_TOL``."""
     evaluate = fraction_problems(R, p)
-    pi, _, grad, gnorm, steps = damped_newton(evaluate, np.zeros((R.shape[0], R.shape[2])), tol, max_iter)
-    rows = np.flatnonzero((gnorm < tol) & (gnorm > 0.0))
+    pi0 = np.zeros((R.shape[0], R.shape[2]))
+    pi, _, grad, gnorm, steps = damped_newton(evaluate, pi0, FOC_TOL, NEWTON_MAX_ITER)
+    rows = np.flatnonzero((gnorm < FOC_TOL) & (gnorm > 0.0))
     _, grad, hess = evaluate(pi[rows], rows)
     for _ in range(3):
         if not rows.size:
@@ -150,42 +156,36 @@ def numeraire_portfolio(m: MarketModel, x0: float = 1.0) -> NumeraireSolution:
     )
 
 
-def _feasible_fractions(
-    k: WealthKernel, rng: np.random.Generator, n: int, box: float = 2.0, margin: float = 1e-6
-) -> np.ndarray:
+def _feasible_fractions(k: WealthKernel, rng: np.random.Generator, n: int) -> np.ndarray:
     """n strategies' uniform draws in one block, then each offending
     (strategy, node) row halved until its wealth factors clear the margin.
     Halving is exact, so it is counted on the row's smallest factor."""
     fr = np.zeros((n,) + k.market.prices.shape)
-    fr[:, k.tree.internal] = rng.uniform(-box, box, size=(n, k.tree.internal.size, k.market.d))
+    fr[:, k.tree.internal] = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, (n, k.tree.internal.size, k.market.d))
     low = np.minimum.reduceat(k.edge_dot(fr, k.returns), k.tree.starts, axis=1)
     scale = np.ones_like(low)
-    while np.any(bad := 1.0 + low * scale < margin):
+    while np.any(bad := 1.0 + low * scale < SAMPLE_MARGIN):
         scale[bad] *= 0.5
     fr[:, k.tree.internal] *= scale[:, :, None]
     return fr
 
 
-def sample_feasible_fractions(
-    m: MarketModel, rng: np.random.Generator, box: float = 2.0, margin: float = 1e-6
-) -> FractionStrategy:
+def sample_feasible_fractions(m: MarketModel, rng: np.random.Generator) -> FractionStrategy:
     """Uniform box draw per node, halved until all wealth factors clear
     the positivity margin.  Draws d uniforms per internal node in
     breadth-first order, as each strategy of ``verify_numeraire`` does."""
-    fr = _feasible_fractions(WealthKernel(m), rng, 1, box, margin)
+    fr = _feasible_fractions(WealthKernel(m), rng, 1)
     return FractionStrategy(fractions=fr[0])
 
 
-def random_stopping_time(
-    tree: EventTree, rng: np.random.Generator, stop_prob: float = 0.35
-) -> StoppingTime:
+def random_stopping_time(tree: EventTree, rng: np.random.Generator) -> StoppingTime:
     """A random cut: walk from the root, stopping each branch independently."""
     cut = []
     stack = [0]
     while stack:
         v = stack.pop()
         kids = tree.children[v]
-        if kids.size == 0 or (v != 0 and rng.random() < stop_prob):
+        if kids.size == 0 or (v != 0 and rng.random() < STOP_PROB):
             cut.append(v)
         else:
             stack.extend(int(c) for c in kids)
@@ -199,7 +199,6 @@ def verify_numeraire(
     n_strategies: int = 100,
     seed: int = 0,
     tol: float = RATIO_TOL,
-    n_cuts: int = 3,
 ) -> dict:
     """Check the defining supermartingale property of a candidate numeraire.
 
@@ -226,7 +225,7 @@ def verify_numeraire(
         start = rng.bit_generator.state
         for b in k.blocks(n_strategies):
             rng.uniform(size=(b.stop - b.start, t.internal.size, m.d))
-        cuts = [random_stopping_time(t, rng) for _ in range(n_cuts)]
+        cuts = [random_stopping_time(t, rng) for _ in range(N_CUTS)]
         rng.bit_generator.state = start
         wealths = (candidate.x0 * k.growth(_feasible_fractions(k, rng, b.stop - b.start))
                    for b in k.blocks(n_strategies))
@@ -239,7 +238,7 @@ def verify_numeraire(
             (wealth_from_fractions if isinstance(s, FractionStrategy) else wealth_from_units)(
                 m, s, candidate.x0).values for s in strategies
         ])]
-        cuts = [random_stopping_time(t, rng) for _ in range(n_cuts)]
+        cuts = [random_stopping_time(t, rng) for _ in range(N_CUTS)]
     p = t.unconditional_probs()
     cut_nodes = [np.asarray(cut.nodes) for cut in cuts]
     bp = t.branch_prob[t.edges]
@@ -287,15 +286,14 @@ def deflator_probe(
     candidate: WealthProcess,
     n: int = 200,
     seed: int = 0,
-    tol: float = RATIO_TOL,
 ) -> dict:
     """Probe the deflator x0 / N against sampled admissible wealths.
 
     Samples unit strategies, scales each so its wealth from x0 stays
-    nonnegative, and checks E[W_T * x0 / N_T] <= x0 + tol.  Also reports
-    E[x0 / N_T] itself, which cannot exceed 1 + 1e-10.  Holdings draw from
-    ``seed`` in the order strategy, internal node, asset, and are evaluated
-    in blocks (``admissible_unit_strategies``).
+    nonnegative, and checks E[W_T * x0 / N_T] <= x0 + ``RATIO_TOL``.  Also
+    reports E[x0 / N_T] itself, which cannot exceed 1 + 1e-10.  Holdings
+    draw from ``seed`` in the order strategy, internal node, asset, and are
+    evaluated in blocks (``admissible_unit_strategies``).
     """
     t = m.tree
     if np.any(candidate.values <= 0.0):
@@ -311,11 +309,11 @@ def deflator_probe(
     for _, w_T, _ in admissible_unit_strategies(m, rng, n, x0):
         ev = np.cumsum(p_leaf * (w_T * defl_T), axis=1)[:, -1]  # sequential, not BLAS
         worst = max(worst, float(np.max(ev - x0)))
-    passed = worst <= tol and base <= 1.0 + DEFLATOR_TOL
+    passed = worst <= RATIO_TOL and base <= 1.0 + DEFLATOR_TOL
     return {
         "passed": bool(passed),
         "deflator_expectation": base,
         "worst_excess": float(worst),
         "n": n,
-        "tol": tol,
+        "tol": RATIO_TOL,
     }

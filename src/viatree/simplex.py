@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PIVOT_TOL = 1e-11
+MAX_PIVOTS = 10_000  # lockstep iterations per phase
 
 
 class SimplexError(RuntimeError):
@@ -58,7 +59,7 @@ def _pivots(tab: np.ndarray, basis: np.ndarray, rows, cols) -> None:
     basis[g, rows] = cols
 
 
-def _run_simplex_stack(tab, basis, cost, tol, max_iter):
+def _run_simplex_stack(tab, basis, cost):
     """Bland-rule simplex on a (G, m, n+1) stack of tableaus (last column =
     rhs) with (G, n) costs.
 
@@ -75,23 +76,23 @@ def _run_simplex_stack(tab, basis, cost, tol, max_iter):
     it = 0
     while ids.size:
         it += 1
-        if it > max_iter:
-            raise SimplexError(f"simplex exceeded {max_iter} iterations")
+        if it > MAX_PIVOTS:
+            raise SimplexError(f"simplex exceeded {MAX_PIVOTS} iterations")
         red = C - (C[rows, B][:, None, :] @ T[:, :, :n])[:, 0]
-        improving = red < -tol
+        improving = red < -PIVOT_TOL
         improving[rows, B] = False  # Bland: skip basic columns
         entering = improving.argmax(axis=1)
         col = T[rows[:, 0], :, entering]
-        # NaN ratios on rows with col <= tol compare false: never taken
-        ratios = np.divide(T[:, :, n], col, out=np.full_like(col, np.nan), where=col > tol)
+        # NaN ratios on rows with col <= PIVOT_TOL compare false: never taken
+        ratios = np.divide(T[:, :, n], col, out=np.full_like(col, np.nan), where=col > PIVOT_TOL)
         # Bland's leaving row: scan the rows in order, ties to the smallest
         # basic index
         best, b_leave = np.full(ids.size, np.inf), np.zeros(ids.size, dtype=B.dtype)
         leave = np.full(ids.size, -1)
         for r in range(m):
             ratio = ratios[:, r]
-            tie = (np.abs(ratio - best) <= tol) & (B[:, r] < b_leave)
-            take = (ratio < best - tol) | tie
+            tie = (np.abs(ratio - best) <= PIVOT_TOL) & (B[:, r] < b_leave)
+            take = (ratio < best - PIVOT_TOL) | tie
             np.copyto(best, ratio, where=take)
             np.copyto(leave, r, where=take)
             np.copyto(b_leave, B[:, r], where=take)
@@ -124,7 +125,7 @@ def _solve_each(M: np.ndarray, rhs: np.ndarray, singular) -> np.ndarray:
         return z
 
 
-def solve_lps(A, b, c, tol: float = PIVOT_TOL, max_iter: int = 10_000) -> LPStack:
+def solve_lps(A, b, c) -> LPStack:
     """min c.x s.t. A x = b, x >= 0 on G same-shape LPs: A (G, m, n),
     b (G, m), c (n,) or (G, n).
 
@@ -152,13 +153,11 @@ def solve_lps(A, b, c, tol: float = PIVOT_TOL, max_iter: int = 10_000) -> LPStac
     tab[:, :, -1] = b
     basis = np.tile(np.arange(n, n + m), (G, 1))
     cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-    unbounded, its = _run_simplex_stack(
-        tab, basis, np.broadcast_to(cost1, (G, n + m)), tol, max_iter
-    )
+    unbounded, its = _run_simplex_stack(tab, basis, np.broadcast_to(cost1, (G, n + m)))
     if unbounded.any():  # the phase-1 objective is bounded below by 0
         raise SimplexError("phase 1 did not terminate at an optimum")
     phase1_val = (cost1[basis][:, None, :] @ tab[:, :, -1:])[:, 0, 0]
-    infeasible = phase1_val > np.sqrt(tol)
+    infeasible = phase1_val > np.sqrt(PIVOT_TOL)
     status[infeasible] = "infeasible"
     # the artificial columns hold B^-1
     Y[infeasible] = (cost1[basis[infeasible]][:, None, :] @ tab[infeasible, :, n : n + m])[:, 0]
@@ -172,7 +171,7 @@ def solve_lps(A, b, c, tol: float = PIVOT_TOL, max_iter: int = 10_000) -> LPStac
             continue
         basic = np.zeros((g.size, n + m), dtype=bool)
         basic[np.arange(g.size)[:, None], basis[g]] = True
-        cand = (np.abs(tab[g, r, :n]) > np.sqrt(tol)) & ~basic[:, :n]
+        cand = (np.abs(tab[g, r, :n]) > np.sqrt(PIVOT_TOL)) & ~basic[:, :n]
         found = cand.any(axis=1)
         keep[g[~found], r] = False
         g, piv = g[found], cand[found].argmax(axis=1)
@@ -190,7 +189,7 @@ def solve_lps(A, b, c, tol: float = PIVOT_TOL, max_iter: int = 10_000) -> LPStac
         T = tab[g][:, rows]
         tab2 = np.concatenate([T[:, :, :n], T[:, :, -1:]], axis=2)
         B = basis[g][:, rows]
-        unbounded, it2 = _run_simplex_stack(tab2, B, c[g], tol, max_iter)
+        unbounded, it2 = _run_simplex_stack(tab2, B, c[g])
         its[g] += it2
         status[g[unbounded]] = "unbounded"
         Y[g[unbounded]] = np.nan

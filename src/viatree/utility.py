@@ -8,9 +8,11 @@ holdings at every internal node, each Newton step a pass over the tree,
 keeps wealth strictly positive (under no-arbitrage the optimum is
 interior: infinite marginal utility at zero wealth repels the boundary).
 
-"No solution" is not a numerical condition: it happens exactly when the
-market admits arbitrage, and the returned result then carries the
-arbitrage certificate instead of a strategy.
+``maximize_utility`` is the one entry point: it decides no-arbitrage
+through the model's kept ``check_na`` sweep, then solves.  "No solution"
+is not a numerical condition: it happens exactly when the market admits
+arbitrage, and the returned result then carries the arbitrage certificate
+instead of a strategy.
 """
 
 from __future__ import annotations
@@ -31,10 +33,12 @@ from .markets import (
     wealth_from_units,
 )
 from .newton import CONTRACTION, damped_newton, least_norm_step, raise_stalled
-from .numeraire import fraction_problems, log_recursion, numeraire_portfolio
+from .numeraire import NEWTON_MAX_ITER, fraction_problems, log_recursion, numeraire_portfolio
 
 FOC_TOL = 1e-10
 CUSTOM_GRAD_TOL = 1e-8  # times max(1, max|dS|): the program's gradient is in price units
+CUSTOM_MAX_ITER = 300
+VIABILITY_TOL = 1e-9  # slack of viability_under_measure's bound U(x0)
 ROUNDOFF = 1e-14  # custom program's Newton gain, relative to max(1, |f|), at which f is exact
 PROBE_GRID = np.logspace(-8.0, 8.0, 65)
 
@@ -134,16 +138,17 @@ def custom_utility(u, du, d2u=None, name: str = "custom") -> UtilityFunction:
     return UtilityFunction(kind="custom", _u=u, _du=du, _d2u=d2u, name=name)
 
 
-def power_optimal_stack(R, a, gamma: float, tol: float = FOC_TOL, max_iter: int = 200):
+def power_optimal_stack(R, a, gamma: float):
     """Maximize sum_j a[i, j] (1 + pi . R[i, j])^(1-gamma) for every row i,
     with |a| scaled to unit sum per row.  Returns (pi, objective in the
     original scale, gradient sup norm, Newton steps) per row; a stalled row
-    keeps a gradient at or above ``tol``."""
+    keeps a gradient at or above ``FOC_TOL``."""
     scale = np.sum(np.abs(a), axis=1)
     if np.any(scale == 0.0):
         raise ValueError("continuation weights are all zero")
     evaluate = fraction_problems(R, a / scale[:, None], gamma)
-    pi, f, _, gnorm, steps = damped_newton(evaluate, np.zeros((R.shape[0], R.shape[2])), tol, max_iter)
+    pi0 = np.zeros((R.shape[0], R.shape[2]))
+    pi, f, _, gnorm, steps = damped_newton(evaluate, pi0, FOC_TOL, NEWTON_MAX_ITER)
     return pi, f * scale, gnorm, steps
 
 
@@ -179,46 +184,25 @@ def maximize_utility(
     """Maximize E[U(terminal wealth)] over admissible self-financing
     strategies, optionally under a reweighted (density) measure.
 
-    Decides no-arbitrage first (``check_na``) and then runs
-    ``solve_utility``.  If the market admits arbitrage the problem has no
-    solution and the certificate comes back instead.
+    Certifies the utility and checks x0, then decides no-arbitrage
+    (``check_na``, which returns the model's kept certificate).  If the
+    market admits arbitrage the problem has no solution and the certificate
+    comes back instead, without a look at ``measure``.  Otherwise a
+    ``measure`` that is not a martingale raises ``ValueError`` naming its
+    worst node; log and CRRA run the separable backward recursion, custom
+    certified utilities the concave program over unit holdings.
     """
-    na = check_na(m)
-    if na.verdict == "NA":
-        res = solve_utility(m, utility, x0, measure)
-        res.certificate = na
-        return res
-    return OptimalPortfolioResult(
-        status="no-solution",
-        route="arbitrage-detected",
-        measure_used="density" if measure is not None else "physical",
-        utility_certificate=_certified(utility, x0),
-        certificate=na,
-    )
-
-
-def _certified(utility: UtilityFunction, x0: float) -> dict:
     if x0 <= 0.0:
         raise ValueError(f"initial capital must be positive, got {x0!r}")
     ucert = utility.certify()
     if not ucert["passed"]:
         raise ValueError(f"utility failed its numerical certificate: {ucert}")
-    return ucert
-
-
-def solve_utility(
-    m: MarketModel,
-    utility: UtilityFunction,
-    x0: float = 1.0,
-    measure: DensityProcess | None = None,
-) -> OptimalPortfolioResult:
-    """``maximize_utility`` for a market the caller knows to be
-    arbitrage-free, with no sweep: log and CRRA run the separable backward
-    recursion, custom certified utilities the concave program over unit
-    holdings.  On a market with arbitrage a node solver stalls and raises,
-    naming its node; a ``measure`` that is not a martingale raises
-    ``ValueError`` naming its worst node."""
-    ucert = _certified(utility, x0)
+    na = check_na(m)
+    used = "density" if measure is not None else "physical"
+    if na.verdict != "NA":
+        return OptimalPortfolioResult(status="no-solution", route="arbitrage-detected",
+                                      measure_used=used, utility_certificate=ucert,
+                                      certificate=na)
     if measure is not None:
         measure.require_martingale(m.tree)
     weights = _step_weights(m, measure)
@@ -228,8 +212,7 @@ def solve_utility(
         res = _solve_crra(m, weights, x0, utility.gamma)
     else:
         res = _solve_custom(m, weights, x0, utility)
-    res.measure_used = "density" if measure is not None else "physical"
-    res.utility_certificate = ucert
+    res.measure_used, res.utility_certificate, res.certificate = used, ucert, na
     return res
 
 
@@ -317,16 +300,17 @@ def _remember_last(evaluate):
     return remembered
 
 
-def _solve_custom(m, weights, x0, utility, tol=CUSTOM_GRAD_TOL, max_iter=300):
+def _solve_custom(m, weights, x0, utility):
     """Damped Newton over the unit holdings of every node (0 at the leaves),
-    each step one ``_tree_step``.  Below the gate tol x max(1, max|dS|) f may
-    still be off in its 7th digit, and leaf wealths near 0 can hold the
-    gradient above it once f is exact.  So it stops where the Newton gain
-    g.step / 2 is at f's roundoff and the gradient is below the gate or no
-    longer shrinking; the line search or ``max_iter`` ending it first raises."""
+    each step one ``_tree_step``.  Below the gate ``CUSTOM_GRAD_TOL`` x
+    max(1, max|dS|) f may still be off in its 7th digit, and leaf wealths
+    near 0 can hold the gradient above it once f is exact.  So it stops
+    where the Newton gain g.step / 2 is at f's roundoff and the gradient is
+    below the gate or no longer shrinking; the line search or
+    ``CUSTOM_MAX_ITER`` ending it first raises."""
     t, k = m.tree, WealthKernel(m)
     q = t.roll(weights[None], 1.0, multiplicative=True)[0, t.leaves]
-    gate = tol * max(1.0, float(np.abs(k.dS).max(initial=0.0)))
+    gate = CUSTOM_GRAD_TOL * max(1.0, float(np.abs(k.dS).max(initial=0.0)))
     gains = []
 
     @_remember_last
@@ -347,7 +331,7 @@ def _solve_custom(m, weights, x0, utility, tol=CUSTOM_GRAD_TOL, max_iter=300):
     h = np.zeros((1, m.prices.size))
     f, grad, _ = evaluate(h, None)
     gnorm, last = float(np.max(np.abs(grad))), np.inf
-    for _ in range(max_iter):
+    for _ in range(CUSTOM_MAX_ITER):
         new, f_new, _, gn_new, steps = damped_newton(evaluate, h, 0.0, 1, newton_step=step)
         done = gains[-1] <= ROUNDOFF * max(1.0, abs(f[0])) and (gnorm < gate or gnorm > CONTRACTION * last)
         if done or not steps[0]:
@@ -364,31 +348,29 @@ def viability_under_measure(
     m: MarketModel,
     x0: float = 1.0,
     utility: UtilityFunction | None = None,
-    tol: float = 1e-9,
 ) -> dict:
     """Utility maximization under the market's own martingale density.
 
     Under that measure trading is worthless in expectation, so the optimal
-    value cannot exceed U(x0); the report checks exactly that bound.  A
-    market with arbitrage has no such density and is reported non-viable
-    with the certificate.
+    value cannot exceed U(x0); the report checks exactly that bound, within
+    ``VIABILITY_TOL``.  A market with arbitrage has no such density and is
+    reported non-viable with the certificate.
     """
     utility = utility or log_utility()
-    cert = check_na(m)
-    if cert.verdict != "NA":
+    res = maximize_utility(m, utility, x0, check_na(m).density)
+    if res.status != "ok":
         return {
             "viable": False,
             "reason": "arbitrage: no sigma-martingale density exists",
-            "certificate": cert,
+            "certificate": res.certificate,
         }
-    res = solve_utility(m, utility, x0, cert.density)
     bound = float(utility.value(x0))
     return {
         "viable": True,
         "value": res.value,
         "bound": bound,
-        "within_bound": bool(res.value <= bound + tol),
-        "tol": tol,
+        "within_bound": bool(res.value <= bound + VIABILITY_TOL),
+        "tol": VIABILITY_TOL,
         "foc_residual": res.foc_residual,
     }
 

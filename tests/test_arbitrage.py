@@ -376,13 +376,13 @@ def fresh(m):
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """The tol_pos of every run of the uncached no-arbitrage sweep."""
+    """The model of every run of the uncached no-arbitrage sweep."""
     calls = []
     sweep = arbitrage._na_sweep
 
-    def counted(m, tol_pos):
-        calls.append(tol_pos)
-        return sweep(m, tol_pos)
+    def counted(m):
+        calls.append(m)
+        return sweep(m)
 
     monkeypatch.setattr(arbitrage, "_na_sweep", counted)
     return calls
@@ -430,13 +430,6 @@ class TestMemo:
         bad.strategy.holdings[:] = 0.0
         bad.replay["min_gain"] = 1.0
         assert same_bits(check_na(arbitrage_market), check_na(fresh(arbitrage_market)))
-
-    def test_tol_pos_values_are_kept_apart(self, sweeps):
-        m = random_na_market(np.random.default_rng(7), d=1)
-        loose, tight = check_na(m, 1e-9), check_na(m, 1e-3)
-        assert same_bits(check_na(m, 1e-9), loose)
-        assert same_bits(check_na(m, 1e-3), tight)
-        assert sweeps == [1e-9, 1e-3]
 
     def test_failed_replay_raises_on_every_call(self, sweeps):
         m = bessel_tree(8)

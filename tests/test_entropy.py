@@ -16,6 +16,7 @@ from viatree import (
     check_na,
     check_nupbr,
     concatenate_densities,
+    delta_for_epsilon,
     entropy,
     entropy_hellinger,
     exp_utility,
@@ -24,6 +25,7 @@ from viatree import (
     min_entropy_emm,
     numeraire_portfolio,
     price_martingale_residual,
+    verify_value_bound,
     viability_under_measure,
 )
 from viatree.generators import (
@@ -356,9 +358,9 @@ def solves(monkeypatch):
     calls = {"sweep": 0, "recursion": 0}
     sweep, solve = arbitrage._na_sweep, entropy._exp_solve
 
-    def counted_sweep(m, tol_pos):
+    def counted_sweep(m):
         calls["sweep"] += 1
-        return sweep(m, tol_pos)
+        return sweep(m)
 
     def counted_solve(m):
         calls["recursion"] += 1
@@ -378,6 +380,8 @@ class TestMemo:
         assert numeraire_portfolio(m).status == "ok"
         assert viability_under_measure(m)["viable"]
         me, eu = min_entropy_emm(m), exp_utility(m)
+        # the value bound solves through maximize_utility: one more memo hit
+        assert verify_value_bound(m, delta_for_epsilon(m.tree, me.density.z[m.tree.leaves], 0.1))["passed"]
         assert solves == {"sweep": 1, "recursion": 1}
         other = fresh(m)
         assert same_bits(me, min_entropy_emm(other))

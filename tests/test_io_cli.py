@@ -307,6 +307,14 @@ class TestCliCommands:
         # martingale prices make trading pointless: value = U(x0) = -1
         assert abs(out["payload"]["value"] - (-1.0)) < 1e-8
 
+    def test_optimize_under_emm_on_arbitrage_exits_one(self, tmp_path, capsys):
+        rc = main(["optimize", "--market", self.fixture_path("arbitrage", tmp_path),
+                   "--measure", "emm"])
+        assert rc == 1
+        pay = json.loads(capsys.readouterr().out)["payload"]
+        assert (pay["status"], pay["route"]) == ("no-solution", "arbitrage-detected")
+        assert pay["certificate"]["verdict"] == "ARBITRAGE"
+
     def test_optimize_with_density_file(self, tmp_path, capsys):
         path = self.fixture_path("binomial", tmp_path)
         dens = tmp_path / "z.json"

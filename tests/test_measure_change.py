@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viatree import (
+    ArbitrageError,
+    MarketModel,
     check_na,
     construct_q_delta,
     crra_utility,
@@ -143,6 +145,16 @@ class TestValueBound:
             verify_value_bound(
                 binomial, delta_for_epsilon(binomial.tree, q, 0.5)
             )
+
+    def test_arbitrage_that_passes_the_residual_check_raises(self):
+        # both children sit above the root: q = 1 leaves a price residual of
+        # 3e-10, inside the check, yet the sweep certifies arbitrage; a solve
+        # without the sweep reported value 10.3 against a bound of 1.1
+        tree = EventTree([None, 0, 0], [1.0, 0.5, 0.5])
+        m = MarketModel(tree, np.array([[1e-3], [1e-3 + 4e-10], [1e-3 + 2e-10]]))
+        with pytest.raises(ArbitrageError, match="q passed its price residual check") as e:
+            verify_value_bound(m, construct_q_delta(tree, np.ones(2), 0.5))
+        assert e.value.certificate.verdict == "ARBITRAGE"
 
 
 @settings(max_examples=40, deadline=None)

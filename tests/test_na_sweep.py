@@ -11,15 +11,14 @@ on NA the same one-step weights within 1e-12 and the same density within
 same bounds.
 """
 
-import sys
-
 import numpy as np
 import pytest
 
 import na_oracle
+from test_arbitrage import sweeps  # the fixture counting sweep runs
 import viatree
-from viatree import EventTree, MarketModel, arbitrage, check_na
-from viatree.cli import main  # imported before any test patches check_na
+from viatree import EventTree, MarketModel, check_na
+from viatree.cli import main
 from viatree.generators import random_market, random_na_market
 
 TOL = 1e-12  # one-step weights, and density relative, against the oracle
@@ -164,39 +163,23 @@ def test_degenerate_node_in_stacked_level():
 # ---------------------------------------------- one sweep per public call
 
 
-@pytest.fixture
-def check_na_calls(monkeypatch):
-    """Count calls of ``check_na`` through every viatree module holding it."""
-    calls = []
-    original = arbitrage.check_na
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("viatree") and getattr(mod, "check_na", None) is original:
-            monkeypatch.setattr(mod, "check_na", counted)
-    return calls
-
-
-def test_viability_sweeps_once(check_na_calls):
+def test_viability_sweeps_once(sweeps):
     m = random_na_market(np.random.default_rng(1), d=2)
     assert viatree.viability_under_measure(m)["viable"]
-    assert len(check_na_calls) == 1
+    assert len(sweeps) == 1
 
 
-def test_exp_utility_sweeps_once(check_na_calls):
+def test_exp_utility_sweeps_once(sweeps):
     m = viatree.load_fixture("trinomial")
     viatree.exp_utility(m)
-    assert len(check_na_calls) == 1
+    assert len(sweeps) == 1
 
 
-def test_cli_check_sweeps_once(check_na_calls, tmp_path, capsys):
+def test_cli_check_sweeps_once(sweeps, tmp_path, capsys):
     path = tmp_path / "m.json"
     viatree.save_market(viatree.load_fixture("two_period"), str(path))
     assert main(["check", "--market", str(path)]) == 0
-    assert len(check_na_calls) == 1
+    assert len(sweeps) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -204,8 +187,8 @@ def test_cli_check_sweeps_once(check_na_calls, tmp_path, capsys):
     ["optimize", "--measure", "emm"],
     ["optimize", "--utility", "crra:2", "--measure", "emm"],
 ])
-def test_cli_measure_commands_sweep_once(argv, check_na_calls, tmp_path, capsys):
+def test_cli_measure_commands_sweep_once(argv, sweeps, tmp_path, capsys):
     path = tmp_path / "m.json"
     viatree.save_market(viatree.load_fixture("two_period"), str(path))
     assert main([argv[0], "--market", str(path), *argv[1:]]) == 0
-    assert len(check_na_calls) == 1
+    assert len(sweeps) == 1

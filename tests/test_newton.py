@@ -368,8 +368,9 @@ class TestCustomStopRule:
         gate = utility.CUSTOM_GRAD_TOL * max(1.0, float(np.max(np.abs(WealthKernel(m).dS))))
         assert res.foc_residual > gate
 
-    def test_gate_that_no_gradient_meets(self):
-        _sqrt_against_crra(_deep_market(5, 3), tol=0.0)
+    def test_gate_that_no_gradient_meets(self, monkeypatch):
+        monkeypatch.setattr(utility, "CUSTOM_GRAD_TOL", 0.0)
+        _sqrt_against_crra(_deep_market(5, 3))
 
     def test_arbitrage_market_stalls(self, arbitrage_market):
         m = arbitrage_market

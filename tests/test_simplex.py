@@ -12,7 +12,7 @@ import pytest
 from scipy.optimize import linprog
 from simplex_oracle import solve_lp
 
-from viatree.arbitrage import EPS_POSITIVE_TOL, _max_slack_lps, _node_lps
+from viatree.arbitrage import _max_slack_lps, _node_lps
 from viatree.simplex import solve_lps
 
 DUAL_TOL = 1e-9  # dual rows, relative to max |A| |y|
@@ -201,7 +201,7 @@ class TestStacked:
             n_lps += len(A)
             # the separating vector of each failing node, from its dual row
             bp = np.full(incs.shape[:2], 1.0 / incs.shape[1])
-            _, q, _, H = _node_lps(incs, bp, EPS_POSITIVE_TOL)
+            _, q, _, H = _node_lps(incs, bp)
             for inc, h in zip(incs[np.isnan(q[:, 0])], H[np.isnan(q[:, 0])]):
                 gains = inc @ h
                 assert gains.min() >= -1e-12 * np.abs(inc).max() and gains.max() > 0.0
