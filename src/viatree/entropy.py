@@ -35,11 +35,12 @@ from .markets import (
     MarketModel,
     UnitStrategy,
     WealthKernel,
+    _step_weights,
     density_from_leaf_values,
     price_martingale_residual,
     wealth_from_units,
 )
-from .newton import damped_newton, raise_stalled
+from .newton import damped_newton, least_norm_fit, raise_stalled
 from .trees import EventTree, StoppingTime, crossed_by, cuts_nested
 
 NODE_TOL = 1e-12
@@ -128,10 +129,10 @@ def _exp_recursion(m: MarketModel, goal: str):
     cert = check_na(m)
     if cert.verdict != "NA":
         raise ArbitrageError(f"market admits arbitrage; {goal}", certificate=cert)
-    return m.memo("exp_recursion", lambda: _exp_solve(m))
+    return m.memo("exp_recursion", lambda: _exp_solve(m, _step_weights(m, cert.density)))
 
 
-def _exp_solve(m: MarketModel):
+def _exp_solve(m: MarketModel, q: np.ndarray | None = None):
     """Exponential utility node by node, leaves to root.
 
     V = 1 at the leaves and V(v) = min_h sum_j p_j V(j) exp(-h . dS_j) over
@@ -141,6 +142,10 @@ def _exp_solve(m: MarketModel):
     martingale residual, in units of max|dS|, under the minimizing one-step
     weights q_j = p_j V(j) exp(-h . dS_j) / V(v).  Each depth level is one
     ``damped_newton`` stack; a level that stalls raises ``RuntimeError``.
+    Given the kept certificate's martingale weights q, a level starts where
+    they are the minimizing weights, X h = b - q . b with
+    b = log p + log V(j) - log q (``least_norm_fit``), which is the optimum
+    (0 Newton steps) where q are the node's only martingale weights.
     Returns the unit holdings, log V per node, the density glued from the
     weights q, the worst node gradient and the Newton steps.
     """
@@ -161,12 +166,16 @@ def _exp_solve(m: MarketModel):
         sw = w.sum(axis=1)
         w /= sw[:, None]
         mean = (w[:, None, :] @ Xr)[:, 0, :]
-        hess = (Xr.transpose(0, 2, 1) * w[:, None, :]) @ Xr - mean[:, :, None] * mean[:, None, :]
-        return -(mx + np.log(sw)), mean, hess
+        Xc = Xr - mean[:, None, :]  # centered, so a flat direction's eigenvalue stays at rounding
+        return -(mx + np.log(sw)), mean, (Xc.transpose(0, 2, 1) * w[:, None, :]) @ Xc
 
     for nv in reversed(t.node_levels):
         Xs = t.stack(k.dS, 0.0, nv) / scale[nv, None, None]
         a = t.stack(logp + log_v[t.edges], -np.inf, nv)
+        if q is not None:
+            qs = t.stack(q, 1.0, nv)
+            b = np.where(np.isfinite(a), a - np.log(qs), 0.0)  # 0 on padded edges
+            h[nv] = least_norm_fit(Xs, b - np.sum(qs * b, axis=1, keepdims=True))
         h[nv], f, _, gnorms[nv], n = damped_newton(evaluate, h[nv], NODE_TOL, 200)
         raise_stalled(gnorms[nv], NODE_TOL, t.internal[nv], lambda g: (
             f"exponential-utility Newton stalled at gradient {g:.3e} (target {NODE_TOL})"))

@@ -180,6 +180,16 @@ class DensityProcess:
         return self.martingale_residual(tree) <= tol
 
 
+def _step_weights(m: MarketModel, measure: DensityProcess | None) -> np.ndarray:
+    """One-step probabilities in ``EventTree.edges`` order, reweighted by
+    the density's one-step ratios when a measure is given."""
+    t = m.tree
+    w = t.branch_prob[t.edges].copy()
+    if measure is not None:
+        w *= measure.z[t.edges] / measure.z[t.edge_parent]
+    return w
+
+
 class WealthKernel:
     """Wealth of many strategies on one market at once.  Strategies are
     (S, n_nodes, d) arrays; wealth, an (S, n_nodes) array, is rolled forward

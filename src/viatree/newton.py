@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+FOC_TOL = 1e-10  # gradient sup norm at which a fraction problem is solved
+NEWTON_MAX_ITER = 200
 ARMIJO = 1e-4
 CONTRACTION = 0.9
 FLAT = 1e-12  # relative drop in f that gradient contraction may still accept
@@ -35,6 +37,13 @@ def least_norm_step(hess, grad):
     if grad.ndim == 3:
         return V @ (inv[:, :, None] * (V.transpose(0, 2, 1) @ grad))
     return (V @ (inv * (grad[:, None, :] @ V)[:, 0, :])[:, :, None])[:, :, 0]
+
+
+def least_norm_fit(A, b):
+    """Least-norm least-squares solutions of the stacked systems A x = b,
+    A of shape (G, k, n) and b (G, k), through the normal equations and
+    ``least_norm_step``; a zero row of A (a padded edge) drops out."""
+    return least_norm_step(A.transpose(0, 2, 1) @ A, (b[:, None, :] @ A)[:, 0, :])
 
 
 def damped_newton(evaluate, x, tol, max_iter, newton_step=least_norm_step):

@@ -26,14 +26,13 @@ from .markets import (
     MarketModel,
     WealthKernel,
     WealthProcess,
+    _step_weights,
     wealth_from_fractions,
     wealth_from_units,
 )
-from .newton import damped_newton, least_norm_step, raise_stalled
+from .newton import FOC_TOL, NEWTON_MAX_ITER, damped_newton, least_norm_fit, least_norm_step, raise_stalled
 from .trees import EventTree, StoppingTime
 
-FOC_TOL = 1e-10
-NEWTON_MAX_ITER = 200
 RATIO_TOL = 1e-8
 DEFLATOR_TOL = 1e-10
 SAMPLE_BOX = 2.0  # sampled fractions start uniform on [-SAMPLE_BOX, SAMPLE_BOX]
@@ -42,12 +41,19 @@ STOP_PROB = 0.35  # chance that a random cut stops a non-root branch
 N_CUTS = 3  # random stopping-time cuts of verify_numeraire
 
 
-def fraction_problems(R, a, gamma: float = 1.0):
+def fraction_problems(R, a, gamma: float = 1.0, q=None):
     """``damped_newton``'s ``evaluate`` for rows maximizing
     sum_j a[i, j] phi(1 + pi . R[i, j]) over positive factors, phi = log for
-    gamma = 1, else phi(g) = g^(1-gamma) with a of the sign of 1 - gamma.
-    Edges with a = 0 and R = 0 pad a row to the common branch count; a node
-    whose returns are all below 1e-12 is solved with R = 0 (pi stays 0)."""
+    gamma = 1, else phi(g) = g^(1-gamma) with a of the sign of 1 - gamma,
+    and the rows' start.  Edges with a = 0 and R = 0 pad a row to the
+    common branch count; a node whose returns are all below 1e-12 is solved
+    with R = 0 (pi stays 0).  The start is 0, or given one-step martingale
+    weights q (padded with 1) the first-order condition inverted at q: at
+    the optimum |a_j| phi'(g_j) is a multiple of the martingale weights, so
+    where q are the node's only ones g_j = 1 + pi . R_j = kappa u_j with
+    u_j = (|a_j| / q_j)^(1/gamma), and sum_j q_j g_j = 1 fixes kappa.
+    ``least_norm_fit`` solves R pi = u / (q . u) - 1 for all rows at once;
+    a row whose fit leaves the domain starts at 0."""
     R = np.where(np.max(np.abs(R), axis=(1, 2), keepdims=True) < 1e-12, 0.0, R)
 
     def evaluate(x, rows):
@@ -62,18 +68,23 @@ def fraction_problems(R, a, gamma: float = 1.0):
         f = np.where(inside, np.einsum("ij,ij->i", ar, phi), -np.inf)
         return f, (u[:, None, :] @ Rr)[:, 0, :], (Rr.transpose(0, 2, 1) * (gamma * u / g)[:, None, :]) @ Rr
 
-    return evaluate
+    start = np.zeros((R.shape[0], R.shape[2]))
+    if q is not None:
+        u = (np.abs(a) / q) ** (1.0 / gamma)
+        start = least_norm_fit(R, u / np.sum(q * u, axis=1, keepdims=True) - 1.0)
+        start[np.isneginf(evaluate(start, np.arange(R.shape[0]))[0])] = 0.0
+    return evaluate, start
 
 
-def log_optimal_stack(R, p):
+def log_optimal_stack(R, p, q=None):
     """G one-step log-growth problems sum_j p[i, j] log(1 + pi . R[i, j]),
-    from pi = 0; least-norm steps give the minimal maximizer.  Converged rows
+    from pi = 0 or the fit at martingale weights q (``fraction_problems``);
+    least-norm steps give the minimal maximizer.  Converged rows
     get up to three full Newton steps while the gradient still drops, which
     puts it near machine precision, so one-step ratio identities hold to
     ~1e-13.  Returns (pi, gradient sup norm, Newton steps) per row; a
     stalled row keeps a gradient >= ``FOC_TOL``."""
-    evaluate = fraction_problems(R, p)
-    pi0 = np.zeros((R.shape[0], R.shape[2]))
+    evaluate, pi0 = fraction_problems(R, p, q=q)
     pi, _, grad, gnorm, steps = damped_newton(evaluate, pi0, FOC_TOL, NEWTON_MAX_ITER)
     rows = np.flatnonzero((gnorm < FOC_TOL) & (gnorm > 0.0))
     _, grad, hess = evaluate(pi[rows], rows)
@@ -95,20 +106,24 @@ def _log_stall(gnorm) -> str:
             f"(residual {float(gnorm)}); is the node arbitrage-free?")
 
 
-def log_recursion(m: MarketModel, weights: np.ndarray | None = None):
+def log_recursion(m: MarketModel, weights: np.ndarray | None = None, q: np.ndarray | None = None):
     """Log-optimal fractions at every internal node.
 
     ``weights`` are the one-step probabilities in ``EventTree.edges`` order
     (the branch probabilities by default).  A node's fractions do not depend
     on its children, so all internal nodes form one ``log_optimal_stack``;
-    the expected log growth is then summed leaves to root.  Returns the
+    the expected log growth is then summed leaves to root.  Given the kept
+    certificate's martingale weights q, the stack starts where the deflator
+    weights w / (1 + pi . R) are q, which is the optimum (0 Newton steps)
+    where q are the node's only martingale weights.  Returns the
     fractions, the gradient sup norm per internal node (breadth-first) and
     the expected log growth of the optimal wealth under those weights.
     """
     t, k = m.tree, WealthKernel(m)
     R = k.returns
     w = t.branch_prob[t.edges] if weights is None else weights
-    pi, gnorms, _ = log_optimal_stack(t.stack(R, 0.0), t.stack(w, 0.0))
+    pi, gnorms, _ = log_optimal_stack(t.stack(R, 0.0), t.stack(w, 0.0),
+                                      None if q is None else t.stack(q, 1.0))
     raise_stalled(gnorms, FOC_TOL, t.internal, _log_stall)
     fr = np.zeros_like(m.prices)
     fr[t.internal] = pi
@@ -141,7 +156,7 @@ def numeraire_portfolio(m: MarketModel, x0: float = 1.0) -> NumeraireSolution:
     if cert.verdict != "NA":
         return NumeraireSolution(status="arbitrage", certificate=cert)
     t = m.tree
-    fr, gnorms, growth = log_recursion(m)
+    fr, gnorms, growth = log_recursion(m, q=_step_weights(m, cert.density))
     gradients = dict(zip(t.internal.tolist(), gnorms.tolist()))
     strategy = FractionStrategy(fractions=fr)
     wealth = wealth_from_fractions(m, strategy, x0)

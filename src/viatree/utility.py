@@ -29,13 +29,13 @@ from .markets import (
     UnitStrategy,
     WealthKernel,
     WealthProcess,
+    _step_weights,
     wealth_from_fractions,
     wealth_from_units,
 )
-from .newton import CONTRACTION, damped_newton, least_norm_step, raise_stalled
-from .numeraire import NEWTON_MAX_ITER, fraction_problems, log_recursion, numeraire_portfolio
+from .newton import CONTRACTION, FOC_TOL, NEWTON_MAX_ITER, damped_newton, least_norm_step, raise_stalled
+from .numeraire import fraction_problems, log_recursion, numeraire_portfolio
 
-FOC_TOL = 1e-10
 CUSTOM_GRAD_TOL = 1e-8  # times max(1, max|dS|): the program's gradient is in price units
 CUSTOM_MAX_ITER = 300
 VIABILITY_TOL = 1e-9  # slack of viability_under_measure's bound U(x0)
@@ -138,16 +138,15 @@ def custom_utility(u, du, d2u=None, name: str = "custom") -> UtilityFunction:
     return UtilityFunction(kind="custom", _u=u, _du=du, _d2u=d2u, name=name)
 
 
-def power_optimal_stack(R, a, gamma: float):
+def power_optimal_stack(R, a, gamma: float, q=None):
     """Maximize sum_j a[i, j] (1 + pi . R[i, j])^(1-gamma) for every row i,
-    with |a| scaled to unit sum per row.  Returns (pi, objective in the
-    original scale, gradient sup norm, Newton steps) per row; a stalled row
-    keeps a gradient at or above ``FOC_TOL``."""
+    with |a| scaled to unit sum per row, from ``fraction_problems``' start.
+    Returns (pi, objective in the original scale, gradient sup norm, Newton
+    steps) per row; a stalled row keeps a gradient at or above ``FOC_TOL``."""
     scale = np.sum(np.abs(a), axis=1)
     if np.any(scale == 0.0):
         raise ValueError("continuation weights are all zero")
-    evaluate = fraction_problems(R, a / scale[:, None], gamma)
-    pi0 = np.zeros((R.shape[0], R.shape[2]))
+    evaluate, pi0 = fraction_problems(R, a / scale[:, None], gamma, q)
     pi, f, _, gnorm, steps = damped_newton(evaluate, pi0, FOC_TOL, NEWTON_MAX_ITER)
     return pi, f * scale, gnorm, steps
 
@@ -163,16 +162,6 @@ class OptimalPortfolioResult:
     measure_used: str = "physical"
     utility_certificate: dict | None = None
     certificate: NaCertificate | None = None  # arbitrage certificate if any
-
-
-def _step_weights(m: MarketModel, measure: DensityProcess | None) -> np.ndarray:
-    """One-step probabilities in ``EventTree.edges`` order, reweighted by
-    the density's one-step ratios when a measure is given."""
-    t = m.tree
-    w = t.branch_prob[t.edges].copy()
-    if measure is not None:
-        w *= measure.z[t.edges] / measure.z[t.edge_parent]
-    return w
 
 
 def maximize_utility(
@@ -205,11 +194,11 @@ def maximize_utility(
                                       certificate=na)
     if measure is not None:
         measure.require_martingale(m.tree)
-    weights = _step_weights(m, measure)
+    weights, q = _step_weights(m, measure), _step_weights(m, na.density)
     if utility.kind == "log":
-        res = _solve_log(m, weights, x0)
+        res = _solve_log(m, weights, x0, q)
     elif utility.kind == "crra":
-        res = _solve_crra(m, weights, x0, utility.gamma)
+        res = _solve_crra(m, weights, x0, utility.gamma, q)
     else:
         res = _solve_custom(m, weights, x0, utility)
     res.measure_used, res.utility_certificate, res.certificate = used, ucert, na
@@ -229,15 +218,18 @@ def _optimum(m, strategy, x0, value, foc_residual, route) -> OptimalPortfolioRes
     )
 
 
-def _solve_log(m, weights, x0) -> OptimalPortfolioResult:
-    fr, gnorms, growth = log_recursion(m, weights)
+def _solve_log(m, weights, x0, q=None) -> OptimalPortfolioResult:
+    fr, gnorms, growth = log_recursion(m, weights, q)
     return _optimum(m, FractionStrategy(fractions=fr), x0, np.log(x0) + growth,
                     gnorms.max(initial=0.0), "log-recursion")
 
 
-def _solve_crra(m, weights, x0, gamma) -> OptimalPortfolioResult:
+def _solve_crra(m, weights, x0, gamma, q=None) -> OptimalPortfolioResult:
     """One ``power_optimal_stack`` per depth level, leaves to root, with the
-    one-step weights times the children's value coefficients psi."""
+    one-step weights times the children's value coefficients psi.  Given the
+    kept certificate's martingale weights q, a level starts where the weights
+    |a_j| (1 + pi . R_j)^-gamma are a multiple of q, which is the optimum
+    (0 Newton steps) where q are the node's only martingale weights."""
     t = m.tree
     R = WealthKernel(m).returns
     fr = np.zeros_like(m.prices)
@@ -247,7 +239,8 @@ def _solve_crra(m, weights, x0, gamma) -> OptimalPortfolioResult:
     for nv in reversed(t.node_levels):
         nodes = t.internal[nv]
         a = t.stack(weights * psi[t.edges], 0.0, nv)
-        pi, psi[nodes], gnorms[nv], _ = power_optimal_stack(t.stack(R, 0.0, nv), a, gamma)
+        qs = None if q is None else t.stack(q, 1.0, nv)
+        pi, psi[nodes], gnorms[nv], _ = power_optimal_stack(t.stack(R, 0.0, nv), a, gamma, qs)
         raise_stalled(gnorms[nv], FOC_TOL, nodes, lambda g: (
             f"power-utility Newton stalled at gradient {float(g)} (target {FOC_TOL})"))
         fr[nodes] = pi

@@ -362,9 +362,9 @@ def solves(monkeypatch):
         calls["sweep"] += 1
         return sweep(m)
 
-    def counted_solve(m):
+    def counted_solve(m, q):
         calls["recursion"] += 1
-        return solve(m)
+        return solve(m, q)
 
     monkeypatch.setattr(arbitrage, "_na_sweep", counted_sweep)
     monkeypatch.setattr(entropy, "_exp_solve", counted_solve)
