@@ -21,6 +21,7 @@ from .trees import EventTree
 
 MARTINGALE_FLAG_TOL = 1e-12
 MARTINGALE_REL_TOL = 1e-9  # require_martingale's gate, times max(1, max z)
+PRICE_REL_TOL = 1e-9  # price martingale residual gate, times max(1, max|S|)
 BLOCK_ENTRIES = 1 << 14  # node-asset entries per strategy block; bounds memory
 
 
@@ -283,6 +284,12 @@ def price_martingale_residual(m: MarketModel, dp: DensityProcess) -> float:
     t = m.tree
     wts = t.branch_prob[t.edges] * dp.z[t.edges] / dp.z[t.edge_parent]
     return float(np.abs(t.sums(wts[:, None] * WealthKernel(m).dS)).max(initial=0.0))
+
+
+def price_residual_tol(m: MarketModel) -> float:
+    """The gate of a price martingale residual: ``PRICE_REL_TOL`` in units
+    of max(1, max|S|), so a check passes or fails alike in any price unit."""
+    return PRICE_REL_TOL * max(1.0, float(np.max(np.abs(m.prices))))
 
 
 def density_from_leaf_values(tree: EventTree, leaf_z: np.ndarray) -> DensityProcess:

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arbitrage import ArbitrageError
-from .markets import DensityProcess, MarketModel, density_from_leaf_values, price_martingale_residual
+from .markets import (
+    DensityProcess,
+    MarketModel,
+    density_from_leaf_values,
+    price_martingale_residual,
+    price_residual_tol,
+)
 from .trees import EventTree
 
 DELTA_MAX = 1.0 - 1e-9
@@ -133,24 +139,24 @@ def verify_value_bound(
     dm: DeltaMeasure,
     utility=None,
     x0: float = 1.0,
-    tol: float = 1e-9,
 ) -> dict:
     """Check the viability value bound under the capped measure.
 
     Requires the underlying q to be the terminal restriction of a
-    martingale density for the market (price residual within 1e-9 of
-    max(1, max|S|)); with q > 0 that density certifies the market
+    martingale density for the market (price residual within
+    ``price_residual_tol``); with q > 0 that density certifies the market
     arbitrage-free.  ``maximize_utility`` solves under Z_delta, deciding
     by the model's kept ``check_na`` sweep; should that sweep find
     arbitrage all the same, ``ArbitrageError`` carries its certificate.
-    The optimal value must stay below U(x0 / (delta * E[q_delta])) + tol.
+    The optimal value must stay below U(x0 / (delta * E[q_delta])) plus
+    ``utility.VIABILITY_TOL``.
     """
-    from .utility import log_utility, maximize_utility
+    from .utility import VIABILITY_TOL, log_utility, maximize_utility
 
     utility = utility or log_utility()
     base = density_from_leaf_values(m.tree, dm.q)
     resid = price_martingale_residual(m, base)
-    if resid > 1e-9 * max(1.0, float(np.max(np.abs(m.prices)))):
+    if resid > price_residual_tol(m):
         raise ValueError(
             f"q is not a martingale-density transform of this market "
             f"(price residual {resid!r})"
@@ -162,12 +168,12 @@ def verify_value_bound(
     cap = x0 / (dm.delta * dm.e_q_delta)
     bound = float(utility.value(cap))
     return {
-        "passed": bool(res.value <= bound + tol),
+        "passed": bool(res.value <= bound + VIABILITY_TOL),
         "value": res.value,
         "bound": bound,
         "wealth_cap": cap,
         "delta": dm.delta,
         "e_q_delta": dm.e_q_delta,
         "q_residual": resid,
-        "tol": tol,
+        "tol": VIABILITY_TOL,
     }

@@ -22,7 +22,9 @@ from viatree import (
 from viatree.cli import build_parser, main
 from viatree.generators import random_market, random_na_market
 from viatree.market_io import atomic_write_text
+from viatree.numeraire import RATIO_TOL
 from viatree.reporting import make_report, render, sanitize, to_csv, to_json
+from viatree.utility import VIABILITY_TOL
 
 
 class TestMarketFiles:
@@ -238,13 +240,12 @@ class TestCliExitCodes:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["check", "--tol-eq", "inf"],
-        ["check", "--tol-ineq", "nan"],
+        ["numeraire", "--x0", "nan"],
+        ["measure", "--x0", "inf"],
         ["optimize", "--x0", "inf"],
         ["measure", "--epsilon", "inf"],
     ])
     def test_non_finite_numbers_exit_two(self, argv, tmp_path, capsys):
-        # an infinite --tol-eq would switch the EMM residual gate off
         path = self.fixture_path("binomial", tmp_path)
         with pytest.raises(SystemExit) as exc:
             main([argv[0], "--market", path, *argv[1:]])
@@ -276,6 +277,29 @@ class TestCliExitCodes:
             assert exc.value.code == 2
             assert f"--steps: must be >= 100, got {steps}" in capsys.readouterr().err
 
+    def test_simulate_single_path_exits_two(self, capsys):
+        # one path has no standard error, so every check of the study reads NaN
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--paths", "1", "--steps", "100"])
+        assert exc.value.code == 2
+        assert "--paths: must be >= 2, got 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--market", "{market}", "--tol-eq", "1e300"],
+        ["numeraire", "--market", "{market}", "--tol-ineq", "1"],
+        ["optimize", "--market", "{market}", "--seed", "3"],
+        ["measure", "--market", "{market}", "--epsilon", "0.1", "--seed", "1"],
+        ["simulate", "--tol-eq", "1"],
+    ])
+    def test_flags_a_command_does_not_read_exit_two(self, argv, tmp_path, capsys):
+        # no flag moves a gate, and only numeraire, simulate and
+        # equivalence-suite draw random numbers
+        path = self.fixture_path("binomial", tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(market=path) for a in argv])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
 
 class TestCliCommands:
     def fixture_path(self, name, tmp_path):
@@ -290,6 +314,7 @@ class TestCliCommands:
         out = json.loads(capsys.readouterr().out)
         pay = out["payload"]
         assert pay["verification"]["passed"] is True
+        assert pay["verification"]["tol"] == RATIO_TOL
         assert pay["deflator"]["passed"] is True
         assert abs(pay["fractions"][0][0] - 0.5) < 1e-8
 
@@ -343,8 +368,8 @@ class TestCliCommands:
         out = json.loads(capsys.readouterr().out)
         pay = out["payload"]
         assert pay["l1_distance"] <= 0.1
-        assert pay["epsilon_check"] is True
         assert pay["value_bound"]["passed"] is True
+        assert pay["value_bound"]["tol"] == VIABILITY_TOL
         assert pay["z_max"] <= pay["z_bound"] + 1e-12
 
     def test_entropy_modes(self, tmp_path, capsys):
@@ -459,11 +484,28 @@ class TestSharedParser:
     def test_usage_error_leaves_next_call_normal(self, market, capsys):
         code, before = self.report(["check", "--market", market], capsys)
         with pytest.raises(SystemExit) as exc:
-            main(["check", "--market", market, "--tol-eq", "-1"])
+            main(["optimize", "--market", market, "--x0", "-1"])
         assert exc.value.code == 2
         after_code, after = self.report(["check", "--market", market], capsys)
         assert (after_code, after["config"], after["payload"]) == (
             code, before["config"], before["payload"])
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["check", "--market", "{market}"], {"market"}),
+        (["numeraire", "--market", "{market}", "--strategies", "5"],
+         {"market", "x0", "strategies", "seed"}),
+        (["optimize", "--market", "{market}"], {"market", "utility", "x0", "measure"}),
+        (["measure", "--market", "{market}", "--epsilon", "0.2"], {"market", "epsilon", "x0"}),
+        (["entropy", "--market", "{market}"],
+         {"market", "min_entropy", "exp_utility", "hellinger"}),
+        (["simulate", "--paths", "400", "--steps", "100", "--probe-strategies", "5"],
+         {"paths", "steps", "probe_strategies", "seed"}),
+        (["equivalence-suite", "--markets", "2"],
+         {"markets", "d_max", "depth_max", "branch_max", "seed"}),
+    ])
+    def test_config_echoes_the_flags_the_command_reads(self, argv, flags, market, capsys):
+        _, out = self.report([a.format(market=market) for a in argv], capsys)
+        assert set(out["config"]) == {"command", "format", *flags}
 
     @pytest.mark.parametrize("argv", [
         ["check", "--market", "{market}"],
