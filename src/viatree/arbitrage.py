@@ -3,24 +3,30 @@
 On a finite leveled event tree, absence of arbitrage is equivalent to a
 per-node one-period condition (Dalang, Morton and Willinger 1990): at every
 internal node the origin must lie in the relative interior of the convex
-hull of the outgoing price increments.  That condition is decided by a
-small LP per node,
+hull of the outgoing price increments.  That condition is the max-slack
+problem
 
     maximize  eps   s.t.  sum_j q_j dS_j = 0 (per asset),
                           sum_j q_j = 1,  q_j >= eps,
 
 whose optimum eps* is strictly positive exactly when an interior
 martingale weight vector q exists; a node passes when eps* exceeds
-``EPS_POSITIVE_TOL``.  The LP is built on scale-free coordinates: each
+``EPS_POSITIVE_TOL``.  It is posed on scale-free coordinates: each
 node's increments are divided by their max |dS| and rotated onto their
 singular vectors, with singular values below ``DEGENERATE_TOL`` times the
-largest set to zero.  That is a positive
-scaling and an orthogonal change of asset coordinates, which leave eps*
-and q unchanged in exact arithmetic, so the verdict does not depend on the
-price unit.  Gluing the per-node weights multiplicatively yields an
-equivalent martingale measure.  At a failing node the same LP's dual row
-gives a vector H with H.dS_j >= 0 for all branches and > 0 for at least
-one, which lifts to a one-period arbitrage strategy.
+largest set to zero.  That is a positive scaling and an orthogonal change
+of asset coordinates, which leave eps* and q unchanged in exact
+arithmetic, so the verdict does not depend on the price unit.
+
+Where a node's k increments have rank k - 1 on those coordinates, its
+one-step market is complete (Harrison and Pliska 1981): q is the unique
+solution of a k x k linear system and eps* = min q, so a node with eps*
+above the tolerance is decided without an LP.  Every other node, and so
+every failing node, solves the problem as a small LP.  Gluing the
+per-node weights multiplicatively yields an equivalent martingale
+measure.  At a failing node the LP's dual row gives a vector H with
+H.dS_j >= 0 for all branches and > 0 for at least one, which lifts to a
+one-period arbitrage strategy.
 
 Every verdict ships with a replayable certificate: the density's
 martingale residuals on the NA side, the strategy's terminal gains on the
@@ -43,7 +49,7 @@ from .markets import (
     WealthKernel,
     price_martingale_residual,
 )
-from .simplex import solve_lps
+from .simplex import _solve_each, solve_lps
 
 DEGENERATE_TOL = 1e-12
 EPS_POSITIVE_TOL = 1e-9
@@ -97,11 +103,20 @@ def _max_slack_lps(inc: np.ndarray):
 
 def _node_lps(inc: np.ndarray, bp: np.ndarray):
     """Decide G nodes with k branches each from their (G, k, d) increments
-    and (G, k) branch probabilities, in one ``solve_lps`` stack.
+    and (G, k) branch probabilities.
+
+    Where the scale-free increments X have rank k - 1, the weights are
+    unique: q solves [X_r^T; 1^T] q = (0, ..., 0, 1) on X's r nonzero
+    coordinates, and eps* = min q.  These nodes are solved in one batched
+    call; one whose q is finite with eps* > ``EPS_POSITIVE_TOL`` is NA,
+    with zero rows and H = 0 (its q meets the rows to rounding).  Every
+    other node, a singular system's included, runs the max-slack LP, all
+    in one ``solve_lps`` stack, whose results do not depend on which LPs
+    share it.
 
     Returns eps* (G,), the unprojected interior weights q (G, k), NaN in
-    the rows with eps* <= ``EPS_POSITIVE_TOL``, the rows each q must
-    satisfy, the LP's (G, d + 1, k) moment and sum rows
+    the rows with eps* <= ``EPS_POSITIVE_TOL``, the rows each LP weight
+    must satisfy, the LP's (G, d + 1, k) moment and sum rows
     (``_project_weights``), and the (G, d) vectors H = -Vh^T y of the LP's
     dual rows y.  In the LP's coordinates X_j, an optimal y has
     y_mom.X_j <= -y_sum = eps* and sum_j H.X_j = 1 - k eps*, so where
@@ -114,15 +129,29 @@ def _node_lps(inc: np.ndarray, bp: np.ndarray):
     eps, q = bp.min(axis=1), bp.copy()
     rows = np.zeros((G, d + 1, k))
     h = np.zeros((G, d))
-    lp = np.flatnonzero(np.abs(inc).max(axis=(1, 2)) >= DEGENERATE_TOL)
-    if lp.size:
-        A, b, c, Vh = _max_slack_lps(inc[lp])
-        res = solve_lps(A, b, c)
+    live = np.flatnonzero(np.abs(inc).max(axis=(1, 2)) >= DEGENERATE_TOL)
+    if not live.size:
+        return eps, q, rows, h
+    A, b, c, Vh = _max_slack_lps(inc[live])
+    lp = np.ones(live.size, dtype=bool)
+    # the nonzero singular values fill X's first coordinates, A's first rows
+    unique = np.flatnonzero(A[:, :d, :k].any(axis=2).sum(axis=1) == k - 1)
+    if unique.size:
+        rhs = np.broadcast_to(np.eye(k)[-1], (unique.size, k))
+        w = _solve_each(A[unique][:, np.r_[: k - 1, d], :k], rhs, lambda i: np.nan)
+        e = w.min(axis=1)
+        ok = np.isfinite(w).all(axis=1) & (e > EPS_POSITIVE_TOL)
+        eps[live[unique[ok]]], q[live[unique[ok]]] = e[ok], w[ok]
+        lp[unique[ok]] = False
+    if lp.any():
+        A, Vh = A[lp], Vh[lp]
+        at = live[lp]
+        res = solve_lps(A, b[lp], c)
         e = res.x[:, k] - res.x[:, k + 1]  # NaN where not optimal
-        eps[lp] = np.where(np.isnan(e), -np.inf, e)
-        q[lp] = np.where((e > EPS_POSITIVE_TOL)[:, None], res.x[:, :k] + e[:, None], np.nan)
-        rows[lp] = A[:, :, :k]
-        h[lp] = -(res.y[:, None, : Vh.shape[1]] @ Vh)[:, 0]
+        eps[at] = np.where(np.isnan(e), -np.inf, e)
+        q[at] = np.where((e > EPS_POSITIVE_TOL)[:, None], res.x[:, :k] + e[:, None], np.nan)
+        rows[at] = A[:, :, :k]
+        h[at] = -(res.y[:, None, : Vh.shape[1]] @ Vh)[:, 0]
     return eps, q, rows, h
 
 
@@ -158,10 +187,11 @@ def check_na(m: MarketModel) -> NaCertificate:
     per branch count.  The failing node with the lowest breadth-first
     index names the certificate: the separating vector from its LP's dual
     row is lifted to a one-period unit strategy that is zero elsewhere,
-    and ``node_eps`` stops at it.  When every node passes, the weights of
-    all nodes are projected in one batched call, in the LP's coordinates,
-    and glued into the density one depth level at a time.  An arbitrage
-    certificate whose least gain is below ``REPLAY_MIN_GAIN`` times
+    and ``node_eps`` stops at it.  When every node passes, the weights the
+    LPs found are projected onto their rows in one batched call, in the
+    LP's coordinates (closed-form weights meet their rows to rounding), and
+    all weights are glued into the density one depth level at a time.  An
+    arbitrage certificate whose least gain is below ``REPLAY_MIN_GAIN`` times
     max(1, max|S|), or whose largest is not above ``REPLAY_MAX_GAIN`` times
     max|S|, raises ``RuntimeError``: it proves nothing.
 
@@ -208,9 +238,14 @@ def _na_sweep(m: MarketModel) -> NaCertificate:
             replay=replay,
         )
 
+    # only LP weights move: closed-form and degenerate nodes have zero rows;
     # padded branch slots get weight 1 and zero rows, which they keep
-    real = np.arange(t.sizes.max(initial=0)) < t.sizes[:, None]
-    q = _project_weights(t.stack(rows, 0.0).transpose(0, 2, 1), t.stack(q, 1.0))[real]
+    lp = np.flatnonzero(rows[t.starts].any(axis=1))
+    if lp.size:
+        real = np.arange(t.sizes[lp].max()) < t.sizes[lp, None]
+        e = t.stack(np.arange(t.edges.size), 0, lp)[real]
+        R = t.stack(rows, 0.0, lp).transpose(0, 2, 1)
+        q[e] = _project_weights(R, t.stack(q, 1.0, lp))[real]
     step = q / t.branch_prob[t.edges]
     density = DensityProcess(z=t.roll(step[None], 1.0, multiplicative=True)[0])
     return NaCertificate(
@@ -251,7 +286,7 @@ def check_nupbr(m: MarketModel) -> NupbrResult:
     """Decide NUPBR via existence of a local martingale density.
 
     On a finite tree local martingale densities and martingale densities
-    coincide, so the decision is the same per-node LP sweep as for
+    coincide, so the decision is the same per-node sweep as for
     no-arbitrage: NUPBR holds iff a strictly positive martingale density
     exists, and the certificate carries it.  Otherwise the certificate's
     lifted one-period strategy scales to unbounded profit with bounded

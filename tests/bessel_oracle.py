@@ -188,6 +188,10 @@ def numeraire_probe(
         ok = excursion.min(axis=1) >= 0.0
         n_rejected = int(np.sum(~ok))
         ratio = x_nodes[ok, -1] / s1[ok]
+        if not ratio.size:
+            rows.append({"label": label, "mean": None, "std_error": None, "n_used": 0,
+                         "n_rejected": n_rejected, "margin": None, "pass": True})
+            return
         est = Estimate.of(ratio, f"E[X_T/S_1] ({label})")
         passed = est.mean <= 1.0 + 3.0 * est.std_error
         rows.append(
@@ -221,7 +225,7 @@ def numeraire_probe(
     for i in range(n_strats):
         add_row(f"sampled-{i}", thetas[i])
 
-    worst = max(rows, key=lambda r: r["margin"])
+    worst = max((r for r in rows if r["n_used"]), key=lambda r: r["margin"])
     return {
         "rows": rows,
         "n_strategies": n_strats,

@@ -23,6 +23,7 @@ from viatree import (
 from viatree import arbitrage
 from viatree.arbitrage import EPS_POSITIVE_TOL
 from viatree.generators import random_market, random_na_market
+from viatree.simplex import solve_lps
 
 
 def scipy_node_eps(inc, bp):
@@ -94,6 +95,34 @@ class TestNodeLp:
         _, eps, q, _ = root_decision(np.zeros((3, 2)), np.array([0.2, 0.3, 0.5]))
         assert q.tolist() == [0.2, 0.3, 0.5]
         assert eps == 0.2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_singular_unique_weight_systems_go_to_the_lp(self):
+        # four rank-1 two-branch nodes: a well-posed one, two whose system is
+        # near-singular (equal and almost equal increments) and one whose
+        # system is exactly singular, which aborts a stacked solve
+        inc = np.array([[[1.0, 2.0], [-2.0, -4.0]],
+                        [[1.0, 2.0], [1.0, 2.0]],
+                        [[1.0, 2.0], [1.0, 2.0 + 1e-12]],
+                        [[0.0, -1.0], [0.0, -1.0]]])
+        A, b, c, Vh = arbitrage._max_slack_lps(inc)
+        systems = A[:, [0, 2], :2]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(systems, np.array([0.0, 1.0]))
+        assert np.abs(np.linalg.solve(systems[1:3], np.array([0.0, 1.0]))).min() > 1e11
+        eps, q, rows, h = arbitrage._node_lps(inc, np.full((4, 2), 0.5))
+        # the well-posed node is decided in closed form: no LP rows, no H
+        assert eps[0] == pytest.approx(1 / 3, abs=1e-15)
+        assert np.allclose(q[0], [2 / 3, 1 / 3], rtol=0.0, atol=1e-15)
+        assert not rows[0].any() and not h[0].any()
+        # the others take the LP and keep its outcome bit for bit
+        res = solve_lps(A[1:], b[1:], c)
+        assert (res.status == "infeasible").all()
+        assert np.isneginf(eps[1:]).all() and np.isnan(q[1:]).all()
+        assert rows[1:].tobytes() == A[1:, :, :2].tobytes()
+        assert h[1:].tobytes() == (-(res.y[:, None, :2] @ Vh[1:])[:, 0]).tobytes()
+        gains = np.einsum("gkd,gd->gk", inc[1:], h[1:])
+        assert (gains.min(axis=1) >= 0.0).all() and (gains.max(axis=1) > 0.0).all()
 
     @pytest.mark.parametrize("seed", range(60))
     def test_eps_matches_scipy(self, seed):

@@ -8,6 +8,7 @@ same estimators on a materialized path matrix.
 """
 
 import dataclasses
+import json
 import math
 import sys
 import threading
@@ -211,9 +212,6 @@ class TestOracle:
     """Every estimate of the streaming study is bitwise the matrix oracle's;
     repr round-trips a float exactly, so equal reprs mean equal bits."""
 
-    # one path can be rejected by a strategy, leaving an empty mean
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     # numpy keys Philox through float64 above 2**63; 2**64 - 2**11 is the
     # largest seed it keeps exactly
     @pytest.mark.parametrize("seed", [3, 2**64 - 2**11])
@@ -322,6 +320,28 @@ class TestProbe:
         assert rep["total_rejected"] == total
         for r in rep["rows"]:
             assert r["n_used"] + r["n_rejected"] == batch.n_paths
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_row_without_usable_path(self, seed, capsys):
+        # `viatree simulate --paths 2 --steps 100 --seed s`: some sampled
+        # strategy rejects both paths, and its row has no mean to take
+        from viatree.cli import main
+
+        assert main(["simulate", "--paths", "2", "--steps", "100", "--seed", str(seed)]) == 1
+        probe = json.loads(capsys.readouterr().out)["payload"]["probe"]
+        rep = numeraire_probe(simulate_bes3(2, 100, seed=seed), seed=seed + 1)
+        empty = [r for r in rep["rows"] if r["n_used"] == 0]
+        assert empty
+        for r in empty:
+            assert r["n_rejected"] == 2 and r["pass"]
+            assert r["mean"] is r["std_error"] is r["margin"] is None
+        used = [r for r in rep["rows"] if r["n_used"]]
+        worst = max(used, key=lambda r: r["margin"])
+        assert (rep["worst_label"], rep["worst_margin"]) == (worst["label"], worst["margin"])
+        assert rep["all_pass"] is all(r["pass"] for r in used)
+        assert probe["worst_label"] == rep["worst_label"]
+        assert probe["total_rejected"] == rep["total_rejected"]
 
 
 class TestStopped:

@@ -160,6 +160,57 @@ def test_degenerate_node_in_stacked_level():
     assert compare_with_oracle(cert, m)
 
 
+# ------------------------------ the LP runs where the weights are not unique
+
+
+@pytest.fixture
+def lp_stacks(monkeypatch):
+    """The number of LPs in each ``solve_lps`` call of the sweep."""
+    calls = []
+    solve = viatree.arbitrage.solve_lps
+
+    def counted(A, b, c):
+        calls.append(len(A))
+        return solve(A, b, c)
+
+    monkeypatch.setattr(viatree.arbitrage, "solve_lps", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_unique_weights_take_no_lp(seed, lp_stacks):
+    # two assets, two or three branches: every node's increments have rank
+    # k - 1, so its weights solve one square system
+    m = random_na_market(np.random.default_rng(seed), d=2, depth_range=(3, 5),
+                         branch_range=(2, 3))
+    assert check_na(m).verdict == "NA"
+    assert lp_stacks == []
+
+
+def test_three_branches_of_one_asset_take_the_lp(lp_stacks):
+    m = random_na_market(np.random.default_rng(2), d=1, depth_range=(3, 3),
+                         branch_range=(3, 3))
+    assert check_na(m).verdict == "NA"
+    assert lp_stacks == [m.tree.internal.size]
+
+
+def lifted_deep_market():
+    """A two-asset deep market whose only arbitrage is at one depth-3 node."""
+    m = deep_market(np.random.default_rng(3), 2, depth=5)
+    t = m.tree
+    v = int(t.level_offsets[3]) + 5
+    lift = m.prices[v] - m.prices[t.children[v]] + np.arange(1.0, t.children[v].size + 1)[:, None]
+    shift_subtrees(m, v, lift)
+    return m
+
+
+@pytest.mark.parametrize("make", [lambda: viatree.load_fixture("arbitrage"), lifted_deep_market])
+def test_arbitrage_node_takes_the_lp(make, lp_stacks):
+    cert = check_na(make())
+    assert cert.verdict == "ARBITRAGE"
+    assert lp_stacks == [1]
+
+
 # ---------------------------------------------- one sweep per public call
 
 

@@ -12,7 +12,7 @@ import pytest
 from scipy.optimize import linprog
 from simplex_oracle import solve_lp
 
-from viatree.arbitrage import _max_slack_lps, _node_lps
+from viatree.arbitrage import EPS_POSITIVE_TOL, _max_slack_lps, _node_lps
 from viatree.simplex import solve_lps
 
 DUAL_TOL = 1e-9  # dual rows, relative to max |A| |y|
@@ -191,22 +191,37 @@ class TestStacked:
                 for v in m.tree.internal:
                     inc = mu.prices[m.tree.children[v]] - mu.prices[v]
                     stacks.setdefault(inc.shape, []).append(inc)
-        n_lps = n_failed = 0
+        n_lps = n_failed = n_closed = 0
         for incs in stacks.values():
             incs = np.array(incs)
-            A, b, c, _ = _max_slack_lps(incs)
+            k = incs.shape[1]
+            A, b, c, Vh = _max_slack_lps(incs)
             stack = solve_lps(A, b, c)
             self.assert_same(stack, A, b, c)
             assert_dual_rows(stack, A, b, c)
             n_lps += len(A)
+            # _node_lps against the full stack: the nodes it gives the LP
+            # keep that stack's eps*, q and H bit for bit, and the nodes it
+            # decides in closed form agree with it to rounding
+            e = stack.x[:, k] - stack.x[:, k + 1]
+            lp_eps = np.where(np.isnan(e), -np.inf, e)
+            lp_q = np.where((e > EPS_POSITIVE_TOL)[:, None], stack.x[:, :k] + e[:, None], np.nan)
+            lp_h = -(stack.y[:, None, : Vh.shape[1]] @ Vh)[:, 0]
+            bp = np.full(incs.shape[:2], 1.0 / k)
+            eps, q, rows, H = _node_lps(incs, bp)
+            lp = rows.any(axis=(1, 2))
+            assert eps[lp].tobytes() == lp_eps[lp].tobytes()
+            assert q[lp].tobytes() == lp_q[lp].tobytes()
+            assert H[lp].tobytes() == lp_h[lp].tobytes()
+            assert np.abs(eps[~lp] - lp_eps[~lp]).max(initial=0.0) <= 1e-12
+            assert np.abs(q[~lp] - lp_q[~lp]).max(initial=0.0) <= 1e-12
+            n_closed += int(np.sum(~lp))
             # the separating vector of each failing node, from its dual row
-            bp = np.full(incs.shape[:2], 1.0 / incs.shape[1])
-            _, q, _, H = _node_lps(incs, bp)
             for inc, h in zip(incs[np.isnan(q[:, 0])], H[np.isnan(q[:, 0])]):
                 gains = inc @ h
                 assert gains.min() >= -1e-12 * np.abs(inc).max() and gains.max() > 0.0
                 n_failed += 1
-        assert n_lps >= 5000 and n_failed >= 3000
+        assert n_lps >= 5000 and n_failed >= 3000 and n_closed >= 1000
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_lps(self, seed):
