@@ -299,8 +299,9 @@ def estimate_log_value(b: McBatch) -> dict:
 
 
 def _probe_row(label: str, ratio: np.ndarray, n_rejected: int) -> dict:
-    if not ratio.size:  # every path rejected: no estimate, nothing to fail
-        return {"label": label, "mean": None, "std_error": None, "n_used": 0,
+    if ratio.size < 2:  # no standard error: no margin, nothing to fail
+        return {"label": label, "mean": float(ratio[0]) if ratio.size else None,
+                "std_error": None, "n_used": int(ratio.size),
                 "n_rejected": n_rejected, "margin": None, "pass": True}
     est = Estimate.of(ratio, f"E[X_T/S_1] ({label})")
     return {
@@ -328,9 +329,10 @@ def numeraire_probe(
     Paths where the wealth dips below 0 (checked against within-interval
     path extremes, since X is linear in S inside an interval) are not
     covered by the deflator inequality and are rejected and counted.  Each
-    strategy must satisfy mean(X_T / S_1) <= 1 + 3 SE; one that leaves no
-    path has nothing to test, so its row has ``n_used`` 0, None for mean,
-    standard error and margin, and passes.
+    strategy must satisfy mean(X_T / S_1) <= 1 + 3 SE; one that leaves
+    fewer than two paths has no standard error and nothing to test, so its
+    row has None for standard error and margin (and for the mean when no
+    path is left), and passes.
 
     Two reference rows are always included: theta = 0 (ratio 1/S_1) and
     the self-ratio of holding one share throughout, whose wealth is S
@@ -367,8 +369,9 @@ def numeraire_probe(
     rows.append(_probe_row("one-share", s1 / s1, 0))
     rows += [sampled_row(f"sampled-{i}", theta) for i, theta in enumerate(thetas)]
 
-    # the zero strategy never rejects a path, so some row has a margin
-    worst = max((r for r in rows if r["n_used"]), key=lambda r: r["margin"])
+    # the zero strategy never rejects a path, so two paths give a margin
+    worst = max((r for r in rows if r["margin"] is not None), key=lambda r: r["margin"],
+                default={"label": None, "margin": None})
     return {
         "rows": rows,
         "n_strategies": n_strats,

@@ -2,8 +2,8 @@
 
 Subcommands: check, numeraire, optimize, measure, entropy, simulate,
 equivalence-suite.  Each takes --out, --format and only the flags it reads,
-which its report's config block echoes; --seed goes on the three that draw
-random numbers (numeraire, simulate, equivalence-suite).  No flag moves a
+which its report's config block echoes; --seed goes on the two that draw
+random numbers (simulate, equivalence-suite).  No flag moves a
 pass/fail gate: each tolerance is a library constant.
 
 Exit status contract:
@@ -154,8 +154,8 @@ def _cmd_numeraire(args) -> tuple[int, dict]:
             "status": res.status,
             "certificate": _cert_payload(res.certificate),
         }
-    verify = verify_numeraire(m, res.wealth, n_strategies=args.strategies, seed=args.seed)
-    defl = deflator_probe(m, res.wealth, seed=args.seed)
+    verify = verify_numeraire(m, res.wealth)
+    defl = deflator_probe(m, res.wealth)
     ok = verify["passed"] and defl["passed"]
     payload = {
         "market": m.label,
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"viatree {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    # parent parsers: every command reports; three draw random numbers
+    # parent parsers: every command reports; two draw random numbers
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="FILE", default=None,
                         help="write the report to FILE (atomic); default stdout")
@@ -383,12 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--market", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("numeraire", parents=[common, seeded],
-                       help="numeraire portfolio and supermartingale verification")
+    p = sub.add_parser("numeraire", parents=[common],
+                       help="numeraire portfolio and exact supermartingale verification")
     p.add_argument("--market", required=True, metavar="FILE")
     p.add_argument("--x0", type=_positive, default=1.0, metavar="R")
-    p.add_argument("--strategies", type=_at_least(1), default=100, metavar="N",
-                   help="sampled strategies for verification (default 100)")
     p.set_defaults(func=_cmd_numeraire)
 
     p = sub.add_parser("optimize", parents=[common],

@@ -22,7 +22,6 @@ from .trees import EventTree
 MARTINGALE_FLAG_TOL = 1e-12
 MARTINGALE_REL_TOL = 1e-9  # require_martingale's gate, times max(1, max z)
 PRICE_REL_TOL = 1e-9  # price martingale residual gate, times max(1, max|S|)
-BLOCK_ENTRIES = 1 << 14  # node-asset entries per strategy block; bounds memory
 
 
 @dataclass
@@ -212,11 +211,6 @@ class WealthKernel:
                 f"simple returns undefined at node {nodes[np.argmax(zero)]}: a price component is 0"
             )
         return self.dS / prices[self.tree.edge_parent]
-
-    def blocks(self, n: int) -> list[slice]:
-        """Ranges of n strategies, each about BLOCK_ENTRIES node-asset entries."""
-        step = max(1, BLOCK_ENTRIES // self.market.prices.size)
-        return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
     def edge_dot(self, per_node: np.ndarray, incr: np.ndarray) -> np.ndarray:
         """(S, n_edges) array of incr[e] . per_node[s, edge_parent[e]]."""

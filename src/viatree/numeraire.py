@@ -9,9 +9,12 @@ wealth of any admissible strategy divided by the candidate's wealth is a
 supermartingale (with equality one step at a time when the condition
 holds exactly, so complete binary nodes exhibit true martingale ratios).
 
-The optional-stopping form of that statement needs no separate machinery
-on a finite tree: the one-step inequalities glue along any stopping-time
-cut, which is what ``verify_numeraire`` samples.
+``verify_numeraire`` and ``deflator_probe`` decide that property for any
+candidate exactly, node by node: its one-step excess over every feasible
+fraction is one small LP (``_node_excess``), bounded in closed form by the
+kept no-arbitrage weights where they settle it.  On a finite tree the
+optional-stopping form needs nothing more: the one-step inequalities glue
+along any stopping-time cut.
 """
 
 from __future__ import annotations
@@ -28,17 +31,13 @@ from .markets import (
     WealthProcess,
     _step_weights,
     wealth_from_fractions,
-    wealth_from_units,
 )
 from .newton import FOC_TOL, NEWTON_MAX_ITER, damped_newton, least_norm_fit, least_norm_step, raise_stalled
-from .trees import EventTree, StoppingTime
+from .simplex import solve_lps
+from .trees import EventTree
 
 RATIO_TOL = 1e-8
 DEFLATOR_TOL = 1e-10
-SAMPLE_BOX = 2.0  # sampled fractions start uniform on [-SAMPLE_BOX, SAMPLE_BOX]
-SAMPLE_MARGIN = 1e-6  # least wealth factor of a sampled fraction
-STOP_PROB = 0.35  # chance that a random cut stops a non-root branch
-N_CUTS = 3  # random stopping-time cuts of verify_numeraire
 
 
 def fraction_problems(R, a, gamma: float = 1.0, q=None):
@@ -171,129 +170,96 @@ def numeraire_portfolio(m: MarketModel, x0: float = 1.0) -> NumeraireSolution:
     )
 
 
-def _feasible_fractions(k: WealthKernel, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n strategies' uniform draws in one block, then each offending
-    (strategy, node) row halved until its wealth factors clear the margin.
-    Halving is exact, so it is counted on the row's smallest factor."""
-    fr = np.zeros((n,) + k.market.prices.shape)
-    fr[:, k.tree.internal] = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, (n, k.tree.internal.size, k.market.d))
-    low = np.minimum.reduceat(k.edge_dot(fr, k.returns), k.tree.starts, axis=1)
-    scale = np.ones_like(low)
-    while np.any(bad := 1.0 + low * scale < SAMPLE_MARGIN):
-        scale[bad] *= 0.5
-    fr[:, k.tree.internal] *= scale[:, :, None]
-    return fr
+def _node_excess(m: MarketModel, candidate: WealthProcess, tol: float):
+    """Exact one-step excess of a candidate numeraire N at every internal node.
+
+    With q_j = p_j N(v) / N(child_j), the excess
+    e_v = sup over feasible pi of sum_j q_j (1 + pi . R_j) - 1 is, by LP
+    duality, e_v = min{sum_j u_j : sum_j u_j X_j = 0, u_j >= q_j} - 1.
+    The kept ``check_na`` certificate's weights q* give u = t q* with
+    t = max_j q_j / q*_j, so max_j q_j / q*_j - 1 bounds e_v from above,
+    exactly where q* are the node's only martingale weights; a node whose
+    bound is <= ``tol`` keeps it.  Every other node solves the LP in
+    y = u - q >= 0: A = X^T, b = -X^T q, cost 1, with X the increments
+    divided by their max |dS|, in one ``solve_lps`` stack per branch
+    count.  An infeasible LP (no martingale weights) gives +inf, as does
+    an ARBITRAGE certificate's failing node.  Returns e (internal,), q and
+    q* (None on ARBITRAGE), both per edge.
+    """
+    t, n = m.tree, candidate.values
+    if np.any(n <= 0.0):
+        raise ValueError("candidate numeraire wealth must be strictly positive")
+    cert = check_na(m)
+    q = t.branch_prob[t.edges] * n[t.edge_parent] / n[t.edges]
+    e = np.full(t.internal.size, np.inf)
+    lp = np.ones(t.internal.size, dtype=bool)
+    q_star = None
+    if cert.verdict == "NA":
+        q_star = _step_weights(m, cert.density)
+        bound = np.maximum.reduceat(q / q_star, t.starts) - 1.0
+        lp = bound > tol
+        e[~lp] = bound[~lp]
+    else:
+        lp[np.searchsorted(t.internal, cert.fail_node)] = False
+    if lp.any():
+        dS = WealthKernel(m).dS
+        for size in np.unique(t.sizes[lp]):
+            at = np.flatnonzero(lp & (t.sizes == size))
+            edges = t.starts[at, None] + np.arange(size)
+            top = np.abs(dS[edges]).max(axis=(1, 2), keepdims=True)
+            A = (dS[edges] / np.where(top > 0.0, top, 1.0)).transpose(0, 2, 1)
+            res = solve_lps(A, -(A @ q[edges][:, :, None])[:, :, 0], np.ones(size))
+            value = q[edges].sum(axis=1) - 1.0 + res.x.sum(axis=1)  # NaN where not optimal
+            e[at] = np.where(res.status == "optimal", value, np.inf)
+    return e, q, q_star
 
 
-def sample_feasible_fractions(m: MarketModel, rng: np.random.Generator) -> FractionStrategy:
-    """Uniform box draw per node, halved until all wealth factors clear
-    the positivity margin.  Draws d uniforms per internal node in
-    breadth-first order, as each strategy of ``verify_numeraire`` does."""
-    fr = _feasible_fractions(WealthKernel(m), rng, 1)
-    return FractionStrategy(fractions=fr[0])
-
-
-def random_stopping_time(tree: EventTree, rng: np.random.Generator) -> StoppingTime:
-    """A random cut: walk from the root, stopping each branch independently."""
-    cut = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        kids = tree.children[v]
-        if kids.size == 0 or (v != 0 and rng.random() < STOP_PROB):
-            cut.append(v)
-        else:
-            stack.extend(int(c) for c in kids)
-    return StoppingTime.of(tree, cut)
+def _compounded(t: EventTree, e: np.ndarray) -> float:
+    """max over leaves of the product of (1 + e_v^+) along the path, - 1."""
+    steps = np.repeat(1.0 + np.maximum(e, 0.0), t.sizes)
+    return float(t.roll(steps[None], 1.0, multiplicative=True)[0, t.leaves].max()) - 1.0
 
 
 def verify_numeraire(
     m: MarketModel,
     candidate: WealthProcess,
-    strategies=None,
     n_strategies: int = 100,
     seed: int = 0,
     tol: float = RATIO_TOL,
 ) -> dict:
     """Check the defining supermartingale property of a candidate numeraire.
 
-    For each test strategy W and every internal node v the one-step ratio
-    expectation E[W(child)/N(child) | v] must not exceed W(v)/N(v) + tol.
-    Three random stopping-time cuts check the optional-stopping form, and
-    binary nodes are additionally held to the martingale equality.
+    X/N is a supermartingale for every admissible X exactly when no node
+    has a positive one-step excess e_v (``_node_excess``).
+    ``worst_cut_excess`` bounds E[X_tau / N_tau] / (X_0 / N_0) - 1 over
+    every admissible X and stopping time tau, by compounding the node
+    excesses along each path: on a finite tree optional stopping glues the
+    one-step inequalities, so no cut is drawn.  The check passes when
+    max e_v and that bound are both <= tol.
+    Binary nodes are additionally held to the martingale equality:
+    ``binary_martingale_gap`` is max |q_j / q*_j - 1| over their edges
+    (None on an arbitrage market, which has no weights q*).
 
-    Sampled strategies draw from ``seed`` in the order strategy, internal
-    node (breadth-first), asset, and the cuts draw after them.  Sampled
-    strategies are evaluated in blocks of about ``BLOCK_ENTRIES``
-    node-asset entries; given ones in one block.
+    ``n_strategies`` and ``seed`` are accepted and ignored: the check
+    samples nothing.  They stay for callers written against the sampled
+    check.
     """
     t = m.tree
-    if np.any(candidate.values <= 0.0):
-        raise ValueError("candidate numeraire wealth must be strictly positive")
-    k = WealthKernel(m)
-    rng = np.random.default_rng(seed)
-    if strategies is None:
-        if n_strategies < 1:
-            raise ValueError(f"n_strategies must be at least 1, got {n_strategies!r}")
-        # the cuts draw after the strategies: skip past the strategy draws,
-        # draw the cuts, then rewind and redraw one block at a time
-        start = rng.bit_generator.state
-        for b in k.blocks(n_strategies):
-            rng.uniform(size=(b.stop - b.start, t.internal.size, m.d))
-        cuts = [random_stopping_time(t, rng) for _ in range(N_CUTS)]
-        rng.bit_generator.state = start
-        wealths = (candidate.x0 * k.growth(_feasible_fractions(k, rng, b.stop - b.start))
-                   for b in k.blocks(n_strategies))
-    else:
-        strategies = list(strategies)
-        if not strategies:
-            raise ValueError("strategies must not be empty")
-        n_strategies = len(strategies)
-        wealths = [np.stack([
-            (wealth_from_fractions if isinstance(s, FractionStrategy) else wealth_from_units)(
-                m, s, candidate.x0).values for s in strategies
-        ])]
-        cuts = [random_stopping_time(t, rng) for _ in range(N_CUTS)]
-    p = t.unconditional_probs()
-    cut_nodes = [np.asarray(cut.nodes) for cut in cuts]
-    bp = t.branch_prob[t.edges]
-    ratio_excess = cut_excess = -np.inf  # <= tol required
-    binary_gap = 0.0
-    for w in wealths:
-        ratio = w / candidate.values
-        gap = np.add.reduceat(bp * ratio[:, t.edges], t.starts, axis=1) - ratio[:, t.internal]
-        ratio_excess = max(ratio_excess, gap.max(initial=-np.inf))
-        binary_gap = max(binary_gap, np.abs(gap[:, t.sizes == 2]).max(initial=0.0))
-        for c in cut_nodes:  # sequential sums, not BLAS: blocks cannot change a bit
-            ev = np.cumsum(p[c] * ratio[:, c], axis=1)[:, -1]
-            cut_excess = max(cut_excess, float(np.max(ev - ratio[:, 0])))
-    passed = ratio_excess <= tol and cut_excess <= tol
+    e, q, q_star = _node_excess(m, candidate, tol)
+    cut = _compounded(t, e)
+    gap = None
+    if q_star is not None:
+        binary = np.repeat(t.sizes == 2, t.sizes)
+        gap = float(np.abs(q[binary] / q_star[binary] - 1.0).max(initial=0.0))
+    excess = float(e.max(initial=-np.inf))
     return {
-        "passed": bool(passed),
-        "worst_ratio_excess": float(ratio_excess),
-        "binary_martingale_gap": float(binary_gap),
-        "worst_cut_excess": float(cut_excess),
-        "cuts": [{"cut": list(cut.nodes)} for cut in cuts],
-        "n_strategies": n_strategies,
+        "passed": bool(excess <= tol and cut <= tol),
+        "worst_ratio_excess": excess,
+        "worst_node": int(t.internal[np.argmax(e)]) if e.size else None,
+        "binary_martingale_gap": gap,
+        "worst_cut_excess": cut,
         "tol": tol,
     }
-
-
-def admissible_unit_strategies(m: MarketModel, rng: np.random.Generator, n: int, x0: float):
-    """n random admissible unit strategies, one block of about
-    ``BLOCK_ENTRIES`` node-asset entries at a time, as (holdings, terminal
-    wealths, scaled flags).  Holdings are standard normal, drawn in the order
-    strategy, internal node (breadth-first), asset; a strategy dipping below
-    0 from zero capital is scaled so its wealth from ``x0`` stays >= 0."""
-    t = m.tree
-    k = WealthKernel(m)
-    for b in k.blocks(n):
-        h = np.zeros((b.stop - b.start, t.n_nodes, m.d))
-        h[:, t.internal] = rng.standard_normal((len(h), t.internal.size, m.d))
-        low = k.units(h, 0.0).min(axis=1)
-        scaled = low < 0.0
-        h[scaled] *= (x0 / -low[scaled])[:, None, None]
-        yield h, k.units(h, x0)[:, t.leaves], scaled
 
 
 def deflator_probe(
@@ -302,33 +268,24 @@ def deflator_probe(
     n: int = 200,
     seed: int = 0,
 ) -> dict:
-    """Probe the deflator x0 / N against sampled admissible wealths.
+    """Bound E[W_T x0 / N_T] - x0 over every admissible wealth W from x0.
 
-    Samples unit strategies, scales each so its wealth from x0 stays
-    nonnegative, and checks E[W_T * x0 / N_T] <= x0 + ``RATIO_TOL``.  Also
-    reports E[x0 / N_T] itself, which cannot exceed 1 + 1e-10.  Holdings
-    draw from ``seed`` in the order strategy, internal node, asset, and are
-    evaluated in blocks (``admissible_unit_strategies``).
+    Compounding the node excesses of ``_node_excess`` along each path
+    bounds it by x0 (x0 / N_0 G - 1), G the largest product of
+    (1 + e_v^+) over a root-to-leaf path; the probe passes when that bound
+    is <= ``RATIO_TOL`` and E[x0 / N_T] itself is <= 1 + ``DEFLATOR_TOL``.
+
+    ``n`` and ``seed`` are accepted and ignored: the bound samples
+    nothing.  They stay for callers written against the sampled probe.
     """
     t = m.tree
-    if np.any(candidate.values <= 0.0):
-        raise ValueError("candidate numeraire wealth must be strictly positive")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n!r}")
+    e, _, _ = _node_excess(m, candidate, RATIO_TOL)
     x0 = candidate.x0
-    rng = np.random.default_rng(seed)
-    p_leaf = t.unconditional_probs()[t.leaves]
-    defl_T = x0 / candidate.terminal(t)
-    base = float(p_leaf @ defl_T)
-    worst = -np.inf
-    for _, w_T, _ in admissible_unit_strategies(m, rng, n, x0):
-        ev = np.cumsum(p_leaf * (w_T * defl_T), axis=1)[:, -1]  # sequential, not BLAS
-        worst = max(worst, float(np.max(ev - x0)))
-    passed = worst <= RATIO_TOL and base <= 1.0 + DEFLATOR_TOL
+    base = float(t.unconditional_probs()[t.leaves] @ (x0 / candidate.terminal(t)))
+    worst = x0 * (x0 / candidate.values[0] * (1.0 + _compounded(t, e)) - 1.0)
     return {
-        "passed": bool(passed),
+        "passed": bool(worst <= RATIO_TOL and base <= 1.0 + DEFLATOR_TOL),
         "deflator_expectation": base,
         "worst_excess": float(worst),
-        "n": n,
         "tol": RATIO_TOL,
     }

@@ -188,8 +188,9 @@ def numeraire_probe(
         ok = excursion.min(axis=1) >= 0.0
         n_rejected = int(np.sum(~ok))
         ratio = x_nodes[ok, -1] / s1[ok]
-        if not ratio.size:
-            rows.append({"label": label, "mean": None, "std_error": None, "n_used": 0,
+        if ratio.size < 2:  # no standard error
+            rows.append({"label": label, "mean": float(ratio[0]) if ratio.size else None,
+                         "std_error": None, "n_used": int(ratio.size),
                          "n_rejected": n_rejected, "margin": None, "pass": True})
             return
         est = Estimate.of(ratio, f"E[X_T/S_1] ({label})")
@@ -211,21 +212,23 @@ def numeraire_probe(
     # deflated ratio is S_1/S_1 = 1 without accumulating rounding
     self_ratio = s1 / s1
     est = Estimate.of(self_ratio, "E[X_T/S_1] (one-share)")
+    one_path = est.n < 2
     rows.append(
         {
             "label": "one-share",
             "mean": est.mean,
-            "std_error": est.std_error,
+            "std_error": None if one_path else est.std_error,
             "n_used": est.n,
             "n_rejected": 0,
-            "margin": est.mean - 1.0,
-            "pass": bool(est.mean <= 1.0 + 3.0 * est.std_error),
+            "margin": None if one_path else est.mean - 1.0,
+            "pass": True if one_path else bool(est.mean <= 1.0 + 3.0 * est.std_error),
         }
     )
     for i in range(n_strats):
         add_row(f"sampled-{i}", thetas[i])
 
-    worst = max((r for r in rows if r["n_used"]), key=lambda r: r["margin"])
+    scored = [r for r in rows if r["margin"] is not None]
+    worst = max(scored, key=lambda r: r["margin"]) if scored else {"label": None, "margin": None}
     return {
         "rows": rows,
         "n_strategies": n_strats,

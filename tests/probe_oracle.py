@@ -1,15 +1,24 @@
-"""Test-only oracle: the numeraire probes written as plain loops.
+"""Test-only oracle: the sampled numeraire probes the exact check replaced.
 
-One strategy at a time and one internal node at a time, with wealth rolled
-by matrix-vector products.  The loops draw from the generator in the same
-order as the batched probes (strategy, internal node in breadth-first
-order, asset), so the batched code must reproduce their strategies and
-verdicts.
+``verify_numeraire`` and ``deflator_probe`` here test a candidate numeraire
+against sampled strategies and random stopping-time cuts, one strategy at
+a time and one internal node at a time, with wealth rolled by
+matrix-vector products.  Every sampled excess is a lower bound of the
+library's exact one, so the tests hold the exact check to them from
+outside.  ``feasible_fractions`` and ``admissible_units`` draw the same
+strategies as the loops (strategy, internal node in breadth-first order,
+asset) in one array pass, for tests that sample many.
 """
 
 import numpy as np
 
-from viatree.numeraire import DEFLATOR_TOL, RATIO_TOL, random_stopping_time
+from viatree.markets import WealthKernel
+from viatree.numeraire import DEFLATOR_TOL, RATIO_TOL
+from viatree.trees import StoppingTime
+
+SAMPLE_BOX = 2.0  # sampled fractions start uniform on [-SAMPLE_BOX, SAMPLE_BOX]
+SAMPLE_MARGIN = 1e-6  # least wealth factor of a sampled fraction
+STOP_PROB = 0.35  # chance that a random cut stops a non-root branch
 
 
 def unconditional_probs(tree):
@@ -46,7 +55,21 @@ def wealth_from_fractions(m, f, x0):
     return x0 * growth
 
 
-def sample_feasible_fractions(m, rng, box=2.0, margin=1e-6):
+def random_stopping_time(tree, rng):
+    """A random cut: walk from the root, stopping each branch independently."""
+    cut = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        kids = tree.children[v]
+        if kids.size == 0 or (v != 0 and rng.random() < STOP_PROB):
+            cut.append(v)
+        else:
+            stack.extend(int(c) for c in kids)
+    return StoppingTime.of(tree, cut)
+
+
+def sample_feasible_fractions(m, rng, box=SAMPLE_BOX, margin=SAMPLE_MARGIN):
     t = m.tree
     fr = np.zeros_like(m.prices)
     for v in t.internal:
@@ -70,6 +93,34 @@ def admissible_unit_strategies(m, rng, n, x0):
             h *= x0 / (-low)
         out.append((h, wealth_from_units(m, h, x0)[t.leaves], low < 0.0))
     return out
+
+
+def feasible_fractions(m, rng, n):
+    """n strategies of ``sample_feasible_fractions`` as one (n, n_nodes, d)
+    array: the uniform draws in one block, then each offending (strategy,
+    node) row halved until its wealth factors clear the margin.  Halving is
+    exact, so it is counted on the row's smallest factor."""
+    k, t = WealthKernel(m), m.tree
+    fr = np.zeros((n,) + m.prices.shape)
+    fr[:, t.internal] = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, (n, t.internal.size, m.d))
+    low = np.minimum.reduceat(k.edge_dot(fr, k.returns), t.starts, axis=1)
+    scale = np.ones_like(low)
+    while np.any(bad := 1.0 + low * scale < SAMPLE_MARGIN):
+        scale[bad] *= 0.5
+    fr[:, t.internal] *= scale[:, :, None]
+    return fr
+
+
+def admissible_units(m, rng, n, x0):
+    """``admissible_unit_strategies`` as arrays: (holdings (n, n_nodes, d),
+    terminal wealths (n, n_leaves), scaled flags (n,))."""
+    k, t = WealthKernel(m), m.tree
+    h = np.zeros((n,) + m.prices.shape)
+    h[:, t.internal] = rng.standard_normal((n, t.internal.size, m.d))
+    low = k.units(h, 0.0).min(axis=1)
+    scaled = low < 0.0
+    h[scaled] *= (x0 / -low[scaled])[:, None, None]
+    return h, k.units(h, x0)[:, t.leaves], scaled
 
 
 def verify_numeraire(m, candidate, strategies=None, n_strategies=100, seed=0,

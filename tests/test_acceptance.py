@@ -119,7 +119,7 @@ def test_criterion_3_numeraire_supermartingale():
             worst_binary_gap = max(worst_binary_gap, rep["binary_martingale_gap"])
     ok = worst_excess <= 1e-7 and worst_binary_gap <= 1e-9
     _line(3, "numeraire supermartingale", ok,
-          f"50 markets x 1000 strategies, worst ratio excess "
+          f"50 markets, exact per-node check, worst ratio excess "
           f"{worst_excess:.1e} <= 1e-7, worst binary martingale gap "
           f"{worst_binary_gap:.1e} <= 1e-9")
 

@@ -336,12 +336,32 @@ class TestProbe:
         for r in empty:
             assert r["n_rejected"] == 2 and r["pass"]
             assert r["mean"] is r["std_error"] is r["margin"] is None
-        used = [r for r in rep["rows"] if r["n_used"]]
+        used = [r for r in rep["rows"] if r["n_used"] >= 2]  # one path has no margin
         worst = max(used, key=lambda r: r["margin"])
         assert (rep["worst_label"], rep["worst_margin"]) == (worst["label"], worst["margin"])
         assert rep["all_pass"] is all(r["pass"] for r in used)
         assert probe["worst_label"] == rep["worst_label"]
         assert probe["total_rejected"] == rep["total_rejected"]
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", range(8))
+    def test_row_with_one_usable_path(self, seed):
+        # two paths: a sampled strategy that rejects one of them leaves a
+        # single ratio, which has no standard error and so nothing to fail
+        b = simulate_bes3(2, 100, seed=seed)
+        rep = numeraire_probe(b, seed=seed + 1)
+        single = [r for r in rep["rows"] if r["n_used"] == 1]
+        assert single
+        for r in single:
+            assert r["std_error"] is r["margin"] is None and r["pass"]
+            assert r["n_rejected"] == 1 and r["mean"] > 0.0
+        scored = [r for r in rep["rows"] if r["n_used"] >= 2]
+        assert all(r["std_error"] is not None for r in scored)
+        assert rep["all_pass"] is all(r["pass"] for r in scored)
+        worst = max(scored, key=lambda r: r["margin"])
+        assert (rep["worst_label"], rep["worst_margin"]) == (worst["label"], worst["margin"])
+        assert repr(rep) == repr(oracle.numeraire_probe(oracle.simulate_bes3(2, 100, seed=seed), seed=seed + 1))
 
 
 class TestStopped:

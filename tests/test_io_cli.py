@@ -290,10 +290,12 @@ class TestCliExitCodes:
         ["optimize", "--market", "{market}", "--seed", "3"],
         ["measure", "--market", "{market}", "--epsilon", "0.1", "--seed", "1"],
         ["simulate", "--tol-eq", "1"],
+        ["numeraire", "--market", "{market}", "--seed", "3"],
+        ["numeraire", "--market", "{market}", "--strategies", "50"],
     ])
     def test_flags_a_command_does_not_read_exit_two(self, argv, tmp_path, capsys):
-        # no flag moves a gate, and only numeraire, simulate and
-        # equivalence-suite draw random numbers
+        # no flag moves a gate, and only simulate and equivalence-suite draw
+        # random numbers: the numeraire check is exact and samples nothing
         path = self.fixture_path("binomial", tmp_path)
         with pytest.raises(SystemExit) as exc:
             main([a.format(market=path) for a in argv])
@@ -308,13 +310,17 @@ class TestCliCommands:
         return str(p)
 
     def test_numeraire_payload(self, tmp_path, capsys):
-        rc = main(["numeraire", "--market", self.fixture_path("binomial", tmp_path),
-                   "--strategies", "50"])
+        rc = main(["numeraire", "--market", self.fixture_path("binomial", tmp_path)])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         pay = out["payload"]
         assert pay["verification"]["passed"] is True
         assert pay["verification"]["tol"] == RATIO_TOL
+        assert set(pay["verification"]) == {
+            "passed", "worst_ratio_excess", "worst_node", "binary_martingale_gap",
+            "worst_cut_excess", "tol"}
+        assert pay["verification"]["worst_node"] == 0
+        assert set(pay["deflator"]) == {"passed", "deflator_expectation", "worst_excess", "tol"}
         assert pay["deflator"]["passed"] is True
         assert abs(pay["fractions"][0][0] - 0.5) < 1e-8
 
@@ -476,10 +482,10 @@ class TestSharedParser:
         assert out["config"]["utility"] == "crra(2.0)"
         _, out = self.report(["optimize", "--market", market], capsys)
         assert out["config"]["utility"] == "log"
-        _, out = self.report(["numeraire", "--market", market, "--strategies", "7"], capsys)
-        assert out["config"]["strategies"] == 7
+        _, out = self.report(["numeraire", "--market", market, "--x0", "7"], capsys)
+        assert out["config"]["x0"] == 7.0
         _, out = self.report(["numeraire", "--market", market], capsys)
-        assert out["config"]["strategies"] == 100
+        assert out["config"]["x0"] == 1.0
 
     def test_usage_error_leaves_next_call_normal(self, market, capsys):
         code, before = self.report(["check", "--market", market], capsys)
@@ -492,8 +498,7 @@ class TestSharedParser:
 
     @pytest.mark.parametrize("argv, flags", [
         (["check", "--market", "{market}"], {"market"}),
-        (["numeraire", "--market", "{market}", "--strategies", "5"],
-         {"market", "x0", "strategies", "seed"}),
+        (["numeraire", "--market", "{market}", "--x0", "5"], {"market", "x0"}),
         (["optimize", "--market", "{market}"], {"market", "utility", "x0", "measure"}),
         (["measure", "--market", "{market}", "--epsilon", "0.2"], {"market", "epsilon", "x0"}),
         (["entropy", "--market", "{market}"],
@@ -509,7 +514,7 @@ class TestSharedParser:
 
     @pytest.mark.parametrize("argv", [
         ["check", "--market", "{market}"],
-        ["numeraire", "--market", "{market}", "--strategies", "20"],
+        ["numeraire", "--market", "{market}", "--x0", "2"],
         ["optimize", "--market", "{market}", "--utility", "crra:3", "--measure", "emm"],
         ["measure", "--market", "{market}", "--epsilon", "0.2"],
         ["entropy", "--market", "{market}", "--exp-utility"],
