@@ -11,42 +11,54 @@ standard errors, probe the deflator property E[X_T / S_1] <= 1 for
 sampled piecewise-constant strategies, and localize log S at barrier
 exits to show the stopped values climbing to the global one.
 
-Simulation is exact in law at the grid points: the norm construction
-S = sqrt((1 + W1)^2 + W2^2 + W3^2) has no Euler bias and is positive by
-algebra.  Paths draw from counter-based generators keyed by
-(seed, path index) as a 64-bit pair, so any worker split reproduces the
-same batch.
+Simulation is exact in law at the grid points.  Given S_k = r, the
+next value |r e1 + sqrt(dt) W| of the 3-dimensional Brownian motion has
+the law of hypot(r + sqrt(dt) G, sqrt(2 dt E)) with G ~ N(0, 1) and
+E ~ Exp(1): the squared step is noncentral chi-square with three degrees
+of freedom, the exact transition of the squared Bessel(3) process.  So
+each step draws one normal and one exponential,
 
-The study streams.  ``simulate_bes3`` splits the paths into chunks and
-fills each chunk in a reused buffer, then reduces it, while it is in
-cache, to the per-path statistics the estimators read: the terminal
-value, the trapezoid integral of S^-2, the coarse-node values with the
-lows and highs of each coarse interval, the checkpoint values, and per
-stop level the first-exit value and a stopped flag.  A batch holds these
-statistics, not paths, stored interval-major as (k, n_paths) arrays, so
-memory is O(n_paths x statistics + chunk).
+    S_{k+1}^2 = (S_k + sqrt(dt) G_k)^2 + 2 dt E_k,
+
+which has no Euler bias and is positive by algebra.
+
+The study streams.  ``simulate_bes3`` runs the recursion time-major over
+chunks of ``WIDTH`` paths, chunk c drawing from one Philox stream keyed
+by the 64-bit pair (seed, c).  Every chunk draws all ``WIDTH`` columns,
+also the last one when it holds fewer paths, so path j depends only on
+(seed, j) and n_steps, whatever n_paths is.  Each coarse interval is
+streamed in blocks of at most ``BLOCK`` steps, which also end at every
+checkpoint: a block draws its normals, then its exponentials, steps its
+rows with four ufunc calls each, and is reduced while it is in cache to
+the per-path statistics the estimators read: the terminal value, the
+trapezoid integral of S^-2, the coarse-node values with the lows and
+highs of each coarse interval, the checkpoint values, and per stop level
+the first-exit value and a stopped flag.  The integral is
+dt * (f_0 / 2 + f_1 + ... + f_{n-1} + f_n / 2) with f_k = 1 / S_k^2 taken
+from the recursion's S_k^2, added left to right in time.  A batch holds
+these statistics, not paths, stored interval-major as (k, n_paths)
+arrays, so memory is O(n_paths x statistics + workers x WIDTH x BLOCK)
+for any n_steps.
 
 The chunks run on one pool of worker threads, one per CPU and never more
-than there are chunks, created and joined inside the call.  Each worker
-owns its generator and buffers of PATH_CHUNK // workers paths, so all
-buffers together stay one chunk, and writes its chunks' columns of the
-batch.  numpy releases the interpreter lock in the normal draws, cumsum,
-einsum, sqrt and reductions, which are nearly all of the work.  No
-statistic reads another path, so the batch is bitwise the same for any
-worker count and schedule.
+than there are chunks, created and joined inside the call.  A chunk runs
+in buffers of its own, and its worker copies the chunk's columns into the
+batch.  numpy releases the interpreter lock in the draws, the per-step
+ufuncs and the block reductions.  No statistic reads another path, so
+the batch is bitwise the same for any worker count and schedule.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
-PATH_CHUNK = 128  # paths in all buffers together: 128 x 1000 steps x 3 normals is 3 MB
+WIDTH = 1024  # paths per chunk, drawn in full even when fewer are asked for
+BLOCK = 64  # steps per block: a worker's two draw buffers hold 2 x 64 x 1024 doubles, 1 MB
 MIN_INTEGRAL_STEPS = 100
 N_INTERVALS = 10  # coarse intervals of numeraire_probe's strategies
 N_CHECKPOINTS = 10  # evenly spaced grid times of reciprocal_checkpoints
@@ -110,55 +122,114 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_filler(n_steps: int, seed: int, rows: int):
-    """Return fill(start, c), which simulates paths start .. start + c - 1
-    (c <= rows) and returns them as the rows of a (c, n_steps + 1) view of
-    its own buffer, which the next fill overwrites.
-
-    Path j draws the (n_steps, 3) Gaussian increments of its driving
-    Brownian motion from its own Philox stream keyed by (seed, j).  A
-    filler owns its generator, buffers and temporaries, so fillers on
-    different threads share nothing.
-    """
-    sqdt = math.sqrt(1.0 / n_steps)
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    fresh = bitgen.state  # counter 0; re-keying it restarts a path's stream
-    key = fresh["state"]["key"]
-    w = np.empty((rows, n_steps, 3))
-    s = np.empty((rows, n_steps + 1))
-    s[:, 0] = 1.0
-
-    def fill(start: int, c: int) -> np.ndarray:
-        for i in range(c):
-            key[1] = start + i
-            bitgen.state = fresh
-            gen.standard_normal(out=w[i])
-        wc = w[:c]
-        wc *= sqdt
-        np.cumsum(wc, axis=1, out=wc)
-        wc[:, :, 0] += 1.0
-        np.sqrt(np.einsum("ijk,ijk->ij", wc, wc), out=s[:c, 1:])
-        return s[:c]
-
-    return fill
+def _blocks(edges: np.ndarray, checkpoints: np.ndarray) -> list:
+    """Per coarse interval, its blocks as (first grid index, steps): at
+    most BLOCK steps each, ending at every checkpoint inside the interval.
+    An empty interval (repeated edge) has no block."""
+    cuts = np.union1d(edges, checkpoints).tolist()
+    plan = []
+    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        ends = [c for c in cuts if lo <= c <= hi]
+        plan.append([(a, min(BLOCK, b - a)) for p, b in zip(ends, ends[1:])
+                     for a in range(p, b, BLOCK)])
+    return plan
 
 
-def _pooled_chunks(reduce, n_paths: int, n_steps: int, seed: int, workers: int):
-    """Call reduce(start, s) on each chunk of PATH_CHUNK // workers paths in
-    a pool of ``workers`` threads with one filler each.  The first error
-    shuts the pool, so chunks not yet started never run, and is raised."""
+class _Stats:
+    """Per-path statistics of n paths in one (rows, n) ``table``, with a
+    named view per field: row k of a 2-D field is coarse node, interval,
+    checkpoint or stop level k.  Stopped flags are held as 0.0 / 1.0."""
+
+    def __init__(self, n: int, n_checkpoints: int, n_levels: int):
+        sizes = {"terminal": 1, "integral": 1, "nodes": N_INTERVALS + 1,
+                 "lows": N_INTERVALS, "highs": N_INTERVALS,
+                 "at_checkpoints": n_checkpoints, "stop_values": n_levels,
+                 "stopped": n_levels}
+        self.table = np.empty((sum(sizes.values()), n))
+        first = 0
+        for name, size in sizes.items():
+            setattr(self, name, self.table[first : first + size])
+            first += size
+        self.terminal, self.integral = self.terminal[0], self.integral[0]
+
+
+def _simulate_chunk(chunk: int, seed: int, n_steps: int, plan: list,
+                    checkpoints: np.ndarray, levels: tuple) -> _Stats:
+    """The statistics of the WIDTH paths of ``chunk``."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
+    h, var2 = math.sqrt(1.0 / n_steps), 2.0 / n_steps  # sqrt(dt), 2 dt
+    out = _Stats(WIDTH, checkpoints.size, len(levels))
+    g, y = np.empty((BLOCK, WIDTH)), np.empty((BLOCK, WIDTH))
+    s, f = np.empty((BLOCK + 1, WIDTH)), np.empty((BLOCK + 1, WIDTH))
+    low, high = np.empty(WIDTH), np.empty(WIDTH)
+    at = {int(k): i for i, k in enumerate(checkpoints)}
+    bands = [(1.0 / n, float(n)) for n in levels]
+    done = np.empty((len(levels), WIDTH), dtype=bool)
+    for j, (lo, hi) in enumerate(bands):  # S_0 = 1 leaves only level 1's empty band
+        done[j] = 1.0 <= lo or 1.0 >= hi
+    out.stop_values[:] = 1.0
+    out.stopped[:] = done
+    s[0] = 1.0
+    out.nodes[0] = 1.0
+    out.integral[:] = 0.5  # f_0 / 2
+    for i, blocks in enumerate(plan):
+        out.lows[i] = s[0]
+        out.highs[i] = s[0]
+        for a, m in blocks:
+            gen.standard_normal(out=g[:m])
+            gen.standard_exponential(out=y[:m])
+            g[:m] *= h
+            y[:m] *= var2
+            for k in range(m):
+                # hypot by its definition: np.hypot's overflow guard costs
+                # 2.5 times as much, and S stays far from overflow
+                x = s[k + 1]
+                np.add(s[k], g[k], out=x)
+                np.multiply(x, x, out=x)
+                np.add(x, y[k], out=f[k + 1])  # S_{k+1}^2
+                np.sqrt(f[k + 1], out=x)
+            rows = s[: m + 1]
+            rows.min(axis=0, out=low)
+            rows.max(axis=0, out=high)
+            np.minimum(out.lows[i], low, out=out.lows[i])
+            np.maximum(out.highs[i], high, out=out.highs[i])
+            # the running integral heads the block's rows, so one sum over
+            # time adds f left to right
+            f[0] = out.integral
+            np.divide(1.0, f[1 : m + 1], out=f[1 : m + 1])
+            if a + m == n_steps:
+                f[m] *= 0.5
+            f[: m + 1].sum(axis=0, out=out.integral)
+            for j, (lo, hi) in enumerate(bands):
+                # only live paths whose block range leaves the band can stop
+                cols = np.flatnonzero(~done[j] & ((low <= lo) | (high >= hi)))
+                if cols.size:
+                    seg = s[1 : m + 1, cols]
+                    first = ((seg <= lo) | (seg >= hi)).argmax(axis=0)
+                    out.stop_values[j, cols] = seg[first, np.arange(cols.size)]
+                    out.stopped[j, cols] = a + 1 + first < n_steps
+                    done[j, cols] = True
+            if a + m in at:
+                out.at_checkpoints[at[a + m]] = s[m]
+            s[0] = s[m]
+        out.nodes[i + 1] = s[0]
+    out.terminal[:] = s[0]
+    out.integral *= 1.0 / n_steps
+    # a path that never left the band stops at T
+    np.copyto(out.stop_values, s[0], where=~done)
+    return out
+
+
+def _pooled_chunks(run, n_chunks: int, workers: int):
+    """Call run(chunk) for chunk 0 .. n_chunks - 1 in a pool of ``workers``
+    threads.  The first error shuts the pool, so chunks not yet started
+    never run, and is raised."""
     # imported here: it loads logging, which no other command needs
     from concurrent.futures import ThreadPoolExecutor
 
-    rows = PATH_CHUNK // workers
-    local = threading.local()
-
-    def run(start):
+    def guarded(chunk):
         try:
-            if not hasattr(local, "fill"):
-                local.fill = _chunk_filler(n_steps, seed, rows)
-            reduce(start, local.fill(start, min(rows, n_paths - start)))
+            run(chunk)
         except BaseException:
             # from this thread, before it takes another chunk
             pool.shutdown(wait=False, cancel_futures=True)
@@ -167,9 +238,9 @@ def _pooled_chunks(reduce, n_paths: int, n_steps: int, seed: int, workers: int):
     pool = ThreadPoolExecutor(workers)
     try:
         futures = []
-        for start in range(0, n_paths, rows):
+        for chunk in range(n_chunks):
             try:
-                futures.append(pool.submit(run, start))
+                futures.append(pool.submit(guarded, chunk))
             except RuntimeError:  # a chunk failed and shut the pool
                 break
         # the failed chunk started before every cancelled one
@@ -204,49 +275,26 @@ def simulate_bes3(
     edges = _coarse(n_steps, N_INTERVALS)
     checkpoints = _coarse(n_steps, N_CHECKPOINTS)
     checkpoints = np.unique(checkpoints[checkpoints > 0])
-    dt = 1.0 / n_steps
+    plan = _blocks(edges, checkpoints)
+    batch = _Stats(n_paths, checkpoints.size, len(levels))
 
-    terminal = np.empty(n_paths)
-    integral = np.empty(n_paths)
-    nodes = np.empty((N_INTERVALS + 1, n_paths))
-    lows = np.empty((N_INTERVALS, n_paths))
-    highs = np.empty((N_INTERVALS, n_paths))
-    at_checkpoints = np.empty((checkpoints.size, n_paths))
-    stop_values = np.empty((len(levels), n_paths))
-    stopped = np.empty((len(levels), n_paths), dtype=bool)
+    def run(chunk):
+        first = chunk * WIDTH
+        c = min(WIDTH, n_paths - first)
+        stats = _simulate_chunk(chunk, seed, n_steps, plan, checkpoints, levels)
+        batch.table[:, first : first + c] = stats.table[:, :c]
 
-    def reduce(start, s):
-        c = s.shape[0]
-        cols = slice(start, start + c)
-        terminal[cols] = s[:, -1]
-        f = s ** -2.0
-        integral[cols] = dt * (f[:, 1:-1].sum(axis=1) + 0.5 * (f[:, 0] + f[:, -1]))
-        nodes[:, cols] = s[:, edges].T
-        at_checkpoints[:, cols] = s[:, checkpoints].T
-        for i in range(N_INTERVALS):
-            seg = s[:, edges[i] : edges[i + 1] + 1]
-            seg.min(axis=1, out=lows[i, cols])
-            seg.max(axis=1, out=highs[i, cols])
-        rows = np.arange(c)
-        for j, n in enumerate(levels):
-            outside = (s <= 1.0 / n) | (s >= float(n))
-            first = outside.argmax(axis=1)
-            stop = np.where(outside[rows, first], first, n_steps)
-            stop_values[j, cols] = s[rows, stop]
-            stopped[j, cols] = stop < n_steps
-
-    # each worker gets >= 1 row
-    workers = min(-(-n_paths // PATH_CHUNK), _cores(), PATH_CHUNK)
-    _pooled_chunks(reduce, n_paths, n_steps, seed, workers)
-    if float(lows.min()) <= 0.0:
+    n_chunks = -(-n_paths // WIDTH)
+    _pooled_chunks(run, n_chunks, min(n_chunks, _cores()))
+    if float(batch.lows.min()) <= 0.0:
         raise ValueError("batch must hold strictly positive path values")
     return McBatch(
         n_paths=n_paths, n_steps=n_steps, seed=seed,
         grid=np.linspace(0.0, 1.0, n_steps + 1),
-        terminal=terminal, integral=integral,
-        edges=edges, nodes=nodes, lows=lows, highs=highs,
-        checkpoints=checkpoints, at_checkpoints=at_checkpoints,
-        levels=levels, stop_values=stop_values, stopped=stopped,
+        terminal=batch.terminal, integral=batch.integral,
+        edges=edges, nodes=batch.nodes, lows=batch.lows, highs=batch.highs,
+        checkpoints=checkpoints, at_checkpoints=batch.at_checkpoints,
+        levels=levels, stop_values=batch.stop_values, stopped=batch.stopped != 0.0,
     )
 
 

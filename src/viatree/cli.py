@@ -41,7 +41,9 @@ import numpy as np
 from . import __version__
 from .arbitrage import ArbitrageError, check_na, check_nupbr
 from .bessel import (
+    LOG_VALUE_BOUND,
     MIN_INTEGRAL_STEPS,
+    RECIPROCAL_MOMENT_1,
     estimate_log_value,
     estimate_reciprocal_moment,
     numeraire_probe,
@@ -310,8 +312,17 @@ def _cmd_simulate(args) -> tuple[int, dict]:
         top["std_error"] ** 2 + stopped["unstopped_std_error"] ** 2
     ) ** 0.5
     converged = abs(stopped["unstopped_mean"] - top["mean"]) <= conv_se
+    ito, integral = lv["ito_residual"], lv["EintSinv2"]
+    # each 3-SE check's statistic in standard errors: the two-sided ones
+    # fail at |z| > 3, the log bound at z > 3
+    checks_z = {
+        "reciprocal_within_3se": _z(rec.mean - RECIPROCAL_MOMENT_1, rec.std_error),
+        "log_bound": _z(integral.mean - LOG_VALUE_BOUND, integral.std_error),
+        "ito_identity": _z(ito.mean, ito.std_error),
+        "stopped_converged": _z(stopped["unstopped_mean"] - top["mean"], conv_se / 3.0),
+    }
     checks = {
-        "reciprocal_within_3se": abs(rec.mean - 0.6826894921370859)
+        "reciprocal_within_3se": abs(rec.mean - RECIPROCAL_MOMENT_1)
         <= 3.0 * rec.std_error,
         "no_emm_gap_over_10se": gap_sigmas > 10.0,
         "log_bound": lv["bound_check"] == "pass",
@@ -332,9 +343,16 @@ def _cmd_simulate(args) -> tuple[int, dict]:
         "stopped": stopped,
         "rows": rows,
         "checks": checks,
+        "checks_z": checks_z,
         "checks_passed": bool(all(checks.values())),
     }
     return (0 if all(checks.values()) else 1), payload
+
+
+def _z(excess: float, std_error: float) -> float:
+    if std_error > 0.0:
+        return excess / std_error
+    return math.copysign(math.inf, excess) if excess else 0.0
 
 
 def _cmd_suite(args) -> tuple[int, dict]:

@@ -1,10 +1,15 @@
 """Test-only oracle: the Bessel(3) study on a materialized path matrix.
 
-These are the matrix functions as they stood before the study streamed
-through path chunks: ``simulate_bes3`` stores every path in an
-``(n_paths, n_steps + 1)`` array and each estimator re-scans it.
-``tests/test_bessel.py`` requires the streaming estimators to return
-bitwise the same estimates, probe rows, stopped rows and checkpoints.
+``simulate_bes3`` builds every path of the library's batch as one
+time-major ``(n_steps + 1, n_chunks * WIDTH)`` matrix, from the same
+per-chunk Philox streams, block layout and recursion, and each estimator
+re-scans it.  ``tests/test_bessel.py`` requires the streaming study to
+return bitwise the same statistics, estimates, probe rows, stopped rows
+and checkpoints.
+
+``norm_paths`` keeps the earlier construction, S = |(1, 0, 0) + W| with
+three normals per step and one Philox stream per path, as an independent
+reference for the law (``tests/test_bessel_law.py``).
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PATH_CHUNK = 4096
+from viatree.bessel import BLOCK, N_CHECKPOINTS, N_INTERVALS, WIDTH
+
 MIN_INTEGRAL_STEPS = 100
 RECIPROCAL_MOMENT_1 = math.erf(1.0 / math.sqrt(2.0))  # E[1/S_1] = 2*Phi(1) - 1
 LOG_VALUE_BOUND = 2.0 * math.log(2.0)
@@ -42,6 +48,7 @@ class McBatch:
     seed: int
     grid: np.ndarray  # (n_steps + 1,) uniform times on [0, 1]
     paths: np.ndarray  # (n_paths, n_steps + 1) values of S
+    squares: np.ndarray  # the same shape: S^2 as the construction computed it
 
     def __post_init__(self):
         if self.paths.shape != (self.n_paths, self.n_steps + 1):
@@ -53,29 +60,103 @@ class McBatch:
             raise ValueError("batch must hold strictly positive path values")
 
 
-def simulate_bes3(n_paths: int, n_steps: int, seed: int = 0) -> McBatch:
-    """Exact-in-law Bessel(3) batch on the uniform grid of [0, 1].
+def coarse(n_steps: int, k: int) -> np.ndarray:
+    return np.linspace(0, n_steps, k + 1).round().astype(int)
 
-    Each path uses its own Philox stream keyed by (seed, path index) and
-    draws the (n_steps, 3) Gaussian increments of the driving Brownian
-    motion in one block, so the batch is bit-reproducible and a prefix of
-    paths is independent of n_paths.
+
+def _philox(seed: int, j: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
+
+
+def simulate_bes3(n_paths: int, n_steps: int, seed: int = 0) -> McBatch:
+    """The library's batch as a path matrix.
+
+    Chunk c holds paths c * WIDTH .. (c + 1) * WIDTH - 1 and draws from
+    the Philox stream keyed by (seed, c).  The grid is cut at every coarse
+    node and checkpoint, and each cut piece into blocks of at most BLOCK
+    steps; a block draws its (steps, WIDTH) normals G, then its
+    exponentials E, and S_{k+1}^2 = (S_k + sqrt(dt) G_k)^2 + 2 dt E_k.
     """
     if n_paths < 1 or n_steps < 1:
         raise ValueError("need n_paths >= 1 and n_steps >= 1")
-    dt = 1.0 / n_steps
-    sqdt = math.sqrt(dt)
-    grid = np.linspace(0.0, 1.0, n_steps + 1)
-    paths = np.empty((n_paths, n_steps + 1))
-    paths[:, 0] = 1.0
+    h, var2 = math.sqrt(1.0 / n_steps), 2.0 / n_steps
+    cuts = sorted(set(coarse(n_steps, N_INTERVALS).tolist())
+                  | set(coarse(n_steps, N_CHECKPOINTS).tolist()))
+    blocks = [(a, min(BLOCK, b - a)) for p, b in zip(cuts, cuts[1:])
+              for a in range(p, b, BLOCK)]
+    n_chunks = -(-n_paths // WIDTH)
+    paths = np.empty((n_steps + 1, n_chunks * WIDTH))
+    squares = np.empty_like(paths)
+    paths[0] = squares[0] = 1.0
+    for c in range(n_chunks):
+        gen = _philox(seed, c)
+        cols = slice(c * WIDTH, (c + 1) * WIDTH)
+        for a, m in blocks:
+            g = gen.standard_normal((m, WIDTH)) * h
+            e = gen.standard_exponential((m, WIDTH)) * var2
+            for k in range(m):
+                x = paths[a + k, cols] + g[k]
+                squares[a + k + 1, cols] = x * x + e[k]
+                paths[a + k + 1, cols] = np.sqrt(squares[a + k + 1, cols])
+    return McBatch(n_paths=n_paths, n_steps=n_steps, seed=seed,
+                   grid=np.linspace(0.0, 1.0, n_steps + 1),
+                   paths=paths[:, :n_paths].T, squares=squares[:, :n_paths].T)
+
+
+def norm_paths(n_paths: int, n_steps: int, seed: int = 0) -> McBatch:
+    """The three-normal construction S = |(1, 0, 0) + W|: path j draws the
+    (n_steps, 3) Gaussian increments of its driving Brownian motion from
+    its own Philox stream keyed by (seed, j)."""
+    sqdt = math.sqrt(1.0 / n_steps)
+    squares = np.empty((n_paths, n_steps + 1))
+    squares[:, 0] = 1.0
     for j in range(n_paths):
-        gen = np.random.Generator(np.random.Philox(key=[seed, j]))
-        w = gen.standard_normal((n_steps, 3))
+        w = _philox(seed, j).standard_normal((n_steps, 3))
         w *= sqdt
         np.cumsum(w, axis=0, out=w)
         w[:, 0] += 1.0
-        np.sqrt(np.einsum("ij,ij->i", w, w), out=paths[j, 1:])
-    return McBatch(n_paths=n_paths, n_steps=n_steps, seed=seed, grid=grid, paths=paths)
+        np.einsum("ij,ij->i", w, w, out=squares[j, 1:])
+    return McBatch(n_paths=n_paths, n_steps=n_steps, seed=seed,
+                   grid=np.linspace(0.0, 1.0, n_steps + 1),
+                   paths=np.sqrt(squares), squares=squares)
+
+
+def integrals(b: McBatch) -> np.ndarray:
+    """Per path dt * (f_0 / 2 + f_1 + ... + f_{n-1} + f_n / 2) with
+    f = 1 / S^2, added left to right in time."""
+    f = 1.0 / b.squares
+    acc = 0.5 * f[:, 0]
+    for k in range(1, b.n_steps):
+        acc = acc + f[:, k]
+    acc = acc + 0.5 * f[:, -1]
+    return (1.0 / b.n_steps) * acc
+
+
+def stop_indices(b: McBatch, n: int) -> np.ndarray:
+    """Per path the first grid index with S outside (1/n, n), else n_steps."""
+    outside = (b.paths <= 1.0 / n) | (b.paths >= float(n))
+    return np.where(outside.any(axis=1), np.argmax(outside, axis=1), b.n_steps)
+
+
+def statistics(b: McBatch, levels) -> dict:
+    """The per-path statistics the library's batch keeps, read off the
+    matrix, interval-major as in ``viatree.bessel.McBatch``."""
+    edges = coarse(b.n_steps, N_INTERVALS)
+    checkpoints = coarse(b.n_steps, N_CHECKPOINTS)
+    checkpoints = np.unique(checkpoints[checkpoints > 0])
+    mins, maxs = _interval_extremes(b, edges)
+    stops = [stop_indices(b, n) for n in levels]
+    rows = np.arange(b.n_paths)
+    return {
+        "terminal": b.paths[:, -1],
+        "integral": integrals(b),
+        "nodes": b.paths[:, edges].T,
+        "lows": mins.T,
+        "highs": maxs.T,
+        "at_checkpoints": b.paths[:, checkpoints].T,
+        "stop_values": np.array([b.paths[rows, k] for k in stops]).reshape(-1, b.n_paths),
+        "stopped": np.array([k < b.n_steps for k in stops]).reshape(-1, b.n_paths),
+    }
 
 
 def estimate_reciprocal_moment(b: McBatch) -> Estimate:
@@ -109,18 +190,11 @@ def estimate_log_value(b: McBatch) -> dict:
             f"time integral needs at least {MIN_INTEGRAL_STEPS} steps, "
             f"got {b.n_steps}"
         )
-    dt = 1.0 / b.n_steps
     log_s1 = np.log(b.paths[:, -1])
-    integrals = np.empty(b.n_paths)
-    for start in range(0, b.n_paths, PATH_CHUNK):
-        stop = min(start + PATH_CHUNK, b.n_paths)
-        f = b.paths[start:stop] ** -2.0
-        integrals[start:stop] = dt * (
-            f[:, 1:-1].sum(axis=1) + 0.5 * (f[:, 0] + f[:, -1])
-        )
+    integral = integrals(b)
     e_log = Estimate.of(log_s1, "E[log S_1]")
-    e_int = Estimate.of(integrals, "E[int_0^1 S^-2 du]")
-    paired = log_s1 - 0.5 * integrals
+    e_int = Estimate.of(integral, "E[int_0^1 S^-2 du]")
+    paired = log_s1 - 0.5 * integral
     ito = Estimate.of(paired, "Ito residual")
     bound_ok = e_int.mean <= LOG_VALUE_BOUND + 3.0 * e_int.std_error
     ito_ok = abs(ito.mean) <= 3.0 * ito.std_error
@@ -260,10 +334,7 @@ def stopped_experiments(b: McBatch, levels: list[int]) -> dict:
     path_idx = np.arange(b.n_paths)
     for n in levels:
         n = int(n)
-        outside = (b.paths <= 1.0 / n) | (b.paths >= float(n))
-        hit = outside.any(axis=1)
-        first = np.argmax(outside, axis=1)
-        stop_idx = np.where(hit, first, b.n_steps)
+        stop_idx = stop_indices(b, n)
         values = np.log(b.paths[path_idx, stop_idx])
         est = Estimate.of(values, f"E[log S_tau_{n}]")
         rows.append(

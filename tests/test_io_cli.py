@@ -435,6 +435,27 @@ class TestCliCommands:
         checks = out["payload"]["checks"]
         assert all(checks.values()), checks
 
+    def test_simulate_reports_check_z_scores(self, capsys):
+        # each 3-SE check's statistic in standard errors, beside its verdict
+        main(["simulate", "--paths", "2000", "--steps", "100",
+              "--probe-strategies", "5", "--seed", "3"])
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        z, checks = payload["checks_z"], payload["checks"]
+        rec, lv, stopped = payload["reciprocal_moment"], payload["log_value"], payload["stopped"]
+        top = stopped["rows"][-1]
+        want = {
+            "reciprocal_within_3se":
+                (rec["mean"] - 0.6826894921370859) / rec["std_error"],
+            "log_bound": (lv["EintSinv2"]["mean"] - lv["bound_limit"])
+                / lv["EintSinv2"]["std_error"],
+            "ito_identity": lv["ito_residual"]["mean"] / lv["ito_residual"]["std_error"],
+            "stopped_converged": (stopped["unstopped_mean"] - top["mean"])
+                / math.hypot(top["std_error"], stopped["unstopped_std_error"]),
+        }
+        assert z == pytest.approx(want, rel=1e-12)
+        for name, value in z.items():
+            assert checks[name] is (value <= 3.0 if name == "log_bound" else abs(value) <= 3.0)
+
     def test_reports_identical_modulo_timing(self, tmp_path):
         path = self.fixture_path("two_period", tmp_path)
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
