@@ -18,15 +18,19 @@ largest set to zero.  That is a positive scaling and an orthogonal change
 of asset coordinates, which leave eps* and q unchanged in exact
 arithmetic, so the verdict does not depend on the price unit.
 
-Where a node's k increments have rank k - 1 on those coordinates, its
-one-step market is complete (Harrison and Pliska 1981): q is the unique
-solution of a k x k linear system and eps* = min q, so a node with eps*
-above the tolerance is decided without an LP.  Every other node, and so
-every failing node, solves the problem as a small LP.  Gluing the
-per-node weights multiplicatively yields an equivalent martingale
-measure.  At a failing node the LP's dual row gives a vector H with
-H.dS_j >= 0 for all branches and > 0 for at least one, which lifts to a
-one-period arbitrage strategy.
+Most nodes are decided in closed form from the rank r of their k
+increments on those coordinates.  At r = k - 1 the one-step market is
+complete (Harrison and Pliska 1981): q is the unique solution of a k x k
+linear system and eps* = min q.  At r = k no weights exist.  At r = 1 the
+problem is one-dimensional and its optimum is a vertex with one formula.
+A failing closed-form node gets a vector H with H.dS_j >= 0 for all
+branches and > 0 for at least one: from the signs of q at r = k - 1, from
+X H = 1 at r = k, from |x| at r = 1.  The other nodes (1 < r < k - 1, a
+singular system, or 0 < eps* <= ``EPS_POSITIVE_TOL``) solve the problem
+as a small LP, whose dual row gives H.  H lifts to a one-period arbitrage
+strategy; should rounding spoil a closed-form H so that its replay fails,
+the node runs its own LP.  Gluing the per-node weights multiplicatively yields an equivalent
+martingale measure.
 
 Every verdict ships with a replayable certificate: the density's
 martingale residuals on the NA side, the strategy's terminal gains on the
@@ -105,25 +109,38 @@ def _node_lps(inc: np.ndarray, bp: np.ndarray):
     """Decide G nodes with k branches each from their (G, k, d) increments
     and (G, k) branch probabilities.
 
-    Where the scale-free increments X have rank k - 1, the weights are
-    unique: q solves [X_r^T; 1^T] q = (0, ..., 0, 1) on X's r nonzero
-    coordinates, and eps* = min q.  These nodes are solved in one batched
-    call; one whose q is finite with eps* > ``EPS_POSITIVE_TOL`` is NA,
-    with zero rows and H = 0 (its q meets the rows to rounding).  Every
-    other node, a singular system's included, runs the max-slack LP, all
-    in one ``solve_lps`` stack, whose results do not depend on which LPs
-    share it.
+    Most nodes are decided in closed form from the rank r of their
+    scale-free increments X (``_max_slack_lps``):
+
+    - r = k: no weights meet the moment rows, so eps* = -inf;
+    - r = k - 1: q is unique and solves [X_r^T; 1^T] q = (0, ..., 0, 1) on
+      X's r nonzero coordinates, one batched call, and eps* = min q;
+    - r = 1 and k >= 3: X is one column x, and with x turned so that
+      sum x >= 0, the optimum is the vertex q = eps* off branch
+      j = argmin x and 1 - (k - 1) eps* on it, with
+      eps* = x_j / (k x_j - sum x) (-inf where the denominator is not
+      negative: x is constant).  That is the largest vertex value
+      x_j / (k x_j - sum x) at most 1/k, found without the comparison
+      with 1/k, which rounding could tip where sum x = 0.
+
+    A node with eps* > ``EPS_POSITIVE_TOL`` is NA with weights q.  A node
+    with eps* <= 0 fails, and H solves X H = g for gains g >= 0 that are
+    positive somewhere: g = 1 at r = k; at r = k - 1, g_j = q_i and
+    g_i = -q_j with i = argmax q and j = argmin q, divided by the larger of
+    the two, which is orthogonal to q and so lies in X's range; at r = 1,
+    g = |x|.  X's columns are orthogonal, so H = Vh^T (X^T g / |X_l|^2).
+    Closed-form nodes get zero rows.  Every other node (1 < r < k - 1, a
+    singular or non-finite system, 0 < eps* <= ``EPS_POSITIVE_TOL``) runs
+    the max-slack LP, all in one ``solve_lps`` stack, whose results do not
+    depend on which LPs share it (``_solve_max_slack``).
 
     Returns eps* (G,), the unprojected interior weights q (G, k), NaN in
     the rows with eps* <= ``EPS_POSITIVE_TOL``, the rows each LP weight
     must satisfy, the LP's (G, d + 1, k) moment and sum rows
-    (``_project_weights``), and the (G, d) vectors H = -Vh^T y of the LP's
-    dual rows y.  In the LP's coordinates X_j, an optimal y has
-    y_mom.X_j <= -y_sum = eps* and sum_j H.X_j = 1 - k eps*, so where
-    eps* <= 0 every gain H.dS_j is >= 0 and their sum is positive; a
-    Farkas ray has H.X_j >= y_sum > 0 for every j.  A node whose
-    increments are all below ``DEGENERATE_TOL`` keeps its branch
-    probabilities, with eps* their minimum, zero rows and H = 0.
+    (``_project_weights``), and the (G, d) separating vectors H, 0 where
+    the node passes in closed form.  A node whose increments are all below
+    ``DEGENERATE_TOL`` keeps its branch probabilities, with eps* their
+    minimum, zero rows and H = 0.
     """
     G, k, d = inc.shape
     eps, q = bp.min(axis=1), bp.copy()
@@ -133,26 +150,67 @@ def _node_lps(inc: np.ndarray, bp: np.ndarray):
     if not live.size:
         return eps, q, rows, h
     A, b, c, Vh = _max_slack_lps(inc[live])
-    lp = np.ones(live.size, dtype=bool)
-    # the nonzero singular values fill X's first coordinates, A's first rows
-    unique = np.flatnonzero(A[:, :d, :k].any(axis=2).sum(axis=1) == k - 1)
+    XT = A[:, :d, :k]  # X^T: the nonzero singular values fill its first rows
+    r = XT.any(axis=2).sum(axis=1)
+    e = np.full(live.size, np.nan)  # closed-form eps*, NaN where the LP decides
+    w = np.full((live.size, k), np.nan)  # closed-form weights
+    g = np.zeros((live.size, k))  # the gains X H = g of a failing node
+    e[r == k] = -np.inf
+    g[r == k] = 1.0
+    unique = np.flatnonzero(r == k - 1)
     if unique.size:
         rhs = np.broadcast_to(np.eye(k)[-1], (unique.size, k))
-        w = _solve_each(A[unique][:, np.r_[: k - 1, d], :k], rhs, lambda i: np.nan)
-        e = w.min(axis=1)
-        ok = np.isfinite(w).all(axis=1) & (e > EPS_POSITIVE_TOL)
-        eps[live[unique[ok]]], q[live[unique[ok]]] = e[ok], w[ok]
-        lp[unique[ok]] = False
+        w[unique] = _solve_each(A[unique][:, np.r_[: k - 1, d], :k], rhs, lambda i: np.nan)
+        unique = unique[np.isfinite(w[unique]).all(axis=1)]
+        lo, hi = w[unique].argmin(axis=1), w[unique].argmax(axis=1)
+        low, high = w[unique, lo], w[unique, hi]
+        e[unique] = low
+        top = np.maximum(high, -low)  # scales the largest gain to 1
+        g[unique, lo] = high / top
+        g[unique, hi] = -low / top
+    one = np.flatnonzero((r == 1) & (k >= 3))  # at k = 2, rank 1 is rank k - 1
+    if one.size:
+        x = XT[one, 0]
+        total = x.sum(axis=1)
+        x = np.where(total[:, None] < 0.0, -x, x)  # eps* is the same for -x
+        j, n = x.argmin(axis=1), np.arange(one.size)
+        den = k * x[n, j] - np.abs(total)
+        e1 = np.divide(x[n, j], den, out=np.full(one.size, -np.inf), where=den < 0.0)
+        e[one] = e1
+        w[one] = np.where(np.arange(k) == j[:, None], 1.0 - (k - 1) * e1[:, None], e1[:, None])
+        g[one] = np.abs(x)
+    passed, failed = e > EPS_POSITIVE_TOL, e <= 0.0
+    eps[live[passed]], q[live[passed]] = e[passed], w[passed]
+    if failed.any():
+        at = live[failed]
+        eps[at], q[at] = e[failed], np.nan
+        XTf = XT[failed]
+        norm2 = (XTf * XTf).sum(axis=2)
+        hr = np.divide((XTf @ g[failed][:, :, None])[:, :, 0], norm2,
+                       out=np.zeros_like(norm2), where=norm2 > 0.0)
+        h[at] = (hr[:, None, : Vh.shape[1]] @ Vh[failed])[:, 0]
+    lp = ~(passed | failed)
     if lp.any():
-        A, Vh = A[lp], Vh[lp]
         at = live[lp]
-        res = solve_lps(A, b[lp], c)
-        e = res.x[:, k] - res.x[:, k + 1]  # NaN where not optimal
-        eps[at] = np.where(np.isnan(e), -np.inf, e)
-        q[at] = np.where((e > EPS_POSITIVE_TOL)[:, None], res.x[:, :k] + e[:, None], np.nan)
-        rows[at] = A[:, :, :k]
-        h[at] = -(res.y[:, None, : Vh.shape[1]] @ Vh)[:, 0]
+        eps[at], q[at], h[at] = _solve_max_slack(A[lp], b[lp], c, Vh[lp])
+        rows[at] = A[lp][:, :, :k]
     return eps, q, rows, h
+
+
+def _solve_max_slack(A, b, c, Vh):
+    """Run a stack of ``_max_slack_lps`` LPs: eps* (-inf where infeasible),
+    the interior weights q (NaN where eps* <= ``EPS_POSITIVE_TOL``) and the
+    separating vectors H = -Vh^T y of the dual rows y.  In the LP's
+    coordinates X_j, an optimal y has y_mom.X_j <= -y_sum = eps* and
+    sum_j H.X_j = 1 - k eps*, so where eps* <= 0 every gain H.dS_j is
+    >= 0 and their sum is positive; a Farkas ray has H.X_j >= y_sum > 0
+    for every j."""
+    k = A.shape[2] - 2
+    res = solve_lps(A, b, c)
+    e = res.x[:, k] - res.x[:, k + 1]  # NaN where not optimal
+    q = np.where((e > EPS_POSITIVE_TOL)[:, None], res.x[:, :k] + e[:, None], np.nan)
+    h = -(res.y[:, None, : Vh.shape[1]] @ Vh)[:, 0]
+    return np.where(np.isnan(e), -np.inf, e), q, h
 
 
 def _project_weights(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -185,15 +243,17 @@ def check_na(m: MarketModel) -> NaCertificate:
 
     Every internal node is decided, in arrays, by one ``_node_lps`` call
     per branch count.  The failing node with the lowest breadth-first
-    index names the certificate: the separating vector from its LP's dual
-    row is lifted to a one-period unit strategy that is zero elsewhere,
-    and ``node_eps`` stops at it.  When every node passes, the weights the
-    LPs found are projected onto their rows in one batched call, in the
-    LP's coordinates (closed-form weights meet their rows to rounding), and
-    all weights are glued into the density one depth level at a time.  An
-    arbitrage certificate whose least gain is below ``REPLAY_MIN_GAIN`` times
-    max(1, max|S|), or whose largest is not above ``REPLAY_MAX_GAIN`` times
-    max|S|, raises ``RuntimeError``: it proves nothing.
+    index names the certificate: its separating vector, in closed form or
+    from its LP's dual row, is lifted to a one-period unit strategy that is
+    zero elsewhere, and ``node_eps`` stops at it.  When every node passes,
+    the weights the LPs found are projected onto their rows in one batched
+    call, in the LP's coordinates (closed-form weights meet their rows to
+    rounding), and all weights are glued into the density one depth level
+    at a time.  An arbitrage certificate whose least gain is below
+    ``REPLAY_MIN_GAIN`` times max(1, max|S|), or whose largest is not above
+    ``REPLAY_MAX_GAIN`` times max|S|, proves nothing: a closed-form one is
+    replaced by the node's LP certificate, and an LP one raises
+    ``RuntimeError``.
 
     The sweep (``_na_sweep``) runs once per model; later calls on an
     unchanged model return a copy of its certificate (``MarketModel.memo``).
@@ -220,11 +280,22 @@ def _na_sweep(m: MarketModel) -> NaCertificate:
     if failed.size:
         i = int(failed[0])
         v = int(t.internal[i])
-        strategy = _lift_separating(m, v, h[i])
-        replay = _replay_arbitrage(k, strategy)
         top = float(np.max(np.abs(m.prices)))
         low, high = REPLAY_MIN_GAIN * max(1.0, top), REPLAY_MAX_GAIN * top
-        if not (replay["min_gain"] >= low and replay["max_gain"] > high):
+
+        def sound(replay):
+            return replay["min_gain"] >= low and replay["max_gain"] > high
+
+        strategy = _lift_separating(m, v, h[i])
+        replay = _replay_arbitrage(k, strategy)
+        if not sound(replay) and not rows[t.starts[i]].any():
+            # rounding spoiled a closed-form ray (an ill-conditioned X):
+            # the node's own LP gives the certificate
+            e = t.starts[i] + np.arange(t.sizes[i])
+            eps[i : i + 1], _, h[i : i + 1] = _solve_max_slack(*_max_slack_lps(k.dS[e][None]))
+            strategy = _lift_separating(m, v, h[i])
+            replay = _replay_arbitrage(k, strategy)
+        if not sound(replay):
             raise RuntimeError(
                 f"arbitrage certificate at node {v} (eps* {eps[i]:.3g}) fails its "
                 f"replay: min_gain {replay['min_gain']:.3g} (needs >= {low:.3g}), "

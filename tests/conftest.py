@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import viatree.arbitrage
 from viatree import EventTree, load_fixture
 
 
@@ -50,3 +51,17 @@ def one_period_binary_tree():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+@pytest.fixture
+def lp_stacks(monkeypatch):
+    """The number of LPs in each ``solve_lps`` call of the no-arbitrage sweep."""
+    calls = []
+    solve = viatree.arbitrage.solve_lps
+
+    def counted(A, b, c):
+        calls.append(len(A))
+        return solve(A, b, c)
+
+    monkeypatch.setattr(viatree.arbitrage, "solve_lps", counted)
+    return calls

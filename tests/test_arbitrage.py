@@ -26,10 +26,11 @@ from viatree.generators import random_market, random_na_market
 from viatree.simplex import solve_lps
 
 
-def scipy_node_eps(inc, bp):
+def scipy_max_slack(inc):
     """Reference per-node LP: maximize eps s.t. inc.T q = 0, sum q = 1, q >= eps.
 
-    Variables (q, eps) with eps free; returns -inf when infeasible.
+    Variables (q, eps) with eps free; returns (eps*, q), (-inf, None) when
+    infeasible.
     """
     inc = np.atleast_2d(inc)
     k, d = inc.shape
@@ -47,9 +48,13 @@ def scipy_node_eps(inc, bp):
     res = linprog(c, A_ub=A_ub, b_ub=np.zeros(k), A_eq=A_eq, b_eq=b_eq,
                   bounds=bounds, method="highs")
     if res.status == 2:
-        return -np.inf
+        return -np.inf, None
     assert res.status == 0
-    return float(res.x[k])
+    return float(res.x[k]), res.x[:k]
+
+
+def scipy_node_eps(inc, bp):
+    return scipy_max_slack(inc)[0]
 
 
 def one_period(inc, bp):
@@ -97,7 +102,7 @@ class TestNodeLp:
         assert eps == 0.2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_singular_unique_weight_systems_go_to_the_lp(self):
+    def test_singular_unique_weight_systems_go_to_the_lp(self, lp_stacks):
         # four rank-1 two-branch nodes: a well-posed one, two whose system is
         # near-singular (equal and almost equal increments) and one whose
         # system is exactly singular, which aborts a stacked solve
@@ -111,18 +116,70 @@ class TestNodeLp:
             np.linalg.solve(systems, np.array([0.0, 1.0]))
         assert np.abs(np.linalg.solve(systems[1:3], np.array([0.0, 1.0]))).min() > 1e11
         eps, q, rows, h = arbitrage._node_lps(inc, np.full((4, 2), 0.5))
-        # the well-posed node is decided in closed form: no LP rows, no H
+        # the well-posed node passes in closed form: no LP rows, no H
         assert eps[0] == pytest.approx(1 / 3, abs=1e-15)
         assert np.allclose(q[0], [2 / 3, 1 / 3], rtol=0.0, atol=1e-15)
         assert not rows[0].any() and not h[0].any()
-        # the others take the LP and keep its outcome bit for bit
-        res = solve_lps(A[1:], b[1:], c)
-        assert (res.status == "infeasible").all()
-        assert np.isneginf(eps[1:]).all() and np.isnan(q[1:]).all()
-        assert rows[1:].tobytes() == A[1:, :, :2].tobytes()
-        assert h[1:].tobytes() == (-(res.y[:, None, :2] @ Vh[1:])[:, 0]).tobytes()
+        # the near-singular ones fail in closed form: their weights have a
+        # negative entry, and H is the ray of their signs
+        assert (eps[1:3] < 0.0).all() and np.isnan(q[1:3]).all() and not rows[1:3].any()
+        # only the exactly singular one takes the LP and keeps its outcome
+        # bit for bit
+        assert lp_stacks == [1]
+        res = solve_lps(A[3:], b[3:], c)
+        assert res.status[0] == "infeasible"
+        assert np.isneginf(eps[3]) and np.isnan(q[3]).all()
+        assert rows[3].tobytes() == A[3, :, :2].tobytes()
+        assert h[3].tobytes() == (-(res.y[:, None, :2] @ Vh[3:])[:, 0])[0].tobytes()
         gains = np.einsum("gkd,gd->gk", inc[1:], h[1:])
         assert (gains.min(axis=1) >= 0.0).all() and (gains.max(axis=1) > 0.0).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_rank_one_vertex_matches_scipy(self, k, lp_stacks):
+        # one direction u of 1, 2 or 3 assets; branch j moves a_j u, with
+        # mixed-sign, one-signed (some, or all but one, a_j = 0) and
+        # constant a
+        rng = np.random.default_rng(k)
+        n_closed = n_rays = 0
+        for d in (1, 2, 3):
+            inc = []
+            for _ in range(30):
+                u = rng.normal(size=d)
+                a = rng.normal(size=k)
+                kind = int(rng.integers(4))
+                if kind == 1:
+                    a = np.abs(a) * rng.choice([-1.0, 1.0])
+                    a[rng.permutation(k)[: int(rng.integers(0, k))]] = 0.0
+                elif kind == 2:
+                    a[rng.permutation(k)[:2]] = 0.0
+                elif kind == 3:
+                    a = np.full(k, a[0])
+                inc.append(np.outer(a, u))
+            inc = np.array(inc)
+            lp_stacks.clear()
+            eps, q, rows, h = arbitrage._node_lps(inc, np.full(inc.shape[:2], 1.0 / k))
+            # a zero increment rotates to round-off, which may have the other
+            # sign: such a one-signed node reads 0 < eps* <= tol and takes the LP
+            closed = ~rows.any(axis=(1, 2))
+            n_closed += int(closed.sum())
+            assert lp_stacks == ([] if closed.all() else [int((~closed).sum())])
+            for g in range(len(inc)):
+                ref, ref_q = scipy_max_slack(inc[g])
+                if np.isfinite(ref):
+                    assert eps[g] == pytest.approx(ref, abs=1e-12)
+                else:
+                    assert eps[g] <= 0.0
+                if ref > EPS_POSITIVE_TOL:
+                    assert np.abs(q[g] - ref_q).max() <= 1e-12
+                else:
+                    assert np.isnan(q[g]).all()
+                if closed[g] and ref <= EPS_POSITIVE_TOL:
+                    gains = inc[g] @ h[g]
+                    assert gains.min() >= 0.0 and gains.max() > 0.0
+                    n_rays += 1
+        assert n_closed >= 0.9 * 90
+        assert n_rays >= 20
 
     @pytest.mark.parametrize("seed", range(60))
     def test_eps_matches_scipy(self, seed):
@@ -378,6 +435,24 @@ class TestCertificateGate:
         if n == 12:
             # the loss misses the unscaled -1e-12, not the bound times max|S| = 4.9
             assert cert.replay["min_gain"] < -1e-12
+
+    def test_unsound_closed_form_ray_falls_back_to_the_lp(self, lp_stacks):
+        # test_verdict_is_invariant's seed=719, d=3, arbitrage_free=False in
+        # per-asset units: the root's four increments have rank k - 1 = 3,
+        # and the ray of its weights' signs loses 2.6e-06 by rounding (the
+        # bound is -9.6e-09), so the root runs its own LP
+        rng = np.random.default_rng(719)
+        m = random_market(rng, d=3, depth_range=(1, 4), branch_range=(2, 4))
+        assert check_na(m).verdict == "ARBITRAGE" and lp_stacks == []
+        mu = MarketModel(m.tree, m.prices * 10.0 ** rng.uniform(-3.0, 3.0, size=3))
+        cert = check_na(mu)
+        assert cert.verdict == "ARBITRAGE" and cert.fail_node == 0
+        assert lp_stacks == [1]
+        inc = mu.prices[mu.tree.children[0]] - mu.prices[0]
+        eps, _, h = arbitrage._solve_max_slack(*arbitrage._max_slack_lps(inc[None]))
+        assert cert.node_eps[0] == eps[0]
+        assert cert.strategy.holdings[0].tobytes() == h[0].tobytes()
+        assert cert.replay["min_gain"] >= -1e-12 * np.abs(mu.prices).max()
 
     @pytest.mark.parametrize("unit", [1e-12, 1e-10, 1e-9, 1e6])
     def test_verdict_keeps_in_any_price_unit(self, unit):

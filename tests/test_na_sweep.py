@@ -160,21 +160,7 @@ def test_degenerate_node_in_stacked_level():
     assert compare_with_oracle(cert, m)
 
 
-# ------------------------------ the LP runs where the weights are not unique
-
-
-@pytest.fixture
-def lp_stacks(monkeypatch):
-    """The number of LPs in each ``solve_lps`` call of the sweep."""
-    calls = []
-    solve = viatree.arbitrage.solve_lps
-
-    def counted(A, b, c):
-        calls.append(len(A))
-        return solve(A, b, c)
-
-    monkeypatch.setattr(viatree.arbitrage, "solve_lps", counted)
-    return calls
+# ---------------------- the LP runs only where no closed form decides a node
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -187,11 +173,14 @@ def test_unique_weights_take_no_lp(seed, lp_stacks):
     assert lp_stacks == []
 
 
-def test_three_branches_of_one_asset_take_the_lp(lp_stacks):
+def test_three_branches_of_one_asset_take_no_lp(lp_stacks):
+    # one asset, three branches: rank 1, decided by the vertex formula
     m = random_na_market(np.random.default_rng(2), d=1, depth_range=(3, 3),
                          branch_range=(3, 3))
-    assert check_na(m).verdict == "NA"
-    assert lp_stacks == [m.tree.internal.size]
+    cert = check_na(m)
+    assert cert.verdict == "NA"
+    assert lp_stacks == []
+    assert compare_with_oracle(cert, m)
 
 
 def lifted_deep_market():
@@ -205,10 +194,15 @@ def lifted_deep_market():
 
 
 @pytest.mark.parametrize("make", [lambda: viatree.load_fixture("arbitrage"), lifted_deep_market])
-def test_arbitrage_node_takes_the_lp(make, lp_stacks):
-    cert = check_na(make())
+def test_arbitrage_node_takes_no_lp(make, lp_stacks):
+    # the failing node is decided in closed form (the fixture's two
+    # branches have rank k - 1, the lifted node's three rank 1), and the
+    # replay gate accepts its ray
+    m = make()
+    cert = check_na(m)
     assert cert.verdict == "ARBITRAGE"
-    assert lp_stacks == [1]
+    assert lp_stacks == []
+    assert compare_with_oracle(cert, m)
 
 
 # ---------------------------------------------- one sweep per public call

@@ -201,8 +201,9 @@ class TestStacked:
             assert_dual_rows(stack, A, b, c)
             n_lps += len(A)
             # _node_lps against the full stack: the nodes it gives the LP
-            # keep that stack's eps*, q and H bit for bit, and the nodes it
-            # decides in closed form agree with it to rounding
+            # keep that stack's eps*, q and H bit for bit; the nodes it
+            # decides in closed form fail where the LP fails (q NaN for
+            # NaN), and where they pass they agree with it to rounding
             e = stack.x[:, k] - stack.x[:, k + 1]
             lp_eps = np.where(np.isnan(e), -np.inf, e)
             lp_q = np.where((e > EPS_POSITIVE_TOL)[:, None], stack.x[:, :k] + e[:, None], np.nan)
@@ -213,10 +214,13 @@ class TestStacked:
             assert eps[lp].tobytes() == lp_eps[lp].tobytes()
             assert q[lp].tobytes() == lp_q[lp].tobytes()
             assert H[lp].tobytes() == lp_h[lp].tobytes()
-            assert np.abs(eps[~lp] - lp_eps[~lp]).max(initial=0.0) <= 1e-12
-            assert np.abs(q[~lp] - lp_q[~lp]).max(initial=0.0) <= 1e-12
+            assert (np.isnan(q[~lp]) == np.isnan(lp_q[~lp])).all()
+            passed = ~lp & ~np.isnan(q[:, 0])
+            assert np.abs(eps[passed] - lp_eps[passed]).max(initial=0.0) <= 1e-12
+            assert np.abs(q[passed] - lp_q[passed]).max(initial=0.0) <= 1e-12
             n_closed += int(np.sum(~lp))
             # the separating vector of each failing node, from its dual row
+            # or its closed-form ray
             for inc, h in zip(incs[np.isnan(q[:, 0])], H[np.isnan(q[:, 0])]):
                 gains = inc @ h
                 assert gains.min() >= -1e-12 * np.abs(inc).max() and gains.max() > 0.0
