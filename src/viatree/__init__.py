@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .trees import EventTree, StoppingTime, conditional_expectation
+from .trees import EventTree, StoppingTime
 from .markets import (
     DensityProcess,
     FractionStrategy,
@@ -11,8 +11,6 @@ from .markets import (
     WealthProcess,
     density_from_leaf_values,
     price_martingale_residual,
-    self_financing_residual,
-    validate_market,
     wealth_from_fractions,
     wealth_from_units,
 )

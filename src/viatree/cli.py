@@ -18,8 +18,8 @@ atomically, otherwise printed to stdout.  Reruns with the same config
 produce byte-identical reports except for the timing field.
 
 Density files (for --measure FILE and --hellinger FILE) are JSON objects
-{"z": [per-node values]} with z[0] = 1 in breadth-first node order; a
---measure density must also be a martingale.
+{"z": [per-node values]} with z[0] = 1 in breadth-first node order. A
+--measure density must pass the martingale test that --hellinger reports.
 Numeric flags must be finite; inf and nan are usage errors.
 
 main() may be called repeatedly in one process, and each call starts from
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 import time
@@ -52,7 +51,7 @@ from .bessel import (
     stopped_experiments,
 )
 from .entropy import entropy_hellinger, exp_utility, min_entropy_emm
-from .market_io import MarketFormatError, _number, load_market
+from .market_io import MarketFormatError, _number, _read_json, load_market
 from .markets import DensityProcess, price_martingale_residual, price_residual_tol
 from .measure_change import delta_for_epsilon, verify_value_bound
 from .numeraire import deflator_probe, numeraire_portfolio, verify_numeraire
@@ -93,11 +92,7 @@ def _at_least(low: int):
 
 
 def _load_density(path: str, tree, martingale: bool = False) -> DensityProcess:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise MarketFormatError(f"{path}: not valid JSON ({e})") from e
+    obj = _read_json(path, "density file")
     if not isinstance(obj, dict) or "z" not in obj:
         raise MarketFormatError(f'{path}: expected a JSON object {{"z": [...]}}')
     bad = [x for x in obj["z"] if not _number(x)] if isinstance(obj["z"], list) else [obj["z"]]
@@ -245,7 +240,7 @@ def _cmd_entropy(args) -> tuple[int, dict]:
     if args.hellinger is not None:
         dp = _load_density(args.hellinger, m.tree)
         rep = entropy_hellinger(m.tree, dp)
-        is_mart = dp.is_martingale(m.tree, 1e-9)
+        is_mart = dp.is_martingale(m.tree)
         payload.update(
             mode="hellinger",
             e_p_v_terminal=rep.e_p_v_terminal,
@@ -486,7 +481,11 @@ def main(argv=None) -> int:
     report = make_report(args.command, config, payload,
                          elapsed_s=time.perf_counter() - t0)
     if args.out:
-        write_report(report, args.out, args.format)
+        try:
+            write_report(report, args.out, args.format)
+        except OSError as e:
+            print(f"viatree: error: cannot write report {args.out}: {e}", file=sys.stderr)
+            return 2
         status = "pass" if code == 0 else "FAIL"
         print(f"viatree {args.command}: {status}; report written to {args.out}")
     else:

@@ -144,15 +144,20 @@ def market_from_dict(obj) -> MarketModel:
     return MarketModel(tree=tree, prices=prices, label=label)
 
 
-def load_market(path) -> MarketModel:
+def _read_json(path, kind: str):
+    """The JSON value in the ``kind`` file at ``path``; a file that cannot be
+    read, is not UTF-8 JSON or holds NaN or Infinity raises MarketFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f, parse_constant=_reject_constant)
+            return json.load(f, parse_constant=_reject_constant)
     except OSError as e:
-        raise MarketFormatError(f"cannot read market file {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise MarketFormatError(f"market file {path} is not valid JSON: {e}") from e
-    return market_from_dict(obj)
+        raise MarketFormatError(f"cannot read {kind} {path}: {e}") from e
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise MarketFormatError(f"{kind} {path} is not valid JSON: {e}") from e
+
+
+def load_market(path) -> MarketModel:
+    return market_from_dict(_read_json(path, "market file"))
 
 
 def save_market(m: MarketModel, path) -> None:

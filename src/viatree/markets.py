@@ -19,8 +19,7 @@ import numpy as np
 
 from .trees import EventTree
 
-MARTINGALE_FLAG_TOL = 1e-12
-MARTINGALE_REL_TOL = 1e-9  # require_martingale's gate, times max(1, max z)
+MARTINGALE_REL_TOL = 1e-9  # density martingale residual gate, times max(1, max z)
 PRICE_REL_TOL = 1e-9  # price martingale residual gate, times max(1, max|S|)
 
 
@@ -90,22 +89,6 @@ def _detached(x):
     return x
 
 
-def validate_market(m: MarketModel) -> list[str]:
-    """Collect rule violations; an empty list means the market is valid."""
-    problems = []
-    if not np.all(np.isfinite(m.prices)):
-        problems.append("prices contain NaN or infinity")
-    if m.prices.shape[1] < 1:
-        problems.append("market has no assets")
-    # Tree-level invariants are enforced by EventTree's constructor; re-run
-    # the probability sums here so a mutated tree is still caught.
-    t = m.tree
-    sums = t.sums(t.branch_prob[t.edges])
-    off = np.abs(sums - 1.0) > 1e-12
-    problems += [f"branch probabilities at node {v} sum to {s!r}" for v, s in zip(t.internal[off], sums[off])]
-    return problems
-
-
 @dataclass
 class UnitStrategy:
     """Holdings in units of each asset, chosen per internal node."""
@@ -165,19 +148,19 @@ class DensityProcess:
         """sup over internal nodes of |E[z(child) | node] - z(node)|."""
         return float(self._gaps(tree).max(initial=0.0))
 
-    def require_martingale(self, tree: EventTree) -> None:
-        """Raise ``ValueError`` naming the worst node when the martingale
-        residual exceeds ``MARTINGALE_REL_TOL`` x max(1, max z)."""
-        gaps, tol = self._gaps(tree), MARTINGALE_REL_TOL * max(1.0, float(self.z.max()))
-        if gaps.max(initial=0.0) > tol:
-            i = int(np.argmax(gaps))
-            raise ValueError(
-                f"density is not a martingale: at node {tree.internal[i]}, "
-                f"|E[z(child) | node] - z(node)| = {float(gaps[i])!r} > {tol!r}"
-            )
+    def is_martingale(self, tree: EventTree) -> bool:
+        """Whether the martingale residual is at most ``MARTINGALE_REL_TOL``
+        x max(1, max z): the one martingale gate of a density."""
+        return self.martingale_residual(tree) <= MARTINGALE_REL_TOL * max(1.0, float(self.z.max()))
 
-    def is_martingale(self, tree: EventTree, tol: float = MARTINGALE_FLAG_TOL) -> bool:
-        return self.martingale_residual(tree) <= tol
+    def require_martingale(self, tree: EventTree) -> None:
+        """Raise ``ValueError`` naming the worst node where ``is_martingale`` is false."""
+        if not self.is_martingale(tree):
+            i = int(np.argmax(gaps := self._gaps(tree)))
+            raise ValueError(
+                f"density is not a martingale: at node {tree.internal[i]}, |E[z(child) | node]"
+                f" - z(node)| = {float(gaps[i])!r} > {MARTINGALE_REL_TOL} x max(1, max z)"
+            )
 
 
 def _step_weights(m: MarketModel, measure: DensityProcess | None) -> np.ndarray:
@@ -263,13 +246,6 @@ def wealth_from_fractions(m: MarketModel, s: FractionStrategy, x0: float) -> Wea
             f"fractions shape {f.shape} does not match prices {m.prices.shape}"
         )
     return WealthProcess(x0=float(x0), values=x0 * WealthKernel(m).growth(f[None])[0])
-
-
-def self_financing_residual(m: MarketModel, s: UnitStrategy, w: WealthProcess) -> float:
-    """sup over edges of |dW - holdings . dS| for a unit-strategy wealth."""
-    k, t = WealthKernel(m), m.tree
-    dw = w.values[t.edges] - w.values[t.edge_parent]
-    return float(np.abs(dw - k.edge_dot(s.holdings[None], k.dS)[0]).max(initial=0.0))
 
 
 def price_martingale_residual(m: MarketModel, dp: DensityProcess) -> float:

@@ -207,36 +207,3 @@ def _meetings(tree: EventTree, nodes) -> np.ndarray:
 def cuts_nested(tree: EventTree, earlier: StoppingTime, later: StoppingTime) -> bool:
     """True iff every path meets ``earlier`` no later than ``later``."""
     return bool(crossed_by(tree, earlier)[list(later.nodes)].all())
-
-
-def conditional_expectation(tree: EventTree, values: dict, at=0):
-    """Condition values given on a cut down to an earlier node or cut.
-
-    ``values`` maps node ids on some cut to floats.  ``at`` is a node index
-    or a :class:`StoppingTime` lying weakly before that cut.  Returns a
-    float (node target) or a dict over the target cut's nodes.
-    """
-    vals = {int(k): float(v) for k, v in values.items()}
-    for v in range(tree.n_nodes - 1, -1, -1):
-        kids = tree.children[v]
-        if kids.size == 0 or v in vals:
-            continue
-        if all(int(c) in vals for c in kids):
-            vals[v] = float(
-                sum(tree.branch_prob[c] * vals[int(c)] for c in kids)
-            )
-    if isinstance(at, StoppingTime):
-        missing = [v for v in at.nodes if v not in vals]
-        if missing:
-            raise ValueError(
-                f"values do not determine the expectation at nodes {missing[:5]}: "
-                "they must be given on a cut weakly later than the target"
-            )
-        return {v: vals[v] for v in at.nodes}
-    at = int(at)
-    if at not in vals:
-        raise ValueError(
-            f"values do not determine the expectation at node {at}: "
-            "they must be given on a cut weakly later than the target"
-        )
-    return vals[at]

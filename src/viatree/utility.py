@@ -374,7 +374,6 @@ class EquivalenceConfig:
     d_range: tuple = (1, 3)
     depth_range: tuple = (1, 3)
     branch_range: tuple = (2, 4)
-    price_range: tuple = (0.1, 10.0)
     seed: int = 0
 
 
@@ -413,7 +412,6 @@ def equivalence_suite(config: EquivalenceConfig) -> SuiteReport:
             d=d,
             depth_range=config.depth_range,
             branch_range=config.branch_range,
-            price_range=config.price_range,
             label=f"suite-{i}",
         )
         cert = check_na(m)

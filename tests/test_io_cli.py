@@ -233,6 +233,27 @@ class TestCliExitCodes:
             assert main([cmd, "--market", str(market), opt, str(dens)]) == 2, flag
             assert "z must be a list of numbers; 'a' is not one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, content, message", [
+        ("market", b"\xff\xfe{}", "market file {} is not valid JSON"),
+        ("density", b"\xff\xfe{}", "density file {} is not valid JSON"),
+        ("density", b'{"z": [1.0, NaN, 1.0]}', "non-finite JSON literal 'NaN'"),
+    ])
+    def test_unreadable_json_exits_two(self, kind, content, message, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        market = str(bad) if kind == "market" else self.fixture_path("binomial", tmp_path)
+        assert main(["entropy", "--market", market, "--hellinger", str(bad)]) == 2
+        assert message.format(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["missing/r.json", "."])
+    def test_unwritable_out_exits_two(self, out, tmp_path, capsys):
+        # a missing directory, and a directory in place of a file
+        target = tmp_path / out
+        rc = main(["check", "--market", self.fixture_path("binomial", tmp_path), "--out", str(target)])
+        assert rc == 2
+        assert f"viatree: error: cannot write report {target}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["binomial.json"]
+
     def test_bad_utility_spec_exits_two(self, tmp_path):
         path = self.fixture_path("binomial", tmp_path)
         with pytest.raises(SystemExit) as exc:

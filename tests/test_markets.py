@@ -12,8 +12,6 @@ from viatree import (
     UnitStrategy,
     density_from_leaf_values,
     price_martingale_residual,
-    self_financing_residual,
-    validate_market,
     wealth_from_fractions,
     wealth_from_units,
 )
@@ -49,9 +47,6 @@ class TestMarketModel:
         with pytest.raises(ValueError, match="node 0"):
             WealthKernel(m).returns
 
-    def test_validate_clean_market(self, binomial):
-        assert validate_market(binomial) == []
-
 
 class TestWealth:
     def test_unit_strategy_gains(self, binomial):
@@ -66,9 +61,12 @@ class TestWealth:
         h[two_period.tree.internal] = rng.standard_normal(
             (two_period.tree.internal.size, two_period.d)
         )
-        s = UnitStrategy(holdings=h)
-        w = wealth_from_units(two_period, s, x0=2.0)
-        assert self_financing_residual(two_period, s, w) < 1e-12
+        w = wealth_from_units(two_period, UnitStrategy(holdings=h), x0=2.0)
+        t = two_period.tree
+        dw = w.values[t.edges] - w.values[t.edge_parent]
+        dS = two_period.prices[t.edges] - two_period.prices[t.edge_parent]
+        # self-financing: dW = h(node) . dS on every edge
+        assert np.abs(dw - np.sum(h[t.edge_parent] * dS, axis=1)).max() < 1e-12
 
     def test_fraction_wealth_multiplicative(self, binomial):
         f = np.zeros((3, 1))
@@ -120,6 +118,18 @@ class TestDensityProcess:
         dp = DensityProcess(z=np.array([1.0, 1.2, 1.0]))
         assert dp.martingale_residual(one_period_binary_tree) == pytest.approx(0.1)
         assert not dp.is_martingale(one_period_binary_tree)
+
+    @pytest.mark.parametrize("gap, ok", [(1.2e-9, True), (2e-9, False)])
+    def test_one_martingale_rule(self, gap, ok, one_period_binary_tree):
+        # the gate is 1e-9 x max(1, max z) = 1.5e-9 here, above the 1.2e-9 gap
+        dp = DensityProcess(z=np.array([1.0, 1.5 + 2 * gap, 0.5]))
+        assert dp.martingale_residual(one_period_binary_tree) == pytest.approx(gap, rel=1e-6)
+        assert dp.is_martingale(one_period_binary_tree) is ok
+        if ok:
+            dp.require_martingale(one_period_binary_tree)
+        else:
+            with pytest.raises(ValueError, match="not a martingale"):
+                dp.require_martingale(one_period_binary_tree)
 
     def test_expectation_at_cut_is_one(self, rng):
         t = random_tree(rng, depth_range=(3, 3))

@@ -10,7 +10,6 @@ from viatree import (
     MarketModel,
     StoppingTime,
     check_na,
-    conditional_expectation,
     crra_utility,
     exp_utility,
     maximize_utility,
@@ -172,35 +171,26 @@ class TestStoppingTimes:
 
 
 class TestConditionalExpectation:
+    """Leaf values conditioned by ``backward`` under the branch probabilities."""
+
+    @staticmethod
+    def expect(t):
+        z = np.zeros(t.n_nodes)
+        z[[3, 4, 5, 6]] = [1.0, 2.0, 3.0, 4.0]
+        return t.backward(t.branch_prob[t.edges], z)
+
     def test_to_root(self):
-        t = build_two_period()
-        leaf_vals = {3: 1.0, 4: 2.0, 5: 3.0, 6: 4.0}
         # E = 0.4*(0.5*1 + 0.5*2) + 0.6*(0.25*3 + 0.75*4)
-        assert conditional_expectation(t, leaf_vals, at=0) == pytest.approx(
-            0.4 * 1.5 + 0.6 * 3.75, abs=1e-15
-        )
+        assert self.expect(build_two_period())[0] == pytest.approx(2.85, abs=1e-15)
 
     def test_to_node(self):
-        t = build_two_period()
-        leaf_vals = {3: 1.0, 4: 2.0, 5: 3.0, 6: 4.0}
-        assert conditional_expectation(t, leaf_vals, at=2) == pytest.approx(
-            3.75, abs=1e-15
-        )
+        assert self.expect(build_two_period())[2] == pytest.approx(3.75, abs=1e-15)
 
     def test_to_cut(self):
         t = build_two_period()
-        leaf_vals = {3: 1.0, 4: 2.0, 5: 3.0, 6: 4.0}
         cut = StoppingTime.of(t, [1, 2])
-        out = conditional_expectation(t, leaf_vals, at=cut)
-        assert out == pytest.approx({1: 1.5, 2: 3.75})
-
-    def test_tower_property(self, rng):
-        t = random_tree(rng, depth_range=(3, 3))
-        vals = {int(v): float(rng.normal()) for v in t.leaves}
-        direct = conditional_expectation(t, vals, at=0)
-        mid = conditional_expectation(t, vals, at=StoppingTime.of(t, np.arange(*t.level_offsets[1:3])))
-        staged = conditional_expectation(t, mid, at=0)
-        assert staged == pytest.approx(direct, abs=1e-12)
+        v = self.expect(t)
+        assert {n: v[n] for n in cut.nodes} == pytest.approx({1: 1.5, 2: 3.75})
 
 
 @settings(max_examples=60, deadline=None)
