@@ -105,9 +105,9 @@ def _max_slack_lps(inc: np.ndarray):
     return A, b, c, Vh
 
 
-def _node_lps(inc: np.ndarray, bp: np.ndarray):
-    """Decide G nodes with k branches each from their (G, k, d) increments
-    and (G, k) branch probabilities.
+def _node_lps(inc: np.ndarray, bp: np.ndarray, s: np.ndarray):
+    """Decide G nodes with k branches each from their (G, k, d) increments,
+    (G, k) branch probabilities and (G, d) prices.
 
     Most nodes are decided in closed form from the rank r of their
     scale-free increments X (``_max_slack_lps``):
@@ -129,26 +129,25 @@ def _node_lps(inc: np.ndarray, bp: np.ndarray):
     g_i = -q_j with i = argmax q and j = argmin q, divided by the larger of
     the two, which is orthogonal to q and so lies in X's range; at r = 1,
     g = |x|.  X's columns are orthogonal, so H = Vh^T (X^T g / |X_l|^2).
-    Closed-form nodes get zero rows.  Every other node (1 < r < k - 1, a
-    singular or non-finite system, 0 < eps* <= ``EPS_POSITIVE_TOL``) runs
-    the max-slack LP, all in one ``solve_lps`` stack, whose results do not
-    depend on which LPs share it (``_solve_max_slack``).
+    Every other node (1 < r < k - 1, a singular or non-finite system,
+    0 < eps* <= ``EPS_POSITIVE_TOL``) runs the max-slack LP, all in one
+    ``solve_lps`` stack, whose results do not depend on which LPs share it
+    (``_solve_max_slack``).
 
-    Returns eps* (G,), the unprojected interior weights q (G, k), NaN in
-    the rows with eps* <= ``EPS_POSITIVE_TOL``, the rows each LP weight
-    must satisfy, the LP's (G, d + 1, k) moment and sum rows
-    (``_project_weights``), and the (G, d) separating vectors H, 0 where
-    the node passes in closed form.  A node whose increments are all below
-    ``DEGENERATE_TOL`` keeps its branch probabilities, with eps* their
-    minimum, zero rows and H = 0.
+    Returns eps* (G,), the interior weights q (G, k), NaN in the rows with
+    eps* <= ``EPS_POSITIVE_TOL``, the (G, d) separating vectors H, 0 where
+    the node passes in closed form, and the (G,) mask of the nodes the LP
+    decided.  A node whose max |dS| is not above ``DEGENERATE_TOL`` times
+    its own max |S| keeps its branch probabilities, with eps* their
+    minimum, and H = 0.
     """
     G, k, d = inc.shape
     eps, q = bp.min(axis=1), bp.copy()
-    rows = np.zeros((G, d + 1, k))
     h = np.zeros((G, d))
-    live = np.flatnonzero(np.abs(inc).max(axis=(1, 2)) >= DEGENERATE_TOL)
+    lp = np.zeros(G, dtype=bool)
+    live = np.flatnonzero(np.abs(inc).max(axis=(1, 2)) > DEGENERATE_TOL * np.abs(s).max(axis=1))
     if not live.size:
-        return eps, q, rows, h
+        return eps, q, h, lp
     A, b, c, Vh = _max_slack_lps(inc[live])
     XT = A[:, :d, :k]  # X^T: the nonzero singular values fill its first rows
     r = XT.any(axis=2).sum(axis=1)
@@ -189,12 +188,12 @@ def _node_lps(inc: np.ndarray, bp: np.ndarray):
         hr = np.divide((XTf @ g[failed][:, :, None])[:, :, 0], norm2,
                        out=np.zeros_like(norm2), where=norm2 > 0.0)
         h[at] = (hr[:, None, : Vh.shape[1]] @ Vh[failed])[:, 0]
-    lp = ~(passed | failed)
-    if lp.any():
-        at = live[lp]
-        eps[at], q[at], h[at] = _solve_max_slack(A[lp], b[lp], c, Vh[lp])
-        rows[at] = A[lp][:, :, :k]
-    return eps, q, rows, h
+    rest = ~(passed | failed)
+    if rest.any():
+        at = live[rest]
+        eps[at], q[at], h[at] = _solve_max_slack(A[rest], b[rest], c, Vh[rest])
+        lp[at] = True
+    return eps, q, h, lp
 
 
 def _solve_max_slack(A, b, c, Vh):
@@ -211,18 +210,6 @@ def _solve_max_slack(A, b, c, Vh):
     q = np.where((e > EPS_POSITIVE_TOL)[:, None], res.x[:, :k] + e[:, None], np.nan)
     h = -(res.y[:, None, : Vh.shape[1]] @ Vh)[:, 0]
     return np.where(np.isnan(e), -np.inf, e), q, h
-
-
-def _project_weights(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Least-norm corrections of a stack of weights q (G, k) onto
-    {q: rows q = (0, ..., 0, 1)}, one batched pseudo-inverse; a node whose
-    corrected weights leave the open simplex keeps q.  Zero rows leave q
-    as it is."""
-    target = np.zeros(rows.shape[1])
-    target[-1] = 1.0
-    resid = (rows @ q[:, :, None])[:, :, 0] - target
-    out = q - (np.linalg.pinv(rows) @ resid[:, :, None])[:, :, 0]
-    return np.where(np.all(out > 0.0, axis=1, keepdims=True), out, q)
 
 
 @dataclass
@@ -246,10 +233,9 @@ def check_na(m: MarketModel) -> NaCertificate:
     index names the certificate: its separating vector, in closed form or
     from its LP's dual row, is lifted to a one-period unit strategy that is
     zero elsewhere, and ``node_eps`` stops at it.  When every node passes,
-    the weights the LPs found are projected onto their rows in one batched
-    call, in the LP's coordinates (closed-form weights meet their rows to
-    rounding), and all weights are glued into the density one depth level
-    at a time.  An arbitrage certificate whose least gain is below
+    the weights, in closed form or recomputed by ``solve_lps`` from each
+    LP's original data, are glued into the density one depth level at a
+    time.  An arbitrage certificate whose least gain is below
     ``REPLAY_MIN_GAIN`` times max(1, max|S|), or whose largest is not above
     ``REPLAY_MAX_GAIN`` times max|S|, proves nothing: a closed-form one is
     replaced by the node's LP certificate, and an LP one raises
@@ -269,13 +255,13 @@ def _na_sweep(m: MarketModel) -> NaCertificate:
     k = WealthKernel(m)
     eps = np.empty(t.internal.size)
     q = np.empty(t.edges.size)  # one-step martingale weight of each edge
-    rows = np.empty((t.edges.size, m.d + 1))  # the LP rows of each weight
     h = np.empty((t.internal.size, m.d))  # separating vector of each node
+    lp = np.empty(t.internal.size, dtype=bool)  # the nodes the LP decided
     for size in sorted(set(t.sizes.tolist())):
         at = np.flatnonzero(t.sizes == size)
         e = t.starts[at, None] + np.arange(size)
-        eps[at], q[e], r, h[at] = _node_lps(k.dS[e], t.branch_prob[t.edges[e]])
-        rows[e] = r.transpose(0, 2, 1)
+        eps[at], q[e], h[at], lp[at] = _node_lps(k.dS[e], t.branch_prob[t.edges[e]],
+                                                 m.prices[t.internal[at]])
     failed = np.flatnonzero(np.isnan(q[t.starts]))
     if failed.size:
         i = int(failed[0])
@@ -288,7 +274,7 @@ def _na_sweep(m: MarketModel) -> NaCertificate:
 
         strategy = _lift_separating(m, v, h[i])
         replay = _replay_arbitrage(k, strategy)
-        if not sound(replay) and not rows[t.starts[i]].any():
+        if not sound(replay) and not lp[i]:
             # rounding spoiled a closed-form ray (an ill-conditioned X):
             # the node's own LP gives the certificate
             e = t.starts[i] + np.arange(t.sizes[i])
@@ -309,14 +295,6 @@ def _na_sweep(m: MarketModel) -> NaCertificate:
             replay=replay,
         )
 
-    # only LP weights move: closed-form and degenerate nodes have zero rows;
-    # padded branch slots get weight 1 and zero rows, which they keep
-    lp = np.flatnonzero(rows[t.starts].any(axis=1))
-    if lp.size:
-        real = np.arange(t.sizes[lp].max()) < t.sizes[lp, None]
-        e = t.stack(np.arange(t.edges.size), 0, lp)[real]
-        R = t.stack(rows, 0.0, lp).transpose(0, 2, 1)
-        q[e] = _project_weights(R, t.stack(q, 1.0, lp))[real]
     step = q / t.branch_prob[t.edges]
     density = DensityProcess(z=t.roll(step[None], 1.0, multiplicative=True)[0])
     return NaCertificate(

@@ -54,7 +54,7 @@ from .entropy import entropy_hellinger, exp_utility, min_entropy_emm
 from .market_io import MarketFormatError, _number, _read_json, load_market
 from .markets import DensityProcess, price_martingale_residual, price_residual_tol
 from .measure_change import delta_for_epsilon, verify_value_bound
-from .numeraire import deflator_probe, numeraire_portfolio, verify_numeraire
+from .numeraire import _reports, numeraire_portfolio
 from .reporting import make_report, render, write_report
 from .utility import (
     EquivalenceConfig,
@@ -151,8 +151,7 @@ def _cmd_numeraire(args) -> tuple[int, dict]:
             "status": res.status,
             "certificate": _cert_payload(res.certificate),
         }
-    verify = verify_numeraire(m, res.wealth)
-    defl = deflator_probe(m, res.wealth)
+    verify, defl = _reports(m, res.wealth)
     ok = verify["passed"] and defl["passed"]
     payload = {
         "market": m.label,

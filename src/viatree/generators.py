@@ -47,12 +47,11 @@ def random_market(
     d: int = 1,
     depth_range=(1, 3),
     branch_range=(2, 4),
-    price_range=(0.1, 10.0),
     label: str = "",
 ) -> MarketModel:
     """Independent uniform prices at every node: arbitrage is possible."""
     t = random_tree(rng, depth_range, branch_range)
-    prices = rng.uniform(price_range[0], price_range[1], size=(t.n_nodes, d))
+    prices = rng.uniform(0.1, 10.0, size=(t.n_nodes, d))
     return MarketModel(tree=t, prices=prices, label=label or "random")
 
 
@@ -61,7 +60,6 @@ def random_na_market(
     d: int = 1,
     depth_range=(1, 3),
     branch_range=(2, 4),
-    price_range=(0.1, 10.0),
     label: str = "",
 ) -> MarketModel:
     """Arbitrage-free by construction: prices are backward convex combinations.
@@ -72,9 +70,7 @@ def random_na_market(
     """
     t = random_tree(rng, depth_range, branch_range)
     prices = np.empty((t.n_nodes, d))
-    prices[t.leaves] = rng.uniform(
-        price_range[0], price_range[1], size=(t.leaves.size, d)
-    )
+    prices[t.leaves] = rng.uniform(0.1, 10.0, size=(t.leaves.size, d))
     for v in range(t.n_nodes - 1, -1, -1):
         kids = t.children[v]
         if kids.size:

@@ -220,6 +220,37 @@ def _compounded(t: EventTree, e: np.ndarray) -> float:
     return float(t.roll(steps[None], 1.0, multiplicative=True)[0, t.leaves].max()) - 1.0
 
 
+def _reports(m: MarketModel, candidate: WealthProcess, tol: float = RATIO_TOL):
+    """``verify_numeraire``'s and ``deflator_probe``'s reports on one
+    ``_node_excess`` call at ``tol``."""
+    t = m.tree
+    e, q, q_star = _node_excess(m, candidate, tol)
+    cut = _compounded(t, e)
+    gap = None
+    if q_star is not None:
+        binary = np.repeat(t.sizes == 2, t.sizes)
+        gap = float(np.abs(q[binary] / q_star[binary] - 1.0).max(initial=0.0))
+    excess = float(e.max(initial=-np.inf))
+    verification = {
+        "passed": bool(excess <= tol and cut <= tol),
+        "worst_ratio_excess": excess,
+        "worst_node": int(t.internal[np.argmax(e)]) if e.size else None,
+        "binary_martingale_gap": gap,
+        "worst_cut_excess": cut,
+        "tol": tol,
+    }
+    x0 = candidate.x0
+    base = float(t.unconditional_probs()[t.leaves] @ (x0 / candidate.terminal(t)))
+    worst = x0 * (x0 / candidate.values[0] * (1.0 + cut) - 1.0)
+    deflator = {
+        "passed": bool(worst <= RATIO_TOL and base <= 1.0 + DEFLATOR_TOL),
+        "deflator_expectation": base,
+        "worst_excess": float(worst),
+        "tol": RATIO_TOL,
+    }
+    return verification, deflator
+
+
 def verify_numeraire(
     m: MarketModel,
     candidate: WealthProcess,
@@ -244,22 +275,7 @@ def verify_numeraire(
     samples nothing.  They stay for callers written against the sampled
     check.
     """
-    t = m.tree
-    e, q, q_star = _node_excess(m, candidate, tol)
-    cut = _compounded(t, e)
-    gap = None
-    if q_star is not None:
-        binary = np.repeat(t.sizes == 2, t.sizes)
-        gap = float(np.abs(q[binary] / q_star[binary] - 1.0).max(initial=0.0))
-    excess = float(e.max(initial=-np.inf))
-    return {
-        "passed": bool(excess <= tol and cut <= tol),
-        "worst_ratio_excess": excess,
-        "worst_node": int(t.internal[np.argmax(e)]) if e.size else None,
-        "binary_martingale_gap": gap,
-        "worst_cut_excess": cut,
-        "tol": tol,
-    }
+    return _reports(m, candidate, tol)[0]
 
 
 def deflator_probe(
@@ -278,14 +294,4 @@ def deflator_probe(
     ``n`` and ``seed`` are accepted and ignored: the bound samples
     nothing.  They stay for callers written against the sampled probe.
     """
-    t = m.tree
-    e, _, _ = _node_excess(m, candidate, RATIO_TOL)
-    x0 = candidate.x0
-    base = float(t.unconditional_probs()[t.leaves] @ (x0 / candidate.terminal(t)))
-    worst = x0 * (x0 / candidate.values[0] * (1.0 + _compounded(t, e)) - 1.0)
-    return {
-        "passed": bool(worst <= RATIO_TOL and base <= 1.0 + DEFLATOR_TOL),
-        "deflator_expectation": base,
-        "worst_excess": float(worst),
-        "tol": RATIO_TOL,
-    }
+    return _reports(m, candidate)[1]

@@ -115,21 +115,20 @@ class TestNodeLp:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(systems, np.array([0.0, 1.0]))
         assert np.abs(np.linalg.solve(systems[1:3], np.array([0.0, 1.0]))).min() > 1e11
-        eps, q, rows, h = arbitrage._node_lps(inc, np.full((4, 2), 0.5))
-        # the well-posed node passes in closed form: no LP rows, no H
+        eps, q, h, lp = arbitrage._node_lps(inc, np.full((4, 2), 0.5), np.zeros((4, 2)))
+        # the well-posed node passes in closed form: no LP, no H
         assert eps[0] == pytest.approx(1 / 3, abs=1e-15)
         assert np.allclose(q[0], [2 / 3, 1 / 3], rtol=0.0, atol=1e-15)
-        assert not rows[0].any() and not h[0].any()
+        assert not lp[0] and not h[0].any()
         # the near-singular ones fail in closed form: their weights have a
         # negative entry, and H is the ray of their signs
-        assert (eps[1:3] < 0.0).all() and np.isnan(q[1:3]).all() and not rows[1:3].any()
+        assert (eps[1:3] < 0.0).all() and np.isnan(q[1:3]).all() and not lp[1:3].any()
         # only the exactly singular one takes the LP and keeps its outcome
         # bit for bit
-        assert lp_stacks == [1]
+        assert lp_stacks == [1] and lp.tolist() == [False, False, False, True]
         res = solve_lps(A[3:], b[3:], c)
         assert res.status[0] == "infeasible"
         assert np.isneginf(eps[3]) and np.isnan(q[3]).all()
-        assert rows[3].tobytes() == A[3, :, :2].tobytes()
         assert h[3].tobytes() == (-(res.y[:, None, :2] @ Vh[3:])[:, 0])[0].tobytes()
         gains = np.einsum("gkd,gd->gk", inc[1:], h[1:])
         assert (gains.min(axis=1) >= 0.0).all() and (gains.max(axis=1) > 0.0).all()
@@ -158,10 +157,11 @@ class TestNodeLp:
                 inc.append(np.outer(a, u))
             inc = np.array(inc)
             lp_stacks.clear()
-            eps, q, rows, h = arbitrage._node_lps(inc, np.full(inc.shape[:2], 1.0 / k))
+            eps, q, h, lp = arbitrage._node_lps(inc, np.full(inc.shape[:2], 1.0 / k),
+                                                np.zeros((len(inc), d)))
             # a zero increment rotates to round-off, which may have the other
             # sign: such a one-signed node reads 0 < eps* <= tol and takes the LP
-            closed = ~rows.any(axis=(1, 2))
+            closed = ~lp
             n_closed += int(closed.sum())
             assert lp_stacks == ([] if closed.all() else [int((~closed).sum())])
             for g in range(len(inc)):
@@ -363,6 +363,21 @@ class TestScaleFreeDecision:
         for prices in (m.prices * 10.0**power, m.prices * per_asset):
             assert check_na(MarketModel(m.tree, prices)).verdict == verdict
         assert check_na(_permute_siblings(m, rng)).verdict == verdict
+
+    @pytest.mark.parametrize("unit", [1e-13, 1e-14, 1e-16])
+    def test_tiny_units_keep_every_arbitrage(self, unit):
+        # increments of 1e-14 are not degenerate at prices of 1e-13: the
+        # degenerate gate is relative to each node's own price level
+        n_arbitrage = 0
+        for seed in range(40):
+            maker = random_market if seed % 2 else random_na_market
+            m = maker(np.random.default_rng(seed), d=1 + seed % 3, depth_range=(1, 4),
+                      branch_range=(2, 4))
+            want = check_na(m)
+            got = check_na(MarketModel(m.tree, m.prices * unit))
+            assert (got.verdict, got.fail_node) == (want.verdict, want.fail_node)
+            n_arbitrage += want.verdict == "ARBITRAGE"
+        assert n_arbitrage >= 15
 
     def test_recipe_in_price_unit_1e6(self):
         rng = np.random.default_rng(3)

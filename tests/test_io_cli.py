@@ -19,6 +19,7 @@ from viatree import (
     market_to_dict,
     save_market,
 )
+from viatree import numeraire
 from viatree.cli import build_parser, main
 from viatree.generators import random_market, random_na_market
 from viatree.market_io import atomic_write_text
@@ -344,6 +345,24 @@ class TestCliCommands:
         assert set(pay["deflator"]) == {"passed", "deflator_expectation", "worst_excess", "tol"}
         assert pay["deflator"]["passed"] is True
         assert abs(pay["fractions"][0][0] - 0.5) < 1e-8
+
+    def test_numeraire_runs_node_excess_once(self, tmp_path, capsys, monkeypatch):
+        # one excess stack feeds both the verification and the deflator bound
+        calls = []
+        excess = numeraire._node_excess
+
+        def counted(*args):
+            calls.append(args)
+            return excess(*args)
+
+        monkeypatch.setattr(numeraire, "_node_excess", counted)
+        rc = main(["numeraire", "--market", self.fixture_path("two_period", tmp_path)])
+        assert rc == 0 and len(calls) == 1
+        pay = json.loads(capsys.readouterr().out)["payload"]
+        m = load_fixture("two_period")
+        sol = numeraire.numeraire_portfolio(m)
+        assert pay["verification"] == numeraire.verify_numeraire(m, sol.wealth)
+        assert pay["deflator"] == numeraire.deflator_probe(m, sol.wealth)
 
     def test_optimize_log_physical(self, tmp_path, capsys):
         rc = main(["optimize", "--market", self.fixture_path("binomial", tmp_path)])

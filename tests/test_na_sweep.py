@@ -183,6 +183,20 @@ def test_three_branches_of_one_asset_take_no_lp(lp_stacks):
     assert compare_with_oracle(cert, m)
 
 
+def test_lp_weights_glue_as_they_are(lp_stacks):
+    # four to six branches of two or three assets: most nodes have rank 2
+    # to k - 2, and their LP weights go into the density unprojected
+    for seed in range(100):
+        m = random_na_market(np.random.default_rng(seed), d=2 + seed % 2,
+                             depth_range=(1, 3), branch_range=(4, 6))
+        for unit in (1.0, 1e6, 1e-6):
+            mu = MarketModel(m.tree, m.prices * unit)
+            cert = check_na(mu)
+            assert cert.verdict == "NA"
+            assert cert.emm_residual <= 1e-14 * np.abs(mu.prices).max()
+    assert lp_stacks
+
+
 def lifted_deep_market():
     """A two-asset deep market whose only arbitrage is at one depth-3 node."""
     m = deep_market(np.random.default_rng(3), 2, depth=5)

@@ -181,7 +181,7 @@ class TestStacked:
         from viatree import MarketModel
         from viatree.generators import random_market, random_na_market
 
-        stacks = {}
+        stacks, prices = {}, {}
         for seed in range(160):
             rng = np.random.default_rng(seed)
             maker = random_market if seed % 2 else random_na_market
@@ -191,8 +191,9 @@ class TestStacked:
                 for v in m.tree.internal:
                     inc = mu.prices[m.tree.children[v]] - mu.prices[v]
                     stacks.setdefault(inc.shape, []).append(inc)
+                    prices.setdefault(inc.shape, []).append(mu.prices[v])
         n_lps = n_failed = n_closed = 0
-        for incs in stacks.values():
+        for shape, incs in stacks.items():
             incs = np.array(incs)
             k = incs.shape[1]
             A, b, c, Vh = _max_slack_lps(incs)
@@ -209,8 +210,7 @@ class TestStacked:
             lp_q = np.where((e > EPS_POSITIVE_TOL)[:, None], stack.x[:, :k] + e[:, None], np.nan)
             lp_h = -(stack.y[:, None, : Vh.shape[1]] @ Vh)[:, 0]
             bp = np.full(incs.shape[:2], 1.0 / k)
-            eps, q, rows, H = _node_lps(incs, bp)
-            lp = rows.any(axis=(1, 2))
+            eps, q, H, lp = _node_lps(incs, bp, np.array(prices[shape]))
             assert eps[lp].tobytes() == lp_eps[lp].tobytes()
             assert q[lp].tobytes() == lp_q[lp].tobytes()
             assert H[lp].tobytes() == lp_h[lp].tobytes()
