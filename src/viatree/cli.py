@@ -305,26 +305,18 @@ def _cmd_simulate(args) -> tuple[int, dict]:
     conv_se = 3.0 * (
         top["std_error"] ** 2 + stopped["unstopped_std_error"] ** 2
     ) ** 0.5
-    converged = abs(stopped["unstopped_mean"] - top["mean"]) <= conv_se
     ito, integral = lv["ito_residual"], lv["EintSinv2"]
-    # each 3-SE check's statistic in standard errors: the two-sided ones
-    # fail at |z| > 3, the log bound at z > 3
+    # each 3-SE check's statistic in standard errors and its one verdict:
+    # the two-sided checks fail at |z| > 3, the log bound at z > 3
     checks_z = {
         "reciprocal_within_3se": _z(rec.mean - RECIPROCAL_MOMENT_1, rec.std_error),
         "log_bound": _z(integral.mean - LOG_VALUE_BOUND, integral.std_error),
         "ito_identity": _z(ito.mean, ito.std_error),
         "stopped_converged": _z(stopped["unstopped_mean"] - top["mean"], conv_se / 3.0),
     }
-    checks = {
-        "reciprocal_within_3se": abs(rec.mean - RECIPROCAL_MOMENT_1)
-        <= 3.0 * rec.std_error,
-        "no_emm_gap_over_10se": gap_sigmas > 10.0,
-        "log_bound": lv["bound_check"] == "pass",
-        "ito_identity": lv["ito_check"] == "pass",
-        "probe_all_pass": probe["all_pass"],
-        "stopped_monotone": monotone,
-        "stopped_converged": converged,
-    }
+    checks = {name: z <= 3.0 if name == "log_bound" else abs(z) <= 3.0 for name, z in checks_z.items()}
+    checks.update(no_emm_gap_over_10se=gap_sigmas > 10.0, probe_all_pass=probe["all_pass"],
+                  stopped_monotone=monotone)
     payload = {
         "n_paths": b.n_paths,
         "n_steps": b.n_steps,

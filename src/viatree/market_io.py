@@ -130,8 +130,6 @@ def market_from_dict(obj) -> MarketModel:
         for j, x in enumerate(pr):
             if not _number(x):
                 raise MarketFormatError(f"node {i}: price {j} is not a number")
-            if not math.isfinite(float(x)):
-                raise MarketFormatError(f"node {i}: price {j} is not finite")
             prices[i, j] = float(x)
     try:
         tree = EventTree(parent, prob)
@@ -141,7 +139,10 @@ def market_from_dict(obj) -> MarketModel:
         raise MarketFormatError(
             f"declared horizon {obj['horizon']!r} but tree depth is {tree.horizon}"
         )
-    return MarketModel(tree=tree, prices=prices, label=label)
+    try:
+        return MarketModel(tree=tree, prices=prices, label=label)
+    except ValueError as e:
+        raise MarketFormatError(str(e)) from e
 
 
 def _read_json(path, kind: str):

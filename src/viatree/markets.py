@@ -41,6 +41,9 @@ class MarketModel:
             )
         if self.prices.shape[1] < 1:
             raise ValueError("market needs at least one asset")
+        if not np.all(np.isfinite(self.prices)):
+            i, j = np.argwhere(~np.isfinite(self.prices))[0]
+            raise ValueError(f"node {i}: price {j} is not finite")
 
     @property
     def d(self) -> int:

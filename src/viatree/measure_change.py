@@ -102,7 +102,7 @@ def delta_for_epsilon(tree: EventTree, q, eps: float) -> DeltaMeasure:
     strictly positive q: the l1 distance vanishes as delta -> 0.  Candidates
     are checked on their leaves; only the result gets a density process.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     p, leaf_q = _leaf_density(tree, q)
 

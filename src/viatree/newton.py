@@ -2,11 +2,12 @@
 
 The node log, power and exponential problems and the custom-utility
 program all maximize concave functions whose Newton systems may be
-singular (redundant assets, flat directions).  The routine solves a stack
-of G such problems, one per row: every internal node for the log problem,
-one tree level for the CRRA and exponential recursions, G = 1 for the
-custom program, which steps by a pass over the tree.  Rows never mix, so a
-row's result does not depend on its neighbours.  Each caller passes an
+singular (redundant assets, flat directions).  ``damped_newton`` solves a
+stack of G such problems, one per row: every internal node for the log
+problem, one tree level for the CRRA and exponential recursions.  Rows
+never mix, so a row's result does not depend on its neighbours.  The
+custom program (G = 1) steps by a pass over the tree in its own loop and
+shares only the line search, ``ascend``.  Each caller passes an
 ``evaluate`` closure and keeps its own tolerances and error messages.
 """
 
@@ -46,58 +47,67 @@ def least_norm_fit(A, b):
     return least_norm_step(A.transpose(0, 2, 1) @ A, (b[:, None, :] @ A)[:, 0, :])
 
 
-def damped_newton(evaluate, x, tol, max_iter, newton_step=least_norm_step):
+def ascend(evaluate, state, act, step):
+    """One line search for the rows ``act`` of ``state`` = (x, f, grad,
+    model, sup norm of grad), from x + t ``step`` at t = 1, or along the
+    gradient where ``step`` is not an ascent direction; each rejection
+    halves t, at most 60 times.  ``evaluate(x, rows)`` returns f, gradients
+    and the per-row model (negated Hessians, for ``damped_newton``) of the
+    problems ``rows``, with f = -inf outside the domain.  A point is accepted
+    on the Armijo test f_c >= f + 1e-4 t slope or on gradient contraction
+    max|grad_c| <= 0.9 max|grad| with f_c >= f - 1e-12 max(1, |f|): near the
+    optimum f is flat to machine precision while Newton still shrinks the
+    gradient, but a smaller gradient further downhill is no progress.
+    Writes the accepted rows into ``state``; returns their indices."""
+    x, f, grad, model, gnorm = state
+    g = grad[act]
+    slope = np.einsum("ij,ij->i", g, step)
+    if np.any(up := slope <= 0.0):  # numerically null direction; nudge along gradient
+        step[up] = g[up]
+        slope[up] = np.einsum("ij,ij->i", g[up], g[up])
+    x0, f0, cap = x[act], f[act], CONTRACTION * gnorm[act]
+    floor = f0 - FLAT * np.maximum(1.0, np.abs(f0))
+    moved, t = [], 1.0
+    for _ in range(MAX_HALVINGS):
+        cand = x0 + t * step
+        fc, gc, mc = evaluate(cand, act)
+        gn_c = np.max(np.abs(gc), axis=1, initial=0.0)
+        ok = (fc >= f0 + ARMIJO * t * slope) | ((gn_c <= cap) & (fc >= floor))
+        if not ok.all():
+            cand, fc, gc, mc, gn_c = cand[ok], fc[ok], gc[ok], mc[ok], gn_c[ok]
+        done = act[ok]
+        x[done], f[done], grad[done], model[done], gnorm[done] = cand, fc, gc, mc, gn_c
+        moved.append(done)
+        if ok.all():
+            break
+        act, x0, f0, cap, floor, step, slope = (
+            a[~ok] for a in (act, x0, f0, cap, floor, step, slope))
+        t *= 0.5
+    return np.concatenate(moved)
+
+
+def damped_newton(evaluate, x, tol, max_iter):
     """Maximize G concave functions, one per row of ``x`` (shape (G, d)).
 
     ``evaluate(x, rows)`` takes the points of the problems ``rows`` (indices
     into the G rows) and returns f (n,), gradients (n, d) and negated (PSD)
-    Hessians (n, d, d), or any per-row model its ``newton_step`` reads, with
-    f = -inf outside the domain.  Each step is ``newton_step(hess, grad)``,
-    by default the least-norm Newton step, or the gradient when that is not
-    an ascent direction.  A trial point is accepted on the Armijo test
-    f_c >= f + 1e-4 t slope or on gradient contraction
-    max|grad_c| <= 0.9 max|grad| with f_c >= f - 1e-12 max(1, |f|): near the
-    optimum f is flat to machine precision while Newton still shrinks the
-    gradient, but a smaller gradient further downhill is no progress.  A row
-    stops once its gradient is below ``tol``, after ``max_iter`` steps, or
-    after 60 rejected points in one line search.
+    Hessians (n, d, d), with f = -inf outside the domain.  Each step is one
+    ``ascend`` along the least-norm Newton step.  A row stops once its
+    gradient is below ``tol``, after ``max_iter`` steps, or after a line
+    search that accepts no point.
 
     Returns (x, f, grad, sup norm of grad, accepted steps), one row each.
     """
     x = np.array(x, dtype=np.float64)
-    n = x.shape[0]
-    f, grad, hess = evaluate(x, np.arange(n))
+    f, grad, hess = evaluate(x, np.arange(x.shape[0]))
     gnorm = np.max(np.abs(grad), axis=1, initial=0.0)
-    steps = np.zeros(n, dtype=np.int64)
+    steps = np.zeros(x.shape[0], dtype=np.int64)
     going = (gnorm >= tol) & (steps < max_iter)
     while (act := np.flatnonzero(going)).size:
-        g = grad[act]
-        step = newton_step(hess[act], g)
-        slope = np.einsum("ij,ij->i", g, step)
-        if np.any(up := slope <= 0.0):  # numerically null direction; nudge along gradient
-            step[up] = g[up]
-            slope[up] = np.einsum("ij,ij->i", g[up], g[up])
-        x0, f0, cap = x[act], f[act], CONTRACTION * gnorm[act]
-        floor = f0 - FLAT * np.maximum(1.0, np.abs(f0))
-        t = 1.0
-        for _ in range(MAX_HALVINGS):
-            cand = x0 + t * step
-            fc, gc, hc = evaluate(cand, act)
-            gn_c = np.max(np.abs(gc), axis=1, initial=0.0)
-            ok = (fc >= f0 + ARMIJO * t * slope) | ((gn_c <= cap) & (fc >= floor))
-            if not ok.all():
-                cand, fc, gc, hc, gn_c = cand[ok], fc[ok], gc[ok], hc[ok], gn_c[ok]
-            done = act[ok]
-            x[done], f[done], grad[done], hess[done], gnorm[done] = cand, fc, gc, hc, gn_c
-            steps[done] += 1
-            going[done] = (gn_c >= tol) & (steps[done] < max_iter)
-            if ok.all():
-                break
-            act, x0, f0, cap, floor, step, slope = (
-                a[~ok] for a in (act, x0, f0, cap, floor, step, slope))
-            t *= 0.5
-        else:
-            going[act] = False  # no admissible improvement left at this scale
+        moved = ascend(evaluate, (x, f, grad, hess, gnorm), act, least_norm_step(hess[act], grad[act]))
+        steps[moved] += 1
+        going[act] = False
+        going[moved] = (gnorm[moved] >= tol) & (steps[moved] < max_iter)
     return x, f, grad, gnorm, steps
 
 

@@ -149,8 +149,8 @@ def numeraire_portfolio(m: MarketModel, x0: float = 1.0) -> NumeraireSolution:
     market there is no numeraire portfolio; the arbitrage certificate is
     returned instead.
     """
-    if x0 <= 0.0:
-        raise ValueError(f"initial capital must be positive, got {x0!r}")
+    if not (np.isfinite(x0) and x0 > 0.0):
+        raise ValueError(f"initial capital must be finite and positive, got {x0!r}")
     cert = check_na(m)
     if cert.verdict != "NA":
         return NumeraireSolution(status="arbitrage", certificate=cert)

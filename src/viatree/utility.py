@@ -33,7 +33,7 @@ from .markets import (
     wealth_from_fractions,
     wealth_from_units,
 )
-from .newton import CONTRACTION, FOC_TOL, NEWTON_MAX_ITER, damped_newton, least_norm_step, raise_stalled
+from .newton import CONTRACTION, FOC_TOL, NEWTON_MAX_ITER, ascend, damped_newton, least_norm_step, raise_stalled
 from .numeraire import fraction_problems, log_recursion, numeraire_portfolio
 
 CUSTOM_GRAD_TOL = 1e-8  # times max(1, max|dS|): the program's gradient is in price units
@@ -49,40 +49,21 @@ class UtilityFunction:
     with infinite marginal utility at 0 and vanishing marginal utility at
     infinity (certified numerically for custom instances)."""
 
-    kind: str  # "log" | "crra" | "custom"
+    kind: str  # "log" | "crra" | "custom"; routes ``maximize_utility``
     gamma: float | None = None
-    _u: object = None
+    _u: object = None  # U, U' and U'' as callables on float arrays
     _du: object = None
     _d2u: object = None
     name: str = ""
 
     def value(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "log":
-            return np.log(x)
-        if self.kind == "crra":
-            g = self.gamma
-            return x ** (1.0 - g) / (1.0 - g)
-        return self._u(x)
+        return self._u(np.asarray(x, dtype=np.float64))
 
     def marginal(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "log":
-            return 1.0 / x
-        if self.kind == "crra":
-            return x ** (-self.gamma)
-        return self._du(x)
+        return self._du(np.asarray(x, dtype=np.float64))
 
     def second(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "log":
-            return -1.0 / x**2
-        if self.kind == "crra":
-            return -self.gamma * x ** (-self.gamma - 1.0)
-        if self._d2u is not None:
-            return self._d2u(x)
-        h = 1e-6 * x  # relative, so x - h stays positive at any wealth
-        return (self._du(x + h) - self._du(x - h)) / (2.0 * h)
+        return self._d2u(np.asarray(x, dtype=np.float64))
 
     def certify(self) -> dict:
         """Numerical certificate on a log-spaced probe grid.
@@ -123,7 +104,8 @@ class UtilityFunction:
 
 
 def log_utility() -> UtilityFunction:
-    return UtilityFunction(kind="log", name="log")
+    return UtilityFunction(kind="log", _u=np.log, _du=lambda x: 1.0 / x,
+                           _d2u=lambda x: -1.0 / x**2, name="log")
 
 
 def crra_utility(gamma: float) -> UtilityFunction:
@@ -131,10 +113,14 @@ def crra_utility(gamma: float) -> UtilityFunction:
         raise ValueError(
             f"CRRA exponent must be a finite number > 0 and != 1, got {gamma!r}"
         )
-    return UtilityFunction(kind="crra", gamma=float(gamma), name=f"crra({gamma})")
+    g = float(gamma)
+    return UtilityFunction(kind="crra", gamma=g, _u=lambda x: x ** (1.0 - g) / (1.0 - g),
+                           _du=lambda x: x ** -g, _d2u=lambda x: -g * x ** (-g - 1.0), name=f"crra({gamma})")
 
 
 def custom_utility(u, du, d2u=None, name: str = "custom") -> UtilityFunction:
+    if d2u is None:  # U'' as the central difference at h = 1e-6 x, so x - h > 0 at any wealth
+        d2u = lambda x: (du(x + 1e-6 * x) - du(x - 1e-6 * x)) / (2.0 * (1e-6 * x))  # noqa: E731
     return UtilityFunction(kind="custom", _u=u, _du=du, _d2u=d2u, name=name)
 
 
@@ -181,8 +167,8 @@ def maximize_utility(
     worst node; log and CRRA run the separable backward recursion, custom
     certified utilities the concave program over unit holdings.
     """
-    if x0 <= 0.0:
-        raise ValueError(f"initial capital must be positive, got {x0!r}")
+    if not (np.isfinite(x0) and x0 > 0.0):
+        raise ValueError(f"initial capital must be finite and positive, got {x0!r}")
     ucert = utility.certify()
     if not ucert["passed"]:
         raise ValueError(f"utility failed its numerical certificate: {ucert}")
@@ -275,39 +261,20 @@ def _tree_step(k: WealthKernel, model):
     return mc - x[:, None] * me
 
 
-def _remember_last(evaluate):
-    """``evaluate`` of one problem with a one-entry memory: a call at the
-    point it last evaluated, bitwise, returns that result again.  Each
-    ``damped_newton`` call of ``_solve_custom`` starts where the previous
-    call's line search ended, on the point it accepted, so no accepted point
-    is evaluated twice.  Every call returns copies, because ``damped_newton``
-    writes its accepted points into the arrays its first call returned."""
-    last = [None, None]
-
-    def remembered(h, rows):
-        key = h.tobytes()
-        if key != last[0]:
-            last[:] = key, evaluate(h, rows)
-        return tuple(a.copy() for a in last[1])
-
-    return remembered
-
-
 def _solve_custom(m, weights, x0, utility):
     """Damped Newton over the unit holdings of every node (0 at the leaves),
-    each step one ``_tree_step``.  Below the gate ``CUSTOM_GRAD_TOL`` x
-    max(1, max|dS|) f may still be off in its 7th digit, and leaf wealths
-    near 0 can hold the gradient above it once f is exact.  So it stops
-    where the Newton gain g.step / 2 is at f's roundoff and the gradient is
-    below the gate or no longer shrinking; the line search or
-    ``CUSTOM_MAX_ITER`` ending it first raises."""
+    each step one ``_tree_step`` and one ``ascend``.  Below the gate
+    ``CUSTOM_GRAD_TOL`` x max(1, max|dS|) f may still be off in its 7th
+    digit, and leaf wealths near 0 can hold the gradient above it once f is
+    exact.  So it stops, before any line search, where the Newton gain
+    g.step / 2 is at f's roundoff and the gradient is below the gate or no
+    longer shrinking; a line search that accepts no point or
+    ``CUSTOM_MAX_ITER`` steps ending it first raises."""
     t, k = m.tree, WealthKernel(m)
     q = t.roll(weights[None], 1.0, multiplicative=True)[0, t.leaves]
     gate = CUSTOM_GRAD_TOL * max(1.0, float(np.abs(k.dS).max(initial=0.0)))
-    gains = []
 
-    @_remember_last
-    def evaluate(h, rows):  # one problem; in place of its Hessian, b and a per node
+    def evaluate(h, rows):  # one problem; its model is b and a per node
         w, model = k.units(h.reshape(1, *m.prices.shape), x0)[0], np.zeros((1, 2, t.n_nodes))
         if not np.all(w > 0.0):
             return np.array([-np.inf]), np.zeros_like(h), model
@@ -316,25 +283,20 @@ def _solve_custom(m, weights, x0, utility):
         grad[t.internal] = t.sums(t.backward(np.ones(t.edges.size), b)[t.edges, None] * k.dS)
         return np.array([q @ utility.value(wl)]), grad.reshape(1, -1), model
 
-    def step(model, grad):
-        dh = _tree_step(k, model[0]).reshape(1, -1)
-        gains.append(0.5 * float(grad[0] @ dh[0]))
-        return dh
-
     h = np.zeros((1, m.prices.size))
-    f, grad, _ = evaluate(h, None)
-    gnorm, last = float(np.max(np.abs(grad))), np.inf
+    f, grad, model = evaluate(h, None)
+    gnorm, last = np.max(np.abs(grad), axis=1), np.inf
     for _ in range(CUSTOM_MAX_ITER):
-        new, f_new, _, gn_new, steps = damped_newton(evaluate, h, 0.0, 1, newton_step=step)
-        done = gains[-1] <= ROUNDOFF * max(1.0, abs(f[0])) and (gnorm < gate or gnorm > CONTRACTION * last)
-        if done or not steps[0]:
+        dh = _tree_step(k, model[0]).reshape(1, -1)
+        gain = 0.5 * float(grad[0] @ dh[0])
+        if gain <= ROUNDOFF * max(1.0, abs(f[0])) and (gnorm[0] < gate or gnorm[0] > CONTRACTION * last):
+            return _optimum(m, UnitStrategy(holdings=h.reshape(m.prices.shape)), x0, f[0],
+                            gnorm[0], "concave-program")
+        last = gnorm[0]
+        if not ascend(evaluate, (h, f, grad, model, gnorm), np.arange(1), dh).size:
             break
-        h, f, gnorm, last = new, f_new, float(gn_new[0]), gnorm
-    if not done:
-        raise RuntimeError(f"custom-utility program stalled at gradient {gnorm} "
-                           f"(target {gate}), Newton gain {gains[-1]}")
-    return _optimum(m, UnitStrategy(holdings=h.reshape(m.prices.shape)), x0, f[0], gnorm,
-                    "concave-program")
+    raise RuntimeError(f"custom-utility program stalled at gradient {float(gnorm[0])} "
+                       f"(target {gate}), Newton gain {gain}")
 
 
 def viability_under_measure(

@@ -87,6 +87,16 @@ class TestMarketFiles:
         with pytest.raises(MarketFormatError, match="non-finite"):
             load_market(path)
 
+    def test_overflowing_price_names_node(self, tmp_path):
+        # 1e400 parses as inf; the model's own check rejects it
+        path = tmp_path / "big.json"
+        path.write_text('{"label": "x", "d": 1, "horizon": 1, "nodes": ['
+                        '{"id": 0, "parent": null, "prob": 1.0, "prices": [1.0]}, '
+                        '{"id": 1, "parent": 0, "prob": 0.5, "prices": [2.0]}, '
+                        '{"id": 2, "parent": 0, "prob": 0.5, "prices": [1e400]}]}')
+        with pytest.raises(MarketFormatError, match=r"^node 2: price 0 is not finite$"):
+            load_market(path)
+
     def test_duplicate_id_rejected(self, binomial):
         obj = market_to_dict(binomial)
         obj["nodes"][2]["id"] = 1

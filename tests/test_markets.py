@@ -39,6 +39,15 @@ class TestMarketModel:
         with pytest.raises(ValueError):
             MarketModel(tree=one_period_binary_tree, prices=np.ones((2, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_price_rejected(self, one_period_binary_tree, bad):
+        # a NaN price once passed check_na as NA, an infinite one ended in
+        # "SVD did not converge"
+        prices = np.array([[1.0, 1.0], [2.0, 1.0], [0.5, 1.0]])
+        prices[2, 1] = bad
+        with pytest.raises(ValueError, match=r"^node 2: price 1 is not finite$"):
+            MarketModel(tree=one_period_binary_tree, prices=prices)
+
     def test_zero_price_blocks_simple_returns(self, one_period_binary_tree):
         m = MarketModel(
             tree=one_period_binary_tree,

@@ -1,5 +1,7 @@
 """Capped measure changes: the delta transform, bounds, value caps."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,11 @@ class TestDeltaForEpsilon:
     def test_epsilon_must_be_positive(self, one_period_binary_tree):
         with pytest.raises(ValueError, match="eps"):
             delta_for_epsilon(one_period_binary_tree, np.array([0.5, 1.5]), 0.0)
+
+    def test_nan_epsilon_rejected(self, one_period_binary_tree):
+        # a NaN budget once halved the grid 200 times and then blamed q
+        with pytest.raises(ValueError, match="eps must be positive, got nan"):
+            delta_for_epsilon(one_period_binary_tree, np.array([0.5, 1.5]), math.nan)
 
     @pytest.mark.parametrize("eps", [0.5, 0.1, 0.01])
     @pytest.mark.parametrize("seed", range(10))

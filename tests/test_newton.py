@@ -377,36 +377,21 @@ class TestCustomStopRule:
         with pytest.raises(RuntimeError, match=r"^custom-utility program stalled at gradient"):
             utility._solve_custom(m, utility._step_weights(m, None), 1.0, SQRT)
 
-    def test_accepted_points_are_evaluated_once(self, monkeypatch):
-        # each one-step damped_newton call starts on the point the previous
-        # call accepted; the memory saves that evaluation and nothing else
+    def test_accepted_points_are_evaluated_once(self):
+        # a spy on U, which each evaluation of a feasible point reads once
+        # at its leaf wealths: no point is read twice, and the last point
+        # read is the optimum, so no line search runs after the stop test
         m = _deep_market(6, 1)
-        w = utility._step_weights(m, None)
-        remember, newton = utility._remember_last, utility.damped_newton
+        seen = []
 
-        def run(memory):
-            evaluations, newton_calls = [], []
+        def u(x):
+            seen.append(x.tobytes())
+            return np.sqrt(x)
 
-            def counted(evaluate):
-                def spy(h, rows):
-                    evaluations.append(1)
-                    return evaluate(h, rows)
-
-                return memory(spy)
-
-            def counted_newton(*args, **kwargs):
-                newton_calls.append(1)
-                return newton(*args, **kwargs)
-
-            monkeypatch.setattr(utility, "_remember_last", counted)
-            monkeypatch.setattr(utility, "damped_newton", counted_newton)
-            return utility._solve_custom(m, w, 1.0, SQRT), len(evaluations), len(newton_calls)
-
-        plain, n_plain, n_newton = run(lambda evaluate: evaluate)
-        res, n, _ = run(remember)
-        assert n == n_plain - n_newton and n_newton > 10
-        assert res.value == plain.value
-        assert res.strategy.holdings.tobytes() == plain.strategy.holdings.tobytes()
+        spy = custom_utility(u, lambda x: 0.5 / np.sqrt(x), name="spy")
+        res = utility._solve_custom(m, utility._step_weights(m, None), 1.0, spy)
+        assert len(seen) == len(set(seen)) > 10
+        assert seen[-1] == res.wealth.values[m.tree.leaves].tobytes()
 
 
 def _zero_slope(x, rows):

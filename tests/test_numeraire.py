@@ -54,6 +54,12 @@ class TestHandOptima:
         s5 = numeraire_portfolio(binomial, x0=5.0)
         assert np.allclose(s5.wealth.values, 5.0 * s1.wealth.values, atol=1e-9)
 
+    @pytest.mark.parametrize("x0", [math.nan, math.inf])
+    def test_non_finite_x0_rejected(self, binomial, x0):
+        # an infinite x0 once gave infinite wealth
+        with pytest.raises(ValueError, match="finite and positive"):
+            numeraire_portfolio(binomial, x0=x0)
+
     def test_arbitrage_market_has_no_numeraire(self, arbitrage_market):
         sol = numeraire_portfolio(arbitrage_market)
         assert sol.status == "arbitrage"

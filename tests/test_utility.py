@@ -155,6 +155,18 @@ class TestArbitrageAndMeasures:
         with pytest.raises(ValueError, match="positive"):
             maximize_utility(binomial, log_utility(), 0.0)
 
+    @pytest.mark.parametrize("x0", [math.nan, math.inf])
+    @pytest.mark.parametrize("utility", [log_utility(), crra_utility(2.0)], ids=["log", "crra2"])
+    def test_non_finite_x0_rejected(self, binomial, utility, x0):
+        # a NaN x0 once gave status ok with value nan
+        with pytest.raises(ValueError, match="finite and positive"):
+            maximize_utility(binomial, utility, x0)
+
+    def test_viability_rejects_nan_x0(self, binomial):
+        # once reported viable
+        with pytest.raises(ValueError, match="finite and positive"):
+            viability_under_measure(binomial, math.nan)
+
     def test_under_emm_trading_is_worthless(self, binomial):
         emm = check_na(binomial).density
         res = maximize_utility(binomial, log_utility(), 1.0, measure=emm)
