@@ -65,6 +65,7 @@ N_CHECKPOINTS = 10  # evenly spaced grid times of reciprocal_checkpoints
 PROBE_BOUND = 1.0  # |theta_k| bound of numeraire_probe's holdings
 RECIPROCAL_MOMENT_1 = math.erf(1.0 / math.sqrt(2.0))  # E[1/S_1] = 2*Phi(1) - 1
 LOG_VALUE_BOUND = 2.0 * math.log(2.0)
+Z_LEVEL = 3.0  # every standard-error verdict of the study: pass at |z| <= Z_LEVEL (one-sided z)
 
 
 @dataclass
@@ -319,10 +320,11 @@ def reciprocal_checkpoints(b: McBatch) -> list[Estimate]:
 def estimate_log_value(b: McBatch) -> dict:
     """Log-utility value and the time integral that controls it.
 
-    Returns E[log S_1], the trapezoidal E[int_0^1 S_u^-2 du], the bound
-    verdict mean <= 2 log 2 + 3 SE, and the pathwise-paired residual of
-    the identity E[log S_1] = 0.5 E[int S^-2] (the stochastic-integral
-    term has mean zero, so the paired mean must vanish within noise).
+    Returns E[log S_1], the trapezoidal E[int_0^1 S_u^-2 du] with its
+    bound 2 log 2, and the pathwise-paired residual of the identity
+    E[log S_1] = 0.5 E[int S^-2] (the stochastic-integral term has mean
+    zero, so the paired mean must vanish within noise).  ``judge_study``
+    gives the two verdicts.
     """
     if b.n_steps < MIN_INTEGRAL_STEPS:
         raise ValueError(
@@ -332,18 +334,18 @@ def estimate_log_value(b: McBatch) -> dict:
     log_s1 = np.log(b.terminal)
     e_log = Estimate.of(log_s1, "E[log S_1]")
     e_int = Estimate.of(b.integral, "E[int_0^1 S^-2 du]")
-    paired = log_s1 - 0.5 * b.integral
-    ito = Estimate.of(paired, "Ito residual")
-    bound_ok = e_int.mean <= LOG_VALUE_BOUND + 3.0 * e_int.std_error
-    ito_ok = abs(ito.mean) <= 3.0 * ito.std_error
     return {
         "ElogS1": e_log,
         "EintSinv2": e_int,
         "bound_limit": LOG_VALUE_BOUND,
-        "bound_check": "pass" if bound_ok else "fail",
-        "ito_residual": ito,
-        "ito_check": "pass" if ito_ok else "fail",
+        "ito_residual": Estimate.of(log_s1 - 0.5 * b.integral, "Ito residual"),
     }
+
+
+def _z(excess: float, std_error: float) -> float:
+    if std_error > 0.0:
+        return excess / std_error
+    return math.copysign(math.inf, excess) if excess else 0.0
 
 
 def _probe_row(label: str, ratio: np.ndarray, n_rejected: int) -> dict:
@@ -352,14 +354,15 @@ def _probe_row(label: str, ratio: np.ndarray, n_rejected: int) -> dict:
                 "std_error": None, "n_used": int(ratio.size),
                 "n_rejected": n_rejected, "margin": None, "pass": True}
     est = Estimate.of(ratio, f"E[X_T/S_1] ({label})")
+    margin = est.mean - 1.0
     return {
         "label": label,
         "mean": est.mean,
         "std_error": est.std_error,
         "n_used": est.n,
         "n_rejected": n_rejected,
-        "margin": est.mean - 1.0,
-        "pass": bool(est.mean <= 1.0 + 3.0 * est.std_error),
+        "margin": margin,
+        "pass": _z(margin, est.std_error) <= Z_LEVEL,
     }
 
 
@@ -377,10 +380,10 @@ def numeraire_probe(
     Paths where the wealth dips below 0 (checked against within-interval
     path extremes, since X is linear in S inside an interval) are not
     covered by the deflator inequality and are rejected and counted.  Each
-    strategy must satisfy mean(X_T / S_1) <= 1 + 3 SE; one that leaves
-    fewer than two paths has no standard error and nothing to test, so its
-    row has None for standard error and margin (and for the mean when no
-    path is left), and passes.
+    strategy's margin mean(X_T / S_1) - 1 must be at most ``Z_LEVEL``
+    standard errors; one that leaves fewer than two paths has no standard
+    error and nothing to test, so its row has None for standard error and
+    margin (and for the mean when no path is left), and passes.
 
     Two reference rows are always included: theta = 0 (ratio 1/S_1) and
     the self-ratio of holding one share throughout, whose wealth is S
@@ -462,3 +465,31 @@ def stopped_experiments(b: McBatch) -> dict:
         "unstopped_mean": unstopped.mean,
         "unstopped_std_error": unstopped.std_error,
     }
+
+
+GAP_SIGMAS = 10.0  # the no-EMM gap 1 - E[1/S_1] must exceed this many standard errors
+MONOTONE_SLACK = 1e-12  # how far a stopped mean may fall below the level before it
+
+
+def judge_study(rec: Estimate, log_value: dict, probe: dict, stopped: dict) -> dict:
+    """Every verdict of the study: ``checks``, with ``checks_z`` holding
+    each standard-error check's statistic in standard errors.  The
+    two-sided checks pass at |z| <= Z_LEVEL, the log bound at z <= Z_LEVEL,
+    and each probe row (``_probe_row``) at the same level."""
+    gap = 1.0 - rec.mean
+    gap_sigmas = _z(gap, rec.std_error)
+    integral, ito, top = log_value["EintSinv2"], log_value["ito_residual"], stopped["rows"][-1]
+    means = [r["mean"] for r in stopped["rows"]]
+    checks_z = {
+        "reciprocal_within_3se": _z(rec.mean - RECIPROCAL_MOMENT_1, rec.std_error),
+        "log_bound": _z(integral.mean - LOG_VALUE_BOUND, integral.std_error),
+        "ito_identity": _z(ito.mean, ito.std_error),
+        "stopped_converged": _z(stopped["unstopped_mean"] - top["mean"],
+                                math.hypot(top["std_error"], stopped["unstopped_std_error"])),
+    }
+    checks = {name: (z if name == "log_bound" else abs(z)) <= Z_LEVEL
+              for name, z in checks_z.items()}
+    checks.update(no_emm_gap_over_10se=gap_sigmas > GAP_SIGMAS, probe_all_pass=probe["all_pass"],
+                  stopped_monotone=all(a <= b + MONOTONE_SLACK for a, b in zip(means, means[1:])))
+    return {"no_emm_gap": gap, "no_emm_gap_sigmas": gap_sigmas, "checks_z": checks_z,
+            "checks": checks, "checks_passed": all(checks.values())}

@@ -4,7 +4,9 @@ Subcommands: check, numeraire, optimize, measure, entropy, simulate,
 equivalence-suite.  Each takes --out, --format and only the flags it reads,
 which its report's config block echoes; --seed goes on the two that draw
 random numbers (simulate, equivalence-suite).  No flag moves a
-pass/fail gate: each tolerance is a library constant.
+pass/fail gate, and this module sets none: each tolerance is a library
+constant, and every verdict of the simulate study comes from
+bessel.judge_study at the one level bessel.Z_LEVEL.
 
 Exit status contract:
   0  the command completed and every check it ran passed
@@ -40,18 +42,18 @@ import numpy as np
 from . import __version__
 from .arbitrage import ArbitrageError, check_na, check_nupbr
 from .bessel import (
-    LOG_VALUE_BOUND,
     MIN_INTEGRAL_STEPS,
-    RECIPROCAL_MOMENT_1,
     estimate_log_value,
     estimate_reciprocal_moment,
+    judge_study,
     numeraire_probe,
     reciprocal_checkpoints,
     simulate_bes3,
     stopped_experiments,
 )
-from .entropy import entropy_hellinger, exp_utility, min_entropy_emm
-from .market_io import MarketFormatError, _number, _read_json, load_market
+from .entropy import (HELLINGER_ABS_TOL, HELLINGER_REL_TOL, NODE_TOL, entropy_hellinger,
+                      exp_utility, min_entropy_emm)
+from .market_io import MarketFormatError, _floats, _number, _read_json, load_market
 from .markets import DensityProcess, price_martingale_residual, price_residual_tol
 from .measure_change import delta_for_epsilon, verify_value_bound
 from .numeraire import _reports, numeraire_portfolio
@@ -98,7 +100,7 @@ def _load_density(path: str, tree, martingale: bool = False) -> DensityProcess:
     bad = [x for x in obj["z"] if not _number(x)] if isinstance(obj["z"], list) else [obj["z"]]
     if bad:
         raise MarketFormatError(f"{path}: z must be a list of numbers; {bad[0]!r} is not one")
-    z = np.asarray(obj["z"], dtype=np.float64)
+    z = _floats(obj["z"])
     if z.shape != (tree.n_nodes,):
         raise MarketFormatError(
             f"{path}: density has {z.size} values, the tree has {tree.n_nodes} nodes"
@@ -251,7 +253,7 @@ def _cmd_entropy(args) -> tuple[int, dict]:
         if is_mart:
             gap = abs(rep.e_q_h_terminal - rep.relative_entropy)
             payload["compensator_identity_gap"] = gap
-            ok = gap <= max(1e-9, 1e-10 * (1.0 + rep.relative_entropy))
+            ok = gap <= max(HELLINGER_ABS_TOL, HELLINGER_REL_TOL * (1.0 + rep.relative_entropy))
         payload["checks_passed"] = bool(ok)
         return (0 if ok else 1), payload
     if args.exp_utility:
@@ -269,7 +271,7 @@ def _cmd_entropy(args) -> tuple[int, dict]:
         return (0 if ok else 1), payload
     res = min_entropy_emm(m)
     resid = price_martingale_residual(m, res.density)
-    ok = res.kkt_residual < 1e-8 and resid <= price_residual_tol(m)
+    ok = res.kkt_residual < NODE_TOL and resid <= price_residual_tol(m)
     payload.update(
         mode="min-entropy",
         entropy=res.entropy,
@@ -284,61 +286,24 @@ def _cmd_entropy(args) -> tuple[int, dict]:
 def _cmd_simulate(args) -> tuple[int, dict]:
     b = simulate_bes3(args.paths, args.steps, seed=args.seed, levels=STOPPED_LEVELS)
     rec = estimate_reciprocal_moment(b)
-    gap = 1.0 - rec.mean
-    gap_sigmas = gap / rec.std_error if rec.std_error else float("inf")
     lv = estimate_log_value(b)
     probe = numeraire_probe(b, n_strats=args.probe_strategies, seed=args.seed + 1)
     stopped = stopped_experiments(b)
-    rows = [
-        {"kind": "stopped", "level": r["level"], "mean": r["mean"],
-         "std_error": r["std_error"], "frac_stopped": r["frac_stopped"]}
-        for r in stopped["rows"]
-    ]
-    for est in reciprocal_checkpoints(b):
-        rows.append(
-            {"kind": "checkpoint", "label": est.label, "mean": est.mean,
-             "std_error": est.std_error}
-        )
-    means = [r["mean"] for r in stopped["rows"]]
-    monotone = all(a <= b2 + 1e-12 for a, b2 in zip(means, means[1:]))
-    top = stopped["rows"][-1]
-    conv_se = 3.0 * (
-        top["std_error"] ** 2 + stopped["unstopped_std_error"] ** 2
-    ) ** 0.5
-    ito, integral = lv["ito_residual"], lv["EintSinv2"]
-    # each 3-SE check's statistic in standard errors and its one verdict:
-    # the two-sided checks fail at |z| > 3, the log bound at z > 3
-    checks_z = {
-        "reciprocal_within_3se": _z(rec.mean - RECIPROCAL_MOMENT_1, rec.std_error),
-        "log_bound": _z(integral.mean - LOG_VALUE_BOUND, integral.std_error),
-        "ito_identity": _z(ito.mean, ito.std_error),
-        "stopped_converged": _z(stopped["unstopped_mean"] - top["mean"], conv_se / 3.0),
-    }
-    checks = {name: z <= 3.0 if name == "log_bound" else abs(z) <= 3.0 for name, z in checks_z.items()}
-    checks.update(no_emm_gap_over_10se=gap_sigmas > 10.0, probe_all_pass=probe["all_pass"],
-                  stopped_monotone=monotone)
+    rows = [{"kind": "stopped", **r} for r in stopped["rows"]]
+    rows += [{"kind": "checkpoint", "label": e.label, "mean": e.mean, "std_error": e.std_error}
+             for e in reciprocal_checkpoints(b)]
     payload = {
         "n_paths": b.n_paths,
         "n_steps": b.n_steps,
         "seed": b.seed,
         "reciprocal_moment": rec,
-        "no_emm_gap": gap,
-        "no_emm_gap_sigmas": gap_sigmas,
         "log_value": lv,
         "probe": {k: v for k, v in probe.items() if k != "rows"},
         "stopped": stopped,
         "rows": rows,
-        "checks": checks,
-        "checks_z": checks_z,
-        "checks_passed": bool(all(checks.values())),
+        **judge_study(rec, lv, probe, stopped),
     }
-    return (0 if all(checks.values()) else 1), payload
-
-
-def _z(excess: float, std_error: float) -> float:
-    if std_error > 0.0:
-        return excess / std_error
-    return math.copysign(math.inf, excess) if excess else 0.0
+    return (0 if payload["checks_passed"] else 1), payload
 
 
 def _cmd_suite(args) -> tuple[int, dict]:

@@ -45,6 +45,8 @@ from .trees import EventTree, StoppingTime, crossed_by, cuts_nested
 
 NODE_TOL = 1e-12
 DUALITY_TOL = 1e-6
+# a martingale density's |E[z_T h^E_T] - H| is round-off up to max(ABS, REL * (1 + H))
+HELLINGER_ABS_TOL, HELLINGER_REL_TOL = 1e-9, 1e-10
 
 
 @dataclass

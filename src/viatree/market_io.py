@@ -45,6 +45,24 @@ def _number(x, kinds=(int, float)) -> bool:
     return isinstance(x, kinds) and not isinstance(x, bool)
 
 
+def _float(x) -> float:
+    """float(x) of a JSON number; an integer beyond the float range is +-inf,
+    which the model's own finiteness checks reject."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _floats(values) -> np.ndarray:
+    """The float64 array of a list, or a list of equal-length lists, of JSON
+    numbers, each converted as by ``_float``."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        return np.vectorize(_float, otypes=[np.float64])(np.array(values, dtype=object))
+
+
 def _reject_constant(name: str):
     raise MarketFormatError(f"non-finite JSON literal {name!r} is not allowed")
 
@@ -92,7 +110,7 @@ def market_from_dict(obj) -> MarketModel:
     n = len(nodes)
     parent = [None] * n
     prob = [0.0] * n
-    prices = np.empty((n, d))
+    prices = [None] * n  # converted once every row holds d numbers
     seen = set()
     for row in nodes:
         if not isinstance(row, dict):
@@ -118,7 +136,7 @@ def market_from_dict(obj) -> MarketModel:
             p = 1.0
         if not _number(p):
             raise MarketFormatError(f"node {i}: prob must be a number")
-        p = float(p)
+        p = _float(p)
         if not math.isfinite(p) or p <= 0.0 or p > 1.0:
             raise MarketFormatError(
                 f"node {i}: prob {p!r} outside the half-open interval (0, 1]"
@@ -130,7 +148,7 @@ def market_from_dict(obj) -> MarketModel:
         for j, x in enumerate(pr):
             if not _number(x):
                 raise MarketFormatError(f"node {i}: price {j} is not a number")
-            prices[i, j] = float(x)
+        prices[i] = pr
     try:
         tree = EventTree(parent, prob)
     except ValueError as e:
@@ -140,7 +158,7 @@ def market_from_dict(obj) -> MarketModel:
             f"declared horizon {obj['horizon']!r} but tree depth is {tree.horizon}"
         )
     try:
-        return MarketModel(tree=tree, prices=prices, label=label)
+        return MarketModel(tree=tree, prices=_floats(prices), label=label)
     except ValueError as e:
         raise MarketFormatError(str(e)) from e
 

@@ -180,10 +180,10 @@ def reciprocal_checkpoints(b: McBatch, n_checkpoints: int = 10) -> list[Estimate
 def estimate_log_value(b: McBatch) -> dict:
     """Log-utility value and the time integral that controls it.
 
-    Returns E[log S_1], the trapezoidal E[int_0^1 S_u^-2 du], the bound
-    verdict mean <= 2 log 2 + 3 SE, and the pathwise-paired residual of
-    the identity E[log S_1] = 0.5 E[int S^-2] (the stochastic-integral
-    term has mean zero, so the paired mean must vanish within noise).
+    Returns E[log S_1], the trapezoidal E[int_0^1 S_u^-2 du] with its
+    bound 2 log 2, and the pathwise-paired residual of the identity
+    E[log S_1] = 0.5 E[int S^-2] (the stochastic-integral term has mean
+    zero, so the paired mean must vanish within noise).
     """
     if b.n_steps < MIN_INTEGRAL_STEPS:
         raise ValueError(
@@ -196,15 +196,11 @@ def estimate_log_value(b: McBatch) -> dict:
     e_int = Estimate.of(integral, "E[int_0^1 S^-2 du]")
     paired = log_s1 - 0.5 * integral
     ito = Estimate.of(paired, "Ito residual")
-    bound_ok = e_int.mean <= LOG_VALUE_BOUND + 3.0 * e_int.std_error
-    ito_ok = abs(ito.mean) <= 3.0 * ito.std_error
     return {
         "ElogS1": e_log,
         "EintSinv2": e_int,
         "bound_limit": LOG_VALUE_BOUND,
-        "bound_check": "pass" if bound_ok else "fail",
         "ito_residual": ito,
-        "ito_check": "pass" if ito_ok else "fail",
     }
 
 

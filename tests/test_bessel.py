@@ -285,10 +285,12 @@ class TestEstimates:
 
     def test_log_value_and_ito_identity(self, batch):
         rep = estimate_log_value(batch)
-        assert rep["bound_check"] == "pass"
-        assert rep["ito_check"] == "pass"
+        # both verdicts come from the study's one rule
+        checks = bessel.judge_study(estimate_reciprocal_moment(batch), rep,
+                                    numeraire_probe(batch, n_strats=5),
+                                    stopped_experiments(batch))["checks"]
+        assert checks["log_bound"] and checks["ito_identity"]
         assert rep["EintSinv2"].mean <= LOG_VALUE_BOUND
-        assert abs(rep["ito_residual"].mean) <= 3.0 * rep["ito_residual"].std_error
 
     def test_log_value_needs_fine_grid(self):
         b = simulate_bes3(100, 50, seed=1)

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import types
 import warnings
 
 import numpy as np
@@ -19,7 +20,8 @@ from viatree import (
     market_to_dict,
     save_market,
 )
-from viatree import numeraire
+import viatree
+from viatree import bessel, numeraire
 from viatree.cli import build_parser, main
 from viatree.generators import random_market, random_na_market
 from viatree.market_io import atomic_write_text
@@ -243,6 +245,33 @@ class TestCliExitCodes:
             capsys.readouterr()
             assert main([cmd, "--market", str(market), opt, str(dens)]) == 2, flag
             assert "z must be a list of numbers; 'a' is not one" in capsys.readouterr().err
+
+    BIG = "1" + "0" * 400  # a JSON integer beyond the float range
+
+    @pytest.mark.parametrize("d, prob, price, message", [
+        ("1", "1.0", BIG, "node 0: price 0 is not finite"),
+        ("1", "1.0", "-" + BIG, "node 0: price 0 is not finite"),
+        ("1", BIG, "1.0", "node 0: prob inf outside the half-open interval (0, 1]"),
+        # the price count is checked before any (n, d) array is made
+        ("100000000000000", "1.0", "1.0", "node 0: expected 100000000000000 prices"),
+        (BIG, "1.0", "1.0", f"node 0: expected {BIG} prices"),
+    ], ids=["int-price", "negative-int-price", "int-prob", "d-1e14", "d-1e400"])
+    def test_oversized_integers_in_a_market_exit_two(self, d, prob, price, message,
+                                                      tmp_path, capsys):
+        p = tmp_path / "m.json"
+        p.write_text(f'{{"label": "x", "d": {d}, "horizon": 0, "nodes": [{{"id": 0, '
+                     f'"parent": null, "prob": {prob}, "prices": [{price}]}}]}}')
+        assert main(["check", "--market", str(p)]) == 2
+        assert capsys.readouterr().err == f"viatree: error: {message}\n"
+
+    def test_oversized_integer_in_a_density_exits_two(self, tmp_path, capsys):
+        market = self.fixture_path("binomial", tmp_path)
+        dens = tmp_path / "z.json"
+        dens.write_text(f'{{"z": [1.0, {self.BIG}, 1.0]}}')
+        for cmd, opt in (("entropy", "--hellinger"), ("optimize", "--measure")):
+            capsys.readouterr()
+            assert main([cmd, "--market", market, opt, str(dens)]) == 2, cmd
+            assert f"{dens}: density value at node 1 is not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, content, message", [
         ("market", b"\xff\xfe{}", "market file {} is not valid JSON"),
@@ -506,6 +535,26 @@ class TestCliCommands:
         for name, value in z.items():
             assert checks[name] is (value <= 3.0 if name == "log_bound" else abs(value) <= 3.0)
 
+    @pytest.mark.parametrize("level", [-20.0, 0.0, 1e9])
+    def test_simulate_verdicts_read_one_level(self, level, monkeypatch, capsys):
+        # every standard-error verdict of the study, the probe rows'
+        # included, moves with bessel.Z_LEVEL; every probe margin of this
+        # study is at most 0, and at -20 some rows pass and some fail
+        monkeypatch.setattr(bessel, "Z_LEVEL", level)
+        main(["simulate", "--paths", "2000", "--steps", "100",
+              "--probe-strategies", "5", "--seed", "3"])
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        z, checks = payload["checks_z"], payload["checks"]
+        for name, value in z.items():
+            assert checks[name] is ((value if name == "log_bound" else abs(value)) <= level)
+        rows = bessel.numeraire_probe(bessel.simulate_bes3(2000, 100, seed=3),
+                                      n_strats=5, seed=4)["rows"]
+        for r in rows:  # the one-share row's ratio is exactly 1: margin 0, no spread
+            margin_z = r["margin"] / r["std_error"] if r["std_error"] else 0.0
+            assert r["pass"] is (margin_z <= level), r["label"]
+        assert checks["probe_all_pass"] is all(r["pass"] for r in rows)
+        assert all(checks[name] for name in z) is (level > 0.0)
+
     def test_reports_identical_modulo_timing(self, tmp_path):
         path = self.fixture_path("two_period", tmp_path)
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -604,3 +653,10 @@ class TestSharedParser:
             runs.append((code, re.sub(r'  "timing": \{[^}]*\},\n', "", out.read_text())))
         assert '"timing"' not in runs[0][1]
         assert runs[0] == runs[1]
+
+
+class TestPublicApi:
+    def test_all_names_no_module(self):
+        assert viatree.__all__, "empty public API"
+        modules = [n for n in viatree.__all__ if isinstance(getattr(viatree, n), types.ModuleType)]
+        assert modules == []
