@@ -473,9 +473,11 @@ MONOTONE_SLACK = 1e-12  # how far a stopped mean may fall below the level before
 
 def judge_study(rec: Estimate, log_value: dict, probe: dict, stopped: dict) -> dict:
     """Every verdict of the study: ``checks``, with ``checks_z`` holding
-    each standard-error check's statistic in standard errors.  The
-    two-sided checks pass at |z| <= Z_LEVEL, the log bound at z <= Z_LEVEL,
-    and each probe row (``_probe_row``) at the same level."""
+    each standard-error check's statistic in standard errors and
+    ``checks_p`` its normal p-value, two-sided erfc(|z| / sqrt 2) and for
+    the log bound one-sided erfc(z / sqrt 2) / 2.  The two-sided checks
+    pass at |z| <= Z_LEVEL, the log bound at z <= Z_LEVEL, and each probe
+    row (``_probe_row``) at the same level; the p-values gate nothing."""
     gap = 1.0 - rec.mean
     gap_sigmas = _z(gap, rec.std_error)
     integral, ito, top = log_value["EintSinv2"], log_value["ito_residual"], stopped["rows"][-1]
@@ -487,9 +489,11 @@ def judge_study(rec: Estimate, log_value: dict, probe: dict, stopped: dict) -> d
         "stopped_converged": _z(stopped["unstopped_mean"] - top["mean"],
                                 math.hypot(top["std_error"], stopped["unstopped_std_error"])),
     }
-    checks = {name: (z if name == "log_bound" else abs(z)) <= Z_LEVEL
-              for name, z in checks_z.items()}
+    judged = {name: (z if name == "log_bound" else abs(z)) for name, z in checks_z.items()}
+    checks = {name: z <= Z_LEVEL for name, z in judged.items()}
+    checks_p = {name: math.erfc(z / math.sqrt(2.0)) / (2.0 if name == "log_bound" else 1.0)
+                for name, z in judged.items()}
     checks.update(no_emm_gap_over_10se=gap_sigmas > GAP_SIGMAS, probe_all_pass=probe["all_pass"],
                   stopped_monotone=all(a <= b + MONOTONE_SLACK for a, b in zip(means, means[1:])))
     return {"no_emm_gap": gap, "no_emm_gap_sigmas": gap_sigmas, "checks_z": checks_z,
-            "checks": checks, "checks_passed": all(checks.values())}
+            "checks_p": checks_p, "checks": checks, "checks_passed": all(checks.values())}

@@ -52,7 +52,10 @@ class MarketModel:
     def memo(self, key, compute):
         """``compute()``, computed once and kept on the model under ``key``.
 
-        A kept result is reused only while ``prices``, ``tree.parent`` and
+        ``key`` is a question's name, or a tuple of its name and the
+        arguments it was asked with; the model keeps one result per name,
+        the last key's, so a new key replaces the name's kept result.  A
+        kept result is reused only while ``prices``, ``tree.parent`` and
         ``tree.branch_prob`` are bitwise the arrays it was computed from;
         any change drops every kept result.  A ``compute`` that raises keeps
         nothing, so it raises again on the next call.  Every call returns its
@@ -64,9 +67,11 @@ class MarketModel:
         if self._memo.get(_STATE) != state:
             self._memo.clear()
             self._memo[_STATE] = state
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return _detached(self._memo[key])
+        name = key[0] if isinstance(key, tuple) else key
+        kept = self._memo.get(name)
+        if kept is None or kept[0] != key:
+            kept = self._memo[name] = (key, compute())
+        return _detached(kept[1])
 
 
 _STATE = object()  # memo key of the arrays the kept results were computed from

@@ -187,8 +187,6 @@ def _node_excess(m: MarketModel, candidate: WealthProcess, tol: float):
     q* (None on ARBITRAGE), both per edge.
     """
     t, n = m.tree, candidate.values
-    if np.any(n <= 0.0):
-        raise ValueError("candidate numeraire wealth must be strictly positive")
     cert = check_na(m)
     q = t.branch_prob[t.edges] * n[t.edge_parent] / n[t.edges]
     e = np.full(t.internal.size, np.inf)
@@ -222,7 +220,29 @@ def _compounded(t: EventTree, e: np.ndarray) -> float:
 
 def _reports(m: MarketModel, candidate: WealthProcess, tol: float = RATIO_TOL):
     """``verify_numeraire``'s and ``deflator_probe``'s reports on one
-    ``_node_excess`` call at ``tol``."""
+    ``_node_excess`` call at ``tol``.
+
+    The model keeps the reports of the last candidate asked
+    (``MarketModel.memo``, keyed by the candidate's wealth values, its x0
+    and ``tol``), so asking both questions about one candidate runs one
+    pass; a new candidate, x0 or ``tol`` replaces them.  The wealth must
+    be one finite, strictly positive value per node and x0 finite and
+    positive, else ``ValueError``.
+    """
+    n, x0, size = np.asarray(candidate.values), candidate.x0, m.tree.n_nodes
+    if n.shape != (size,):
+        raise ValueError(f"candidate numeraire wealth has shape {n.shape}, expected ({size},)")
+    if not np.all(np.isfinite(n)):
+        raise ValueError(f"candidate numeraire wealth at node {np.flatnonzero(~np.isfinite(n))[0]} is not finite")
+    if np.any(n <= 0.0):
+        raise ValueError("candidate numeraire wealth must be strictly positive")
+    if not (np.isfinite(x0) and x0 > 0.0):
+        raise ValueError(f"candidate initial capital must be finite and positive, got {x0!r}")
+    key = ("numeraire_reports", n.dtype.str, n.shape, n.tobytes(), x0, tol)
+    return m.memo(key, lambda: _excess_reports(m, WealthProcess(x0=x0, values=n), tol))
+
+
+def _excess_reports(m: MarketModel, candidate: WealthProcess, tol: float):
     t = m.tree
     e, q, q_star = _node_excess(m, candidate, tol)
     cut = _compounded(t, e)
@@ -271,6 +291,11 @@ def verify_numeraire(
     ``binary_martingale_gap`` is max |q_j / q*_j - 1| over their edges
     (None on an arbitrage market, which has no weights q*).
 
+    The report shares one ``_node_excess`` pass with ``deflator_probe``'s
+    (``_reports``): the model keeps the last candidate's reports until a
+    new candidate, x0 or ``tol`` is asked, or its prices or tree arrays
+    change, so asking both questions about one candidate runs one pass.
+
     ``n_strategies`` and ``seed`` are accepted and ignored: the check
     samples nothing.  They stay for callers written against the sampled
     check.
@@ -290,6 +315,8 @@ def deflator_probe(
     bounds it by x0 (x0 / N_0 G - 1), G the largest product of
     (1 + e_v^+) over a root-to-leaf path; the probe passes when that bound
     is <= ``RATIO_TOL`` and E[x0 / N_T] itself is <= 1 + ``DEFLATOR_TOL``.
+    After ``verify_numeraire`` at its default ``tol`` on the same candidate
+    and model the report is the kept one (``_reports``): no second pass.
 
     ``n`` and ``seed`` are accepted and ignored: the bound samples
     nothing.  They stay for callers written against the sampled probe.

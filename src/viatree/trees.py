@@ -21,10 +21,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 
 PROB_SUM_TOL = 1e-12
+
+
+def _parent_array(parent) -> np.ndarray:
+    """The parent indices as int64, None read as -1; a bool or a number
+    that is not an integer raises ``ValueError`` naming the node."""
+    par = [-1 if p is None else p for p in parent]
+    if not all(issubclass(k, Integral) and k is not bool for k in set(map(type, par))):
+        for node, p in enumerate(par):
+            if isinstance(p, bool) or not (isinstance(p, Integral) or isinstance(p, Real) and float(p).is_integer()):
+                raise ValueError(f"node {node}: parent {p!r} is not an integer")
+    return np.asarray(par, dtype=np.int64)
 
 
 class EventTree:
@@ -36,6 +48,7 @@ class EventTree:
         ``parent[i]`` is the index of node ``i``'s parent; the root entry
         (index 0) must be ``None`` (or ``-1``).  Parents must precede
         children and nodes must be grouped by depth (breadth-first order).
+        A bool or a number that is not an integer raises ``ValueError``.
     branch_prob : sequence of float
         ``branch_prob[i]`` is the conditional probability of reaching node
         ``i`` from its parent.  The root entry must be 1.  Probabilities lie
@@ -43,9 +56,7 @@ class EventTree:
     """
 
     def __init__(self, parent, branch_prob):
-        par = np.asarray(
-            [-1 if p is None else int(p) for p in parent], dtype=np.int64
-        )
+        par = _parent_array(parent)
         bp = np.asarray(branch_prob, dtype=np.float64)
         n = par.size
         if n == 0:

@@ -292,6 +292,20 @@ class TestEstimates:
         assert checks["log_bound"] and checks["ito_identity"]
         assert rep["EintSinv2"].mean <= LOG_VALUE_BOUND
 
+    def test_p_values_beside_infinite_z(self, batch):
+        # a zero standard error makes z infinite: a two-sided p of 0, and a
+        # log bound far below its limit a one-sided p of 1
+        rep = estimate_log_value(batch)
+        rep["ito_residual"] = dataclasses.replace(rep["ito_residual"], mean=1e-3, std_error=0.0)
+        rep["EintSinv2"] = dataclasses.replace(rep["EintSinv2"], std_error=0.0)
+        out = bessel.judge_study(estimate_reciprocal_moment(batch), rep,
+                                 numeraire_probe(batch, n_strats=5), stopped_experiments(batch))
+        assert out["checks_z"]["ito_identity"] == math.inf and out["checks_p"]["ito_identity"] == 0.0
+        assert out["checks_z"]["log_bound"] == -math.inf and out["checks_p"]["log_bound"] == 1.0
+        z = out["checks_z"]["reciprocal_within_3se"]
+        assert out["checks_p"]["reciprocal_within_3se"] == math.erfc(abs(z) / math.sqrt(2.0))
+        assert not out["checks"]["ito_identity"] and out["checks"]["log_bound"]
+
     def test_log_value_needs_fine_grid(self):
         b = simulate_bes3(100, 50, seed=1)
         with pytest.raises(ValueError, match="at least 100 steps"):

@@ -27,10 +27,11 @@ from viatree import (
     verify_numeraire,
     wealth_from_fractions,
 )
+from viatree import numeraire
 from viatree.arbitrage import DEGENERATE_TOL
 from viatree.generators import random_market, random_na_market
 from viatree.markets import WealthKernel
-from viatree.numeraire import _node_excess
+from viatree.numeraire import RATIO_TOL, _node_excess
 
 SEEDS = range(40)
 SLACK = 1e-12
@@ -173,3 +174,91 @@ def test_price_unit_does_not_change_the_check(s):
         b = _node_excess(big, cand, -np.inf)[0]
         assert np.allclose(a, b, rtol=1e-9, atol=SLACK)
         assert verify_numeraire(m, cand)["passed"] == verify_numeraire(big, cand)["passed"]
+
+
+# ------------------------------------------------ one kept pass per candidate
+
+
+@pytest.fixture
+def excess_calls(monkeypatch):
+    """The arguments of every ``_node_excess`` call."""
+    calls = []
+    excess = numeraire._node_excess
+
+    def counted(*args):
+        calls.append(args)
+        return excess(*args)
+
+    monkeypatch.setattr(numeraire, "_node_excess", counted)
+    return calls
+
+
+def _fresh(s):
+    """``_case(s)`` on a model of its own, whose memo starts empty, and a
+    copy of the good candidate that a test may edit in place."""
+    m, good, bad, _ = _case(s)
+    m = MarketModel(tree=m.tree, prices=m.prices.copy())
+    return m, WealthProcess(x0=good.x0, values=good.values.copy()), bad
+
+
+def test_both_reports_share_one_pass(excess_calls):
+    m, good, _ = _fresh(3)
+    verify_numeraire(m, good)
+    deflator_probe(m, good)
+    verify_numeraire(m, good, n_strategies=5, seed=9)
+    assert len(excess_calls) == 1
+
+
+@pytest.mark.parametrize("change", ["candidate", "tol", "x0", "values in place", "prices in place"])
+def test_a_new_question_runs_again(change, excess_calls):
+    m, cand, bad = _fresh(3)
+    tol = RATIO_TOL
+    verify_numeraire(m, cand)
+    if change == "candidate":
+        cand = bad
+    elif change == "tol":
+        tol = 1e-7
+    elif change == "x0":
+        cand = WealthProcess(x0=2.0, values=cand.values)
+    elif change == "values in place":
+        cand.values[-1] *= BUMP
+    else:
+        m.prices *= 2.0
+    rep = verify_numeraire(m, cand, tol=tol)
+    assert len(excess_calls) == 2
+    assert verify_numeraire(m, cand, tol=tol) == rep
+    assert len(excess_calls) == 2
+
+
+def test_mutating_a_report_changes_no_later_one(excess_calls):
+    m, good, _ = _fresh(5)
+    rep, defl = verify_numeraire(m, good), deflator_probe(m, good)
+    want = (dict(rep), dict(defl))
+    rep.update(passed=False, worst_node=-1)
+    defl["worst_excess"] = 99.0
+    assert (verify_numeraire(m, good), deflator_probe(m, good)) == want
+    assert len(excess_calls) == 1
+
+
+def test_the_model_keeps_one_report_set(excess_calls):
+    m, good, bad = _fresh(7)
+    other = WealthProcess(x0=2.0, values=2.0 * good.values)
+    for cand in (good, bad, other, other):
+        verify_numeraire(m, cand)
+    assert len(excess_calls) == 3
+    kept = [k for k in m._memo if isinstance(k, str)]
+    assert sorted(kept) == ["check_na", "numeraire_reports"]
+    verify_numeraire(m, good)  # replaced by the later candidates: computed again
+    assert len(excess_calls) == 4
+
+
+@pytest.mark.parametrize("s", range(0, 40, 4))
+def test_kept_reports_equal_a_fresh_computation(s):
+    m, good, bad = _fresh(s)
+    for cand in (good, bad):
+        for tol in (RATIO_TOL, 1e-7):
+            verify_numeraire(m, cand, tol=tol)
+            kept = numeraire._reports(m, cand, tol)
+            fresh = numeraire._excess_reports(_fresh(s)[0], cand, tol)
+            assert kept == fresh
+        assert deflator_probe(m, cand) == numeraire._excess_reports(m, cand, RATIO_TOL)[1]

@@ -534,6 +534,11 @@ class TestCliCommands:
         assert z == pytest.approx(want, rel=1e-12)
         for name, value in z.items():
             assert checks[name] is (value <= 3.0 if name == "log_bound" else abs(value) <= 3.0)
+        # beside each z its normal p-value: one-sided for the log bound
+        p = payload["checks_p"]
+        assert p == {name: 0.5 * math.erfc(value / math.sqrt(2.0)) if name == "log_bound"
+                     else math.erfc(abs(value) / math.sqrt(2.0)) for name, value in z.items()}
+        assert all(0.0 <= v <= 1.0 for v in p.values())
 
     @pytest.mark.parametrize("level", [-20.0, 0.0, 1e9])
     def test_simulate_verdicts_read_one_level(self, level, monkeypatch, capsys):

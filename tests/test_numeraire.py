@@ -8,6 +8,7 @@ import pytest
 from viatree import (
     DensityProcess,
     FractionStrategy,
+    WealthProcess,
     deflator_probe,
     numeraire_portfolio,
     verify_numeraire,
@@ -123,6 +124,41 @@ class TestVerification:
         bad = WealthProcess(x0=1.0, values=np.array([1.0, 0.0, 2.0]))
         with pytest.raises(ValueError, match="positive"):
             verify_numeraire(binomial, bad)
+
+    @pytest.mark.parametrize("check", [verify_numeraire, deflator_probe])
+    @pytest.mark.parametrize("bad, match", [
+        (np.inf, "node 3 is not finite"),  # used to pass
+        (np.nan, "node 3 is not finite"),  # used to report NaN fields
+    ])
+    def test_candidate_must_be_finite(self, two_period, check, bad, match):
+        sol = numeraire_portfolio(two_period)
+        values = sol.wealth.values.copy()
+        values[3] = bad
+        with pytest.raises(ValueError, match=match):
+            check(two_period, WealthProcess(x0=1.0, values=values))
+
+    @pytest.mark.parametrize("check", [verify_numeraire, deflator_probe])
+    def test_candidate_needs_one_value_per_node(self, two_period, check):
+        # one value short used to raise IndexError
+        sol = numeraire_portfolio(two_period)
+        short = WealthProcess(x0=1.0, values=sol.wealth.values[:-1])
+        with pytest.raises(ValueError, match=r"shape \(6,\), expected \(7,\)"):
+            check(two_period, short)
+
+    @pytest.mark.parametrize("check", [verify_numeraire, deflator_probe])
+    def test_candidate_values_may_be_a_list(self, two_period, check):
+        # the values are read as an array: a list used to raise TypeError
+        sol = numeraire_portfolio(two_period)
+        listed = WealthProcess(x0=1.0, values=sol.wealth.values.tolist())
+        assert check(two_period, listed) == check(two_period, sol.wealth)
+
+    @pytest.mark.parametrize("check", [verify_numeraire, deflator_probe])
+    @pytest.mark.parametrize("x0", [np.nan, np.inf, 0.0, -1.0])
+    def test_candidate_x0_must_be_finite_and_positive(self, two_period, check, x0):
+        # x0 = nan used to give a NaN deflator report
+        sol = numeraire_portfolio(two_period)
+        with pytest.raises(ValueError, match="initial capital must be finite and positive"):
+            check(two_period, WealthProcess(x0=x0, values=sol.wealth.values))
 
     def test_suboptimal_candidate_fails(self, binomial_skew):
         # pi = 0 is not the numeraire here; the optimal strategy beats it

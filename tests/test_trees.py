@@ -73,6 +73,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="parentless"):
             EventTree([None, None, 0], [1.0, 0.5, 0.5])
 
+    @pytest.mark.parametrize("p", [0.7, True, np.True_, 0.5 + 0j, "0"])
+    def test_non_integer_parent_rejected(self, p):
+        # int(p) used to truncate 0.7 to 0 and read True as 1
+        with pytest.raises(ValueError, match=r"node 1: parent .* is not an integer"):
+            EventTree([None, p, 0], [1.0, 0.5, 0.5])
+
+    def test_integral_parent_accepted(self):
+        t = EventTree([None, 0.0, np.int32(0)], [1.0, 0.5, 0.5])
+        assert t.parent.tolist() == [-1, 0, 0]
+
     def test_forward_parent_rejected(self):
         with pytest.raises(ValueError, match="precede"):
             EventTree([None, 2, 0], [1.0, 0.5, 0.5])
