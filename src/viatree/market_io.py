@@ -14,9 +14,11 @@ Schema (one object per file):
     }
 
 Node ids must be exactly 0..N-1 in breadth-first order (parents precede
-children, levels contiguous).  ``prob`` is the conditional branch
-probability in (0, 1]; the root's may be given as null or 1.  NaN and
-infinities are rejected outright, as are unknown or missing fields.
+children, levels contiguous); the rows may be listed in any id order.
+``prob`` is the conditional branch probability in (0, 1]; the root's may be
+given as null or 1.  NaN and infinities are rejected outright, as are
+unknown or missing fields.  An error names the first offending row in file
+order.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
@@ -45,6 +47,14 @@ def _number(x, kinds=(int, float)) -> bool:
     return isinstance(x, kinds) and not isinstance(x, bool)
 
 
+def _non_numbers(values, kinds=(int, float)) -> list:
+    """Per value, True where it is not a JSON number of one of ``kinds``;
+    values of exactly those types pass without a per-value test."""
+    if set(map(type, values)) <= set(kinds):
+        return [False] * len(values)
+    return [not _number(x, kinds) for x in values]
+
+
 def _float(x) -> float:
     """float(x) of a JSON number; an integer beyond the float range is +-inf,
     which the model's own finiteness checks reject."""
@@ -55,8 +65,8 @@ def _float(x) -> float:
 
 
 def _floats(values) -> np.ndarray:
-    """The float64 array of a list, or a list of equal-length lists, of JSON
-    numbers, each converted as by ``_float``."""
+    """The float64 array of a list of JSON numbers, each converted as by
+    ``_float``."""
     try:
         return np.array(values, dtype=np.float64)
     except OverflowError:
@@ -69,21 +79,15 @@ def _reject_constant(name: str):
 
 def market_to_dict(m: MarketModel) -> dict:
     t = m.tree
-    nodes = []
-    for i in range(t.n_nodes):
-        nodes.append(
-            {
-                "id": i,
-                "parent": None if t.parent[i] < 0 else int(t.parent[i]),
-                "prob": float(t.branch_prob[i]),
-                "prices": [float(x) for x in m.prices[i]],
-            }
-        )
+    columns = zip(t.parent.tolist(), t.branch_prob.tolist(), m.prices.tolist())
     return {
         "label": m.label,
         "d": int(m.d),
         "horizon": int(t.horizon),
-        "nodes": nodes,
+        "nodes": [
+            {"id": i, "parent": None if par < 0 else par, "prob": p, "prices": pr}
+            for i, (par, p, pr) in enumerate(columns)
+        ],
     }
 
 
@@ -108,49 +112,51 @@ def market_from_dict(obj) -> MarketModel:
     if not isinstance(nodes, list) or not nodes:
         raise MarketFormatError("nodes must be a non-empty list")
     n = len(nodes)
-    parent = [None] * n
-    prob = [0.0] * n
-    prices = [None] * n  # converted once every row holds d numbers
-    seen = set()
-    for row in nodes:
-        if not isinstance(row, dict):
-            raise MarketFormatError("each node must be an object")
-        extra = set(row) - NODE_FIELDS
-        missing = NODE_FIELDS - set(row)
-        if extra or missing:
-            raise MarketFormatError(
-                f"node fields mismatch: extra {sorted(extra)}, missing {sorted(missing)}"
-            )
-        i = row["id"]
-        if not _number(i, int) or i < 0 or i >= n:
-            raise MarketFormatError(f"node id {i!r} outside 0..{n - 1}")
-        if i in seen:
-            raise MarketFormatError(f"duplicate node id {i}")
-        seen.add(i)
-        par = row["parent"]
-        if par is not None and (not _number(par, int) or par < 0 or par >= n):
-            raise MarketFormatError(f"node {i}: bad parent {par!r}")
-        parent[i] = par
-        p = row["prob"]
-        if p is None and par is None:
-            p = 1.0
-        if not _number(p):
-            raise MarketFormatError(f"node {i}: prob must be a number")
-        p = _float(p)
-        if not math.isfinite(p) or p <= 0.0 or p > 1.0:
-            raise MarketFormatError(
-                f"node {i}: prob {p!r} outside the half-open interval (0, 1]"
-            )
-        prob[i] = p
-        pr = row["prices"]
-        if not isinstance(pr, list) or len(pr) != d:
-            raise MarketFormatError(f"node {i}: expected {d} prices")
-        for j, x in enumerate(pr):
-            if not _number(x):
-                raise MarketFormatError(f"node {i}: price {j} is not a number")
-        prices[i] = pr
+    # each rule runs over the rows before the first offending row found so
+    # far, in the order a row's rules are listed here: the error names the
+    # first offending row in file order, and that row's first broken rule
+    end, error = n, None
+
+    def flag(bad, message):
+        nonlocal end, error
+        if True in bad:
+            end = bad.index(True)
+            error = message(end)
+
+    flag([not isinstance(r, dict) for r in nodes], lambda k: "each node must be an object")
+    flag([r.keys() != NODE_FIELDS for r in nodes[:end]], lambda k: (
+        f"node fields mismatch: extra {sorted(set(nodes[k]) - NODE_FIELDS)}, "
+        f"missing {sorted(NODE_FIELDS - set(nodes[k]))}"))
+    ids = [r["id"] for r in nodes[:end]]
+    flag([bad or i < 0 or i >= n for bad, i in zip(_non_numbers(ids, (int,)), ids)],
+         lambda k: f"node id {ids[k]!r} outside 0..{n - 1}")
+    first = {}  # a duplicate id is named at its second row
+    flag([first.setdefault(i, k) != k for k, i in enumerate(ids[:end])],
+         lambda k: f"duplicate node id {ids[k]}")
+    pars = [r["parent"] for r in nodes[:end]]
+    flag([p is not None and (bad or p < 0 or p >= n)
+          for bad, p in zip(_non_numbers(pars, (int, type(None))), pars)],
+         lambda k: f"node {ids[k]}: bad parent {pars[k]!r}")
+    probs = [1.0 if r["prob"] is None and p is None else r["prob"]
+             for r, p in zip(nodes[:end], pars)]
+    flag(_non_numbers(probs), lambda k: f"node {ids[k]}: prob must be a number")
+    flag([not 0.0 < q <= 1.0 for q in probs[:end]], lambda k: (
+        f"node {ids[k]}: prob {_float(probs[k])!r} outside the half-open interval (0, 1]"))
+    prices = [r["prices"] for r in nodes[:end]]
+    flag([not isinstance(pr, list) or len(pr) != d for pr in prices],
+         lambda k: f"node {ids[k]}: expected {d} prices")
+    flat = list(chain.from_iterable(prices[:end]))  # rows of d prices each
+    if True in (bad := _non_numbers(flat)):
+        k, j = divmod(bad.index(True), d)
+        error = f"node {ids[k]}: price {j} is not a number"
+    if error:
+        raise MarketFormatError(error)
+    if ids != list(range(n)):  # rows listed out of id order
+        order = sorted(range(n), key=ids.__getitem__)
+        pars, probs = [pars[k] for k in order], [probs[k] for k in order]
+        flat = [x for k in order for x in prices[k]]
     try:
-        tree = EventTree(parent, prob)
+        tree = EventTree(pars, probs)
     except ValueError as e:
         raise MarketFormatError(f"invalid tree: {e}") from e
     if tree.horizon != obj["horizon"]:
@@ -158,7 +164,7 @@ def market_from_dict(obj) -> MarketModel:
             f"declared horizon {obj['horizon']!r} but tree depth is {tree.horizon}"
         )
     try:
-        return MarketModel(tree=tree, prices=_floats(prices), label=label)
+        return MarketModel(tree=tree, prices=_floats(flat).reshape(n, d), label=label)
     except ValueError as e:
         raise MarketFormatError(str(e)) from e
 
@@ -186,13 +192,18 @@ def save_market(m: MarketModel, path) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    partial file."""
+    partial file.  The file gets mode 0o666 less the umask, as from
+    ``open(path, "w")``."""
     path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(6).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+        try:
+            data = memoryview(text.encode("utf-8"))
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import asdict, is_dataclass
 
@@ -22,23 +23,28 @@ from .market_io import atomic_write_text
 
 def sanitize(value):
     """Make a payload JSON-safe: numpy scalars/arrays to Python, dataclasses
-    to dicts, non-finite floats to strings (the schema bans bare NaN/Inf)."""
-    if is_dataclass(value) and not isinstance(value, type):
-        return sanitize(asdict(value))
+    to dicts, non-finite floats to strings (the schema bans bare NaN/Inf).
+    An array is one ``tolist``, walked only if it may hold other entries."""
+    kind = type(value)
+    if kind is float:
+        return value if math.isfinite(value) else repr(value)
+    if kind is int or kind is str or kind is bool or value is None:
+        return value
     if isinstance(value, dict):
         return {str(k): sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [sanitize(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [sanitize(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
+        plain = value.dtype.kind in "biu" or value.dtype.kind == "f" and np.isfinite(value).all()
+        return value.tolist() if plain else sanitize(value.tolist())
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        value = float(value)
-    if isinstance(value, float) and not np.isfinite(value):
-        return repr(value)
-    if isinstance(value, (np.bool_,)):
+    if isinstance(value, (float, np.floating)):
+        return sanitize(float(value))
+    if isinstance(value, np.bool_):
         return bool(value)
+    if is_dataclass(value) and not isinstance(value, type):
+        return sanitize(asdict(value))
     return value
 
 

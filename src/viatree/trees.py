@@ -67,36 +67,38 @@ class EventTree:
             )
         if par[0] != -1:
             raise ValueError("node 0 must be the root (parent None)")
-        if n > 1 and np.any(par[1:] < 0):
+        if (par[1:] < 0).any():
             raise ValueError("only node 0 may be parentless")
-        if np.any(par[1:] >= np.arange(1, n)):
+        if (par[1:] >= np.arange(1, n)).any():
             raise ValueError("parents must precede children (breadth-first order)")
 
-        if not np.all(np.isfinite(bp)):
+        if not np.isfinite(bp).all():
             raise ValueError("branch probabilities must be finite")
         if bp[0] != 1.0:
             raise ValueError("root branch probability must be exactly 1")
-        if np.any(bp <= 0.0) or np.any(bp > 1.0):
+        if (bp <= 0.0).any() or (bp > 1.0).any():
             raise ValueError("branch probabilities must lie in (0, 1]")
 
-        # one pass per level: a node's depth is final once its parent's is
-        depth = np.zeros(n, dtype=np.int64)
-        while not np.array_equal(step := np.concatenate(([0], depth[par[1:]] + 1)), depth):
-            depth = step
-        if np.any(np.diff(depth) < 0):
+        # level L + 1 ends at the first node whose running max of parents is
+        # past level L; the levels hold iff each node is one below its parent
+        reach = np.maximum.accumulate(par)
+        off = [0, 1]
+        while off[-1] < n:
+            off.append(int(reach.searchsorted(off[-1])))
+        depth = np.arange(len(off) - 1).repeat([hi - lo for lo, hi in zip(off, off[1:])])
+        if not (depth[par[1:]] + 1 == depth[1:]).all():
             raise ValueError("nodes must be grouped by depth (breadth-first order)")
 
         # edges (named by their child) ordered by parent: siblings are adjacent
-        edges = np.argsort(par[1:], kind="stable") + 1
+        edges = par[1:].argsort(kind="stable") + 1
         n_kids = np.bincount(par[1:], minlength=n)
-        leaves = np.flatnonzero(n_kids == 0)
-        internal = np.flatnonzero(n_kids)
-        horizon = int(depth.max())
-        if np.any(depth[leaves] != horizon):
+        horizon, m = len(off) - 2, off[-2]  # nodes 0..m-1 lie above the terminal depth
+        if not n_kids[:m].all():
             raise ValueError("tree must be leveled: every leaf at the terminal depth")
+        internal, leaves = np.arange(m), np.arange(m, n)
 
         sums = np.bincount(par[1:], weights=bp[1:], minlength=n)
-        bad = internal[np.abs(sums[internal] - 1.0) > PROB_SUM_TOL]
+        bad = (np.abs(sums[:m] - 1.0) > PROB_SUM_TOL).nonzero()[0]
         if bad.size:
             raise ValueError(
                 f"branch probabilities out of node {bad[0]} sum to {sums[bad[0]]!r}, "
@@ -109,15 +111,15 @@ class EventTree:
         self.depth = depth
         self.horizon = horizon
         # depth level k occupies nodes level_offsets[k]:level_offsets[k + 1]
-        self.level_offsets = off = np.searchsorted(depth, np.arange(horizon + 2))
+        self.level_offsets = np.array(off)
         self.leaves = leaves
         self.internal = internal
         # the edge into node edges[e] leaves edge_parent[e]; internal node
         # internal[i] owns the edges starts[i]:starts[i] + sizes[i]
         self.edges = edges
         self.edge_parent = par[edges]
-        self.sizes = n_kids[internal]
-        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.sizes = n_kids[:m]
+        self.starts = self.sizes.cumsum() - self.sizes
         # the edges into depth L + 1 are edges[edge_levels[L]]; every node
         # above the terminal depth is internal, so the nodes they leave are
         # internal[node_levels[L]]

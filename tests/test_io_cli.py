@@ -1,14 +1,20 @@
 """Market files, reports, fixtures, and the command-line interface."""
 
+import hashlib
 import json
 import math
+import os
 import re
+import stat
 import types
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from test_arbitrage import bessel_tree
+
+import loop_oracle
 
 from viatree import (
     MarketFormatError,
@@ -113,6 +119,135 @@ class TestMarketFiles:
         assert list(tmp_path.iterdir()) == [p]  # no stray temp files
 
 
+    # sha256 of save_market's file for each bundled fixture, as written
+    # before market_to_dict read the model by column
+    SAVED_SHA256 = {
+        "arbitrage": "434cbdeb5feb71721aa7a8b6bc2a47caac00a06523517f81b729b356029daf5a",
+        "binomial": "a22daba872db11301e740e35be0e99972f792093b2d68467ea035e6d9305019a",
+        "binomial_skew": "0efb9d0ce30ee68709ea8cfd0fca4bd9ac22e12d5fecb90c5cfed35e464bbad7",
+        "constant": "5d6e5c5d4137624461eaf9f02a871f18ff0f2be78eafac536cff8c0107a1d21d",
+        "trinomial": "dad280e61ff488397caadddc242dddd364ce90b482436c0dd7972958f940fe77",
+        "two_period": "b11c3084101797b1160e0b3c628a0313de17342ac2e96ab11dc7e9a7ceb6291a",
+    }
+
+    @pytest.mark.parametrize("name", sorted(SAVED_SHA256))
+    def test_saved_bytes_are_pinned(self, name, tmp_path):
+        path = tmp_path / "m.json"
+        save_market(load_fixture(name), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SAVED_SHA256[name]
+
+    def test_rows_in_any_order_load_the_same_model(self, rng):
+        m = random_market(rng, d=2, depth_range=(3, 3))
+        obj = market_to_dict(m)
+        rows = obj["nodes"]
+        shuffled = dict(obj, nodes=[rows[k] for k in rng.permutation(len(rows))])
+        assert shuffled["nodes"] != rows
+        back = market_from_dict(shuffled)
+        assert np.array_equal(back.tree.parent, m.tree.parent)
+        assert np.array_equal(back.tree.branch_prob, m.tree.branch_prob)
+        assert np.array_equal(back.prices, m.prices)
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077, 0o002])
+    def test_written_files_follow_the_umask(self, mask, tmp_path):
+        # save_market and --out reports are created as open(path, "w") would
+        market, report = tmp_path / "m.json", tmp_path / "r.json"
+        old = os.umask(mask)
+        try:
+            save_market(load_fixture("binomial"), market)
+            assert main(["check", "--market", str(market), "--out", str(report)]) == 0
+        finally:
+            os.umask(old)
+        for path in (market, report):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~mask, path.name
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "r.json"]
+
+
+def spoil(kind, obj, k):
+    """Break row k of a d = 1 market dict in one way; the loader message it
+    causes, for ids 0..n-1 listed in order."""
+    rows = obj["nodes"]
+    if kind == "object":
+        rows[k] = [k]
+        return "each node must be an object"
+    if kind == "fields":
+        rows[k]["drift"] = 0.0
+        return "node fields mismatch: extra ['drift'], missing []"
+    if kind == "id":
+        rows[k]["id"] = 99
+        return f"node id 99 outside 0..{len(rows) - 1}"
+    if kind == "duplicate":
+        rows[k]["id"] = k - 1
+        return f"duplicate node id {k - 1}"
+    if kind == "parent":
+        rows[k]["parent"] = -3
+        return f"node {k}: bad parent -3"
+    if kind == "prob-type":
+        rows[k]["prob"] = "0.5"
+        return f"node {k}: prob must be a number"
+    if kind == "prob-range":
+        rows[k]["prob"] = 1.5
+        return f"node {k}: prob 1.5 outside the half-open interval (0, 1]"
+    if kind == "price-count":
+        rows[k]["prices"] = [1.0, 2.0]
+        return f"node {k}: expected 1 prices"
+    if kind == "price-type":
+        rows[k]["prices"] = [None]
+        return f"node {k}: price 0 is not a number"
+    raise AssertionError(kind)
+
+
+SPOILS = ["object", "fields", "id", "duplicate", "parent", "prob-type", "prob-range",
+          "price-count", "price-type"]
+# one spoil per field, in the order a row's rules run, paired earlier-first
+FIELD_SPOILS = ["id", "parent", "prob-type", "price-count"]
+ROW_PAIRS = [(a, b) for i, a in enumerate(FIELD_SPOILS) for b in FIELD_SPOILS[i + 1:]]
+
+
+class TestLoaderPrecedence:
+    """The loader checks each rule over a column of rows, and still names the
+    first offending row in file order, with that row's first broken rule."""
+
+    @pytest.mark.parametrize("first", SPOILS)
+    @pytest.mark.parametrize("second", SPOILS)
+    def test_first_offending_row_wins(self, first, second):
+        obj = market_to_dict(load_fixture("two_period"))
+        want = spoil(first, obj, 2)
+        spoil(second, obj, 5)
+        with pytest.raises(MarketFormatError) as exc:
+            market_from_dict(obj)
+        assert str(exc.value) == want
+
+    @pytest.mark.parametrize("pair", ROW_PAIRS)
+    def test_a_rows_first_rule_wins(self, pair):
+        obj = market_to_dict(load_fixture("two_period"))
+        want = spoil(pair[0], obj, 3)
+        spoil(pair[1], obj, 3)
+        with pytest.raises(MarketFormatError) as exc:
+            market_from_dict(obj)
+        assert str(exc.value) == want
+
+    @pytest.mark.parametrize("other_row, message", [
+        (3, "node 3: bad parent -3"),
+        (5, "duplicate node id 2"),
+    ])
+    def test_duplicate_id_is_named_at_its_second_row(self, other_row, message):
+        obj = market_to_dict(load_fixture("two_period"))
+        obj["nodes"][4]["id"] = 2
+        obj["nodes"][other_row]["parent"] = -3
+        with pytest.raises(MarketFormatError) as exc:
+            market_from_dict(obj)
+        assert str(exc.value) == message
+
+    def test_rows_out_of_id_order_name_the_first_row_in_the_file(self):
+        obj = market_to_dict(load_fixture("two_period"))
+        obj["nodes"].reverse()  # row 0 holds node 6
+        obj["nodes"][1]["prob"] = 2.0  # node 5
+        obj["nodes"][4]["prob"] = 3.0  # node 2
+        with pytest.raises(MarketFormatError) as exc:
+            market_from_dict(obj)
+        assert str(exc.value) == "node 5: prob 2.0 outside the half-open interval (0, 1]"
+
+
 class TestFixtures:
     def test_names_listed(self):
         names = fixture_names()
@@ -142,6 +277,37 @@ class TestReporting:
         clean = sanitize({"a": np.inf, "b": np.nan, "c": -np.inf})
         assert all(isinstance(v, str) for v in clean.values())
         json.dumps(clean, allow_nan=False)
+
+    @dataclass
+    class Point:
+        x: float
+        tags: tuple
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sanitize_matches_the_recursive_walk(self, seed):
+        rng = np.random.default_rng([seed, 34])
+        special = np.array([np.nan, np.inf, -np.inf, 0.5, -2.0])
+
+        def array(dims):
+            shape = tuple(int(k) for k in rng.integers(0, 4, size=dims))
+            kind = ["f8", "f4", "i8", "bool"][int(rng.integers(4))]
+            a = rng.choice(special, size=shape) if kind[0] == "f" else rng.integers(0, 2, size=shape)
+            return np.asarray(a).astype(kind)
+
+        payload = {
+            "arrays": [array(dims) for dims in (1, 2, 3) for _ in range(3)],
+            "scalars": (np.float64(np.nan), np.float32(-np.inf), np.int64(3), np.bool_(True),
+                        float("inf"), -0.0, 7, None, "s", True),
+            "point": self.Point(x=np.float64(np.inf), tags=(np.int32(1), np.array([np.nan]))),
+            5: {"nested": [(np.float64(1.5), array(2))]},
+        }
+        want = to_json({"p": loop_oracle.sanitize(payload)})
+        assert to_json({"p": sanitize(payload)}) == want
+
+    @pytest.mark.parametrize("value", [np.float64(np.nan), np.float64(2.5), np.int64(4), np.bool_(False)])
+    def test_sanitize_reads_a_0d_array_as_its_entry(self, value):
+        # the recursive walk raised TypeError here: it iterated the scalar
+        assert sanitize(np.array(value)) == loop_oracle.sanitize(value)
 
     def test_report_shape_and_json(self):
         rep = make_report("check", {"tol": 1e-9}, {"ok": True}, 0.25)

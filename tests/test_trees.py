@@ -18,6 +18,8 @@ from viatree import (
 from viatree.generators import random_tree
 from viatree.trees import crossed_by, cuts_nested
 
+import loop_oracle
+
 
 def build_two_period():
     # binary-binary: 0 -> {1, 2}, 1 -> {3, 4}, 2 -> {5, 6}
@@ -276,3 +278,90 @@ class TestSiblingOrder:
         assert cert.verdict == ref.verdict == "ARBITRAGE"
         assert self.ORDER[ref.fail_node] == cert.fail_node == 2
         assert cert.replay == ref.replay
+
+
+def shuffled_tree(rng, depth, max_branches):
+    """Parents and branch probabilities of a random leveled tree whose
+    levels list their nodes with the parents shuffled, so siblings need not
+    be adjacent.  Levels past 200 nodes give every node one child."""
+    parent, prob, level = [None], [1.0], [0]
+    for _ in range(depth):
+        kids = []
+        for v in level:
+            k = 1 if len(level) > 200 else int(rng.integers(1, max_branches + 1))
+            w = 0.8 * rng.dirichlet(np.ones(k)) + 0.2 / k
+            kids += [(v, float(x)) for x in w]
+        rng.shuffle(kids)
+        level = list(range(len(parent), len(parent) + len(kids)))
+        parent += [v for v, _ in kids]
+        prob += [x for _, x in kids]
+    return parent, prob
+
+
+class TestLevelOffsets:
+    """``EventTree`` finds depths from level offsets; the fixed-point loop it
+    replaced (``loop_oracle.tree_layout``) must give the same layout and the
+    same errors."""
+
+    FIELDS = ("depth", "horizon", "level_offsets", "leaves", "internal", "edges",
+              "edge_parent", "sizes", "starts", "edge_levels", "node_levels")
+
+    def outcome(self, parent, prob):
+        try:
+            t = EventTree(parent, prob)
+        except ValueError as e:
+            new = str(e)
+        else:
+            new = {f: getattr(t, f) for f in self.FIELDS}
+        try:
+            old = loop_oracle.tree_layout(parent, prob)
+        except ValueError as e:
+            old = str(e)
+        return new, old
+
+    def assert_same(self, parent, prob):
+        new, old = self.outcome(parent, prob)
+        if isinstance(old, str):
+            assert new == old
+            return
+        assert not isinstance(new, str), new
+        for f in self.FIELDS:
+            if isinstance(old[f], np.ndarray):
+                assert new[f].dtype == old[f].dtype, f
+                assert np.array_equal(new[f], old[f]), f
+            else:
+                assert new[f] == old[f], f
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_valid_trees_match_the_loop(self, seed):
+        rng = np.random.default_rng([seed, 32])
+        parent, prob = shuffled_tree(rng, depth=seed % 9, max_branches=1 + seed % 4)
+        assert not isinstance(self.outcome(parent, prob)[0], str)
+        self.assert_same(parent, prob)
+
+    @pytest.mark.parametrize("parent, prob, message", [
+        # a child before its parent
+        ([None, 2, 0, 1], [1.0, 1.0, 1.0, 1.0], "parents must precede"),
+        # depth-1 and depth-2 nodes interleaved
+        ([None, 0, 1, 0, 2], [1.0, 0.5, 1.0, 0.5, 1.0], "grouped by depth"),
+        # leaf 2 stops at depth 1 while 3 and 4 reach depth 2
+        ([None, 0, 0, 1, 1], [1.0, 0.5, 0.5, 0.5, 0.5], "leveled"),
+        # node 5 hangs off the root, two levels above its neighbours' parents
+        ([None, 0, 0, 1, 2, 0], [1.0, 0.25, 0.5, 1.0, 1.0, 0.25], "grouped by depth"),
+        ([None, 0, 0, 1, 2, 1, 0], [1.0, 0.25, 0.5, 0.5, 1.0, 0.5, 0.25], "grouped by depth"),
+    ], ids=["child-first", "interleaved", "unleveled-leaf", "parent-two-up", "parent-two-up-mid"])
+    def test_invalid_trees_raise_the_loops_error(self, parent, prob, message):
+        new, old = self.outcome(parent, prob)
+        assert isinstance(new, str) and message in new
+        assert new == old
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_parent_arrays_match_the_loop(self, seed):
+        # parents drawn below each node: mostly invalid trees, some valid
+        rng = np.random.default_rng([seed, 33])
+        for _ in range(50):
+            n = int(rng.integers(1, 12))
+            parent = [None] + [int(rng.integers(max(0, i - 4), i)) for i in range(1, n)]
+            kids = np.bincount(parent[1:], minlength=n) if n > 1 else np.zeros(1, int)
+            prob = [1.0] + [1.0 / kids[p] for p in parent[1:]]
+            self.assert_same(parent, prob)
