@@ -37,7 +37,9 @@ martingale residuals on the NA side, the strategy's terminal gains on the
 arbitrage side.  The decision depends on the market alone, so it is made
 once per model (``MarketModel.memo``): ``check_na``, ``check_nupbr`` and
 every solver that gates on the verdict share one sweep and one threshold
-until the model's prices or tree arrays change; each call gets a copy.
+until the model's prices or tree arrays change.  Each public call gets a
+copy; library code that only reads the certificate takes the kept one
+(``_certificate``).
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .markets import (
     MarketModel,
     UnitStrategy,
     WealthKernel,
+    _detached,
     price_martingale_residual,
 )
 from .simplex import _solve_each, solve_lps
@@ -246,7 +249,13 @@ def check_na(m: MarketModel) -> NaCertificate:
     A certificate that fails the replay gate is not kept, so it raises on
     every call.
     """
-    return m.memo("check_na", lambda: _na_sweep(m))
+    return _detached(_certificate(m))
+
+
+def _certificate(m: MarketModel) -> NaCertificate:
+    """``check_na``'s certificate as the model keeps it, not a copy: for
+    library code that only reads it and returns no part of it."""
+    return m._kept("check_na", lambda: _na_sweep(m))
 
 
 def _na_sweep(m: MarketModel) -> NaCertificate:

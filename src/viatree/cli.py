@@ -56,7 +56,7 @@ from .entropy import (HELLINGER_ABS_TOL, HELLINGER_REL_TOL, NODE_TOL, entropy_he
 from .market_io import MarketFormatError, _floats, _number, _read_json, load_market
 from .markets import DensityProcess, price_martingale_residual, price_residual_tol
 from .measure_change import delta_for_epsilon, verify_value_bound
-from .numeraire import _reports, numeraire_portfolio
+from .numeraire import deflator_probe, numeraire_portfolio, verify_numeraire
 from .reporting import make_report, render, write_report
 from .utility import (
     EquivalenceConfig,
@@ -153,7 +153,7 @@ def _cmd_numeraire(args) -> tuple[int, dict]:
             "status": res.status,
             "certificate": _cert_payload(res.certificate),
         }
-    verify, defl = _reports(m, res.wealth)
+    verify, defl = verify_numeraire(m, res.wealth), deflator_probe(m, res.wealth)
     ok = verify["passed"] and defl["passed"]
     payload = {
         "market": m.label,

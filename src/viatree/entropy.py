@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arbitrage import ArbitrageError, check_na
+from .arbitrage import ArbitrageError, _certificate, check_na
 from .markets import (
     DensityProcess,
     MarketModel,
@@ -128,9 +128,9 @@ def _exp_recursion(m: MarketModel, goal: str):
     Newton steps, run once per model (``MarketModel.memo``).  An arbitrage
     verdict of ``check_na`` raises ``ArbitrageError`` saying that ``goal``
     fails, on every call."""
-    cert = check_na(m)
+    cert = _certificate(m)
     if cert.verdict != "NA":
-        raise ArbitrageError(f"market admits arbitrage; {goal}", certificate=cert)
+        raise ArbitrageError(f"market admits arbitrage; {goal}", certificate=check_na(m))
     return m.memo("exp_recursion", lambda: _exp_solve(m, _step_weights(m, cert.density)))
 
 

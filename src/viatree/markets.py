@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
-from .trees import EventTree
+from .trees import EventTree, _bits
 
 MARTINGALE_REL_TOL = 1e-9  # density martingale residual gate, times max(1, max z)
 PRICE_REL_TOL = 1e-9  # price martingale residual gate, times max(1, max|S|)
@@ -60,10 +60,16 @@ class MarketModel:
         any change drops every kept result.  A ``compute`` that raises keeps
         nothing, so it raises again on the next call.  Every call returns its
         own copy (``_detached``): a caller that mutates a result does not
-        change what a later call returns.
+        change what a later call returns.  Library code that only reads a
+        result takes the kept one itself, without the copy (``_kept``).
         """
+        return _detached(self._kept(key, compute))
+
+    def _kept(self, key, compute):
+        """``memo``'s kept result itself, not a copy: for library code that
+        only reads it and hands no part of it to a caller."""
         t = self.tree
-        state = tuple((a.dtype.str, a.shape, a.tobytes()) for a in (self.prices, t.parent, t.branch_prob))
+        state = tuple(map(_bits, (self.prices, t.parent, t.branch_prob)))
         if self._memo.get(_STATE) != state:
             self._memo.clear()
             self._memo[_STATE] = state
@@ -71,7 +77,7 @@ class MarketModel:
         kept = self._memo.get(name)
         if kept is None or kept[0] != key:
             kept = self._memo[name] = (key, compute())
-        return _detached(kept[1])
+        return kept[1]
 
 
 _STATE = object()  # memo key of the arrays the kept results were computed from

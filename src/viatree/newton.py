@@ -94,7 +94,9 @@ def damped_newton(evaluate, x, tol, max_iter):
     Hessians (n, d, d), with f = -inf outside the domain.  Each step is one
     ``ascend`` along the least-norm Newton step.  A row stops once its
     gradient is below ``tol``, after ``max_iter`` steps, or after a line
-    search that accepts no point.
+    search that accepts no point.  The arrays of ``evaluate``'s first call,
+    at ``x`` over every row, are the solver's state: each accepted step is
+    written into them.
 
     Returns (x, f, grad, sup norm of grad, accepted steps), one row each.
     """

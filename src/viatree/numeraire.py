@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arbitrage import NaCertificate, check_na
+from .arbitrage import NaCertificate, _certificate, check_na
 from .markets import (
     FractionStrategy,
     MarketModel,
@@ -52,27 +52,54 @@ def fraction_problems(R, a, gamma: float = 1.0, q=None):
     where q are the node's only ones g_j = 1 + pi . R_j = kappa u_j with
     u_j = (|a_j| / q_j)^(1/gamma), and sum_j q_j g_j = 1 fixes kappa.
     ``least_norm_fit`` solves R pi = u / (q . u) - 1 for all rows at once;
-    a row whose fit leaves the domain starts at 0."""
+    a row whose fit leaves the domain starts at 0.
+
+    The start is evaluated once, for that domain test: ``evaluate``'s first
+    call at the start over every row, which is ``damped_newton``'s first,
+    returns that evaluation (``_fraction_stack``)."""
+    evaluate, start, _ = _fraction_stack(R, a, gamma, q)
+    return evaluate, start
+
+
+def _fraction_stack(R, a, gamma, q):
+    """``fraction_problems``' ``evaluate`` and start, and the start's
+    evaluation (f, gradients, negated Hessians).  ``damped_newton`` takes
+    those arrays from its first call and writes each accepted step into
+    them, so after it they hold every row's values at its solution."""
     R = np.where(np.max(np.abs(R), axis=(1, 2), keepdims=True) < 1e-12, 0.0, R)
-
-    def evaluate(x, rows):
-        Rr, ar = R[rows], a[rows]
-        g = 1.0 + (Rr @ x[:, :, None])[:, :, 0]
-        inside = np.all(g > 0.0, axis=1)
-        g = np.where(inside[:, None], g, 1.0)
-        if gamma == 1.0:
-            phi, u = np.log(g), ar / g
-        else:
-            phi, u = g ** (1.0 - gamma), (1.0 - gamma) * ar * g**-gamma
-        f = np.where(inside, np.einsum("ij,ij->i", ar, phi), -np.inf)
-        return f, (u[:, None, :] @ Rr)[:, 0, :], (Rr.transpose(0, 2, 1) * (gamma * u / g)[:, None, :]) @ Rr
-
+    every = np.arange(R.shape[0])
     start = np.zeros((R.shape[0], R.shape[2]))
     if q is not None:
         u = (np.abs(a) / q) ** (1.0 / gamma)
         start = least_norm_fit(R, u / np.sum(q * u, axis=1, keepdims=True) - 1.0)
-        start[np.isneginf(evaluate(start, np.arange(R.shape[0]))[0])] = 0.0
-    return evaluate, start
+    held = _fraction_values(R, a, gamma, start, every)
+    if (out := np.flatnonzero(np.isneginf(held[0]))).size:  # only a fit leaves the domain
+        start[out] = 0.0
+        for kept, new in zip(held, _fraction_values(R, a, gamma, start[out], out)):
+            kept[out] = new
+    first, seed = start.tobytes(), [held]
+
+    def evaluate(x, rows):
+        if seed and x.tobytes() == first and np.array_equal(rows, every):
+            return seed.pop()
+        return _fraction_values(R, a, gamma, x, rows)
+
+    return evaluate, start, held
+
+
+def _fraction_values(R, a, gamma, x, rows):
+    """f, gradients and negated Hessians of the problems ``rows`` at their
+    points x, f = -inf where a factor 1 + pi . R_j is not positive."""
+    Rr, ar = R[rows], a[rows]
+    g = 1.0 + (Rr @ x[:, :, None])[:, :, 0]
+    inside = np.all(g > 0.0, axis=1)
+    g = np.where(inside[:, None], g, 1.0)
+    if gamma == 1.0:
+        phi, u = np.log(g), ar / g
+    else:
+        phi, u = g ** (1.0 - gamma), (1.0 - gamma) * ar * g**-gamma
+    f = np.where(inside, np.einsum("ij,ij->i", ar, phi), -np.inf)
+    return f, (u[:, None, :] @ Rr)[:, 0, :], (Rr.transpose(0, 2, 1) * (gamma * u / g)[:, None, :]) @ Rr
 
 
 def log_optimal_stack(R, p, q=None):
@@ -81,12 +108,13 @@ def log_optimal_stack(R, p, q=None):
     least-norm steps give the minimal maximizer.  Converged rows
     get up to three full Newton steps while the gradient still drops, which
     puts it near machine precision, so one-step ratio identities hold to
-    ~1e-13.  Returns (pi, gradient sup norm, Newton steps) per row; a
+    ~1e-13; the first starts from the gradients and Hessians the solver
+    holds.  Returns (pi, gradient sup norm, Newton steps) per row; a
     stalled row keeps a gradient >= ``FOC_TOL``."""
-    evaluate, pi0 = fraction_problems(R, p, q=q)
+    evaluate, pi0, (_, _, hess) = _fraction_stack(R, p, 1.0, q)
     pi, _, grad, gnorm, steps = damped_newton(evaluate, pi0, FOC_TOL, NEWTON_MAX_ITER)
     rows = np.flatnonzero((gnorm < FOC_TOL) & (gnorm > 0.0))
-    _, grad, hess = evaluate(pi[rows], rows)
+    grad, hess = grad[rows], hess[rows]
     for _ in range(3):
         if not rows.size:
             break
@@ -187,7 +215,7 @@ def _node_excess(m: MarketModel, candidate: WealthProcess, tol: float):
     q* (None on ARBITRAGE), both per edge.
     """
     t, n = m.tree, candidate.values
-    cert = check_na(m)
+    cert = _certificate(m)
     q = t.branch_prob[t.edges] * n[t.edge_parent] / n[t.edges]
     e = np.full(t.internal.size, np.inf)
     lp = np.ones(t.internal.size, dtype=bool)
@@ -223,13 +251,24 @@ def _reports(m: MarketModel, candidate: WealthProcess, tol: float = RATIO_TOL):
     ``_node_excess`` call at ``tol``.
 
     The model keeps the reports of the last candidate asked
-    (``MarketModel.memo``, keyed by the candidate's wealth values, its x0
+    (``MarketModel._kept``, keyed by the candidate's wealth values, its x0
     and ``tol``), so asking both questions about one candidate runs one
-    pass; a new candidate, x0 or ``tol`` replaces them.  The wealth must
-    be one finite, strictly positive value per node and x0 finite and
-    positive, else ``ValueError``.
+    pass; a new candidate, x0 or ``tol`` replaces them.  These are the
+    kept reports themselves: each public call returns a copy of its own
+    (``dict``; every value is a number, a bool or None).  The candidate is
+    checked (``_checked_candidate``) only when no kept reports match it: a
+    kept key comes from a candidate that passed the check.
     """
-    n, x0, size = np.asarray(candidate.values), candidate.x0, m.tree.n_nodes
+    n, x0 = np.asarray(candidate.values), candidate.x0
+    key = ("numeraire_reports", n.dtype.str, n.shape, n.tobytes(), x0, tol)
+    return m._kept(key, lambda: _excess_reports(m, _checked_candidate(m, n, x0), tol))
+
+
+def _checked_candidate(m: MarketModel, n: np.ndarray, x0) -> WealthProcess:
+    """The candidate numeraire with wealth ``n`` from ``x0``; the wealth
+    must be one finite, strictly positive value per node and x0 finite and
+    positive, else ``ValueError``."""
+    size = m.tree.n_nodes
     if n.shape != (size,):
         raise ValueError(f"candidate numeraire wealth has shape {n.shape}, expected ({size},)")
     if not np.all(np.isfinite(n)):
@@ -238,8 +277,7 @@ def _reports(m: MarketModel, candidate: WealthProcess, tol: float = RATIO_TOL):
         raise ValueError("candidate numeraire wealth must be strictly positive")
     if not (np.isfinite(x0) and x0 > 0.0):
         raise ValueError(f"candidate initial capital must be finite and positive, got {x0!r}")
-    key = ("numeraire_reports", n.dtype.str, n.shape, n.tobytes(), x0, tol)
-    return m.memo(key, lambda: _excess_reports(m, WealthProcess(x0=x0, values=n), tol))
+    return WealthProcess(x0=x0, values=n)
 
 
 def _excess_reports(m: MarketModel, candidate: WealthProcess, tol: float):
@@ -300,7 +338,7 @@ def verify_numeraire(
     samples nothing.  They stay for callers written against the sampled
     check.
     """
-    return _reports(m, candidate, tol)[0]
+    return dict(_reports(m, candidate, tol)[0])
 
 
 def deflator_probe(
@@ -321,4 +359,4 @@ def deflator_probe(
     ``n`` and ``seed`` are accepted and ignored: the bound samples
     nothing.  They stay for callers written against the sampled probe.
     """
-    return _reports(m, candidate)[1]
+    return dict(_reports(m, candidate)[1])

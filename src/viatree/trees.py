@@ -8,8 +8,8 @@ parent always has a smaller index than its children and each depth level
 occupies a contiguous index range.
 
 Unconditional node probabilities are derived from the conditional branch
-probabilities on demand and never stored: the conditionals are the single
-source of truth.
+probabilities, which stay the single source of truth: the tree keeps the
+derived ones only while ``branch_prob`` is bitwise the array they came from.
 
 The tree owns the one array layout every kernel reads: edges named by
 their child and ordered by parent, so sibling groups and depth levels are
@@ -26,6 +26,11 @@ from numbers import Integral, Real
 import numpy as np
 
 PROB_SUM_TOL = 1e-12
+
+
+def _bits(a: np.ndarray) -> tuple:
+    """What makes two arrays bitwise equal: dtype, shape and bytes."""
+    return a.dtype.str, a.shape, a.tobytes()
 
 
 def _parent_array(parent) -> np.ndarray:
@@ -101,7 +106,7 @@ class EventTree:
         bad = (np.abs(sums[:m] - 1.0) > PROB_SUM_TOL).nonzero()[0]
         if bad.size:
             raise ValueError(
-                f"branch probabilities out of node {bad[0]} sum to {sums[bad[0]]!r}, "
+                f"branch probabilities out of node {bad[0]} sum to {float(sums[bad[0]])!r}, "
                 f"expected 1 within {PROB_SUM_TOL}"
             )
 
@@ -125,6 +130,8 @@ class EventTree:
         # internal[node_levels[L]]
         self.edge_levels = [slice(lo - 1, hi - 1) for lo, hi in zip(off[1:-1], off[2:])]
         self.node_levels = [slice(lo, hi) for lo, hi in zip(off[:-2], off[1:-1])]
+        self._probs = None  # (bits of the branch_prob they came from, node probabilities)
+        self._slots = {}  # stack's (gather index, padding mask) per slice of internal nodes
 
     @cached_property
     def children(self) -> list[np.ndarray]:
@@ -132,15 +139,20 @@ class EventTree:
         n_kids = np.bincount(self.edge_parent, minlength=self.n_nodes)
         return np.split(self.edges, np.cumsum(n_kids)[:-1])
 
-    def stack(self, per_edge: np.ndarray, fill: float, rows=slice(None)) -> np.ndarray:
+    def stack(self, per_edge: np.ndarray, fill: float, rows: slice = slice(None)) -> np.ndarray:
         """Per-edge values as an (internal node, branch slot, ...) array for
         the internal nodes ``rows``, padded with ``fill`` past each node's
-        own branches."""
-        sizes = self.sizes[rows]
-        slot = np.arange(sizes.max(initial=0))
-        real = slot < sizes[:, None]
-        out = per_edge[np.where(real, self.starts[rows, None] + slot, 0)]
-        out[~real] = fill
+        own branches.  The tree keeps each slice's slot layout, which
+        depends on its edge layout alone."""
+        key = rows.start, rows.stop, rows.step
+        if (layout := self._slots.get(key)) is None:
+            sizes = self.sizes[rows]
+            slot = np.arange(sizes.max(initial=0))
+            real = slot < sizes[:, None]
+            layout = self._slots[key] = np.where(real, self.starts[rows, None] + slot, 0), ~real
+        take, pad = layout
+        out = per_edge[take]
+        out[pad] = fill
         return out
 
     def sums(self, per_edge: np.ndarray) -> np.ndarray:
@@ -168,8 +180,15 @@ class EventTree:
         return w
 
     def unconditional_probs(self) -> np.ndarray:
-        """Node probabilities: branch probabilities multiplied down the tree."""
-        return self.roll(self.branch_prob[self.edges][None], 1.0, multiplicative=True)[0]
+        """Node probabilities: branch probabilities multiplied down the tree.
+
+        The tree keeps them and multiplies again only once ``branch_prob``
+        is no longer bitwise the array they came from (changed in place or
+        assigned anew).  Every call returns its own copy."""
+        key = _bits(self.branch_prob)
+        if self._probs is None or self._probs[0] != key:
+            self._probs = key, self.roll(self.branch_prob[self.edges][None], 1.0, multiplicative=True)[0]
+        return self._probs[1].copy()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

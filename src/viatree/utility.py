@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arbitrage import NaCertificate, check_na
+from .arbitrage import NaCertificate, _certificate, check_na
 from .markets import (
     DensityProcess,
     FractionStrategy,
@@ -312,7 +312,7 @@ def viability_under_measure(
     reported non-viable with the certificate.
     """
     utility = utility or log_utility()
-    res = maximize_utility(m, utility, x0, check_na(m).density)
+    res = maximize_utility(m, utility, x0, _certificate(m).density)
     if res.status != "ok":
         return {
             "viable": False,
@@ -376,7 +376,7 @@ def equivalence_suite(config: EquivalenceConfig) -> SuiteReport:
             branch_range=config.branch_range,
             label=f"suite-{i}",
         )
-        cert = check_na(m)
+        cert = _certificate(m)
         verdicts = {
             "log_solvable": maximize_utility(m, log_utility(), 1.0).status == "ok",
             "no_arbitrage": cert.verdict == "NA",

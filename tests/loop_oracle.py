@@ -133,7 +133,7 @@ def tree_layout(parent, branch_prob) -> dict:
     bad = internal[np.abs(sums[internal] - 1.0) > PROB_SUM_TOL]
     if bad.size:
         raise ValueError(
-            f"branch probabilities out of node {bad[0]} sum to {sums[bad[0]]!r}, "
+            f"branch probabilities out of node {bad[0]} sum to {float(sums[bad[0]])!r}, "
             f"expected 1 within {PROB_SUM_TOL}"
         )
 

@@ -831,3 +831,18 @@ class TestPublicApi:
         assert viatree.__all__, "empty public API"
         modules = [n for n in viatree.__all__ if isinstance(getattr(viatree, n), types.ModuleType)]
         assert modules == []
+
+
+@pytest.mark.parametrize("fixture, argv, code", [
+    ("two_period", ["measure", "--epsilon", "0.1"], 0),
+    ("two_period", ["entropy", "--min-entropy"], 0),
+    ("two_period", ["entropy", "--exp-utility"], 0),
+    ("arbitrage", ["measure", "--epsilon", "0.1"], 1),
+    ("arbitrage", ["entropy", "--min-entropy"], 1),
+    ("arbitrage", ["entropy", "--exp-utility"], 1),
+])
+def test_measure_and_entropy_exit_codes(fixture, argv, code, capsys):
+    # the fresh-process CI step runs these calls on the fixture files
+    path = os.path.join(os.path.dirname(viatree.__file__), "fixtures", f"{fixture}.json")
+    assert main([argv[0], "--market", path, *argv[1:]]) == code
+    capsys.readouterr()
