@@ -37,9 +37,8 @@ martingale residuals on the NA side, the strategy's terminal gains on the
 arbitrage side.  The decision depends on the market alone, so it is made
 once per model (``MarketModel.memo``): ``check_na``, ``check_nupbr`` and
 every solver that gates on the verdict share one sweep and one threshold
-until the model's prices or tree arrays change.  Each public call gets a
-copy; library code that only reads the certificate takes the kept one
-(``_certificate``).
+until the model's prices or tree arrays change.  Library code reads the
+kept certificate itself (``_certificate``); ``check_na`` returns a copy.
 """
 
 from __future__ import annotations
@@ -255,7 +254,7 @@ def check_na(m: MarketModel) -> NaCertificate:
 def _certificate(m: MarketModel) -> NaCertificate:
     """``check_na``'s certificate as the model keeps it, not a copy: for
     library code that only reads it and returns no part of it."""
-    return m._kept("check_na", lambda: _na_sweep(m))
+    return m.memo("check_na", lambda: _na_sweep(m))
 
 
 def _na_sweep(m: MarketModel) -> NaCertificate:

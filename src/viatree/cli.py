@@ -125,8 +125,7 @@ def _cert_payload(cert) -> dict:
     return out
 
 
-def _cmd_check(args) -> tuple[int, dict]:
-    m = load_market(args.market)
+def _cmd_check(m, args) -> tuple[int, dict]:
     nupbr = check_nupbr(m)
     cert = nupbr.certificate
     payload = {
@@ -144,8 +143,7 @@ def _cmd_check(args) -> tuple[int, dict]:
     return (0 if ok else 1), payload
 
 
-def _cmd_numeraire(args) -> tuple[int, dict]:
-    m = load_market(args.market)
+def _cmd_numeraire(m, args) -> tuple[int, dict]:
     res = numeraire_portfolio(m, x0=args.x0)
     if res.status != "ok":
         return 1, {
@@ -186,8 +184,7 @@ def _parse_utility(text: str):
     )
 
 
-def _cmd_optimize(args) -> tuple[int, dict]:
-    m = load_market(args.market)
+def _cmd_optimize(m, args) -> tuple[int, dict]:
     utility = args.utility
     if args.measure == "emm":
         measure = check_na(m).density
@@ -215,8 +212,7 @@ def _cmd_optimize(args) -> tuple[int, dict]:
     return 0, payload
 
 
-def _cmd_measure(args) -> tuple[int, dict]:
-    m = load_market(args.market)
+def _cmd_measure(m, args) -> tuple[int, dict]:
     q = min_entropy_emm(m).density.z[m.tree.leaves]
     dm = delta_for_epsilon(m.tree, q, args.epsilon)
     # delta_for_epsilon returns a delta within the l1 budget; _leaf_fields raises past the bound
@@ -235,8 +231,7 @@ def _cmd_measure(args) -> tuple[int, dict]:
     return (0 if vb["passed"] else 1), payload
 
 
-def _cmd_entropy(args) -> tuple[int, dict]:
-    m = load_market(args.market)
+def _cmd_entropy(m, args) -> tuple[int, dict]:
     payload = {"market": m.label}
     if args.hellinger is not None:
         dp = _load_density(args.hellinger, m.tree)
@@ -337,30 +332,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"viatree {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    # parent parsers: every command reports; two draw random numbers
+    # parent parsers: every command reports; five read a market, two draw
+    # random numbers
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="FILE", default=None,
                         help="write the report to FILE (atomic); default stdout")
     common.add_argument("--format", choices=["json", "csv", "text"], default="json",
                         help="report format (default json)")
+    market = argparse.ArgumentParser(add_help=False)
+    market.add_argument("--market", required=True, metavar="FILE")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=_seed, default=0, metavar="N",
                         help="64-bit unsigned RNG seed (default 0)")
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[common, market],
                        help="no-arbitrage / NUPBR verdict with certificate")
-    p.add_argument("--market", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("numeraire", parents=[common],
+    p = sub.add_parser("numeraire", parents=[common, market],
                        help="numeraire portfolio and exact supermartingale verification")
-    p.add_argument("--market", required=True, metavar="FILE")
     p.add_argument("--x0", type=_positive, default=1.0, metavar="R")
     p.set_defaults(func=_cmd_numeraire)
 
-    p = sub.add_parser("optimize", parents=[common],
+    p = sub.add_parser("optimize", parents=[common, market],
                        help="expected-utility maximization")
-    p.add_argument("--market", required=True, metavar="FILE")
     p.add_argument("--utility", type=_parse_utility, default=log_utility(),
                    metavar="log|crra:GAMMA")
     p.add_argument("--x0", type=_positive, default=1.0, metavar="R")
@@ -370,17 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
                    "martingale density (emm), or a density file")
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("measure", parents=[common],
+    p = sub.add_parser("measure", parents=[common, market],
                        help="bounded measure change meeting an l1 budget")
-    p.add_argument("--market", required=True, metavar="FILE")
     p.add_argument("--epsilon", type=_positive, required=True, metavar="R")
     p.add_argument("--x0", type=_positive, default=1.0, metavar="R")
     p.set_defaults(func=_cmd_measure)
 
-    p = sub.add_parser("entropy", parents=[common],
+    p = sub.add_parser("entropy", parents=[common, market],
                        help="entropy-Hellinger, minimal-entropy EMM, or "
                        "exponential utility")
-    p.add_argument("--market", required=True, metavar="FILE")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--min-entropy", action="store_true",
                    help="minimal-entropy martingale density (default)")
@@ -416,7 +409,8 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     code = 0
     try:
-        code, payload = args.func(args)
+        market = (load_market(args.market),) if "market" in args else ()
+        code, payload = args.func(*market, args)
     except (MarketFormatError, OSError) as e:
         print(f"viatree: error: {e}", file=sys.stderr)
         return 2

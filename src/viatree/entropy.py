@@ -17,7 +17,8 @@ Four related tools live here:
   minus its entropy.  The recursion depends on the market alone, so it
   runs once per model (``MarketModel.memo``), as does the ``check_na``
   verdict both gate on: on an unchanged model the second of the two calls
-  reuses both, and each call gets its own copy of the arrays.
+  reuses both, and each call copies the density and holdings it returns
+  (``_detached``).
 * ``concatenate_densities`` splices segment densities along a nested
   sequence of stopping times, taking multiplicative increments from the
   n-th segment on the n-th interval.
@@ -35,6 +36,7 @@ from .markets import (
     MarketModel,
     UnitStrategy,
     WealthKernel,
+    _detached,
     _step_weights,
     density_from_leaf_values,
     price_martingale_residual,
@@ -125,9 +127,9 @@ class MinEntropyResult:
 
 def _exp_recursion(m: MarketModel, goal: str):
     """``_exp_solve``'s holdings, log V, density, worst node gradient and
-    Newton steps, run once per model (``MarketModel.memo``).  An arbitrage
-    verdict of ``check_na`` raises ``ArbitrageError`` saying that ``goal``
-    fails, on every call."""
+    Newton steps, run once per model (``MarketModel.memo``) and returned as
+    the model keeps them.  An arbitrage verdict of ``check_na`` raises
+    ``ArbitrageError`` saying that ``goal`` fails, on every call."""
     cert = _certificate(m)
     if cert.verdict != "NA":
         raise ArbitrageError(f"market admits arbitrage; {goal}", certificate=check_na(m))
@@ -178,7 +180,7 @@ def _exp_solve(m: MarketModel, q: np.ndarray | None = None):
             qs = t.stack(q, 1.0, nv)
             b = np.where(np.isfinite(a), a - np.log(qs), 0.0)  # 0 on padded edges
             h[nv] = least_norm_fit(Xs, b - np.sum(qs * b, axis=1, keepdims=True))
-        h[nv], f, _, gnorms[nv], n = damped_newton(evaluate, h[nv], NODE_TOL, 200)
+        h[nv], f, _, _, gnorms[nv], n = damped_newton(evaluate, h[nv], NODE_TOL, 200)
         raise_stalled(gnorms[nv], NODE_TOL, t.internal[nv], lambda g: (
             f"exponential-utility Newton stalled at gradient {g:.3e} (target {NODE_TOL})"))
         log_v[t.internal[nv]] = -f
@@ -204,7 +206,7 @@ def min_entropy_emm(m: MarketModel) -> MinEntropyResult:
     z_leaf = density.z[t.leaves]
     leaf_q = t.unconditional_probs()[t.leaves] * z_leaf
     return MinEntropyResult(
-        density=density,
+        density=_detached(density),
         entropy=float(leaf_q @ np.log(z_leaf)),
         kkt_residual=worst,
         leaf_q=leaf_q,
@@ -237,7 +239,7 @@ def exp_utility(m: MarketModel) -> ExpUtilityResult:
     holdings, log_v, density, worst, steps = _exp_recursion(
         m, "exponential-utility infimum is not attained")
     t = m.tree
-    theta = UnitStrategy(holdings)
+    theta = UnitStrategy(_detached(holdings))
     pl = t.unconditional_probs()[t.leaves]
     a = np.log(pl) - wealth_from_units(m, theta, 0.0).terminal(t)
     w = np.exp(a - np.max(a))
@@ -252,7 +254,7 @@ def exp_utility(m: MarketModel) -> ExpUtilityResult:
         value=float(np.exp(log_v[0])),
         log_value=float(log_v[0]),
         gradient_sup=worst,
-        density=density,
+        density=_detached(density),
         density_link_residual=price_martingale_residual(m, density),
         entropy_density_gap=gap,
         iterations=steps,

@@ -8,7 +8,9 @@ layout; ``WealthKernel`` adds the prices: per-edge increments and returns.
 
 A model keeps the results of the decisions that depend on it alone
 (``MarketModel.memo``) for as long as its prices and tree arrays are
-bitwise what they were when the result was computed.
+bitwise what they were when the result was computed.  ``memo`` is the one
+way to read a kept result, and it returns the result itself; only public
+calls copy what they return (``_detached``).
 """
 
 from __future__ import annotations
@@ -58,16 +60,10 @@ class MarketModel:
         kept result is reused only while ``prices``, ``tree.parent`` and
         ``tree.branch_prob`` are bitwise the arrays it was computed from;
         any change drops every kept result.  A ``compute`` that raises keeps
-        nothing, so it raises again on the next call.  Every call returns its
-        own copy (``_detached``): a caller that mutates a result does not
-        change what a later call returns.  Library code that only reads a
-        result takes the kept one itself, without the copy (``_kept``).
+        nothing, so it raises again on the next call.  The kept result
+        itself is returned, not a copy: library code only reads it, and a
+        public call copies what it hands to its caller (``_detached``).
         """
-        return _detached(self._kept(key, compute))
-
-    def _kept(self, key, compute):
-        """``memo``'s kept result itself, not a copy: for library code that
-        only reads it and hands no part of it to a caller."""
         t = self.tree
         state = tuple(map(_bits, (self.prices, t.parent, t.branch_prob)))
         if self._memo.get(_STATE) != state:

@@ -9,6 +9,8 @@ never mix, so a row's result does not depend on its neighbours.  The
 custom program (G = 1) steps by a pass over the tree in its own loop and
 shares only the line search, ``ascend``.  Each caller passes an
 ``evaluate`` closure and keeps its own tolerances and error messages.
+``damped_newton`` returns all the state it holds, negated Hessians
+included, so a caller steps on from a solution without evaluating it again.
 """
 
 from __future__ import annotations
@@ -94,11 +96,11 @@ def damped_newton(evaluate, x, tol, max_iter):
     Hessians (n, d, d), with f = -inf outside the domain.  Each step is one
     ``ascend`` along the least-norm Newton step.  A row stops once its
     gradient is below ``tol``, after ``max_iter`` steps, or after a line
-    search that accepts no point.  The arrays of ``evaluate``'s first call,
-    at ``x`` over every row, are the solver's state: each accepted step is
-    written into them.
+    search that accepts no point.  ``evaluate``'s first call is at ``x``
+    over every row; each accepted step is written into its arrays.
 
-    Returns (x, f, grad, sup norm of grad, accepted steps), one row each.
+    Returns (x, f, grad, negated Hessians, sup norm of grad, accepted
+    steps), one row each: every row's values at its last accepted point.
     """
     x = np.array(x, dtype=np.float64)
     f, grad, hess = evaluate(x, np.arange(x.shape[0]))
@@ -110,7 +112,7 @@ def damped_newton(evaluate, x, tol, max_iter):
         steps[moved] += 1
         going[act] = False
         going[moved] = (gnorm[moved] >= tol) & (steps[moved] < max_iter)
-    return x, f, grad, gnorm, steps
+    return x, f, grad, hess, gnorm, steps
 
 
 def raise_stalled(gnorm, tol, nodes, message) -> None:

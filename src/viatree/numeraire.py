@@ -8,6 +8,9 @@ E[R / (1 + pi . R)] = 0, which is exactly the numeraire property: the
 wealth of any admissible strategy divided by the candidate's wealth is a
 supermartingale (with equality one step at a time when the condition
 holds exactly, so complete binary nodes exhibit true martingale ratios).
+``fraction_problems`` poses the log and CRRA node stacks, started from the
+kept certificate's weights and tested on their wealth factors alone, so
+``damped_newton`` evaluates each start once.
 
 ``verify_numeraire`` and ``deflator_probe`` decide that property for any
 candidate exactly, node by node: its one-step excess over every feasible
@@ -34,7 +37,7 @@ from .markets import (
 )
 from .newton import FOC_TOL, NEWTON_MAX_ITER, damped_newton, least_norm_fit, least_norm_step, raise_stalled
 from .simplex import solve_lps
-from .trees import EventTree
+from .trees import EventTree, _bits
 
 RATIO_TOL = 1e-8
 DEFLATOR_TOL = 1e-10
@@ -52,39 +55,16 @@ def fraction_problems(R, a, gamma: float = 1.0, q=None):
     where q are the node's only ones g_j = 1 + pi . R_j = kappa u_j with
     u_j = (|a_j| / q_j)^(1/gamma), and sum_j q_j g_j = 1 fixes kappa.
     ``least_norm_fit`` solves R pi = u / (q . u) - 1 for all rows at once;
-    a row whose fit leaves the domain starts at 0.
-
-    The start is evaluated once, for that domain test: ``evaluate``'s first
-    call at the start over every row, which is ``damped_newton``'s first,
-    returns that evaluation (``_fraction_stack``)."""
-    evaluate, start, _ = _fraction_stack(R, a, gamma, q)
-    return evaluate, start
-
-
-def _fraction_stack(R, a, gamma, q):
-    """``fraction_problems``' ``evaluate`` and start, and the start's
-    evaluation (f, gradients, negated Hessians).  ``damped_newton`` takes
-    those arrays from its first call and writes each accepted step into
-    them, so after it they hold every row's values at its solution."""
-    R = np.where(np.max(np.abs(R), axis=(1, 2), keepdims=True) < 1e-12, 0.0, R)
-    every = np.arange(R.shape[0])
+    a row whose fit leaves the domain (some 1 + pi . R_j <= 0, as
+    ``_fraction_values`` tests) starts at 0, so ``damped_newton``'s first
+    call is the start's one evaluation."""
+    R = np.where(np.max(np.abs(R), axis=(1, 2), keepdims=True, initial=0.0) < 1e-12, 0.0, R)
     start = np.zeros((R.shape[0], R.shape[2]))
     if q is not None:
         u = (np.abs(a) / q) ** (1.0 / gamma)
         start = least_norm_fit(R, u / np.sum(q * u, axis=1, keepdims=True) - 1.0)
-    held = _fraction_values(R, a, gamma, start, every)
-    if (out := np.flatnonzero(np.isneginf(held[0]))).size:  # only a fit leaves the domain
-        start[out] = 0.0
-        for kept, new in zip(held, _fraction_values(R, a, gamma, start[out], out)):
-            kept[out] = new
-    first, seed = start.tobytes(), [held]
-
-    def evaluate(x, rows):
-        if seed and x.tobytes() == first and np.array_equal(rows, every):
-            return seed.pop()
-        return _fraction_values(R, a, gamma, x, rows)
-
-    return evaluate, start, held
+        start[np.any(1.0 + (R @ start[:, :, None])[:, :, 0] <= 0.0, axis=1)] = 0.0
+    return (lambda x, rows: _fraction_values(R, a, gamma, x, rows)), start
 
 
 def _fraction_values(R, a, gamma, x, rows):
@@ -108,17 +88,23 @@ def log_optimal_stack(R, p, q=None):
     least-norm steps give the minimal maximizer.  Converged rows
     get up to three full Newton steps while the gradient still drops, which
     puts it near machine precision, so one-step ratio identities hold to
-    ~1e-13; the first starts from the gradients and Hessians the solver
-    holds.  Returns (pi, gradient sup norm, Newton steps) per row; a
+    ~1e-13; the first starts from the gradients and Hessians that
+    ``damped_newton`` returns.  A step that rounds back onto a point of its
+    row's polish path is not evaluated: that point's gradient is known and
+    not smaller.  Returns (pi, gradient sup norm, Newton steps) per row; a
     stalled row keeps a gradient >= ``FOC_TOL``."""
-    evaluate, pi0, (_, _, hess) = _fraction_stack(R, p, 1.0, q)
-    pi, _, grad, gnorm, steps = damped_newton(evaluate, pi0, FOC_TOL, NEWTON_MAX_ITER)
+    evaluate, pi0 = fraction_problems(R, p, 1.0, q)
+    pi, _, grad, hess, gnorm, steps = damped_newton(evaluate, pi0, FOC_TOL, NEWTON_MAX_ITER)
     rows = np.flatnonzero((gnorm < FOC_TOL) & (gnorm > 0.0))
     grad, hess = grad[rows], hess[rows]
+    path = []  # pi before each full step: a row still polishing was accepted at every one
     for _ in range(3):
+        path.append(pi.copy())
+        cand = pi[rows] + least_norm_step(hess, grad)
+        new = ~np.any([np.all(cand == at[rows], axis=1) for at in path], axis=0)
+        rows, cand = rows[new], cand[new]
         if not rows.size:
             break
-        cand = pi[rows] + least_norm_step(hess, grad)
         f, grad, hess = evaluate(cand, rows)
         gn_c = np.max(np.abs(grad), axis=1)
         ok = (f > -np.inf) & (gn_c < gnorm[rows])
@@ -251,17 +237,18 @@ def _reports(m: MarketModel, candidate: WealthProcess, tol: float = RATIO_TOL):
     ``_node_excess`` call at ``tol``.
 
     The model keeps the reports of the last candidate asked
-    (``MarketModel._kept``, keyed by the candidate's wealth values, its x0
-    and ``tol``), so asking both questions about one candidate runs one
-    pass; a new candidate, x0 or ``tol`` replaces them.  These are the
-    kept reports themselves: each public call returns a copy of its own
-    (``dict``; every value is a number, a bool or None).  The candidate is
-    checked (``_checked_candidate``) only when no kept reports match it: a
-    kept key comes from a candidate that passed the check.
+    (``MarketModel.memo``, keyed by the candidate's wealth values as
+    ``trees._bits`` compares them, its x0 and ``tol``), so asking both
+    questions about one candidate runs one pass; a new candidate, x0 or
+    ``tol`` replaces them.  These are the kept reports themselves: each
+    public call returns a copy of its own (``dict``; every value is a
+    number, a bool or None).  The candidate is checked
+    (``_checked_candidate``) only when no kept reports match it: a kept key
+    comes from a candidate that passed the check.
     """
     n, x0 = np.asarray(candidate.values), candidate.x0
-    key = ("numeraire_reports", n.dtype.str, n.shape, n.tobytes(), x0, tol)
-    return m._kept(key, lambda: _excess_reports(m, _checked_candidate(m, n, x0), tol))
+    key = ("numeraire_reports", _bits(n), x0, tol)
+    return m.memo(key, lambda: _excess_reports(m, _checked_candidate(m, n, x0), tol))
 
 
 def _checked_candidate(m: MarketModel, n: np.ndarray, x0) -> WealthProcess:

@@ -133,7 +133,7 @@ def power_optimal_stack(R, a, gamma: float, q=None):
     if np.any(scale == 0.0):
         raise ValueError("continuation weights are all zero")
     evaluate, pi0 = fraction_problems(R, a / scale[:, None], gamma, q)
-    pi, f, _, gnorm, steps = damped_newton(evaluate, pi0, FOC_TOL, NEWTON_MAX_ITER)
+    pi, f, _, _, gnorm, steps = damped_newton(evaluate, pi0, FOC_TOL, NEWTON_MAX_ITER)
     return pi, f * scale, gnorm, steps
 
 

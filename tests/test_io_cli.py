@@ -332,6 +332,10 @@ class TestReporting:
         assert "v" in render(rep, "text")
 
 
+ROOT_ONLY = {"label": "root", "d": 1, "horizon": 0,
+             "nodes": [{"id": 0, "parent": None, "prob": 1.0, "prices": [1.0]}]}
+
+
 class TestCliExitCodes:
     def fixture_path(self, name, tmp_path):
         m = load_fixture(name)
@@ -375,6 +379,17 @@ class TestCliExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert out["payload"]["status"] == "arbitrage"
         assert out["payload"]["certificate"]["verdict"] == "ARBITRAGE"
+
+    @pytest.mark.parametrize("argv", [["numeraire"], ["optimize"], ["measure", "--epsilon", "0.1"]])
+    def test_root_only_market_exits_zero(self, argv, tmp_path, capsys):
+        # a horizon-0 market has no internal node: nothing to trade, and
+        # every check passes on the trivial answer
+        p = tmp_path / "root.json"
+        p.write_text(json.dumps(ROOT_ONLY))
+        rc = main([*argv, "--market", str(p)])
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert rc == 0, payload
+        assert "error" not in payload
 
     def test_missing_file_exits_two(self, capsys):
         rc = main(["check", "--market", "/nonexistent/m.json"])

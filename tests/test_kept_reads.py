@@ -12,9 +12,10 @@ stay the caller's own.
   kept reports match it: a repeated call runs neither the check nor
   ``_node_excess``, and a bad candidate raises the same ``ValueError`` with
   or without kept reports;
-* the log and power stacks evaluate every start point once: the domain test
-  in ``fraction_problems`` seeds ``damped_newton``, and the log polish steps
-  from the Hessians the solver holds.
+* the log and power stacks evaluate every start point once: ``fraction_problems``
+  tests its start on the wealth factors alone, ``damped_newton``'s first call
+  evaluates it, and the log polish steps from the Hessians that
+  ``damped_newton`` returns.  A fit that leaves the domain is never evaluated.
 """
 
 import numpy as np
@@ -39,6 +40,7 @@ from viatree import (
 )
 from viatree.generators import random_na_market
 from viatree.markets import WealthKernel, _step_weights
+from viatree.newton import least_norm_fit
 from viatree.numeraire import log_optimal_stack
 from viatree.utility import power_optimal_stack
 
@@ -290,3 +292,18 @@ def test_power_stack_evaluates_each_start_once(seed, evaluations):
     pi, f, gnorm, steps = power_optimal_stack(R, -p, 2.0, q)
     assert steps.max() == 0
     assert len(evaluations) == 1 and [r for r, _ in evaluations[0]] == list(range(R.shape[0]))
+
+
+@pytest.mark.parametrize("seed", (0, 13))
+def test_rejected_fit_is_not_evaluated(seed, evaluations):
+    m = random_na_market(np.random.default_rng(seed), d=1, depth_range=(1, 4), branch_range=(2, 4))
+    t = m.tree
+    R, p = t.stack(WealthKernel(m).returns, 0.0), t.stack(t.branch_prob[t.edges], 0.0)
+    q = t.stack(_step_weights(m, check_na(m).density), 1.0)
+    fit = least_norm_fit(R, p / q / np.sum(p, axis=1, keepdims=True) - 1.0)
+    assert np.any(1.0 + (R @ fit[:, :, None])[:, :, 0] <= 0.0)  # some row's fit leaves the domain
+    _, start = numeraire.fraction_problems(R, p, q=q)
+    log_optimal_stack(R, p, q)
+    assert evaluations[0] == [(r, start[r].tobytes()) for r in range(R.shape[0])]
+    pairs = [pair for call in evaluations for pair in call]
+    assert len(set(pairs)) == len(pairs)

@@ -428,7 +428,7 @@ EDGE_CASES = (_zero_slope, _flat, _armijo, _downhill, _stall)
 
 
 def _solve_one(evaluate, max_iter):
-    x, f, grad, gnorm, steps = damped_newton(evaluate, np.zeros((1, 1)), 1e-12, max_iter)
+    x, f, grad, _, gnorm, steps = damped_newton(evaluate, np.zeros((1, 1)), 1e-12, max_iter)
     return x[0, 0], f[0], grad[0, 0], gnorm[0], steps[0]
 
 
@@ -532,7 +532,7 @@ class TestEdgeCases:
             parts = [EDGE_CASES[r](x[i : i + 1], rows[i : i + 1]) for i, r in enumerate(rows)]
             return tuple(np.concatenate(column) for column in zip(*parts))
 
-        x, f, grad, gnorm, steps = damped_newton(stacked, np.zeros((5, 1)), 1e-12, 1)
+        x, f, grad, _, gnorm, steps = damped_newton(stacked, np.zeros((5, 1)), 1e-12, 1)
         for r, case in enumerate(EDGE_CASES):
             alone = _solve_one(case, 1)
             assert (x[r, 0], f[r], grad[r, 0], gnorm[r], steps[r]) == alone
@@ -548,7 +548,7 @@ class TestEdgeCases:
             a = np.array([[1.0], [1.0], [1.0], [0.01]])[rows]
             return -np.sum(a * (x - c) ** 2, axis=1), 2.0 * a * (c - x), 2.0 * (a > 0.1)[:, :, None] * a[:, :, None]
 
-        x, _, _, gnorm, steps = damped_newton(quadratic, np.zeros((4, 1)), 1e-12, 3)
+        x, _, _, _, gnorm, steps = damped_newton(quadratic, np.zeros((4, 1)), 1e-12, 3)
         assert x[:3, 0].tolist() == [0.0, 2.0, 3.0] and steps.tolist() == [0, 1, 1, 3]
         assert gnorm[:3].tolist() == [0.0, 0.0, 0.0] and gnorm[3] > 0.0
 

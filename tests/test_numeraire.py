@@ -10,8 +10,12 @@ from viatree import (
     FractionStrategy,
     WealthProcess,
     deflator_probe,
+    log_utility,
+    market_from_dict,
+    maximize_utility,
     numeraire_portfolio,
     verify_numeraire,
+    viability_under_measure,
     wealth_from_fractions,
 )
 import probe_oracle as oracle
@@ -60,6 +64,22 @@ class TestHandOptima:
         # an infinite x0 once gave infinite wealth
         with pytest.raises(ValueError, match="finite and positive"):
             numeraire_portfolio(binomial, x0=x0)
+
+    def test_root_only_market_holds_nothing(self):
+        # a horizon-0 market stacks no node problem: the (0, 0, d) stack
+        # once failed on its returns' max
+        m = market_from_dict({"label": "root", "d": 1, "horizon": 0, "nodes": [
+            {"id": 0, "parent": None, "prob": 1.0, "prices": [1.0]}]})
+        x0 = 2.5
+        sol = numeraire_portfolio(m, x0=x0)
+        assert sol.status == "ok"
+        assert sol.fractions.fractions.tolist() == [[0.0]]
+        assert sol.wealth.values.tolist() == [x0]
+        log = maximize_utility(m, log_utility(), x0)
+        assert log.status == "ok" and log.value == math.log(x0)
+        viab = viability_under_measure(m)
+        assert viab["viable"] and viab["within_bound"]
+        assert viab["value"] == viab["bound"] == 0.0
 
     def test_arbitrage_market_has_no_numeraire(self, arbitrage_market):
         sol = numeraire_portfolio(arbitrage_market)
