@@ -12,11 +12,13 @@ problem
 whose optimum eps* is strictly positive exactly when an interior
 martingale weight vector q exists; a node passes when eps* exceeds
 ``EPS_POSITIVE_TOL``.  It is posed on scale-free coordinates: each
-node's increments are divided by their max |dS| and rotated onto their
-singular vectors, with singular values below ``DEGENERATE_TOL`` times the
-largest set to zero.  That is a positive scaling and an orthogonal change
-of asset coordinates, which leave eps* and q unchanged in exact
-arithmetic, so the verdict does not depend on the price unit.
+node's increments are divided by their max |dS| and, with two or more
+assets, rotated onto their singular vectors, with singular values below
+``DEGENERATE_TOL`` times the largest set to zero; one asset's column is
+its own basis and takes no SVD.  That is a positive scaling and an
+orthogonal change of asset coordinates, which leave eps* and q unchanged
+in exact arithmetic, so the verdict does not depend on a price unit
+common to all assets.
 
 Most nodes are decided in closed form from the rank r of their k
 increments on those coordinates.  At r = k - 1 the one-step market is
@@ -79,18 +81,24 @@ def _max_slack_lps(inc: np.ndarray):
     one LP per (k, d) increment block of the (G, k, d) stack ``inc``.
 
     X is the block on scale-free coordinates: divided by its max |dS|, then
-    U S of its thin SVD with singular values below ``DEGENERATE_TOL`` times
-    the largest set to zero, padded with zero columns to d.  Substituting
-    r_j = q_j - eps >= 0 and splitting eps = e+ - e- gives an equality-form
-    LP in (r, e+, e-) >= 0.  Returns A, b, c and the (G, r, d) right
-    singular vectors Vh, which map X's first r coordinates back to assets.
+    for d >= 2 U S of its thin SVD with singular values below
+    ``DEGENERATE_TOL`` times the largest set to zero, padded with zero
+    columns to d.  A d = 1 block is its own basis: X is the scaled column
+    and Vh = 1, with no SVD (a column's one singular value is never cut).
+    Substituting r_j = q_j - eps >= 0 and splitting eps = e+ - e- gives an
+    equality-form LP in (r, e+, e-) >= 0.  Returns A, b, c and the
+    (G, r, d) right singular vectors Vh, which map X's first r coordinates
+    back to assets.
     """
     G, k, d = inc.shape
-    U, s, Vh = np.linalg.svd(inc / np.abs(inc).max(axis=(1, 2), keepdims=True),
-                             full_matrices=False)
-    s[s < DEGENERATE_TOL * s[:, :1]] = 0.0
-    X = np.zeros_like(inc)
-    X[:, :, : s.shape[1]] = U * s[:, None, :]
+    scaled = inc / np.abs(inc).max(axis=(1, 2), keepdims=True)
+    if d == 1:  # one column is its own basis
+        X, Vh = scaled, np.ones((G, 1, 1))
+    else:
+        U, s, Vh = np.linalg.svd(scaled, full_matrices=False)
+        s[s < DEGENERATE_TOL * s[:, :1]] = 0.0
+        X = np.zeros_like(inc)
+        X[:, :, : s.shape[1]] = U * s[:, None, :]
     sigma = X.sum(axis=1)  # column sums of increments
     A = np.zeros((G, d + 1, k + 2))
     A[:, :d, :k] = X.transpose(0, 2, 1)

@@ -85,17 +85,21 @@ def _fraction_values(R, a, gamma, x, rows):
 def log_optimal_stack(R, p, q=None):
     """G one-step log-growth problems sum_j p[i, j] log(1 + pi . R[i, j]),
     from pi = 0 or the fit at martingale weights q (``fraction_problems``);
-    least-norm steps give the minimal maximizer.  Converged rows
-    get up to three full Newton steps while the gradient still drops, which
-    puts it near machine precision, so one-step ratio identities hold to
-    ~1e-13; the first starts from the gradients and Hessians that
-    ``damped_newton`` returns.  A step that rounds back onto a point of its
-    row's polish path is not evaluated: that point's gradient is known and
-    not smaller.  Returns (pi, gradient sup norm, Newton steps) per row; a
-    stalled row keeps a gradient >= ``FOC_TOL``."""
+    least-norm steps give the minimal maximizer.  Converged rows whose
+    gradient is above its rounding floor (``_gradient_floor``) get up to
+    three full Newton steps while it still drops and stays above the floor,
+    which puts it near machine precision, so one-step ratio identities hold
+    to rounding; the first starts from the gradients and Hessians that
+    ``damped_newton`` returns.  A row already at its floor, such as a
+    certificate start where the martingale weights are unique, is not
+    polished.  A step that rounds back onto a point of its row's polish
+    path is not evaluated: that point's gradient is known and not smaller.
+    Returns (pi, gradient sup norm, Newton steps) per row; a stalled row
+    keeps a gradient >= ``FOC_TOL``."""
     evaluate, pi0 = fraction_problems(R, p, 1.0, q)
     pi, _, grad, hess, gnorm, steps = damped_newton(evaluate, pi0, FOC_TOL, NEWTON_MAX_ITER)
-    rows = np.flatnonzero((gnorm < FOC_TOL) & (gnorm > 0.0))
+    floor = _gradient_floor(R, p, pi)
+    rows = np.flatnonzero((gnorm < FOC_TOL) & (gnorm > floor))
     grad, hess = grad[rows], hess[rows]
     path = []  # pi before each full step: a row still polishing was accepted at every one
     for _ in range(3):
@@ -109,9 +113,18 @@ def log_optimal_stack(R, p, q=None):
         gn_c = np.max(np.abs(grad), axis=1)
         ok = (f > -np.inf) & (gn_c < gnorm[rows])
         pi[rows[ok]], gnorm[rows[ok]] = cand[ok], gn_c[ok]
-        keep = ok & (gn_c > 0.0)
+        keep = ok & (gn_c > floor[rows])
         rows, grad, hess = rows[keep], grad[keep], hess[keep]
     return pi, gnorm, steps
+
+
+def _gradient_floor(R, p, pi):
+    """Per row, the gradient sup norm that rounding alone leaves at pi:
+    16 eps times the largest sum_j |p_j R_jl / g_j| over assets l, with
+    g_j = 1 + pi . R_j, which bounds the rounding error of those sums."""
+    g = 1.0 + (R @ pi[:, :, None])[:, :, 0]
+    terms = np.abs(p / g)[:, None, :] @ np.abs(R)
+    return 16.0 * np.finfo(np.float64).eps * np.max(terms, axis=(1, 2), initial=0.0)
 
 
 def _log_stall(gnorm) -> str:

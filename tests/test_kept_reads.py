@@ -16,6 +16,8 @@ stay the caller's own.
   tests its start on the wealth factors alone, ``damped_newton``'s first call
   evaluates it, and the log polish steps from the Hessians that
   ``damped_newton`` returns.  A fit that leaves the domain is never evaluated.
+  A row whose gradient is already at its rounding floor gets no polish
+  evaluation; a cold-started row above its floor polishes as before.
 """
 
 import numpy as np
@@ -40,7 +42,7 @@ from viatree import (
 )
 from viatree.generators import random_na_market
 from viatree.markets import WealthKernel, _step_weights
-from viatree.newton import least_norm_fit
+from viatree.newton import FOC_TOL, NEWTON_MAX_ITER, damped_newton, least_norm_fit
 from viatree.numeraire import log_optimal_stack
 from viatree.utility import power_optimal_stack
 
@@ -265,10 +267,11 @@ def evaluations(monkeypatch):
     return calls
 
 
-def _unique_weight_nodes(seed):
-    """The stacked binary nodes of a d = 1 market, whose martingale weights
-    are unique: (R, p, q)."""
-    m = random_na_market(np.random.default_rng(seed), d=1, depth_range=(4, 4), branch_range=(2, 2))
+def _unique_weight_nodes(seed, d=1):
+    """The stacked nodes of a d-asset market with d + 1 branches each, whose
+    martingale weights are unique: (R, p, q)."""
+    m = random_na_market(np.random.default_rng(seed), d=d, depth_range=(4 - d // 2, 4 - d // 2),
+                         branch_range=(d + 1, d + 1))
     t = m.tree
     R = WealthKernel(m).returns
     q = _step_weights(m, check_na(m).density)
@@ -307,3 +310,38 @@ def test_rejected_fit_is_not_evaluated(seed, evaluations):
     assert evaluations[0] == [(r, start[r].tobytes()) for r in range(R.shape[0])]
     pairs = [pair for call in evaluations for pair in call]
     assert len(set(pairs)) == len(pairs)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("seed", range(3))
+def test_rows_at_their_rounding_floor_get_no_polish(d, seed, evaluations):
+    R, p, q = _unique_weight_nodes(seed, d)
+    evaluate, start = numeraire.fraction_problems(R, p, q=q)
+    _, grad, _ = evaluate(start, np.arange(R.shape[0]))
+    at_floor = np.max(np.abs(grad), axis=1) <= numeraire._gradient_floor(R, p, start)
+    assert at_floor.mean() > 0.5  # the certificate start is the optimum to rounding
+    evaluations.clear()
+    pi, gnorm, steps = log_optimal_stack(R, p, q)
+    assert steps.max() == 0
+    polished = {r for call in evaluations[1:] for r, _ in call}
+    assert polished.isdisjoint(np.flatnonzero(at_floor).tolist())
+    assert pi[at_floor].tobytes() == start[at_floor].tobytes()
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("seed", range(3))
+def test_cold_rows_above_their_floor_still_polish(d, seed, evaluations):
+    R, p, _ = _unique_weight_nodes(seed, d)
+    evaluate, start = numeraire.fraction_problems(R, p)
+    pi0, _, _, _, gnorm0, _ = damped_newton(evaluate, start, FOC_TOL, NEWTON_MAX_ITER)
+    solver = list(evaluations)
+    above = (gnorm0 > numeraire._gradient_floor(R, p, pi0)) & (gnorm0 < FOC_TOL)
+    assert above.any()
+    evaluations.clear()
+    pi, gnorm, steps = log_optimal_stack(R, p)
+    assert evaluations[: len(solver)] == solver  # damped_newton's own calls come first
+    first_polish = [r for r, _ in evaluations[len(solver)]]
+    assert first_polish == np.flatnonzero(above).tolist()
+    assert np.all(gnorm <= gnorm0) and np.any(gnorm[above] < gnorm0[above])
+    g = 1.0 + (R @ pi[:, :, None])[:, :, 0]
+    assert np.abs(1.0 - np.sum(p / g, axis=1)).max() <= 1e-12

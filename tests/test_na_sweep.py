@@ -8,7 +8,9 @@ bounds times the market's max |S| (NA: price residual <= 1e-9 and z > 0;
 ARBITRAGE: min gain >= -1e-12 and max gain > 1e-9): the same verdict, and
 on NA the same one-step weights within 1e-12 and the same density within
 1e-12 relative.  Every certificate the sweep returns must be sound by the
-same bounds.
+same bounds.  One-asset nodes are their own basis: a d = 1 sweep runs
+with an ``np.linalg.svd`` that raises and still matches the oracle, fail
+node included.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ import na_oracle
 from test_arbitrage import sweeps  # the fixture counting sweep runs
 import viatree
 from viatree import EventTree, MarketModel, check_na
+from viatree.arbitrage import _node_lps
 from viatree.cli import main
 from viatree.generators import random_market, random_na_market
 
@@ -217,6 +220,71 @@ def test_arbitrage_node_takes_no_lp(make, lp_stacks):
     assert cert.verdict == "ARBITRAGE"
     assert lp_stacks == []
     assert compare_with_oracle(cert, m)
+
+
+# ------------------------------------------- one-asset nodes take no SVD
+
+
+class _Through:
+    """A module seen through some replaced attributes."""
+
+    def __init__(self, module, **replaced):
+        self.__dict__.update(replaced, _module=module)
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+
+@pytest.fixture
+def no_svd(monkeypatch):
+    """``viatree.arbitrage`` sees an ``np.linalg.svd`` that raises."""
+
+    def svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(viatree.arbitrage, "np", _Through(np, linalg=_Through(np.linalg, svd=svd)))
+
+
+def test_no_svd_fixture_reaches_multi_asset_nodes(no_svd):
+    with pytest.raises(AssertionError, match="svd called"):
+        check_na(random_na_market(np.random.default_rng(0), d=2))
+
+
+@pytest.mark.parametrize("maker", [random_market, random_na_market])
+def test_one_asset_sweep_takes_no_svd(maker, no_svd):
+    """60 seeds x 3 price units, depth 1-5, 2-4 branches."""
+    compared = 0
+    for seed in range(60):
+        m = maker(np.random.default_rng(seed), d=1, depth_range=(1, 5), branch_range=(2, 4))
+        for unit in (1.0, 1e6, 1e-6):
+            mu = MarketModel(m.tree, m.prices * unit)
+            cert = check_na(mu)
+            if compare_with_oracle(cert, mu):
+                compared += 1
+                assert cert.fail_node == na_oracle.check_na(mu).fail_node
+    assert compared >= 150
+
+
+@pytest.mark.parametrize("inc", [
+    [[1.0], [0.0], [-0.5]],
+    [[0.0], [2.0], [0.0], [-1.0]],
+    [[0.0], [0.0], [3.0]],  # one-sided: fails at eps* 0
+    [[1.0, 2.0], [0.0, 0.0], [-0.5, -1.0]],
+    [[0.0, 0.0], [-3.0, 1.5], [0.0, 0.0], [1.0, -0.5]],
+])
+def test_rank_one_zero_increments_take_the_vertex_formula(inc, lp_stacks):
+    inc = np.array(inc)
+    k, d = inc.shape
+    bp = np.full(k, 1.0 / k)
+    eps, q, h, lp = _node_lps(inc[None], bp[None], np.ones((1, d)))
+    assert not lp[0] and lp_stacks == []
+    want = na_oracle.node_na_lp(inc, bp)
+    assert eps[0] == pytest.approx(want.eps_star, abs=1e-12)
+    if want.is_na:
+        assert np.abs(q[0] - want.q).max() <= 1e-12
+    else:
+        gains = inc @ h[0]
+        assert np.isnan(q[0]).all() and gains.min() >= 0.0 and gains.max() > 0.0
 
 
 # ---------------------------------------------- one sweep per public call
