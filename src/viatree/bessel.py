@@ -401,18 +401,21 @@ def numeraire_probe(
     x = np.empty_like(b.nodes)  # wealth at the coarse nodes
     x[0] = 1.0
     work = np.empty_like(ds)
+    ratio = np.empty_like(s1)  # X_T / S_1 on every path
 
     def sampled_row(label, theta):
         # row by row: an accumulate along axis 0 strides across all paths
-        np.multiply(theta[:, None], ds, out=work)
-        for i in range(1, k):
-            np.add(work[i - 1], work[i], out=work[i])
+        for i, th in enumerate(theta):
+            np.multiply(th, ds[i], out=work[i])
+            if i:
+                np.add(work[i - 1], work[i], out=work[i])
         np.add(work, 1.0, out=x[1:])
         for i, th in enumerate(theta):
             np.multiply(th, down[i] if th >= 0.0 else up[i], out=work[i])
         np.add(work, x[:-1], out=work)  # worst wealth inside each interval
         ok = work.min(axis=0) >= 0.0
-        return _probe_row(label, x[-1, ok] / s1[ok], int(np.sum(~ok)))
+        np.divide(x[-1], s1, out=ratio)
+        return _probe_row(label, ratio[ok], ok.size - int(np.count_nonzero(ok)))
 
     rows = [sampled_row("zero", np.zeros(k))]
     # one share held throughout has wealth S by self-financing; its

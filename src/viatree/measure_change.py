@@ -7,7 +7,9 @@ Delta0 = E[q / (1 + q)], uniformly in delta in (0, 1).  Shrinking delta
 pulls Z_delta toward the original measure; growing it flattens Z_delta
 toward 1 while keeping the measure equivalent.  The l1 distance
 E|Z_delta - 1| therefore climbs from 0 as delta grows, which is what the
-bracket-and-bisect search in ``delta_for_epsilon`` exploits.
+regula falsi search in ``delta_for_epsilon`` exploits: bracketed by
+delta = 0, where the distance is 0, and ``DELTA_MAX``, it closes in on the
+budget's boundary in about a dozen evaluations of the leaf fields.
 
 The payoff of the construction: utility maximization under Z_delta is
 value-bounded by U(x0 / (delta * E[q_delta])) whenever q came from a
@@ -50,8 +52,9 @@ class DeltaMeasure:
     l1_dist: float  # E|Z_delta - 1|
 
 
-def _leaf_density(tree: EventTree, q) -> tuple[np.ndarray, np.ndarray]:
-    """Leaf probabilities and the checked terminal density q."""
+def _leaf_terms(tree: EventTree, q) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """What does not depend on delta: the leaf probabilities, the checked
+    terminal density q, Delta0 = E[q / (1 + q)] and its bound 1 / Delta0."""
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (tree.leaves.size,):
         raise ValueError(
@@ -63,17 +66,16 @@ def _leaf_density(tree: EventTree, q) -> tuple[np.ndarray, np.ndarray]:
     mean = float(p @ q)
     if abs(mean - 1.0) > 1e-9:
         raise ValueError(f"terminal density must have mean 1, got {mean!r}")
-    return p, q
+    delta0 = float(p @ (q / (1.0 + q)))
+    return p, q, delta0, 1.0 / delta0
 
 
-def _leaf_fields(p: np.ndarray, q: np.ndarray, delta: float):
-    """q_delta, E[q_delta], Z_delta, Delta0, 1/Delta0 and E|Z_delta - 1| on
-    the leaves, with the bound and the normalization checked."""
+def _leaf_fields(p: np.ndarray, q: np.ndarray, bound: float, delta: float):
+    """q_delta, E[q_delta], Z_delta and E|Z_delta - 1| on the leaves, with
+    the bound and the normalization checked."""
     q_delta = q / (delta + q)
     e_q_delta = float(p @ q_delta)
     z_leaf = q_delta / e_q_delta
-    delta0 = float(p @ (q / (1.0 + q)))
-    bound = 1.0 / delta0
     if float(z_leaf.max()) > bound + BOUND_TOL:
         raise AssertionError(
             f"bound violated: max Z_delta {z_leaf.max()!r} exceeds 1/Delta0 {bound!r}"
@@ -81,57 +83,68 @@ def _leaf_fields(p: np.ndarray, q: np.ndarray, delta: float):
     e_z = float(p @ z_leaf)
     if abs(e_z - 1.0) > NORMALIZATION_TOL:
         raise AssertionError(f"normalization failed: E[Z_delta] = {e_z!r}")
-    return q_delta, e_q_delta, z_leaf, delta0, bound, float(p @ np.abs(z_leaf - 1.0))
+    return q_delta, e_q_delta, z_leaf, float(p @ np.abs(z_leaf - 1.0))
+
+
+def _measure(tree: EventTree, delta: float, q, fields, delta0, bound) -> DeltaMeasure:
+    q_delta, e_q_delta, z_leaf, l1 = fields
+    density = density_from_leaf_values(tree, z_leaf)
+    return DeltaMeasure(float(delta), q, q_delta, z_leaf, density, e_q_delta, delta0, bound, l1)
 
 
 def construct_q_delta(tree: EventTree, q, delta: float) -> DeltaMeasure:
     """Cap-and-normalize a terminal density: Z_delta = (q/(delta+q)) / E[...]."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    p, q = _leaf_density(tree, q)
-    q_delta, e_q_delta, z_leaf, delta0, bound, l1 = _leaf_fields(p, q, delta)
-    density = density_from_leaf_values(tree, z_leaf)
-    return DeltaMeasure(float(delta), q, q_delta, z_leaf, density, e_q_delta, delta0, bound, l1)
+    p, q, delta0, bound = _leaf_terms(tree, q)
+    return _measure(tree, delta, q, _leaf_fields(p, q, bound, delta), delta0, bound)
 
 
 def delta_for_epsilon(tree: EventTree, q, eps: float) -> DeltaMeasure:
     """Largest delta (to relative resolution 1e-12) with E|Z_delta - 1| <= eps.
 
-    Walks the decreasing grid delta_k = 2^-k until the constraint first
-    holds, then bisects inside that bracket.  Existence is guaranteed for
-    strictly positive q: the l1 distance vanishes as delta -> 0.  Candidates
-    are checked on their leaves; only the result gets a density process.
+    Finds the root of f(delta) = E|Z_delta - 1| - eps on (0, DELTA_MAX] by
+    the Illinois variant of regula falsi.  The left end costs nothing:
+    Z_0 = 1, so f(0) = -eps.  Each step evaluates the secant point of the
+    bracket (its midpoint should rounding put the secant point outside),
+    and after two steps in a row that move the same end it halves the
+    other end's f, so both ends close in.  The search stops when
+    (hi - lo) / lo <= ``REL_RESOLUTION`` and returns lo, the feasible end.
+    Existence is guaranteed for strictly positive q: the l1 distance
+    vanishes as delta -> 0.  q, Delta0 and its bound are computed once;
+    every candidate is checked on its leaves, and only the result gets a
+    density process.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    p, leaf_q = _leaf_density(tree, q)
-
-    def feasible(delta):
-        return _leaf_fields(p, leaf_q, delta)[-1] <= eps
-
-    if feasible(DELTA_MAX):
-        return construct_q_delta(tree, q, DELTA_MAX)
-    hi = DELTA_MAX  # known infeasible side of the bracket
-    lo = None
-    delta = 0.5
+    p, leaf_q, delta0, bound = _leaf_terms(tree, q)
+    best = _leaf_fields(p, leaf_q, bound, DELTA_MAX)
+    if best[-1] <= eps:
+        return _measure(tree, DELTA_MAX, leaf_q, best, delta0, bound)
+    lo, hi = 0.0, DELTA_MAX
+    f_lo, f_hi = -eps, best[-1] - eps
+    last = 0  # -1 after a step that moved lo, +1 after one that moved hi
     for _ in range(200):
-        if feasible(delta):
-            lo = delta
-            break
-        hi = delta
-        delta *= 0.5
-    if lo is None:
-        raise AssertionError(
-            "no feasible delta found on the grid; terminal density is not "
-            "strictly positive?"
-        )
-    while (hi - lo) / lo > REL_RESOLUTION:
-        mid = 0.5 * (hi + lo)
-        if feasible(mid):
-            lo = mid
+        if hi - lo <= REL_RESOLUTION * lo:
+            return _measure(tree, lo, leaf_q, best, delta0, bound)
+        delta = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < delta < hi:
+            delta = 0.5 * (lo + hi)
+        fields = _leaf_fields(p, leaf_q, bound, delta)
+        f = fields[-1] - eps
+        if f <= 0.0:
+            lo, f_lo, best = delta, f, fields
+            if last == -1:
+                f_hi *= 0.5
+            last = -1
         else:
-            hi = mid
-    return construct_q_delta(tree, q, lo)
+            hi, f_hi = delta, f
+            if last == 1:
+                f_lo *= 0.5
+            last = 1
+    raise AssertionError(
+        "delta search did not converge; terminal density is not strictly positive?"
+    )
 
 
 def verify_value_bound(

@@ -5,9 +5,11 @@
 ``reduceat`` instead of a Python loop per node.  The order of additions
 may differ from the loops' BLAS dot products, so they are held to the loops
 (``tests/loop_oracle.py``) within 4 ulp of max(1, max|S|) (of max(1, max z)
-for densities).  ``delta_for_epsilon`` searches on leaf values and builds
-one density, for the delta it returns: that result is bitwise the old
-search's, which built a density per candidate.
+for densities).  ``delta_for_epsilon`` searches on leaf values by regula
+falsi and builds one density, for the delta it returns.  It lands within a
+few resolution steps of the old bisection, which built a density per
+candidate, and every field of its result is bitwise ``construct_q_delta``'s
+at that delta.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ from viatree.generators import (
     random_na_market,
     random_tree,
 )
-from viatree.measure_change import delta_for_epsilon
+from viatree.measure_change import REL_RESOLUTION, construct_q_delta, delta_for_epsilon
 
 ULPS = 4
 
@@ -75,12 +77,15 @@ def _fields_equal(new, old):
 
 @pytest.mark.parametrize("depth", (6, 7))
 @pytest.mark.parametrize("seed", range(4))
-def test_delta_for_epsilon_is_bitwise_unchanged(depth, seed):
+def test_delta_for_epsilon_matches_the_bisection(depth, seed):
     rng = np.random.default_rng(seed)
     t = random_tree(rng, depth_range=(depth, depth), branch_range=(2, 3))
     q = random_martingale_density(t, rng).z[t.leaves]
-    for eps in (2.0, 0.5, 0.1, 0.01):  # 2.0: the top of the grid already fits
-        _fields_equal(delta_for_epsilon(t, q, eps), oracle.delta_for_epsilon(t, q, eps))
+    for eps in (2.0, 0.5, 0.1, 0.01):  # 2.0: DELTA_MAX already fits
+        dm, old = delta_for_epsilon(t, q, eps), oracle.delta_for_epsilon(t, q, eps)
+        assert abs(dm.delta - old.delta) <= 4 * REL_RESOLUTION * old.delta
+        assert dm.l1_dist <= eps
+        _fields_equal(dm, construct_q_delta(t, q, dm.delta))
 
 
 def test_delta_for_epsilon_builds_one_density(monkeypatch):

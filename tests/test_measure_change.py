@@ -1,12 +1,15 @@
 """Capped measure changes: the delta transform, bounds, value caps."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loop_oracle as oracle
+import viatree.measure_change
 from viatree import (
     ArbitrageError,
     MarketModel,
@@ -17,7 +20,8 @@ from viatree import (
     min_entropy_emm,
     verify_value_bound,
 )
-from viatree.generators import random_tree
+from viatree.generators import random_martingale_density, random_tree
+from viatree.measure_change import DELTA_MAX, REL_RESOLUTION
 from viatree.trees import EventTree
 
 
@@ -25,6 +29,39 @@ def random_terminal_density(tree, rng):
     p = tree.unconditional_probs()[tree.leaves]
     q = rng.uniform(0.1, 3.0, size=tree.leaves.size)
     return q / float(p @ q)
+
+
+def lognormal_terminal_density(tree, rng, sigma):
+    p = tree.unconditional_probs()[tree.leaves]
+    q = np.exp(sigma * rng.standard_normal(tree.leaves.size))
+    return q / float(p @ q)
+
+
+def assert_feasible_and_maximal(t, q, dm, eps):
+    assert dm.l1_dist <= eps
+    if dm.delta < 0.999:
+        up = construct_q_delta(t, q, dm.delta * (1.0 + 1e-9))
+        assert up.l1_dist >= eps - 1e-12
+
+
+def budget_cases():
+    """The markets of TestDeltaForEpsilon.test_meets_budget_and_is_maximal."""
+    for seed in range(10):
+        for eps in (0.5, 0.1, 0.01):
+            rng = np.random.default_rng(seed)
+            t = random_tree(rng, depth_range=(1, 3))
+            yield t, random_terminal_density(t, rng), eps
+
+
+def deep_cases():
+    """The markets of test_level_kernels.test_delta_for_epsilon_matches_the_bisection."""
+    for depth in (6, 7):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            t = random_tree(rng, depth_range=(depth, depth), branch_range=(2, 3))
+            q = random_martingale_density(t, rng).z[t.leaves]
+            for eps in (2.0, 0.5, 0.1, 0.01):
+                yield t, q, eps
 
 
 class TestConstruct:
@@ -122,6 +159,71 @@ class TestDeltaForEpsilon:
             # maximality: nudging delta up by 1e-9 relative breaks the budget
             up = construct_q_delta(t, q, dm.delta * (1.0 + 1e-9))
             assert up.l1_dist >= eps - 1e-12
+
+
+class TestSearchCost:
+    """The regula falsi search evaluates the leaf fields about a dozen times
+    per call; the bisection it replaced took about 45-50."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        fields = viatree.measure_change._leaf_fields
+
+        def counting(*args):
+            calls.append(1)
+            return fields(*args)
+
+        monkeypatch.setattr(viatree.measure_change, "_leaf_fields", counting)
+
+        def count(t, q, eps):
+            calls.clear()
+            dm = delta_for_epsilon(t, q, eps)
+            return dm, len(calls)
+
+        return count
+
+    @pytest.mark.parametrize("cases", [budget_cases, deep_cases], ids=["budget", "deep"])
+    def test_evaluations_per_call(self, evaluations, cases):
+        counts = []
+        for t, q, eps in cases():
+            dm, n = evaluations(t, q, eps)
+            assert dm.l1_dist <= eps
+            counts.append(n)
+        assert max(counts) <= 40
+        assert statistics.median(counts) <= 16
+
+    def test_budget_at_the_top_distance_takes_one_evaluation(self, evaluations):
+        rng = np.random.default_rng(4)
+        t = random_tree(rng, depth_range=(2, 4))
+        q = random_terminal_density(t, rng)
+        top = construct_q_delta(t, q, DELTA_MAX).l1_dist
+        for eps in (top, 2.0 * top):
+            dm, n = evaluations(t, q, eps)
+            assert n == 1 and dm.delta == DELTA_MAX and dm.l1_dist == top
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_tiny_budget(self, seed):
+        # below eps 1e-4 the float l1 carries rounding noise of about 1e-8
+        # relative in delta, so feasibility and maximality are the contract
+        rng = np.random.default_rng(seed)
+        t = random_tree(rng, depth_range=(1, 4))
+        q = random_terminal_density(t, rng)
+        dm = delta_for_epsilon(t, q, 1e-8)
+        assert 0.0 < dm.delta < 1e-6
+        assert_feasible_and_maximal(t, q, dm, 1e-8)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_lognormal_density_with_sigma_4(self, seed):
+        rng = np.random.default_rng(seed)
+        t = random_tree(rng, depth_range=(1, 4))
+        q = lognormal_terminal_density(t, rng, 4.0)
+        for eps in (0.5, 0.1, 0.01, 1e-4, 1e-8):
+            dm = delta_for_epsilon(t, q, eps)
+            assert_feasible_and_maximal(t, q, dm, eps)
+            if eps >= 0.01:
+                old = oracle.delta_for_epsilon(t, q, eps)
+                assert abs(dm.delta - old.delta) <= 4 * REL_RESOLUTION * old.delta
 
 
 class TestValueBound:
