@@ -11,28 +11,30 @@ problem
 
 whose optimum eps* is strictly positive exactly when an interior
 martingale weight vector q exists; a node passes when eps* exceeds
-``EPS_POSITIVE_TOL``.  It is posed on scale-free coordinates: each
-node's increments are divided by their max |dS| and, with two or more
-assets, rotated onto their singular vectors, with singular values below
-``DEGENERATE_TOL`` times the largest set to zero; one asset's column is
-its own basis and takes no SVD.  That is a positive scaling and an
-orthogonal change of asset coordinates, which leave eps* and q unchanged
-in exact arithmetic, so the verdict does not depend on a price unit
-common to all assets.
+``EPS_POSITIVE_TOL``, a one-asset node when eps* > 0.  It is posed on
+scale-free coordinates: each node's increments are divided by their max
+|dS| and, with two or more assets, rotated onto their singular vectors,
+with singular values below ``DEGENERATE_TOL`` times the largest set to
+zero; one asset's column is its own basis and takes no SVD.  That is a
+positive scaling and an orthogonal change of asset coordinates, which
+leave eps* and q unchanged in exact arithmetic, so the verdict does not
+depend on a price unit common to all assets.
 
 Most nodes are decided in closed form from the rank r of their k
 increments on those coordinates.  At r = k - 1 the one-step market is
 complete (Harrison and Pliska 1981): q is the unique solution of a k x k
 linear system and eps* = min q.  At r = k no weights exist.  At r = 1 the
-problem is one-dimensional and its optimum is a vertex with one formula.
-A failing closed-form node gets a vector H with H.dS_j >= 0 for all
-branches and > 0 for at least one: from the signs of q at r = k - 1, from
-X H = 1 at r = k, from |x| at r = 1.  The other nodes (1 < r < k - 1, a
-singular system, or 0 < eps* <= ``EPS_POSITIVE_TOL``) solve the problem
-as a small LP, whose dual row gives H.  H lifts to a one-period arbitrage
-strategy; should rounding spoil a closed-form H so that its replay fails,
-the node runs its own LP.  Gluing the per-node weights multiplicatively yields an equivalent
-martingale measure.
+problem is one-dimensional and its optimum is a vertex with one formula,
+which decides every one-asset node by an exact sign (Goldberg 1991): > 0
+exactly when the increments take both signs.  A failing closed-form node
+gets a vector H with H.dS_j >= 0 for all branches and > 0 for at least
+one: from the signs of q at r = k - 1, from X H = 1 at r = k, from |x| at
+r = 1.  The other nodes of two or more assets (1 < r < k - 1, a singular
+system, or 0 < eps* <= ``EPS_POSITIVE_TOL``) solve the problem as a small
+LP, whose dual row gives H.  H lifts to a one-period arbitrage strategy;
+should rounding spoil a closed-form H so that its replay fails, the node
+runs its own LP.  Gluing the per-node weights multiplicatively yields an
+equivalent martingale measure.
 
 Every verdict ships with a replayable certificate: the density's
 martingale residuals on the NA side, the strategy's terminal gains on the
@@ -60,7 +62,7 @@ from .markets import (
 from .simplex import _solve_each, solve_lps
 
 DEGENERATE_TOL = 1e-12
-EPS_POSITIVE_TOL = 1e-9
+EPS_POSITIVE_TOL = 1e-9  # d >= 2 only: a one-asset node passes when eps* > 0
 GAIN_ROUNDOFF = 1e-12  # gains below this share of max |gain| count as zero
 # criterion 2's bounds on an arbitrage replay: the least gain times
 # max(1, max|S|), the largest times max|S|, so a verdict keeps in any unit
@@ -125,31 +127,32 @@ def _node_lps(inc: np.ndarray, bp: np.ndarray, s: np.ndarray):
     - r = k: no weights meet the moment rows, so eps* = -inf;
     - r = k - 1: q is unique and solves [X_r^T; 1^T] q = (0, ..., 0, 1) on
       X's r nonzero coordinates, one batched call, and eps* = min q;
-    - r = 1 and k >= 3: X is one column x, and with x turned so that
-      sum x >= 0, the optimum is the vertex q = eps* off branch
-      j = argmin x and 1 - (k - 1) eps* on it, with
+    - r = 1 and k >= 3, and every one-asset node: X is one column x, and
+      with x turned so that sum x >= 0, the optimum is the vertex
+      q = eps* off branch j = argmin x and 1 - (k - 1) eps* on it, with
       eps* = x_j / (k x_j - sum x) (-inf where the denominator is not
       negative: x is constant).  That is the largest vertex value
       x_j / (k x_j - sum x) at most 1/k, found without the comparison
-      with 1/k, which rounding could tip where sum x = 0.
+      with 1/k, which rounding could tip where sum x = 0.  No rounding
+      tips its sign: it is > 0 exactly when x takes both signs.
 
-    A node with eps* > ``EPS_POSITIVE_TOL`` is NA with weights q.  A node
-    with eps* <= 0 fails, and H solves X H = g for gains g >= 0 that are
-    positive somewhere: g = 1 at r = k; at r = k - 1, g_j = q_i and
-    g_i = -q_j with i = argmax q and j = argmin q, divided by the larger of
-    the two, which is orthogonal to q and so lies in X's range; at r = 1,
-    g = |x|.  X's columns are orthogonal, so H = Vh^T (X^T g / |X_l|^2).
-    Every other node (1 < r < k - 1, a singular or non-finite system,
-    0 < eps* <= ``EPS_POSITIVE_TOL``) runs the max-slack LP, all in one
-    ``solve_lps`` stack, whose results do not depend on which LPs share it
-    (``_solve_max_slack``).
+    A node with eps* > ``EPS_POSITIVE_TOL`` (> 0 at d = 1) is NA with
+    weights q.  A node with eps* <= 0 fails, and H solves X H = g for gains
+    g >= 0 that are positive somewhere: g = 1 at r = k; at r = k - 1,
+    g_j = q_i and g_i = -q_j with i = argmax q and j = argmin q, divided by
+    the larger of the two, which is orthogonal to q and so lies in X's
+    range; at r = 1, g = |x|.  X's columns are orthogonal, so
+    H = Vh^T (X^T g / |X_l|^2).
+    Every other node (d >= 2: 1 < r < k - 1, a singular or non-finite
+    system, 0 < eps* <= ``EPS_POSITIVE_TOL``) runs the max-slack LP, all in
+    one ``solve_lps`` stack, whose results do not depend on which LPs share
+    it (``_solve_max_slack``).
 
-    Returns eps* (G,), the interior weights q (G, k), NaN in the rows with
-    eps* <= ``EPS_POSITIVE_TOL``, the (G, d) separating vectors H, 0 where
-    the node passes in closed form, and the (G,) mask of the nodes the LP
-    decided.  A node whose max |dS| is not above ``DEGENERATE_TOL`` times
-    its own max |S| keeps its branch probabilities, with eps* their
-    minimum, and H = 0.
+    Returns eps* (G,), the interior weights q (G, k), NaN in the failing
+    rows, the (G, d) separating vectors H, 0 where the node passes in
+    closed form, and the (G,) mask of the nodes the LP decided.  A node
+    whose max |dS| is not above ``DEGENERATE_TOL`` times its own max |S|
+    keeps its branch probabilities, with eps* their minimum, and H = 0.
     """
     G, k, d = inc.shape
     eps, q = bp.min(axis=1), bp.copy()
@@ -166,7 +169,7 @@ def _node_lps(inc: np.ndarray, bp: np.ndarray, s: np.ndarray):
     g = np.zeros((live.size, k))  # the gains X H = g of a failing node
     e[r == k] = -np.inf
     g[r == k] = 1.0
-    unique = np.flatnonzero(r == k - 1)
+    unique = np.flatnonzero((r == k - 1) & (d > 1))  # one asset: the vertex formula below
     if unique.size:
         rhs = np.broadcast_to(np.eye(k)[-1], (unique.size, k))
         w[unique] = _solve_each(A[unique][:, np.r_[: k - 1, d], :k], rhs, lambda i: np.nan)
@@ -177,7 +180,7 @@ def _node_lps(inc: np.ndarray, bp: np.ndarray, s: np.ndarray):
         top = np.maximum(high, -low)  # scales the largest gain to 1
         g[unique, lo] = high / top
         g[unique, hi] = -low / top
-    one = np.flatnonzero((r == 1) & (k >= 3))  # at k = 2, rank 1 is rank k - 1
+    one = np.flatnonzero((r == 1) & (k >= 3 or d == 1))  # else rank 1 is rank k - 1
     if one.size:
         x = XT[one, 0]
         total = x.sum(axis=1)
@@ -188,7 +191,7 @@ def _node_lps(inc: np.ndarray, bp: np.ndarray, s: np.ndarray):
         e[one] = e1
         w[one] = np.where(np.arange(k) == j[:, None], 1.0 - (k - 1) * e1[:, None], e1[:, None])
         g[one] = np.abs(x)
-    passed, failed = e > EPS_POSITIVE_TOL, e <= 0.0
+    passed, failed = e > (EPS_POSITIVE_TOL if d > 1 else 0.0), e <= 0.0
     eps[live[passed]], q[live[passed]] = e[passed], w[passed]
     if failed.any():
         at = live[failed]

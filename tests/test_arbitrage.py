@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from sign_oracle import sign_verdict
 from test_newton import _permute_siblings
 
 from viatree import (
@@ -23,6 +24,7 @@ from viatree import (
 from viatree import arbitrage
 from viatree.arbitrage import EPS_POSITIVE_TOL
 from viatree.generators import random_market, random_na_market
+from viatree.markets import price_residual_tol
 from viatree.simplex import solve_lps
 
 
@@ -423,13 +425,22 @@ def bessel_tree(n):
     return MarketModel(EventTree(parent, prob), np.array(prices)[:, None])
 
 
+def bessel_pair(n):
+    """``bessel_tree(n)`` with a second asset priced 1 at every node: the
+    same finance, but decided on the path of two or more assets, where
+    0 < eps* <= EPS_POSITIVE_TOL still sends a node to the LP."""
+    m = bessel_tree(n)
+    return MarketModel(m.tree, np.c_[m.prices, np.ones_like(m.prices)])
+
+
 class TestCertificateGate:
     """check_na returns an arbitrage certificate only if its replay meets
     criterion 2's bounds (gains >= -1e-12, max > 1e-9) times max(1, max|S|)."""
 
     def test_unsound_replay_raises(self):
-        # node 254's LP reads eps* 1.6e-11; the dual's vector loses 1.1e-11
-        m = bessel_tree(8)
+        # beside a constant asset, node 254's LP reads eps* 1.6e-11, and the
+        # dual's vector loses 1.1e-11
+        m = bessel_pair(8)
         with pytest.raises(RuntimeError, match="at node 254") as exc:
             check_na(m)
         eps, low, bound, high = map(float, re.search(
@@ -441,15 +452,24 @@ class TestCertificateGate:
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_sound_replay_is_returned(self, n):
+        # node 1022 is the first whose increments are one-signed ((0.632, 0)
+        # at n = 10); its ray gains |dS_j|, so it loses nothing
         m = bessel_tree(n)
         cert = check_na(m)
         scale = float(np.abs(m.prices).max())
-        assert cert.verdict == "ARBITRAGE" and cert.fail_node == 510
-        assert cert.replay["min_gain"] >= -1e-12 * scale
+        assert (cert.verdict, cert.fail_node) == ("ARBITRAGE", 1022) == sign_verdict(m)
+        assert cert.replay["min_gain"] == 0.0
         assert cert.replay["max_gain"] > 1e-9 * scale
-        if n == 12:
-            # the loss misses the unscaled -1e-12, not the bound times max|S| = 4.9
-            assert cert.replay["min_gain"] < -1e-12
+
+    def test_marginal_one_asset_node_passes(self, lp_stacks):
+        # node 254's increments take both signs, so it passes, with eps*
+        # 1.6e-11 far below EPS_POSITIVE_TOL and no LP
+        m = bessel_tree(8)
+        cert = check_na(m)
+        assert (cert.verdict, cert.fail_node) == ("NA", None) == sign_verdict(m)
+        assert 0.0 < cert.node_eps[254] <= EPS_POSITIVE_TOL and lp_stacks == []
+        assert cert.emm_residual <= price_residual_tol(m)
+        assert cert.density.z.min() > 0.0
 
     def test_unsound_closed_form_ray_falls_back_to_the_lp(self, lp_stacks):
         # test_verdict_is_invariant's seed=719, d=3, arbitrage_free=False in
@@ -551,7 +571,7 @@ class TestMemo:
         assert same_bits(check_na(arbitrage_market), check_na(fresh(arbitrage_market)))
 
     def test_failed_replay_raises_on_every_call(self, sweeps):
-        m = bessel_tree(8)
+        m = bessel_pair(8)
         for _ in range(2):
             with pytest.raises(RuntimeError, match="at node 254"):
                 check_na(m)

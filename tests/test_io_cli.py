@@ -357,20 +357,49 @@ class TestCliExitCodes:
         assert out["payload"]["verdict"] == "ARBITRAGE"
         assert out["payload"]["certificate"]["replay"]["max_gain"] > 1e-9
 
-    @pytest.mark.parametrize("n, code", [(8, 1), (12, 0)])
+    @pytest.mark.parametrize("n, code", [(8, 0), (10, 0), (12, 0)])
     def test_check_agrees_with_the_certificate_gate(self, n, code, tmp_path, capsys):
-        # n = 12's replay loses 1.3e-12, inside -1e-12 times max|S| = 4.9, and
-        # check_na returns it; n = 8's loses 1.1e-11, and check_na raises
+        # one asset: n = 8's nodes all have increments of both signs, and
+        # at n = 10 and 12 the first one-signed node is 1022, whose ray
+        # loses nothing
         p = tmp_path / f"bessel{n}.json"
         save_market(bessel_tree(n), p)
         rc = main(["check", "--market", str(p)])
         payload = json.loads(capsys.readouterr().out)["payload"]
         assert rc == code
-        if n == 12:
-            assert payload["checks_passed"] is True
-            assert payload["certificate"]["fail_node"] == 510
+        assert payload["checks_passed"] is True
+        if n > 8:
+            assert payload["certificate"]["fail_node"] == 1022
+            assert payload["certificate"]["replay"]["min_gain"] == 0.0
         else:
-            assert "at node 254" in payload["error"]
+            assert payload["verdict"] == "NA"
+
+    @pytest.mark.parametrize("argv", [
+        ["numeraire"],
+        ["optimize", "--utility", "log"],
+        ["optimize", "--utility", "crra:2"],
+        ["measure", "--epsilon", "0.1"],
+        ["entropy", "--min-entropy"],
+        ["entropy", "--exp-utility"],
+    ])
+    def test_marginal_one_asset_market_passes_every_solver_command(self, argv, tmp_path, capsys):
+        # bessel_tree(8)'s node 254 has eps* 1.6e-11, below EPS_POSITIVE_TOL:
+        # one asset, so it passes by its increments' signs (``check`` is in
+        # the test above)
+        p = tmp_path / "bessel8.json"
+        save_market(bessel_tree(8), p)
+        rc = main([*argv, "--market", str(p)])
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert rc == 0, payload
+        assert "error" not in payload
+
+    def test_numeraire_at_a_one_signed_node_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "bessel10.json"
+        save_market(bessel_tree(10), p)
+        rc = main(["numeraire", "--market", str(p)])
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert rc == 1
+        assert payload["certificate"]["fail_node"] == 1022
 
     def test_numeraire_on_arbitrage_exits_one(self, tmp_path, capsys):
         rc = main(["numeraire", "--market",

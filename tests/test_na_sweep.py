@@ -10,19 +10,22 @@ on NA the same one-step weights within 1e-12 and the same density within
 1e-12 relative.  Every certificate the sweep returns must be sound by the
 same bounds.  One-asset nodes are their own basis: a d = 1 sweep runs
 with an ``np.linalg.svd`` that raises and still matches the oracle, fail
-node included.
+node included.  One-asset markets are also held to ``tests/sign_oracle.py``,
+which decides each node by the exact signs of its increments.
 """
 
 import numpy as np
 import pytest
 
 import na_oracle
+from sign_oracle import sign_verdict
 from test_arbitrage import sweeps  # the fixture counting sweep runs
 import viatree
 from viatree import EventTree, MarketModel, check_na
-from viatree.arbitrage import _node_lps
+from viatree.arbitrage import EPS_POSITIVE_TOL, _node_lps
 from viatree.cli import main
-from viatree.generators import random_market, random_na_market
+from viatree.generators import random_market, random_na_market, random_tree
+from viatree.markets import price_residual_tol
 
 TOL = 1e-12  # one-step weights, and density relative, against the oracle
 
@@ -285,6 +288,102 @@ def test_rank_one_zero_increments_take_the_vertex_formula(inc, lp_stacks):
     else:
         gains = inc @ h[0]
         assert np.isnan(q[0]).all() and gains.min() >= 0.0 and gains.max() > 0.0
+
+
+# ----------------- one-asset nodes are decided by their increments' signs
+
+
+def dyadic_market(rng, depth, na):
+    """A one-asset market on a random tree, root price 8, whose increments
+    are 0, +-1/2, +-1 or +-2**-40, so every price is exact.  Each node's
+    increments are all 0, or mixed with one of size 2**-40 against one of
+    size 1 (eps* below 1e-12, under EPS_POSITIVE_TOL), or, unless ``na``,
+    drawn freely.  A node's largest |increment| is 0 or at least 1/2, so no
+    node meets the degenerate gate."""
+    t = random_tree(rng, (depth, depth), (2, 4))
+    steps = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0**-40, -(2.0**-40)])
+    prices = np.full((t.n_nodes, 1), 8.0)
+    for v, kids in enumerate(t.children):
+        if not kids.size:
+            continue
+        kind = int(rng.integers(1 if na else 0, 3))
+        if kind == 0:  # free, with one increment of size 1/2 or 1
+            inc = rng.choice(steps, size=kids.size)
+            inc[0] = rng.choice(steps[1:5])
+        elif kind == 1:  # one-signed but for one marginal increment
+            s = rng.choice([-1.0, 1.0])
+            inc = s * np.abs(rng.choice(steps[:5], size=kids.size))
+            inc[:2] = s, -s * 2.0**-40
+            inc = rng.permutation(inc)
+        else:
+            inc = np.zeros(kids.size)
+        prices[kids, 0] = prices[v, 0] + inc
+    return MarketModel(t, prices)
+
+
+@pytest.mark.parametrize("maker", [random_market, random_na_market])
+def test_one_asset_verdicts_are_exact(maker, lp_stacks):
+    """200 seeds, depth 1-5, 2-4 branches: check_na's verdict and fail node
+    are those of the increments' exact signs, and no node runs an LP."""
+    for seed in range(200):
+        m = maker(np.random.default_rng(seed), d=1, depth_range=(1, 5), branch_range=(2, 4))
+        cert = check_na(m)
+        assert (cert.verdict, cert.fail_node) == sign_verdict(m)
+    assert lp_stacks == []
+
+
+@pytest.mark.parametrize("na", [True, False])
+def test_dyadic_markets_are_exact(na, lp_stacks):
+    n_marginal = n_arbitrage = 0
+    for seed in range(150):
+        m = dyadic_market(np.random.default_rng(seed), 1 + seed % 4, na)
+        cert = check_na(m)
+        assert (cert.verdict, cert.fail_node) == sign_verdict(m)
+        if cert.verdict == "NA":
+            assert cert.emm_residual <= price_residual_tol(m)
+            assert cert.density.z.min() > 0.0
+            eps = np.array(list(cert.node_eps.values()))
+            n_marginal += int(((eps > 0.0) & (eps <= EPS_POSITIVE_TOL)).sum())
+        else:
+            assert cert.replay["min_gain"] >= 0.0
+            n_arbitrage += 1
+    assert lp_stacks == []
+    assert n_marginal >= 50 and (n_arbitrage == 0) == na
+
+
+@pytest.mark.parametrize("inc, verdict", [
+    ([1.0, -(2.0**-40)], "NA"),
+    ([0.0, 1.0, -(2.0**-40), 0.0], "NA"),
+    ([-1.0, 2.0**-40, 2.0**-40], "NA"),
+    ([1.0, 0.0], "ARBITRAGE"),
+    ([0.0, -(2.0**-40), 0.0], "ARBITRAGE"),
+    ([-0.5, -1.0, 0.0], "ARBITRAGE"),
+])
+def test_one_period_signs_decide(inc, verdict, lp_stacks):
+    # the root is priced 0, so every nonzero increment is above the
+    # degenerate gate; each arbitrage has a zero increment, its least gain
+    m = MarketModel(EventTree([None] + [0] * len(inc), [1.0] + [1.0 / len(inc)] * len(inc)),
+                    np.array([0.0, *inc])[:, None])
+    cert = check_na(m)
+    assert (cert.verdict, cert.fail_node) == sign_verdict(m)
+    assert cert.verdict == verdict and lp_stacks == []
+    if verdict == "NA":
+        assert 0.0 < cert.node_eps[0] <= 1.0 / len(inc)
+        assert cert.emm_residual <= price_residual_tol(m)
+    else:
+        assert cert.replay["min_gain"] == 0.0
+        assert cert.replay["max_gain"] == max(np.abs(inc))
+
+
+def test_one_signed_node_below_the_degenerate_gate_stays_na():
+    # the one exception to the exact rule: increments of 2**-40 (9.1e-13)
+    # at a price of 1 are not above 1e-12 times it, so the node keeps its
+    # branch probabilities
+    m = MarketModel(EventTree([None, 0, 0], [1.0, 0.5, 0.5]),
+                    np.array([[1.0], [1.0 + 2.0**-40], [1.0]]))
+    assert sign_verdict(m) == ("ARBITRAGE", 0)
+    cert = check_na(m)
+    assert cert.verdict == "NA" and cert.node_eps[0] == 0.5
 
 
 # ---------------------------------------------- one sweep per public call
