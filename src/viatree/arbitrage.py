@@ -42,7 +42,8 @@ arbitrage side.  The decision depends on the market alone, so it is made
 once per model (``MarketModel.memo``): ``check_na``, ``check_nupbr`` and
 every solver that gates on the verdict share one sweep and one threshold
 until the model's prices or tree arrays change.  Library code reads the
-kept certificate itself (``_certificate``); ``check_na`` returns a copy.
+kept record of certificate, kernel and weights itself (``_sweep``);
+``check_na`` returns a copy of the certificate.
 """
 
 from __future__ import annotations
@@ -259,17 +260,19 @@ def check_na(m: MarketModel) -> NaCertificate:
     A certificate that fails the replay gate is not kept, so it raises on
     every call.
     """
-    return _detached(_certificate(m))
+    return _detached(_sweep(m)[0])
 
 
-def _certificate(m: MarketModel) -> NaCertificate:
-    """``check_na``'s certificate as the model keeps it, not a copy: for
-    library code that only reads it and returns no part of it."""
+def _sweep(m: MarketModel) -> tuple[NaCertificate, WealthKernel, np.ndarray | None]:
+    """The model's kept ``_na_sweep`` record, not a copy: the certificate,
+    the market's ``WealthKernel`` and the read-only one-step martingale
+    weight of each edge (None on ARBITRAGE), for library code that only
+    reads it and returns no part of it."""
     return m.memo("check_na", lambda: _na_sweep(m))
 
 
-def _na_sweep(m: MarketModel) -> NaCertificate:
-    """``check_na``'s decision, computed afresh."""
+def _na_sweep(m: MarketModel):
+    """``_sweep``'s record, computed afresh."""
     t = m.tree
     k = WealthKernel(m)
     eps = np.empty(t.internal.size)
@@ -312,16 +315,16 @@ def _na_sweep(m: MarketModel) -> NaCertificate:
             fail_node=v,
             strategy=strategy,
             replay=replay,
-        )
+        ), k, None
 
-    step = q / t.branch_prob[t.edges]
-    density = DensityProcess(z=t.roll(step[None], 1.0, multiplicative=True)[0])
+    q.flags.writeable = False
+    density = DensityProcess(z=t.roll((q / t.branch_prob[t.edges])[None], 1.0, multiplicative=True)[0])
     return NaCertificate(
         verdict="NA",
         density=density,
         emm_residual=price_martingale_residual(m, density),
         node_eps=dict(zip(t.internal.tolist(), eps.tolist())),
-    )
+    ), k, q
 
 
 def _lift_separating(m: MarketModel, node: int, h: np.ndarray) -> UnitStrategy:

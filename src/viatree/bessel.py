@@ -27,15 +27,15 @@ chunks of ``WIDTH`` paths, chunk c drawing from one Philox stream keyed
 by the 64-bit pair (seed, c).  Every chunk draws all ``WIDTH`` columns,
 also the last one when it holds fewer paths, so path j depends only on
 (seed, j) and n_steps, whatever n_paths is.  Each coarse interval is
-streamed in blocks of at most ``BLOCK`` steps, which also end at every
-checkpoint: a block draws its normals, then its exponentials, steps its
-rows with four ufunc calls each, and is reduced while it is in cache to
-the per-path statistics the estimators read: the terminal value, the
-trapezoid integral of S^-2, the coarse-node values with the lows and
-highs of each coarse interval, the checkpoint values, and per stop level
-the first-exit value and a stopped flag.  The integral is
-dt * (f_0 / 2 + f_1 + ... + f_{n-1} + f_n / 2) with f_k = 1 / S_k^2 taken
-from the recursion's S_k^2, added left to right in time.  A batch holds
+streamed in blocks of at most ``BLOCK`` steps: a block draws its normals,
+then its exponentials, steps its rows with four ufunc calls each, and is
+reduced while it is in cache to the per-path statistics the estimators
+read: the trapezoid integral of S^-2, the coarse-node values (the last
+is the terminal value) with the lows and highs of each coarse interval,
+and per stop level the first-exit value and a stopped flag.  The
+integral is dt * (f_0 / 2 + f_1 + ... + f_{n-1} + f_n / 2) with
+f_k = 1 / S_k^2 taken from the recursion's S_k^2, added left to right in
+time.  A batch holds
 these statistics, not paths, stored interval-major as (k, n_paths)
 arrays, so memory is O(n_paths x statistics + workers x WIDTH x BLOCK)
 for any n_steps.
@@ -60,8 +60,7 @@ import numpy as np
 WIDTH = 1024  # paths per chunk, drawn in full even when fewer are asked for
 BLOCK = 64  # steps per block: a worker's two draw buffers hold 2 x 64 x 1024 doubles, 1 MB
 MIN_INTEGRAL_STEPS = 100
-N_INTERVALS = 10  # coarse intervals of numeraire_probe's strategies
-N_CHECKPOINTS = 10  # evenly spaced grid times of reciprocal_checkpoints
+N_INTERVALS = 10  # coarse intervals: numeraire_probe's strategies, reciprocal_checkpoints' times
 PROBE_BOUND = 1.0  # |theta_k| bound of numeraire_probe's holdings
 RECIPROCAL_MOMENT_1 = math.erf(1.0 / math.sqrt(2.0))  # E[1/S_1] = 2*Phi(1) - 1
 LOG_VALUE_BOUND = 2.0 * math.log(2.0)
@@ -86,20 +85,18 @@ class Estimate:
 @dataclass
 class McBatch:
     """Per-path statistics of a simulated batch.  Row k of a 2-D field is
-    coarse node, interval, checkpoint or stop level k across all paths."""
+    coarse node, interval or stop level k across all paths."""
 
     n_paths: int
     n_steps: int
     seed: int
     grid: np.ndarray  # (n_steps + 1,) uniform times on [0, 1]
-    terminal: np.ndarray  # (n_paths,) S_1
+    terminal: np.ndarray  # (n_paths,) S_1, a view of nodes[-1]
     integral: np.ndarray  # (n_paths,) trapezoid int_0^1 S_u^-2 du
     edges: np.ndarray  # (N_INTERVALS + 1,) grid indices of the coarse nodes
     nodes: np.ndarray  # (N_INTERVALS + 1, n_paths) S at the coarse nodes
     lows: np.ndarray  # (N_INTERVALS, n_paths) min of S on [edge_k, edge_k+1]
     highs: np.ndarray  # (N_INTERVALS, n_paths) max of S on the same
-    checkpoints: np.ndarray  # distinct grid indices above 0
-    at_checkpoints: np.ndarray  # (checkpoints.size, n_paths) S there
     levels: tuple  # stop levels n: tau_n leaves the band (1/n, n)
     stop_values: np.ndarray  # (n_levels, n_paths) S_tau_n
     stopped: np.ndarray  # (n_levels, n_paths) tau_n before the last grid time
@@ -123,47 +120,37 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _blocks(edges: np.ndarray, checkpoints: np.ndarray) -> list:
+def _blocks(edges: np.ndarray) -> list:
     """Per coarse interval, its blocks as (first grid index, steps): at
-    most BLOCK steps each, ending at every checkpoint inside the interval.
-    An empty interval (repeated edge) has no block."""
-    cuts = np.union1d(edges, checkpoints).tolist()
-    plan = []
-    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
-        ends = [c for c in cuts if lo <= c <= hi]
-        plan.append([(a, min(BLOCK, b - a)) for p, b in zip(ends, ends[1:])
-                     for a in range(p, b, BLOCK)])
-    return plan
+    most BLOCK steps each.  An empty interval (repeated edge) has no block."""
+    return [[(a, min(BLOCK, hi - a)) for a in range(lo, hi, BLOCK)]
+            for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist())]
 
 
 class _Stats:
     """Per-path statistics of n paths in one (rows, n) ``table``, with a
-    named view per field: row k of a 2-D field is coarse node, interval,
-    checkpoint or stop level k.  Stopped flags are held as 0.0 / 1.0."""
+    named view per field: row k of a 2-D field is coarse node, interval or
+    stop level k.  Stopped flags are held as 0.0 / 1.0."""
 
-    def __init__(self, n: int, n_checkpoints: int, n_levels: int):
-        sizes = {"terminal": 1, "integral": 1, "nodes": N_INTERVALS + 1,
-                 "lows": N_INTERVALS, "highs": N_INTERVALS,
-                 "at_checkpoints": n_checkpoints, "stop_values": n_levels,
-                 "stopped": n_levels}
+    def __init__(self, n: int, n_levels: int):
+        sizes = {"integral": 1, "nodes": N_INTERVALS + 1, "lows": N_INTERVALS,
+                 "highs": N_INTERVALS, "stop_values": n_levels, "stopped": n_levels}
         self.table = np.empty((sum(sizes.values()), n))
         first = 0
         for name, size in sizes.items():
             setattr(self, name, self.table[first : first + size])
             first += size
-        self.terminal, self.integral = self.terminal[0], self.integral[0]
+        self.integral = self.integral[0]
 
 
-def _simulate_chunk(chunk: int, seed: int, n_steps: int, plan: list,
-                    checkpoints: np.ndarray, levels: tuple) -> _Stats:
+def _simulate_chunk(chunk: int, seed: int, n_steps: int, plan: list, levels: tuple) -> _Stats:
     """The statistics of the WIDTH paths of ``chunk``."""
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
     h, var2 = math.sqrt(1.0 / n_steps), 2.0 / n_steps  # sqrt(dt), 2 dt
-    out = _Stats(WIDTH, checkpoints.size, len(levels))
+    out = _Stats(WIDTH, len(levels))
     g, y = np.empty((BLOCK, WIDTH)), np.empty((BLOCK, WIDTH))
     s, f = np.empty((BLOCK + 1, WIDTH)), np.empty((BLOCK + 1, WIDTH))
     low, high = np.empty(WIDTH), np.empty(WIDTH)
-    at = {int(k): i for i, k in enumerate(checkpoints)}
     bands = [(1.0 / n, float(n)) for n in levels]
     done = np.empty((len(levels), WIDTH), dtype=bool)
     for j, (lo, hi) in enumerate(bands):  # S_0 = 1 leaves only level 1's empty band
@@ -210,11 +197,8 @@ def _simulate_chunk(chunk: int, seed: int, n_steps: int, plan: list,
                     out.stop_values[j, cols] = seg[first, np.arange(cols.size)]
                     out.stopped[j, cols] = a + 1 + first < n_steps
                     done[j, cols] = True
-            if a + m in at:
-                out.at_checkpoints[at[a + m]] = s[m]
             s[0] = s[m]
         out.nodes[i + 1] = s[0]
-    out.terminal[:] = s[0]
     out.integral *= 1.0 / n_steps
     # a path that never left the band stops at T
     np.copyto(out.stop_values, s[0], where=~done)
@@ -261,10 +245,9 @@ def simulate_bes3(
     """Exact-in-law Bessel(3) batch on the uniform grid of [0, 1], reduced
     to the statistics of every estimator in this module.
 
-    ``N_INTERVALS`` coarse intervals serve ``numeraire_probe``,
-    ``N_CHECKPOINTS`` evenly spaced grid times (only the distinct ones
-    above 0 when n_steps < N_CHECKPOINTS) serve ``reciprocal_checkpoints``
-    and each stop level serves ``stopped_experiments``.
+    ``N_INTERVALS`` coarse intervals serve ``numeraire_probe``, their
+    distinct nodes above t = 0 ``reciprocal_checkpoints``, and each stop
+    level serves ``stopped_experiments``.
     """
     for name, value in (("n_paths", n_paths), ("n_steps", n_steps)):
         if not _is_count(value):
@@ -274,15 +257,13 @@ def simulate_bes3(
         raise ValueError(f"levels must be integers >= 1, got {list(levels)}")
     levels = tuple(int(n) for n in levels)
     edges = _coarse(n_steps, N_INTERVALS)
-    checkpoints = _coarse(n_steps, N_CHECKPOINTS)
-    checkpoints = np.unique(checkpoints[checkpoints > 0])
-    plan = _blocks(edges, checkpoints)
-    batch = _Stats(n_paths, checkpoints.size, len(levels))
+    plan = _blocks(edges)
+    batch = _Stats(n_paths, len(levels))
 
     def run(chunk):
         first = chunk * WIDTH
         c = min(WIDTH, n_paths - first)
-        stats = _simulate_chunk(chunk, seed, n_steps, plan, checkpoints, levels)
+        stats = _simulate_chunk(chunk, seed, n_steps, plan, levels)
         batch.table[:, first : first + c] = stats.table[:, :c]
 
     n_chunks = -(-n_paths // WIDTH)
@@ -292,9 +273,8 @@ def simulate_bes3(
     return McBatch(
         n_paths=n_paths, n_steps=n_steps, seed=seed,
         grid=np.linspace(0.0, 1.0, n_steps + 1),
-        terminal=batch.terminal, integral=batch.integral,
+        terminal=batch.nodes[-1], integral=batch.integral,
         edges=edges, nodes=batch.nodes, lows=batch.lows, highs=batch.highs,
-        checkpoints=checkpoints, at_checkpoints=batch.at_checkpoints,
         levels=levels, stop_values=batch.stop_values, stopped=batch.stopped != 0.0,
     )
 
@@ -310,11 +290,11 @@ def estimate_reciprocal_moment(b: McBatch) -> Estimate:
 
 
 def reciprocal_checkpoints(b: McBatch) -> list[Estimate]:
-    """E[1/S_t] at the batch's checkpoints; nonincreasing in t."""
-    return [
-        Estimate.of(1.0 / s, f"E[1/S_{b.grid[k]:g}]")
-        for k, s in zip(b.checkpoints, b.at_checkpoints)
-    ]
+    """E[1/S_t] at the batch's distinct coarse nodes above t = 0;
+    nonincreasing in t."""
+    grid_k, rows = np.unique(b.edges, return_index=True)
+    return [Estimate.of(1.0 / b.nodes[i], f"E[1/S_{b.grid[k]:g}]")
+            for k, i in zip(grid_k, rows) if k > 0]
 
 
 def estimate_log_value(b: McBatch) -> dict:

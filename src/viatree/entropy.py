@@ -30,14 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arbitrage import ArbitrageError, _certificate, check_na
+from .arbitrage import ArbitrageError, _sweep
 from .markets import (
     DensityProcess,
     MarketModel,
     UnitStrategy,
-    WealthKernel,
     _detached,
-    _step_weights,
     density_from_leaf_values,
     price_martingale_residual,
     wealth_from_units,
@@ -130,10 +128,10 @@ def _exp_recursion(m: MarketModel, goal: str):
     Newton steps, run once per model (``MarketModel.memo``) and returned as
     the model keeps them.  An arbitrage verdict of ``check_na`` raises
     ``ArbitrageError`` saying that ``goal`` fails, on every call."""
-    cert = _certificate(m)
+    cert, _, q = _sweep(m)
     if cert.verdict != "NA":
-        raise ArbitrageError(f"market admits arbitrage; {goal}", certificate=check_na(m))
-    return m.memo("exp_recursion", lambda: _exp_solve(m, _step_weights(m, cert.density)))
+        raise ArbitrageError(f"market admits arbitrage; {goal}", certificate=_detached(cert))
+    return m.memo("exp_recursion", lambda: _exp_solve(m, q))
 
 
 def _exp_solve(m: MarketModel, q: np.ndarray | None = None):
@@ -146,14 +144,14 @@ def _exp_solve(m: MarketModel, q: np.ndarray | None = None):
     martingale residual, in units of max|dS|, under the minimizing one-step
     weights q_j = p_j V(j) exp(-h . dS_j) / V(v).  Each depth level is one
     ``damped_newton`` stack; a level that stalls raises ``RuntimeError``.
-    Given the kept certificate's martingale weights q, a level starts where
+    Given the kept sweep's martingale weights q, a level starts where
     they are the minimizing weights, X h = b - q . b with
     b = log p + log V(j) - log q (``least_norm_fit``), which is the optimum
     (0 Newton steps) where q are the node's only martingale weights.
     Returns the unit holdings, log V per node, the density glued from the
     weights q, the worst node gradient and the Newton steps.
     """
-    t, k = m.tree, WealthKernel(m)
+    t, k = m.tree, _sweep(m)[1]
     logp = np.log(t.branch_prob[t.edges])
     scale = np.maximum.reduceat(np.abs(k.dS).max(axis=1, initial=0.0), t.starts)
     scale[scale == 0.0] = 1.0

@@ -16,6 +16,7 @@ calls copy what they return (``_detached``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, is_dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -175,7 +176,7 @@ class DensityProcess:
 
 def _step_weights(m: MarketModel, measure: DensityProcess | None) -> np.ndarray:
     """One-step probabilities in ``EventTree.edges`` order, reweighted by
-    the density's one-step ratios when a measure is given."""
+    the one-step ratios of a caller's density when a measure is given."""
     t = m.tree
     w = t.branch_prob[t.edges].copy()
     if measure is not None:
@@ -188,22 +189,26 @@ class WealthKernel:
     (S, n_nodes, d) arrays; wealth, an (S, n_nodes) array, is rolled forward
     one depth level at a time over the tree's edge layout, from the price
     increment ``dS`` of each edge.  Sums run in asset order, not through
-    BLAS."""
+    BLAS.  It holds the tree and the prices, not the model, and its ``dS``
+    and ``returns`` are read-only: a model keeps one (``arbitrage._sweep``)."""
 
     def __init__(self, m: MarketModel):
-        self.market, self.tree = m, m.tree
+        self.tree, self.prices = m.tree, m.prices
         self.dS = m.prices[m.tree.edges] - m.prices[m.tree.edge_parent]
+        self.dS.flags.writeable = False
 
-    @property
+    @cached_property
     def returns(self) -> np.ndarray:
         """Simple returns per edge; internal prices must be nonzero."""
-        nodes, prices = self.tree.internal, self.market.prices
+        nodes, prices = self.tree.internal, self.prices
         zero = np.any(prices[nodes] == 0.0, axis=1)
         if np.any(zero):
             raise ValueError(
                 f"simple returns undefined at node {nodes[np.argmax(zero)]}: a price component is 0"
             )
-        return self.dS / prices[self.tree.edge_parent]
+        r = self.dS / prices[self.tree.edge_parent]
+        r.flags.writeable = False
+        return r
 
     def edge_dot(self, per_node: np.ndarray, incr: np.ndarray) -> np.ndarray:
         """(S, n_edges) array of incr[e] . per_node[s, edge_parent[e]]."""

@@ -9,8 +9,9 @@ wealth of any admissible strategy divided by the candidate's wealth is a
 supermartingale (with equality one step at a time when the condition
 holds exactly, so complete binary nodes exhibit true martingale ratios).
 ``fraction_problems`` poses the log and CRRA node stacks, started from the
-kept certificate's weights and tested on their wealth factors alone, so
-``damped_newton`` evaluates each start once.
+martingale weights the no-arbitrage sweep keeps (``arbitrage._sweep``) and
+tested on their wealth factors alone, so ``damped_newton`` evaluates each
+start once.
 
 ``verify_numeraire`` and ``deflator_probe`` decide that property for any
 candidate exactly, node by node: its one-step excess over every feasible
@@ -26,15 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arbitrage import NaCertificate, _certificate, check_na
-from .markets import (
-    FractionStrategy,
-    MarketModel,
-    WealthKernel,
-    WealthProcess,
-    _step_weights,
-    wealth_from_fractions,
-)
+from .arbitrage import NaCertificate, _sweep
+from .markets import FractionStrategy, MarketModel, WealthProcess, _detached, wealth_from_fractions
 from .newton import FOC_TOL, NEWTON_MAX_ITER, damped_newton, least_norm_fit, least_norm_step, raise_stalled
 from .simplex import solve_lps
 from .trees import EventTree, _bits
@@ -139,13 +133,13 @@ def log_recursion(m: MarketModel, weights: np.ndarray | None = None, q: np.ndarr
     (the branch probabilities by default).  A node's fractions do not depend
     on its children, so all internal nodes form one ``log_optimal_stack``;
     the expected log growth is then summed leaves to root.  Given the kept
-    certificate's martingale weights q, the stack starts where the deflator
+    sweep's martingale weights q, the stack starts where the deflator
     weights w / (1 + pi . R) are q, which is the optimum (0 Newton steps)
     where q are the node's only martingale weights.  Returns the
     fractions, the gradient sup norm per internal node (breadth-first) and
     the expected log growth of the optimal wealth under those weights.
     """
-    t, k = m.tree, WealthKernel(m)
+    t, k = m.tree, _sweep(m)[1]
     R = k.returns
     w = t.branch_prob[t.edges] if weights is None else weights
     pi, gnorms, _ = log_optimal_stack(t.stack(R, 0.0), t.stack(w, 0.0),
@@ -178,11 +172,12 @@ def numeraire_portfolio(m: MarketModel, x0: float = 1.0) -> NumeraireSolution:
     """
     if not (np.isfinite(x0) and x0 > 0.0):
         raise ValueError(f"initial capital must be finite and positive, got {x0!r}")
-    cert = check_na(m)
+    kept, _, q = _sweep(m)
+    cert = _detached(kept)
     if cert.verdict != "NA":
         return NumeraireSolution(status="arbitrage", certificate=cert)
     t = m.tree
-    fr, gnorms, growth = log_recursion(m, q=_step_weights(m, cert.density))
+    fr, gnorms, growth = log_recursion(m, q=q)
     gradients = dict(zip(t.internal.tolist(), gnorms.tolist()))
     strategy = FractionStrategy(fractions=fr)
     wealth = wealth_from_fractions(m, strategy, x0)
@@ -203,7 +198,7 @@ def _node_excess(m: MarketModel, candidate: WealthProcess, tol: float):
     With q_j = p_j N(v) / N(child_j), the excess
     e_v = sup over feasible pi of sum_j q_j (1 + pi . R_j) - 1 is, by LP
     duality, e_v = min{sum_j u_j : sum_j u_j X_j = 0, u_j >= q_j} - 1.
-    The kept ``check_na`` certificate's weights q* give u = t q* with
+    The kept sweep's martingale weights q* (``_sweep``) give u = t q* with
     t = max_j q_j / q*_j, so max_j q_j / q*_j - 1 bounds e_v from above,
     exactly where q* are the node's only martingale weights; a node whose
     bound is <= ``tol`` keeps it.  Every other node solves the LP in
@@ -214,25 +209,23 @@ def _node_excess(m: MarketModel, candidate: WealthProcess, tol: float):
     q* (None on ARBITRAGE), both per edge.
     """
     t, n = m.tree, candidate.values
-    cert = _certificate(m)
+    cert, k, q_star = _sweep(m)
     q = t.branch_prob[t.edges] * n[t.edge_parent] / n[t.edges]
     e = np.full(t.internal.size, np.inf)
     lp = np.ones(t.internal.size, dtype=bool)
-    q_star = None
-    if cert.verdict == "NA":
-        q_star = _step_weights(m, cert.density)
+    if q_star is not None:
         bound = np.maximum.reduceat(q / q_star, t.starts) - 1.0
         lp = bound > tol
         e[~lp] = bound[~lp]
     else:
-        lp[np.searchsorted(t.internal, cert.fail_node)] = False
+        lp[cert.fail_node] = False  # internal node i is node i
     if lp.any():
-        dS = WealthKernel(m).dS
         for size in np.unique(t.sizes[lp]):
             at = np.flatnonzero(lp & (t.sizes == size))
             edges = t.starts[at, None] + np.arange(size)
-            top = np.abs(dS[edges]).max(axis=(1, 2), keepdims=True)
-            A = (dS[edges] / np.where(top > 0.0, top, 1.0)).transpose(0, 2, 1)
+            X = k.dS[edges]
+            top = np.abs(X).max(axis=(1, 2), keepdims=True)
+            A = (X / np.where(top > 0.0, top, 1.0)).transpose(0, 2, 1)
             res = solve_lps(A, -(A @ q[edges][:, :, None])[:, :, 0], np.ones(size))
             value = q[edges].sum(axis=1) - 1.0 + res.x.sum(axis=1)  # NaN where not optimal
             e[at] = np.where(res.status == "optimal", value, np.inf)

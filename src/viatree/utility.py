@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arbitrage import NaCertificate, _certificate, check_na
+from .arbitrage import NaCertificate, _sweep
 from .markets import (
     DensityProcess,
     FractionStrategy,
@@ -29,6 +29,7 @@ from .markets import (
     UnitStrategy,
     WealthKernel,
     WealthProcess,
+    _detached,
     _step_weights,
     wealth_from_fractions,
     wealth_from_units,
@@ -160,7 +161,7 @@ def maximize_utility(
     strategies, optionally under a reweighted (density) measure.
 
     Certifies the utility and checks x0, then decides no-arbitrage
-    (``check_na``, which returns the model's kept certificate).  If the
+    (the model's kept ``check_na`` sweep, ``_sweep``).  If the
     market admits arbitrage the problem has no solution and the certificate
     comes back instead, without a look at ``measure``.  Otherwise a
     ``measure`` that is not a martingale raises ``ValueError`` naming its
@@ -172,15 +173,15 @@ def maximize_utility(
     ucert = utility.certify()
     if not ucert["passed"]:
         raise ValueError(f"utility failed its numerical certificate: {ucert}")
-    na = check_na(m)
-    used = "density" if measure is not None else "physical"
+    kept, _, q = _sweep(m)
+    na, used = _detached(kept), "density" if measure is not None else "physical"
     if na.verdict != "NA":
         return OptimalPortfolioResult(status="no-solution", route="arbitrage-detected",
                                       measure_used=used, utility_certificate=ucert,
                                       certificate=na)
     if measure is not None:
         measure.require_martingale(m.tree)
-    weights, q = _step_weights(m, measure), _step_weights(m, na.density)
+    weights = _step_weights(m, measure)
     if utility.kind == "log":
         res = _solve_log(m, weights, x0, q)
     elif utility.kind == "crra":
@@ -213,11 +214,11 @@ def _solve_log(m, weights, x0, q=None) -> OptimalPortfolioResult:
 def _solve_crra(m, weights, x0, gamma, q=None) -> OptimalPortfolioResult:
     """One ``power_optimal_stack`` per depth level, leaves to root, with the
     one-step weights times the children's value coefficients psi.  Given the
-    kept certificate's martingale weights q, a level starts where the weights
+    kept sweep's martingale weights q, a level starts where the weights
     |a_j| (1 + pi . R_j)^-gamma are a multiple of q, which is the optimum
     (0 Newton steps) where q are the node's only martingale weights."""
     t = m.tree
-    R = WealthKernel(m).returns
+    R = _sweep(m)[1].returns
     fr = np.zeros_like(m.prices)
     psi = np.zeros(t.n_nodes)
     psi[t.leaves] = 1.0 / (1.0 - gamma)
@@ -270,7 +271,7 @@ def _solve_custom(m, weights, x0, utility):
     g.step / 2 is at f's roundoff and the gradient is below the gate or no
     longer shrinking; a line search that accepts no point or
     ``CUSTOM_MAX_ITER`` steps ending it first raises."""
-    t, k = m.tree, WealthKernel(m)
+    t, k = m.tree, _sweep(m)[1]
     q = t.roll(weights[None], 1.0, multiplicative=True)[0, t.leaves]
     gate = CUSTOM_GRAD_TOL * max(1.0, float(np.abs(k.dS).max(initial=0.0)))
 
@@ -312,7 +313,7 @@ def viability_under_measure(
     reported non-viable with the certificate.
     """
     utility = utility or log_utility()
-    res = maximize_utility(m, utility, x0, _certificate(m).density)
+    res = maximize_utility(m, utility, x0, _sweep(m)[0].density)
     if res.status != "ok":
         return {
             "viable": False,
@@ -376,7 +377,7 @@ def equivalence_suite(config: EquivalenceConfig) -> SuiteReport:
             branch_range=config.branch_range,
             label=f"suite-{i}",
         )
-        cert = _certificate(m)
+        cert = _sweep(m)[0]
         verdicts = {
             "log_solvable": maximize_utility(m, log_utility(), 1.0).status == "ok",
             "no_arbitrage": cert.verdict == "NA",

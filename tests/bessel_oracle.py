@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from viatree.bessel import BLOCK, N_CHECKPOINTS, N_INTERVALS, WIDTH
+from viatree.bessel import BLOCK, N_INTERVALS, WIDTH
 
+N_CHECKPOINTS = 10  # evenly spaced grid times of reciprocal_checkpoints
 MIN_INTEGRAL_STEPS = 100
 RECIPROCAL_MOMENT_1 = math.erf(1.0 / math.sqrt(2.0))  # E[1/S_1] = 2*Phi(1) - 1
 LOG_VALUE_BOUND = 2.0 * math.log(2.0)
@@ -142,8 +143,6 @@ def statistics(b: McBatch, levels) -> dict:
     """The per-path statistics the library's batch keeps, read off the
     matrix, interval-major as in ``viatree.bessel.McBatch``."""
     edges = coarse(b.n_steps, N_INTERVALS)
-    checkpoints = coarse(b.n_steps, N_CHECKPOINTS)
-    checkpoints = np.unique(checkpoints[checkpoints > 0])
     mins, maxs = _interval_extremes(b, edges)
     stops = [stop_indices(b, n) for n in levels]
     rows = np.arange(b.n_paths)
@@ -153,7 +152,6 @@ def statistics(b: McBatch, levels) -> dict:
         "nodes": b.paths[:, edges].T,
         "lows": mins.T,
         "highs": maxs.T,
-        "at_checkpoints": b.paths[:, checkpoints].T,
         "stop_values": np.array([b.paths[rows, k] for k in stops]).reshape(-1, b.n_paths),
         "stopped": np.array([k < b.n_steps for k in stops]).reshape(-1, b.n_paths),
     }

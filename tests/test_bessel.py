@@ -37,8 +37,7 @@ from viatree.bessel import (
 )
 
 LEVELS = [1, 2, 4, 8, 16, 32, 64]
-PER_PATH = ("terminal", "integral", "nodes", "lows", "highs", "at_checkpoints",
-            "stop_values", "stopped")
+PER_PATH = ("terminal", "integral", "nodes", "lows", "highs", "stop_values", "stopped")
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +53,7 @@ class TestSimulation:
         assert b.terminal.shape == b.integral.shape == (16,)
         assert b.nodes.shape == (N_INTERVALS + 1, 16)
         assert b.lows.shape == b.highs.shape == (N_INTERVALS, 16)
-        assert b.at_checkpoints.shape == (8, 16)  # the distinct grid times above 0
+        assert np.shares_memory(b.terminal, b.nodes) and np.array_equal(b.terminal, b.nodes[-1])
         assert np.all(b.nodes[0] == 1.0)
         assert np.all(b.lows > 0.0)
 
